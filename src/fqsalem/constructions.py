@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .errors import ConfigError
+import numpy as np
+
+from .errors import ConfigError, check_budget, check_invariant
 from .field import FieldSpec, field_create
 from .geometry import (PointSet, Vector, apply_matrix, norm, dot,
                        rotation_group_generator, rotation_group_order,
@@ -82,7 +84,7 @@ def rotation_orbit(p: int, r: int, base_point: tuple[int, int] | None = None) ->
         pts.append(x)
         x = apply_matrix(F, theta, x)
     E = PointSet.build(F, 2, pts)
-    assert len(E) == orbit_len
+    check_invariant(len(E) == orbit_len, "rotation orbit shorter than its order")
     return E
 
 
@@ -139,10 +141,10 @@ def isotropic_subspace(F: FieldSpec, d: int, m: int) -> PointSet:
         raise ConfigError(f"need 1 <= m <= d/2, got m={m}, d={d}")
     basis = null_basis(F, d)[:m]
     for v in basis:
-        assert norm(F, v) == 0
+        check_invariant(norm(F, v) == 0, f"basis vector {v} is not null")
     for i_, u in enumerate(basis):
         for w in basis[i_ + 1:]:
-            assert dot(F, u, w) == 0
+            check_invariant(dot(F, u, w) == 0, f"basis vectors {u}, {w} are not orthogonal")
     pts = []
     for coeffs in product(range(F.q), repeat=m):
         acc = [0] * d
@@ -151,7 +153,7 @@ def isotropic_subspace(F: FieldSpec, d: int, m: int) -> PointSet:
                 acc[idx] = F.add(acc[idx], F.mul(c, v[idx]))
         pts.append(tuple(acc))
     E = PointSet.build(F, d, pts)
-    assert len(E) == F.q ** m, "basis vectors were not independent"
+    check_invariant(len(E) == F.q ** m, "basis vectors were not independent")
     return E
 
 
@@ -339,18 +341,26 @@ class ConstructionSpec:
         raise ConfigError(f"unknown construction kind {k!r}")
 
 
-def random_pointset(F: FieldSpec, d: int, size: int, seed: int) -> PointSet:
-    """Deterministic pseudo-random subset of F_q^d of the given size."""
+def _splitmix64_array(x: np.ndarray) -> np.ndarray:
+    """_splitmix64 on a uint64 array (numpy's uint64 arithmetic wraps mod 2^64)."""
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def random_pointset(F: FieldSpec, d: int, size: int, seed: int,
+                    budget: int | None = None) -> PointSet:
+    """Deterministic pseudo-random subset of F_q^d of the given size.
+
+    The flat indices i with the smallest (splitmix64(((seed << 20) mod 2^64) ^ i), i)
+    are chosen.
+    """
     space = F.q ** d
     if size > space:
         raise ConfigError(f"cannot pick {size} points from {space}")
-    scored = sorted(range(space), key=lambda i: (_splitmix64((seed << 20) ^ i), i))
-    chosen = scored[:size]
-    pts = []
-    for idx in chosen:
-        coords = []
-        for _ in range(d):
-            coords.append(idx % F.q)
-            idx //= F.q
-        pts.append(tuple(reversed(coords)))
-    return PointSet.build(F, d, pts)
+    check_budget(space, budget, f"random sample from F_{F.q}^{d}")
+    key = np.uint64((seed << 20) & _MASK)
+    scores = _splitmix64_array(np.arange(space, dtype=np.uint64) ^ key)
+    chosen = np.sort(np.argsort(scores, kind="stable")[:size])
+    return PointSet.from_codes(F, d, chosen)

@@ -12,9 +12,10 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .energy import difference_set, energy_convolution, salem_parameter
-from .errors import check_budget, ConfigError
-from .geometry import PointSet, norm, vsub
+from .errors import check_budget, check_invariant, ConfigError
 from .field import FieldSpec
+from .geometry import PointSet, norm
+from .kernels import KeyCounter, row_blocks
 
 
 @dataclass(frozen=True)
@@ -44,17 +45,16 @@ def distance_profile(E: PointSet, F: PointSet | None = None,
         raise ConfigError("mismatched fields or dimensions")
     check_budget(len(E) * len(F), budget, "distance profile")
     K = E.field
-    counts: dict[int, int] = {}
-    sq = [K.mul(c, c) for c in range(K.q)]
-    sub = K.sub
-    add = K.add
-    for x in E.points:
-        for y in F.points:
-            t = 0
-            for a, b in zip(x, y):
-                t = add(t, sq[sub(a, b)])
-            counts[t] = counts.get(t, 0) + 1
-    return DistanceProfile(K, counts, len(E), len(F))
+    T = K.tables(budget)
+    X, Y = E.array, F.array
+    counter = KeyCounter(K.q, len(E) * len(F), "distance profile")
+    for rows in row_blocks(len(X), len(Y)):
+        t = 0
+        for i in range(E.d):
+            t = T.add[t, T.square[T.sub[X[rows, i, None], Y[None, :, i]]]]
+        counter.add(t)
+    keys, counts = counter.result()
+    return DistanceProfile(K, dict(zip(keys.tolist(), counts.tolist())), len(E), len(F))
 
 
 def distance_set(E: PointSet, F: PointSet | None = None,
@@ -71,7 +71,7 @@ def cs_lower_bound(P: DistanceProfile) -> Fraction:
     if P.total == 0:
         raise ConfigError("empty profile")
     bound = Fraction((P.size_e * P.size_f) ** 2, second_moment(P))
-    assert bound <= len(P.support)
+    check_invariant(bound <= len(P.support), "Cauchy-Schwarz bound exceeds |support|")
     return bound
 
 

@@ -8,12 +8,15 @@ equality (see README).
 
 Two independent evaluation paths:
 
-* energy_bruteforce — tuple enumeration with a membership completion,
-  O(|E|^{2k-1}); the oracle.
+* energy_bruteforce — tuple enumeration with a membership completion over
+  the scalar field methods, O(|E|^{2k-1}); the oracle.
 * energy_convolution — iterated exact convolution of the representation
-  function r_k(v) = #{k-tuples of E summing to v}; L = sum r_k(v)^2.
+  function r_k(v) = #{k-tuples of E summing to v}, as chunked numpy pair
+  sums over the field tables whose flat indices into q^d are counted;
+  L = sum r_k(v)^2.
 
-Both are exact-integer throughout (Python ints, so no 64-bit overflow).
+Counts are int64 with the range checked from |E|^k; the sum of squares is
+an exact Python int.
 """
 
 from __future__ import annotations
@@ -24,45 +27,46 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from .errors import check_budget, ConfigError
-from .field import FieldSpec
-from .geometry import PointSet, Vector, vadd, vsub
+from .geometry import PointSet, Vector, decode, encode, vadd, vectors, vsub
+from .kernels import KeyCounter, pair_codes, row_blocks
 
 
-def _adder(F: FieldSpec):
-    """Fast componentwise vector adder; table-driven for small q."""
-    if F.r == 1:
-        p = F.p
-        return lambda x, y: tuple((a + b) % p for a, b in zip(x, y))
-    if F.q <= 512:
-        table = [[F.add(a, b) for b in range(F.q)] for a in range(F.q)]
-        return lambda x, y: tuple(table[a][b] for a, b in zip(x, y))
-    return lambda x, y: vadd(F, x, y)
+def _representation(E: PointSet, k: int, budget: int | None
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """r_k as (sorted flat indices of its support, counts)."""
+    if k < 1:
+        raise ConfigError("k must be >= 1")
+    F, d, n = E.field, E.d, len(E)
+    q = F.q
+    keys, counts = encode(E.array, q), np.ones(n, dtype=np.int64)
+    X = E.array
+    for step in range(k - 1):
+        check_budget(len(keys) * max(n, 1), budget, "energy convolution")
+        T = F.tables(budget)
+        V = decode(keys, q, d)
+        counter = KeyCounter(q ** d, n ** (step + 2), "energy convolution")
+        for rows in row_blocks(len(V), n):
+            counter.add(pair_codes(T.add, V[rows], X, q),
+                        None if step == 0 else counts[rows, None])
+        keys, counts = counter.result()
+    return keys, counts
 
 
 def representation_function(E: PointSet, k: int, budget: int | None = None) -> dict[Vector, int]:
     """r_k(v) = number of ordered k-tuples from E summing to v."""
-    if k < 1:
-        raise ConfigError("k must be >= 1")
-    add = _adder(E.field)
-    r: dict[Vector, int] = {p: 1 for p in E.points}
-    for step in range(k - 1):
-        check_budget(len(r) * max(len(E), 1), budget, "energy convolution")
-        nxt: dict[Vector, int] = {}
-        for v, c in r.items():
-            for y in E.points:
-                w = add(v, y)
-                nxt[w] = nxt.get(w, 0) + c
-        r = nxt
-    return r
+    keys, counts = _representation(E, k, budget)
+    return dict(zip(vectors(keys, E.field.q, E.d), counts.tolist()))
 
 
 def energy_convolution(E: PointSet, k: int, budget: int | None = None) -> int:
     """L_{2k}(E) = sum_v r_k(v)^2, exact."""
     if len(E) == 0:
         return 0
-    r = representation_function(E, k, budget)
-    return sum(c * c for c in r.values())
+    # squares of the int64 counts as Python ints, so the sum cannot wrap
+    return sum(c * c for c in _representation(E, k, budget)[1].tolist())
 
 
 def energy_bruteforce(E: PointSet, k: int, budget: int | None = None) -> int:
@@ -72,19 +76,17 @@ def energy_bruteforce(E: PointSet, k: int, budget: int | None = None) -> int:
         return 0
     check_budget(n ** (2 * k - 1), budget, "brute-force energy")
     F = E.field
-    add = _adder(F)
-    neg = lambda x: tuple(F.neg(c) for c in x)
     members = E._index
     count = 0
     pts = E.points
     for left in product(pts, repeat=k):
         lsum = left[0]
         for y in left[1:]:
-            lsum = add(lsum, y)
+            lsum = vadd(F, lsum, y)
         for right in product(pts, repeat=k - 1):
             rsum = right[0] if right else None
             for y in right[1:]:
-                rsum = add(rsum, y)
+                rsum = vadd(F, rsum, y)
             # last = lsum - rsum must lie in E
             last = vsub(F, lsum, rsum) if right else lsum
             if last in members:
@@ -92,11 +94,21 @@ def energy_bruteforce(E: PointSet, k: int, budget: int | None = None) -> int:
     return count
 
 
+def difference_counts(E: PointSet, budget: int | None = None
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """#{(x, y) in E^2 : x - y = v} as (sorted flat indices of v, counts)."""
+    n, d, q = len(E), E.d, E.field.q
+    check_budget(n ** 2, budget, "difference set")
+    T = E.field.tables(budget)
+    X = E.array
+    counter = KeyCounter(q ** d, n * n, "difference counts")
+    for rows in row_blocks(n, n):
+        counter.add(pair_codes(T.sub, X[rows], X, q))
+    return counter.result()
+
+
 def difference_set(E: PointSet, budget: int | None = None) -> PointSet:
-    check_budget(len(E) ** 2, budget, "difference set")
-    F = E.field
-    return PointSet.build(F, E.d,
-                          (vsub(F, x, y) for x in E.points for y in E.points))
+    return PointSet.from_codes(E.field, E.d, difference_counts(E, budget)[0])
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,16 @@ class ConfigError(FqsalemError):
     """Invalid configuration or parameters."""
 
 
+class InvariantViolation(FqsalemError):
+    """An identity the computation relies on failed: a defect, never bad input."""
+
+
+def check_invariant(ok: bool, what: str) -> None:
+    """Raise InvariantViolation unless ok; unlike assert, kept under python -O."""
+    if not ok:
+        raise InvariantViolation(what)
+
+
 # Full-space scans refuse anything above this unless the caller overrides.
 DEFAULT_BUDGET = 1 << 24
 

@@ -3,6 +3,11 @@
 Elements are canonical integers in [0, q): the base-p digits of the value,
 little-endian, are the coefficients of the residue polynomial. For r = 1
 this degenerates to plain integers mod p.
+
+Two layers: scalar methods on FieldSpec (one element at a time; used by
+constructions and the oracles) and numpy lookup tables (`FieldSpec.tables`)
+that the counting kernels gather from, in the lookup-table GF(p^m) style of
+the galois package (https://github.com/mhostetter/galois).
 """
 
 from __future__ import annotations
@@ -13,7 +18,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
-from .errors import ConfigError
+import numpy as np
+
+from .errors import ConfigError, check_budget, check_invariant
 
 MAX_Q = 1 << 63
 
@@ -142,6 +149,51 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 @dataclass(frozen=True)
+class FieldTables:
+    """Read-only lookup tables over canonical values: add/sub/mul are (q, q)
+    indexed [a, b]; neg and square are length q. The dtype is the smallest
+    unsigned type holding q - 1, so gathers stay small; widen before
+    doing integer arithmetic on the results.
+    """
+
+    add: np.ndarray
+    sub: np.ndarray
+    mul: np.ndarray
+    neg: np.ndarray
+    square: np.ndarray
+
+    @staticmethod
+    def build(F: "FieldSpec") -> "FieldTables":
+        """Digit-wise add and neg; mul through log/exp of a primitive element.
+
+        Only the q - 1 powers of the primitive element use scalar calls.
+        """
+        p, q = F.p, F.q
+        v = np.arange(q, dtype=np.int64)
+        add = np.zeros((q, q), dtype=np.int64)
+        neg = np.zeros(q, dtype=np.int64)
+        for i in range(F.r):
+            digit = (v // p ** i) % p
+            add += (digit[:, None] + digit[None, :]) % p * p ** i
+            neg += (-digit) % p * p ** i
+        exp = np.empty(q - 1, dtype=np.int64)
+        g, x = F.primitive_element(), 1
+        for k in range(q - 1):
+            exp[k] = x
+            x = F.mul(x, g)
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        mul = np.zeros((q, q), dtype=np.int64)
+        mul[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % (q - 1)]
+        tables = []
+        for t in (add, add[:, neg], mul, neg, mul[v, v]):
+            t = t.astype(np.min_scalar_type(q - 1))
+            t.flags.writeable = False
+            tables.append(t)
+        return FieldTables(*tables)
+
+
+@dataclass(frozen=True)
 class FieldSpec:
     """Immutable description of F_{p^r} with a fixed irreducible modulus."""
 
@@ -152,6 +204,15 @@ class FieldSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "q", self.p ** self.r)
+
+    def tables(self, budget: int | None = None) -> FieldTables:
+        """The lookup tables, built on first use (field_create never pays)."""
+        cached = self.__dict__.get("_tables")
+        if cached is None:
+            check_budget(self.q * self.q, budget, f"F_{self.q} lookup tables")
+            cached = FieldTables.build(self)
+            self.__dict__["_tables"] = cached
+        return cached
 
     # --- encoding helpers -------------------------------------------------
 
@@ -225,7 +286,7 @@ class FieldSpec:
             acc = self.add(acc, t)
             t = self.pow(t, self.p)
         ds = self.digits(acc)
-        assert all(d == 0 for d in ds[1:]), "trace left the prime field"
+        check_invariant(all(d == 0 for d in ds[1:]), "trace left the prime field")
         return ds[0]
 
     def additive_character(self, x: int) -> complex:

@@ -2,7 +2,9 @@
 
 Vectors are tuples of canonical field integers. Point sets are immutable,
 deduplicated and lexicographically sorted, so every derived file or report
-is byte-reproducible.
+is byte-reproducible. The kernels see a point set as an (n, d) integer
+array and a vector as its flat index sum_i x_i q^(d-1-i), whose order is
+the lexicographic order of the vectors.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConfigError, check_budget
 from .field import FieldSpec, parse_header
@@ -47,10 +51,53 @@ class PointSet:
             self.__dict__["_index_cache"] = cached
         return cached
 
+    @property
+    def array(self) -> np.ndarray:
+        """The points as a read-only (n, d) int64 array, in point order."""
+        cached = self.__dict__.get("_array_cache")
+        if cached is None:
+            cached = np.array(self.points, dtype=np.int64).reshape(len(self.points), self.d)
+            cached.flags.writeable = False
+            self.__dict__["_array_cache"] = cached
+        return cached
+
+    @staticmethod
+    def from_codes(field: FieldSpec, d: int, codes: np.ndarray) -> "PointSet":
+        """The set whose flat indices are `codes`, which must be sorted and distinct."""
+        return PointSet(field, d, tuple(vectors(codes, field.q, d)))
+
     def translate(self, v: Vector) -> "PointSet":
         F = self.field
         return PointSet.build(F, self.d,
                               (tuple(F.add(a, b) for a, b in zip(p, v)) for p in self.points))
+
+
+def encode(X: np.ndarray, q: int) -> np.ndarray:
+    """Flat int64 index of each row of an (n, d) coordinate array."""
+    codes = np.zeros(len(X), dtype=np.int64)
+    for i in range(X.shape[1]):
+        codes = codes * q + X[:, i]
+    return codes
+
+
+def decode(codes: np.ndarray, q: int, d: int) -> np.ndarray:
+    """Inverse of encode: an (n, d) int64 coordinate array."""
+    codes = np.asarray(codes, dtype=np.int64)
+    return np.stack([codes // q ** (d - 1 - i) % q for i in range(d)], axis=-1)
+
+
+def vectors(codes: np.ndarray, q: int, d: int):
+    """Iterator over the decoded vectors, as tuples of Python ints."""
+    return zip(*decode(codes, q, d).T.tolist())
+
+
+def norms(E: "PointSet", budget: int | None = None) -> np.ndarray:
+    """||x|| for every point of E, in point order."""
+    T = E.field.tables(budget)
+    acc = np.zeros(len(E), dtype=np.int64)
+    for i in range(E.d):
+        acc = T.add[acc, T.square[E.array[:, i]]]
+    return acc
 
 
 def norm(F: FieldSpec, x: Vector) -> int:

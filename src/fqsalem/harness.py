@@ -9,15 +9,18 @@ digits, keys are sorted, and sweep cells derive their seeds from
 from __future__ import annotations
 
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
+import numpy as np
+
 from . import distance, energy, incidence, spectral
 from .constructions import ConstructionSpec, random_pointset
-from .errors import BudgetExceeded, ConfigError, DEFAULT_BUDGET
+from .errors import BudgetExceeded, ConfigError, DEFAULT_BUDGET, check_budget
 from .field import field_create
 from .geometry import PointSet, read_pointset
 from .ranges import (ThresholdQuery, conjectured_alpha, family_thresholds,
@@ -107,8 +110,8 @@ def run(config: dict, include_timings: bool = False) -> dict:
             raise ConfigError(f"analysis {name!r} needs a construction")
         if name == "fourier":
             spec = spectral.fourier(E, budget)
-            parseval = float(abs(sum(abs(v) ** 2 for v in spec.values)
-                                 - len(E) / E.field.q ** E.d))
+            # fsum is correctly rounded, so the bytes do not depend on summation order
+            parseval = abs(math.fsum(np.abs(spec.values) ** 2) - len(E) / E.field.q ** E.d)
             resid = spectral.energy_identity_residual(E, 2, budget)
             results["fourier"] = {
                 "parsevalResidual": parseval,
@@ -247,7 +250,19 @@ def oracle_lambda4(E: PointSet, budget: int | None = None) -> int:
 
 
 def oracle_distances(E: PointSet, budget: int | None = None) -> dict[int, int]:
-    return dict(sorted(distance.distance_profile(E, budget=budget).counts.items()))
+    """Plain double loop over the scalar field methods, kept separate from
+    distance.distance_profile."""
+    check_budget(len(E) ** 2, budget, "distance oracle")
+    F = E.field
+    counts: dict[int, int] = {}
+    for x in E.points:
+        for y in E.points:
+            t = 0
+            for a, b in zip(x, y):
+                c = F.sub(a, b)
+                t = F.add(t, F.mul(c, c))
+            counts[t] = counts.get(t, 0) + 1
+    return dict(sorted(counts.items()))
 
 
 def oracle_incidences(P: PointSet, H, budget: int | None = None) -> int:

@@ -10,23 +10,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .energy import energy_convolution, salem_parameter
-from .errors import check_budget, ConfigError
-from .geometry import HyperplaneMultiset, PointSet, Vector, dot, norm, vsub
-from .field import FieldSpec
+import numpy as np
+
+from .energy import difference_counts, energy_convolution, salem_parameter
+from .errors import check_budget, check_invariant, ConfigError
+from .geometry import HyperplaneMultiset, PointSet, Vector, norms, vectors
+from .kernels import KeyCounter, pair_codes, row_blocks
 
 
 def count_incidences(P: PointSet, H: HyperplaneMultiset,
                      budget: int | None = None) -> int:
+    """sum_(a, b, m) m * #{x in P : a.x = b}, as a chunked (points x hyperplanes) matrix."""
     if P.field != H.field or P.d != H.d:
         raise ConfigError("mismatched fields or dimensions")
     check_budget(len(P) * max(len(H.entries), 1), budget, "incidence count")
-    F = P.field
-    total = 0
-    for a, b, m in H.entries:
-        hits = sum(1 for x in P.points if dot(F, a, x) == b)
-        total += m * hits
-    return total
+    if not H.entries:
+        return 0
+    T = P.field.tables(budget)
+    A = np.array([a for a, _, _ in H.entries], dtype=np.int64)
+    b = np.array([b for _, b, _ in H.entries], dtype=np.int64)
+    X = P.array
+    hits = np.zeros(len(A), dtype=np.int64)
+    for rows in row_blocks(len(X), len(A)):
+        dots = 0
+        for i in range(P.d):
+            dots = T.add[dots, T.mul[X[rows, i, None], A[None, :, i]]]
+        hits += np.count_nonzero(dots == b, axis=0)
+    return sum(m * h for (_, _, m), h in zip(H.entries, hits.tolist()))
 
 
 @dataclass(frozen=True)
@@ -114,12 +124,13 @@ def dilate_hyperplanes(H: HyperplaneMultiset) -> HyperplaneMultiset:
 
 def incidence_via_dilation(P: PointSet, H: HyperplaneMultiset,
                            budget: int | None = None) -> int:
-    """I(P, H) recovered as N(P, dilate(H)) / (q - 1); asserted exact."""
+    """I(P, H) recovered as N(P, dilate(H)) / (q - 1); checked exact."""
     N = count_incidences(P, dilate_hyperplanes(H), budget)
     q = P.field.q
-    assert N % (q - 1) == 0
+    check_invariant(N % (q - 1) == 0, "dilated incidence count not divisible by q - 1")
     I = N // (q - 1)
-    assert I == count_incidences(P, H, budget)
+    check_invariant(I == count_incidences(P, H, budget),
+                    "dilation identity N(P, dilate(H)) = (q - 1) I(P, H) failed")
     return I
 
 
@@ -128,26 +139,28 @@ def sphere_incidence_setup(E: PointSet, budget: int | None = None
     """Dilated point set and zero-offset difference multiset for sets on a sphere.
 
     Requires E on a single sphere of nonzero radius; the multiset's
-    sum-of-squared-multiplicities equals L_4(E) exactly (asserted).
+    sum-of-squared-multiplicities equals L_4(E) exactly (checked).
     """
-    F = E.field
+    F, d, q = E.field, E.d, E.field.q
     if len(E) == 0:
         raise ConfigError("empty set")
-    radii = {norm(F, x) for x in E.points}
+    radii = set(norms(E, budget).tolist())
     if len(radii) != 1 or 0 in radii:
         raise ConfigError("E must lie on one sphere of nonzero radius")
     check_budget(len(E) ** 2, budget, "difference multiset")
-    P = PointSet.build(F, E.d,
-                       (tuple(F.mul(lam, c) for c in a)
-                        for a in E.points for lam in range(1, F.q)))
-    mult: dict[Vector, int] = {}
-    for a in E.points:
-        for b in E.points:
-            u = vsub(F, a, b)
-            mult[u] = mult.get(u, 0) + 1
-    Pp = HyperplaneMultiset.build(F, E.d, ((u, 0, m) for u, m in mult.items()),
+    T = F.tables(budget)
+    X = E.array
+    lam = np.repeat(np.arange(1, q)[:, None], d, axis=1)  # row j multiplies every coordinate by j + 1
+    dilates = KeyCounter(q ** d, len(E) * (q - 1), "dilated point set")
+    for rows in row_blocks(len(X), q - 1):
+        dilates.add(pair_codes(T.mul, X[rows], lam, q))
+    P = PointSet.from_codes(F, d, dilates.result()[0])
+    keys, mult = difference_counts(E, budget)
+    diffs = vectors(keys, q, d)
+    Pp = HyperplaneMultiset.build(F, d, ((u, 0, m) for u, m in zip(diffs, mult.tolist())),
                                   allow_degenerate=True)
-    assert sum(m * m for _, _, m in Pp.entries) == energy_convolution(E, 2, budget)
+    check_invariant(sum(m * m for _, _, m in Pp.entries) == energy_convolution(E, 2, budget),
+                    "sum of squared difference multiplicities differs from L_4(E)")
     return P, Pp
 
 
@@ -171,25 +184,30 @@ class DifferenceFamily:
 def distance_energy_setup(E: PointSet, budget: int | None = None) -> DifferenceFamily:
     """X_t = {(y,z) in E^2 : ||y|| - ||z|| = t} with difference multiplicities.
 
-    Invariants (asserted): sum_t |X_t| = |E|^2 and
+    Invariants (checked, InvariantViolation otherwise): sum_t |X_t| = |E|^2 and
     sum_t sum_u m_t(u)^2 <= L_4(E), with equality when E is on one sphere.
     """
-    F = E.field
-    check_budget(len(E) ** 2, budget, "difference family")
-    norms = {y: norm(F, y) for y in E.points}
+    F, d, q, n = E.field, E.d, E.field.q, len(E)
+    check_budget(n ** 2, budget, "difference family")
+    T = F.tables(budget)
+    X, nrm = E.array, norms(E, budget)
+    # key (t, u) = t q^d + u for the gap t = ||y|| - ||z|| and difference u = y - z
+    counter = KeyCounter(q ** (d + 1), n * n, "difference family")
+    for rows in row_blocks(n, n):
+        gap = T.sub[nrm[rows, None], nrm[None, :]].astype(np.int64)
+        counter.add(pair_codes(T.sub, X[rows], X, q, gap))
+    keys, counts = counter.result()
+    gaps, diffs = np.divmod(keys, q ** d)
     x_sizes: dict[int, int] = {}
     mult: dict[int, dict[Vector, int]] = {}
-    for y in E.points:
-        for z in E.points:
-            t = F.sub(norms[y], norms[z])
-            x_sizes[t] = x_sizes.get(t, 0) + 1
-            ms = mult.setdefault(t, {})
-            u = vsub(F, y, z)
-            ms[u] = ms.get(u, 0) + 1
-    fam = DifferenceFamily(x_sizes, mult, len(E))
-    assert fam.total_pairs == len(E) ** 2
+    for t, u, c in zip(gaps.tolist(), vectors(diffs, q, d), counts.tolist()):
+        x_sizes[t] = x_sizes.get(t, 0) + c
+        mult.setdefault(t, {})[u] = c
+    fam = DifferenceFamily(x_sizes, mult, n)
+    check_invariant(fam.total_pairs == n ** 2, "sum_t |X_t| differs from |E|^2")
     lam4 = energy_convolution(E, 2, budget)
-    assert fam.sum_m2 <= lam4
-    if len({norms[y] for y in E.points}) == 1:
-        assert fam.sum_m2 == lam4
+    check_invariant(fam.sum_m2 <= lam4, "sum_t sum_u m_t(u)^2 exceeds L_4(E)")
+    if len(set(nrm.tolist())) == 1:
+        check_invariant(fam.sum_m2 == lam4,
+                        "sum_t sum_u m_t(u)^2 differs from L_4(E) on one sphere")
     return fam

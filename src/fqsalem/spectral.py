@@ -4,7 +4,8 @@ The transform is E_hat(m) = q^{-d} sum_{y in E} chi(-m.y) with
 chi(x) = exp(2*pi*i*Tr(x)/p). Two evaluation paths are kept:
 
 * direct summation, O(|E| * q^d), the oracle;
-* a fast path through the additive-group isomorphism F_q^d ~ (Z_p)^{rd}.
+* the path `fourier` always takes, through the additive-group isomorphism
+  F_q^d ~ (Z_p)^{rd}.
   The kernel Tr(m_i * y_i) is bilinear in the base-p digit vectors with
   Gram matrix B[j][k] = Tr(x^{j+k}), so after a length-p DFT along each of
   the rd digit axes the spectrum is read off through the digit permutation
@@ -26,10 +27,6 @@ from .energy import energy_convolution
 from .errors import ConfigError, check_budget
 from .field import FieldSpec
 from .geometry import PointSet, dot
-
-#: roughly the |E| above which the FFT path is cheaper than direct summation
-_FAST_PATH_MIN_SIZE = 8
-
 
 def point_index(q: int, p: tuple[int, ...]) -> int:
     """Canonical flat index: coordinate 0 most significant (lexicographic)."""
@@ -100,8 +97,7 @@ def fourier_fast(E: PointSet, budget: int | None = None) -> Spectrum:
     F, d, q, p, r = E.field, E.d, E.field.q, E.field.p, E.field.r
     check_budget(q ** d, budget, "fast Fourier transform")
     ind = np.zeros((q,) * d)
-    for y in E.points:
-        ind[y] = 1.0
+    ind[tuple(E.array.T)] = 1.0
     # each coordinate axis splits into r digit axes (big-endian digit order),
     # under which the canonical value is the linear C-order index
     G = np.fft.fftn(ind.reshape((p,) * (r * d)))
@@ -113,10 +109,8 @@ def fourier_fast(E: PointSet, budget: int | None = None) -> Spectrum:
 
 
 def fourier(E: PointSet, budget: int | None = None) -> Spectrum:
-    """Transform of the indicator of E; path chosen by size."""
-    if len(E) >= _FAST_PATH_MIN_SIZE:
-        return fourier_fast(E, budget)
-    return fourier_direct(E, budget)
+    """Transform of the indicator of E (the fast path; fourier_direct is its oracle)."""
+    return fourier_fast(E, budget)
 
 
 def lp_norm(S: Spectrum, u: float) -> float:

@@ -3,7 +3,7 @@
 import pytest
 
 from fqsalem.constructions import random_pointset
-from fqsalem.field import field_create
+from fqsalem.field import field_create, prime_factors
 from fqsalem.geometry import PointSet, all_vectors
 
 
@@ -38,3 +38,12 @@ def full_space(F, d):
 
 def rand_set(F, d, size, seed):
     return random_pointset(F, d, size, seed)
+
+
+def field_of_order(q):
+    """F_q for a prime power q, so parametrizations over q can name extension fields."""
+    (p,) = prime_factors(q)
+    r = 1
+    while p ** r < q:
+        r += 1
+    return field_create(p, r)

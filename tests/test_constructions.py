@@ -12,7 +12,7 @@ from fqsalem.constructions import (ConstructionSpec, bernoulli_thin, conjecture_
                                     two_set_sharpness)
 from fqsalem.distance import distance_set
 from fqsalem.energy import energy_bruteforce, energy_convolution
-from fqsalem.errors import ConfigError
+from fqsalem.errors import BudgetExceeded, ConfigError
 from fqsalem.field import field_create
 from fqsalem.geometry import PointSet, dot, norm, write_pointset
 
@@ -237,3 +237,24 @@ def test_random_pointset(f5):
     assert random_pointset(f5, 2, 10, seed=4) != E
     with pytest.raises(ConfigError):
         random_pointset(f5, 2, 26, seed=0)
+    with pytest.raises(BudgetExceeded):
+        random_pointset(f5, 4, 3, seed=0, budget=600)
+
+
+def _splitmix64_reference(x):
+    mask = (1 << 64) - 1
+    x = (x + 0x9E3779B97F4A7C15) & mask
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+    return x ^ (x >> 31)
+
+
+@pytest.mark.parametrize("p,r,d,size,seed", [
+    (5, 1, 2, 10, 3), (3, 2, 3, 40, 0), (7, 1, 3, 1, 12345),
+    (3, 3, 2, 729, 9), (5, 2, 2, 17, (1 << 64) - 1), (3, 1, 4, 30, -7)])
+def test_random_pointset_matches_scalar_reference(p, r, d, size, seed):
+    F = field_create(p, r)
+    q = F.q
+    order = sorted(range(q ** d), key=lambda i: (_splitmix64_reference((seed << 20) ^ i), i))
+    expect = sorted(tuple(i // q ** (d - 1 - j) % q for j in range(d)) for i in order[:size])
+    assert random_pointset(F, d, size, seed).points == tuple(expect)

@@ -48,15 +48,16 @@ def test_full_space_distances(f3):
     assert distance_set(E) == frozenset(range(3))
 
 
-def test_profile_matches_bruteforce(f7):
-    for seed in range(5):
-        E = rand_set(f7, 2, 6 + 2 * seed, seed)
-        P = distance_profile(E)
-        assert dict(P.counts) == brute_profile(E)
-        assert P.total == len(E) ** 2
-        assert P.nu(0) >= len(E)
-        for t in P.support - {0}:
-            assert P.nu(t) % 2 == 0
+def test_profile_matches_bruteforce(f7, f9, f27):
+    for F in (f7, f9, f27):
+        for seed in range(5):
+            E = rand_set(F, 2, 6 + 2 * seed, seed)
+            P = distance_profile(E)
+            assert dict(P.counts) == brute_profile(E)
+            assert P.total == len(E) ** 2
+            assert P.nu(0) >= len(E)
+            for t in P.support - {0}:
+                assert P.nu(t) % 2 == 0
 
 
 def test_two_set_profile(f5):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import full_space, rand_set
+from conftest import field_of_order, full_space, rand_set
 from fqsalem.constructions import isotropic_subspace, product_set, subgroup_power
 from fqsalem.energy import (difference_set, energy_bruteforce, energy_convolution,
                              energy_report, representation_function, salem_parameter)
@@ -56,15 +56,17 @@ def test_representation_function_totals(f5):
     assert set(r1) == set(E.points)
 
 
-@pytest.mark.parametrize("q,d", [(3, 2), (5, 2), (7, 2), (3, 3)])
+@pytest.mark.parametrize("q,d", [(3, 2), (5, 2), (7, 2), (3, 3), (9, 2), (25, 2), (27, 1)])
 def test_convolution_matches_bruteforce(q, d):
-    F = field_create(q, 1)
+    F = field_of_order(q)
     rng = random.Random(q * 10 + d)
     for trial in range(6):
         size = rng.randrange(2, min(20, q ** d) + 1)
         E = rand_set(F, d, size, seed=trial)
         for k in (1, 2):
             assert energy_convolution(E, k) == energy_bruteforce(E, k)
+        small = rand_set(F, d, min(size, 6), seed=trial)
+        assert energy_convolution(small, 3) == energy_bruteforce(small, 3)
 
 
 def test_energy_bounds_sandwich(f5):
@@ -92,16 +94,17 @@ def test_invalid_k(f5):
         energy_convolution(rand_set(f5, 2, 3, 0), 0)
 
 
-def test_difference_set(f5):
+def test_difference_set(f5, f9, f27):
     line = PointSet.build(f5, 2, [(x, 0) for x in range(5)])
     assert difference_set(line) == line  # subgroup
     single = PointSet.build(f5, 2, [(3, 1)])
     assert set(difference_set(single).points) == {(0, 0)}
-    for seed in range(4):
-        E = rand_set(f5, 2, 7, seed)
-        brute = {tuple(f5.sub(a, b) for a, b in zip(x, y))
-                 for x in E.points for y in E.points}
-        assert set(difference_set(E).points) == brute
+    for F in (f5, f9, f27):
+        for seed in range(4):
+            E = rand_set(F, 2, 7, seed)
+            brute = {tuple(F.sub(a, b) for a, b in zip(x, y))
+                     for x in E.points for y in E.points}
+            assert set(difference_set(E).points) == brute
 
 
 def test_cauchy_schwarz_chain(f7):

@@ -165,3 +165,15 @@ def test_header_rejects_garbage():
         parse_header("q=banana")
     with pytest.raises(ConfigError):
         parse_header("")
+
+
+@pytest.mark.parametrize("p,r", [(3, 1), (5, 2), (3, 3), (7, 2)])
+def test_tables_match_scalar_ops(p, r):
+    F = field_create(p, r)
+    T = F.tables()
+    for a in range(F.q):
+        assert T.neg[a] == F.neg(a) and T.square[a] == F.mul(a, a)
+        for b in range(F.q):
+            assert (T.add[a, b], T.sub[a, b], T.mul[a, b]) == (
+                F.add(a, b), F.sub(a, b), F.mul(a, b))
+    assert F.tables() is T

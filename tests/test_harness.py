@@ -6,6 +6,7 @@ import pytest
 
 from conftest import rand_set
 from fqsalem.cli import main
+from fqsalem.distance import distance_profile
 from fqsalem.energy import energy_convolution
 from fqsalem.errors import ConfigError
 from fqsalem.geometry import (HyperplaneMultiset, PointSet, write_hyperplanes,
@@ -119,11 +120,13 @@ def test_sweep_requires_grid(tmp_path):
         sweep({"analyses": ["energy"]}, tmp_path / "x")
 
 
-def test_oracles(f5):
+def test_oracles(f5, f9):
     E = rand_set(f5, 2, 10, seed=2)
     assert oracle_lambda4(E) == energy_convolution(E, 2)
     single = PointSet.build(f5, 2, [(1, 1)])
     assert oracle_distances(single) == {0: 1}
+    E9 = rand_set(f9, 3, 30, seed=4)
+    assert oracle_distances(E9) == distance_profile(E9).counts
     H = HyperplaneMultiset.build(f5, 2, [((1, 0), 1, 2)])
     assert oracle_incidences(E, H) == count_incidences(E, H)
 

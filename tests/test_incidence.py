@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from conftest import full_space, rand_set
+from conftest import field_of_order, full_space, rand_set
 from fqsalem.energy import energy_convolution
-from fqsalem.errors import ConfigError
+from fqsalem.errors import ConfigError, InvariantViolation
 from fqsalem.field import field_create
-from fqsalem.geometry import HyperplaneMultiset, PointSet, all_vectors, sphere
+from fqsalem.geometry import HyperplaneMultiset, PointSet, all_vectors, norm, sphere, vsub
 from fqsalem.harness import oracle_incidences
 from fqsalem.incidence import (count_incidences, dilate_hyperplanes,
                                 distance_energy_setup, incidence_via_dilation,
@@ -47,9 +47,9 @@ def test_origin_misses_offset_plane(f5):
     assert count_incidences(P, H) == 0
 
 
-@pytest.mark.parametrize("q,d", [(3, 2), (5, 2), (7, 2), (5, 3)])
+@pytest.mark.parametrize("q,d", [(3, 2), (5, 2), (7, 2), (5, 3), (9, 2), (25, 2), (27, 2)])
 def test_count_matches_oracle(q, d):
-    F = field_create(q, 1)
+    F = field_of_order(q)
     for seed in range(5):
         P = rand_set(F, d, min(8 + 2 * seed, q ** d), seed)
         H = rand_hyperplanes(F, d, 4, seed, allow_zero_b=True)
@@ -161,14 +161,22 @@ def test_distance_energy_family_singleton(f5):
     assert fam.total_pairs == 1 and fam.sum_m2 == 1
 
 
-@pytest.mark.parametrize("q,d", [(3, 2), (5, 2), (7, 2)])
+@pytest.mark.parametrize("q,d", [(3, 2), (5, 2), (7, 2), (9, 2), (27, 2)])
 def test_distance_energy_family_random(q, d):
-    F = field_create(q, 1)
+    F = field_of_order(q)
     for seed in range(4):
         E = rand_set(F, d, 8, seed)
         fam = distance_energy_setup(E)
         assert fam.total_pairs == len(E) ** 2
         assert fam.sum_m2 <= energy_convolution(E, 2)
+        brute = {}
+        for y in E.points:
+            for z in E.points:
+                ms = brute.setdefault(F.sub(norm(F, y), norm(F, z)), {})
+                u = vsub(F, y, z)
+                ms[u] = ms.get(u, 0) + 1
+        assert fam.multiplicities == brute
+        assert fam.x_sizes == {t: sum(ms.values()) for t, ms in brute.items()}
 
 
 def test_distance_energy_equality_iff_sphere(f5):
@@ -179,3 +187,12 @@ def test_distance_energy_equality_iff_sphere(f5):
     off = PointSet.build(f5, 2, [(0, 0), (1, 0), (2, 0)])
     fam2 = distance_energy_setup(off)
     assert fam2.sum_m2 < energy_convolution(off, 2)
+
+
+def test_invariant_violation_is_typed(f5, monkeypatch):
+    # a wrong Lambda_4 breaks the one-sphere equality, which must survive python -O
+    E = sphere(f5, 2, 2)
+    lam4 = energy_convolution(E, 2)
+    monkeypatch.setattr("fqsalem.incidence.energy_convolution", lambda *a, **k: lam4 - 1)
+    with pytest.raises(InvariantViolation):
+        distance_energy_setup(E)
