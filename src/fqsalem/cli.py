@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 all gates pass, 2 gate failure, 3 config error, 4 budget
-exceeded.
+exceeded, 5 an internal invariant failed (a defect, never bad input).
 """
 
 from __future__ import annotations
@@ -12,15 +12,14 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .constructions import ConstructionSpec
-from .errors import BudgetExceeded, ConfigError
+from .errors import BudgetExceeded, ConfigError, InvariantViolation
 from .field import field_create
 from .geometry import read_hyperplanes, read_pointset, write_pointset
-from .harness import (EXIT_BUDGET, EXIT_CONFIG_ERROR, EXIT_GATE_FAILURE, EXIT_OK,
-                      oracle_distances, oracle_incidences, oracle_lambda4,
+from .harness import (EXIT_BUDGET, EXIT_CONFIG_ERROR, EXIT_GATE_FAILURE,
+                      EXIT_INVARIANT, EXIT_OK, build_set, oracle_distances,
+                      oracle_incidences, oracle_lambda4, ranges_row,
                       render_report, run, sweep)
-from .ranges import (conjectured_alpha, crossover_identities, energy_threshold,
-                     sphere_threshold, improved_threshold)
+from .ranges import crossover_identities
 
 
 def _add_common(p):
@@ -89,6 +88,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except InvariantViolation as exc:
+        print(f"invariant violated: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 def _dispatch(args) -> int:
@@ -100,12 +102,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "construct":
-        config = _load_config(args)
-        c = dict(config["construction"])
-        kind = c.pop("kind")
-        if "seed" not in c and "seed" in config:
-            c["seed"] = config["seed"]
-        E = ConstructionSpec(kind, c).build()
+        E = build_set(_load_config(args))
         out = args.out or Path("pointset.txt")
         write_pointset(E, out)
         print(f"wrote {len(E)} points to {out}")
@@ -128,13 +125,13 @@ def _dispatch(args) -> int:
         rows = []
         for d in args.d:
             for s_str in args.s:
-                s = Fraction(s_str)
-                val, branch = improved_threshold(d, s)
-                rows.append({"d": d, "s": str(s),
-                             "conjectured": str(conjectured_alpha(d, s)),
-                             "improved": str(val), "branch": branch,
-                             "energyRoute": str(energy_threshold(d, s)),
-                             "sphere": str(sphere_threshold(d, s)),
+                row = ranges_row(d, Fraction(s_str))
+                rows.append({"d": d, "s": str(row["s"]),
+                             "conjectured": str(row["conjecturedAlpha"]),
+                             "improved": str(row["improved"]),
+                             "branch": row["improvedBranch"],
+                             "energyRoute": str(row["energyRoute"]),
+                             "sphere": str(row["sphere"]),
                              "crossoversExact": all(crossover_identities(d).values())})
         if args.json:
             print(json.dumps(rows, indent=2))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, check_budget, check_invariant
 from .field import FieldSpec, field_create
-from .geometry import (PointSet, Vector, apply_matrix, norm, dot,
+from .geometry import (PointSet, Vector, _rot_compose, norm, dot,
                        rotation_group_generator, rotation_group_order,
                        unit_circle_points)
 from .spectral import point_index
@@ -68,37 +68,24 @@ def rotation_orbit(p: int, r: int, base_point: tuple[int, int] | None = None) ->
         raise ConfigError(
             f"order {group_order} of the rotation group is not divisible by {sub}")
     orbit_len = group_order // sub
-    gen = rotation_group_generator(F)
+    (a, _), (b, _) = rotation_group_generator(F)
+    gen = (a, b)  # the rotation (a, -b; b, a) as the pair that _rot_compose takes
     # theta = gen^sub has exact order orbit_len
     theta = gen
     for _ in range(sub - 1):
-        theta = _mat_mul(F, theta, gen)
+        theta = _rot_compose(F, theta, gen)
     if base_point is None:
-        a, b = F.two_square_decomposition(1)
-        base_point = (a, b)
+        base_point = F.two_square_decomposition(1)
     if norm(F, base_point) != 1:
         raise ConfigError(f"base point {base_point} is not on the unit circle")
     pts = []
     x = base_point
     for _ in range(orbit_len):
         pts.append(x)
-        x = apply_matrix(F, theta, x)
+        x = _rot_compose(F, theta, x)
     E = PointSet.build(F, 2, pts)
     check_invariant(len(E) == orbit_len, "rotation orbit shorter than its order")
     return E
-
-
-def _mat_mul(F: FieldSpec, m1, m2):
-    return tuple(
-        tuple(_row_col(F, m1, m2, i, j) for j in range(2)) for i in range(2)
-    )
-
-
-def _row_col(F, m1, m2, i, j):
-    acc = 0
-    for k in range(2):
-        acc = F.add(acc, F.mul(m1[i][k], m2[k][j]))
-    return acc
 
 
 # --- isotropic subspaces ------------------------------------------------------------
@@ -230,10 +217,6 @@ class ConstructionResult:
     notes: dict
 
 
-def _orbit_factor(p: int, r: int) -> PointSet:
-    return rotation_orbit(p, r)
-
-
 def conjecture_witness(d: int, s: Fraction | float, p: int, r: int,
                        seed: int = 0) -> ConstructionResult:
     """Few-distance Salem set targeting the conjectured threshold exponent.
@@ -252,7 +235,7 @@ def conjecture_witness(d: int, s: Fraction | float, p: int, r: int,
     if d % 2 == 0:
         if d < 4:
             raise ConfigError("even-dimension witnesses need d >= 4")
-        A = _orbit_factor(p, r)
+        A = rotation_orbit(p, r)
         X = isotropic_subspace(F, d - 2, (d - 2) // 2)
         breakpoint_s = Fraction(d + 2, 4 * d)
         if s < breakpoint_s:

@@ -8,14 +8,18 @@ asserting hidden constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .energy import difference_set, energy_convolution, salem_parameter
+from .energy import energy_convolution
 from .errors import check_budget, check_invariant, ConfigError
 from .field import FieldSpec
 from .geometry import PointSet, norm
 from .kernels import KeyCounter, row_blocks
+
+if TYPE_CHECKING:
+    from .harness import Analysis
 
 
 @dataclass(frozen=True)
@@ -83,20 +87,15 @@ def lift_to_paraboloid(E: PointSet) -> PointSet:
 
 # --- verifiers (ratios, never pass/fail against hidden constants) ---------------
 
-def verify_secondmoment_bounds(E: PointSet, s: float | None = None,
-                               lam4: int | None = None,
-                               budget: int | None = None) -> dict:
+def verify_secondmoment_bounds(A: Analysis, s: float) -> dict:
     """Ratios of sum nu^2 against the two incidence-derived upper bounds:
 
     RHS1 = |E|^4/q + |E|^3 + q^{d/4} |E|^{3-s} L_4^{1/4}   (Salem route)
     RHS2 = |E|^4/q + q^{d/2} |E|^{3/2} L_4^{1/2}           (arbitrary-set route)
     """
-    if lam4 is None:
-        lam4 = energy_convolution(E, 2, budget)
-    if s is None:
-        s = salem_parameter(E, lam4=lam4, budget=budget)
+    E, lam4 = A.E, A.lam(2)
     q, d, n = E.field.q, E.d, len(E)
-    sm = second_moment(distance_profile(E, budget=budget))
+    sm = second_moment(A.profile)
     rhs1 = n ** 4 / q + n ** 3 + q ** (d / 4) * n ** (3 - s) * lam4 ** 0.25
     rhs2 = n ** 4 / q + q ** (d / 2) * n ** 1.5 * lam4 ** 0.5
     return {
@@ -107,32 +106,25 @@ def verify_secondmoment_bounds(E: PointSet, s: float | None = None,
     }
 
 
-def verify_difference_bounds(E: PointSet, s: float | None = None,
-                  budget: int | None = None) -> dict:
+def verify_difference_bounds(A: Analysis, s: float) -> dict:
     """|Delta(E)| and |E - E| against min{q, q^{1-d}|E|^{4s}} and min{q^d, |E|^{4s}}."""
-    if s is None:
-        s = salem_parameter(E, budget=budget)
+    E = A.E
     q, d, n = E.field.q, E.d, len(E)
-    delta = distance_set(E, budget=budget)
-    diff = difference_set(E, budget=budget)
+    size_delta, size_diff = len(A.profile.support), len(A.difference_set)
     bound_delta = min(q, q ** (1 - d) * n ** (4 * s))
     bound_diff = min(q ** d, n ** (4 * s))
     return {
         "sizeE": n, "q": q, "d": d, "s": s,
-        "sizeDelta": len(delta), "sizeDiff": len(diff),
+        "sizeDelta": size_delta, "sizeDiff": size_diff,
         "boundDelta": bound_delta, "boundDiff": bound_diff,
-        "ratioDelta": len(delta) / bound_delta,
-        "ratioDiff": len(diff) / bound_diff,
+        "ratioDelta": size_delta / bound_delta,
+        "ratioDiff": size_diff / bound_diff,
     }
 
 
-def verify_two_set(E: PointSet, F: PointSet, s_e: float | None = None,
-                   s_f: float | None = None, budget: int | None = None) -> dict:
+def verify_two_set(E: PointSet, F: PointSet, s_e: float, s_f: float,
+                   budget: int | None = None) -> dict:
     """|Delta(E,F)| against the two two-set lower-bound expressions."""
-    if s_e is None:
-        s_e = salem_parameter(E, budget=budget)
-    if s_f is None:
-        s_f = salem_parameter(F, budget=budget)
     q, d = E.field.q, E.d
     delta = distance_set(E, F, budget=budget)
     expr_pair = len(E) ** s_e * len(F) ** s_f / q ** (d / 4)

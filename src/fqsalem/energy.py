@@ -24,14 +24,17 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import check_budget, ConfigError
 from .geometry import PointSet, Vector, decode, encode, vadd, vectors, vsub
 from .kernels import KeyCounter, pair_codes, row_blocks
+
+if TYPE_CHECKING:
+    from .harness import Analysis
 
 
 def _representation(E: PointSet, k: int, budget: int | None
@@ -118,10 +121,8 @@ class EnergyReport:
     set_size: int
     q: int
     d: int
-    background: Fraction  # |E|^{2k} / q^d, exact
     salem_s: float | None  # only for k = 2
     constant: float
-    trivial_size_one: bool = False
 
     def to_json_dict(self) -> dict:
         return {
@@ -135,36 +136,31 @@ class EnergyReport:
         }
 
 
-def salem_parameter(E: PointSet, C: float = 1.0, lam4: int | None = None,
-                    budget: int | None = None) -> float:
-    """Largest s in [1/4, 1/2] with L_4(E) <= C(|E|^4/q^d + |E|^{4-4s}).
+def salem_parameter(A: Analysis, C: float = 1.0) -> float:
+    """Largest s in [1/4, 1/2] with L_4(E) <= C(|E|^4/q^d + |E|^{4-4s}), for E = A.E.
 
     |E| = 1 returns 1/2 by convention (the exponent is vacuous) with a warning.
     """
+    E = A.E
     n = len(E)
     if n == 0:
         raise ConfigError("salem_parameter needs a nonempty set")
     if n == 1:
         warnings.warn("singleton set: Salem parameter defaults to 1/2", stacklevel=2)
         return 0.5
-    if lam4 is None:
-        lam4 = energy_convolution(E, 2, budget)
     q_d = E.field.q ** E.d
-    residual = max(lam4 / C - n ** 4 / q_d, 1.0)
+    residual = max(A.lam(2) / C - n ** 4 / q_d, 1.0)
     s = 0.25 * (4.0 - math.log(residual) / math.log(n))
     return min(0.5, max(0.25, s))
 
 
-def energy_report(E: PointSet, k: int, C: float = 1.0, budget: int | None = None) -> EnergyReport:
-    lam = energy_convolution(E, k, budget)
+def energy_report(A: Analysis, k: int, C: float = 1.0) -> EnergyReport:
+    E = A.E
+    lam = A.lam(k)
     n = len(E)
-    q_d = E.field.q ** E.d
     s = None
-    trivial = False
     if k == 2 and n >= 1:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            s = salem_parameter(E, C, lam4=lam, budget=budget)
-        trivial = n == 1
-    return EnergyReport(k, lam, n, E.field.q, E.d,
-                        Fraction(n ** (2 * k), q_d), s, C, trivial)
+            s = salem_parameter(A, C)
+    return EnergyReport(k, lam, n, E.field.q, E.d, s, C)

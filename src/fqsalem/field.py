@@ -75,25 +75,12 @@ def _poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int
         if ai:
             for j, bj in enumerate(b):
                 res[i + j] = (res[i + j] + ai * bj) % p
-    return _poly_rem(res, mod, p)
-
-
-def _poly_rem(a: list[int], mod: list[int], p: int) -> list[int]:
-    a = list(a)
-    dm = len(mod) - 1
-    while len(a) > dm:
-        coef = a[-1]
-        if coef:
-            shift = len(a) - 1 - dm
-            for i, mi in enumerate(mod):
-                a[shift + i] = (a[shift + i] - coef * mi) % p
-        a.pop()
-    return _poly_trim(a)
+    return _poly_mod(res, mod, p)
 
 
 def _poly_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
     result = [1]
-    base = _poly_rem(list(a), mod, p)
+    base = _poly_mod(a, mod, p)
     while e:
         if e & 1:
             result = _poly_mulmod(result, base, mod, p)
@@ -268,12 +255,6 @@ class FieldSpec:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return self.pow(a, self.q - 2)
-
-    def scalar_mul(self, c: int, a: int) -> int:
-        """Multiply by a prime-field scalar c in [0, p)."""
-        if self.r == 1:
-            return (c * a) % self.p
-        return self.from_digits(c * x for x in self.digits(a))
 
     # --- trace and characters ----------------------------------------------
 

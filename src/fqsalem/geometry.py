@@ -187,16 +187,7 @@ def rotation_group_generator(F: FieldSpec) -> Matrix2:
 
 
 def apply_matrix(F: FieldSpec, m: Matrix2, x: Vector) -> Vector:
-    return tuple(
-        _dot_row(F, row, x) for row in m
-    )
-
-
-def _dot_row(F, row, x):
-    acc = 0
-    for a, b in zip(row, x):
-        acc = F.add(acc, F.mul(a, b))
-    return acc
+    return tuple(dot(F, row, x) for row in m)
 
 
 # --- hyperplane multisets -----------------------------------------------------

@@ -8,9 +8,10 @@ digits, keys are sorted, and sweep cells derive their seeds from
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import product
@@ -19,20 +20,17 @@ from pathlib import Path
 import numpy as np
 
 from . import distance, energy, incidence, spectral
-from .constructions import ConstructionSpec, random_pointset
+from .constructions import ConstructionSpec
 from .errors import BudgetExceeded, ConfigError, DEFAULT_BUDGET, check_budget
-from .field import field_create
-from .geometry import PointSet, read_pointset
-from .ranges import (ThresholdQuery, conjectured_alpha, family_thresholds,
-                     crossover_identities, energy_threshold, salem_s_ranges,
-                     sphere_threshold, improved_threshold)
-
-KNOWN_ANALYSES = ("fourier", "energy", "salem", "distance", "incidence", "ranges")
+from .geometry import PointSet
+from .ranges import (conjectured_alpha, family_thresholds, crossover_identities,
+                     energy_threshold, sphere_threshold, improved_threshold)
 
 EXIT_OK = 0
 EXIT_GATE_FAILURE = 2
 EXIT_CONFIG_ERROR = 3
 EXIT_BUDGET = 4
+EXIT_INVARIANT = 5
 
 
 def _fmt(value):
@@ -57,6 +55,129 @@ def render_report(report: dict) -> str:
     return json.dumps(_fmt(report), sort_keys=True, indent=2) + "\n"
 
 
+class Analysis:
+    """The exact quantities of one point set that a report reads.
+
+    Each is computed on first use and kept for the lifetime of the object,
+    which `run()` creates once per report, so a report computes Lambda_{2k},
+    nu and E_hat once each however many sections read them.
+    """
+
+    def __init__(self, E: PointSet, budget: int | None = None):
+        self.E = E
+        self.budget = budget
+        self._values: dict = {}
+
+    def _once(self, key, compute):
+        # not functools.cached_property: before Python 3.12 its lock is shared
+        # by all instances, which would serialize the cells of a threaded sweep
+        if key not in self._values:
+            self._values[key] = compute()
+        return self._values[key]
+
+    def lam(self, k: int) -> int:
+        """Lambda_{2k}(E)."""
+        return self._once(("lam", k), lambda: energy.energy_convolution(self.E, k, self.budget))
+
+    @property
+    def profile(self) -> distance.DistanceProfile:
+        return self._once("profile", lambda: distance.distance_profile(self.E, budget=self.budget))
+
+    @property
+    def spectrum(self) -> spectral.Spectrum:
+        return self._once("spectrum", lambda: spectral.fourier(self.E, self.budget))
+
+    @property
+    def salem_s(self) -> float:
+        return self._once("salem_s", lambda: energy.salem_parameter(self))
+
+    @property
+    def difference_set(self) -> PointSet:
+        return self._once("difference_set", lambda: energy.difference_set(self.E, self.budget))
+
+    @property
+    def difference_family(self) -> incidence.DifferenceFamily:
+        return self._once("difference_family", lambda: incidence.distance_energy_setup(
+            self.E, self.lam(2), self.budget))
+
+
+# --- report sections: name -> section(A, config) -> (results, gates) ------------
+
+def _fourier_section(A: Analysis, config: dict) -> tuple[dict, dict]:
+    tol = config.get("tolerances", {})
+    E, spec = A.E, A.spectrum
+    # fsum is correctly rounded, so the bytes do not depend on summation order
+    parseval = abs(math.fsum(np.abs(spec.values) ** 2) - len(E) / E.field.q ** E.d)
+    resid = spectral.energy_identity_residual(A, 2)
+    results = {
+        "parsevalResidual": parseval,
+        "energyIdentityResidual": resid,
+        "lInfNorm": spectral.lp_norm(spec, float("inf")),
+        "l4Norm": spectral.lp_norm(spec, 4),
+    }
+    return results, {"parseval": parseval <= tol.get("parseval", 1e-10),
+                     "energyIdentity": resid <= tol.get("energyIdentity", 1e-9)}
+
+
+def _energy_section(A: Analysis, config: dict) -> tuple[dict, dict]:
+    return energy.energy_report(A, int(config.get("k", 2))).to_json_dict(), {}
+
+
+def _salem_section(A: Analysis, config: dict) -> tuple[dict, dict]:
+    return {"s": A.salem_s}, {}
+
+
+def _distance_section(A: Analysis, config: dict) -> tuple[dict, dict]:
+    prof = A.profile
+    return {
+        "support": sorted(prof.support),
+        "secondMoment": distance.second_moment(prof),
+        "csLowerBound": distance.cs_lower_bound(prof),
+        "energyRoute": distance.verify_difference_bounds(A, A.salem_s),
+        "secondMomentRatios": distance.verify_secondmoment_bounds(A, A.salem_s),
+    }, {}
+
+
+def _incidence_section(A: Analysis, config: dict) -> tuple[dict, dict]:
+    fam = A.difference_family
+    return {"pairTotal": fam.total_pairs, "sumM2": fam.sum_m2, "lambda4": A.lam(2)}, {}
+
+
+def ranges_row(d: int, s: Fraction) -> dict:
+    """The threshold exponents at one (d, s)."""
+    val, branch = improved_threshold(d, s)
+    return {
+        "d": d, "s": s,
+        "conjecturedAlpha": conjectured_alpha(d, s),
+        "improved": val, "improvedBranch": branch,
+        "energyRoute": energy_threshold(d, s),
+        "sphere": sphere_threshold(d, s),
+    }
+
+
+def _ranges_section(A: Analysis | None, config: dict) -> tuple[dict, dict]:
+    ds = config.get("dims", [2, 3, 4, 5, 6])
+    ss = [Fraction(str(x)) for x in config.get("sValues", ["1/4", "3/8", "1/2"])]
+    return {
+        "table": [ranges_row(d, s) for d in ds for s in ss],
+        "crossoversExact": {str(d): all(crossover_identities(d).values())
+                            for d in ds},
+        "subgroupThreshold": {str(d): family_thresholds("subgroup", d)
+                              for d in ds if d >= 2},
+    }, {}
+
+
+SECTIONS = {
+    "fourier": _fourier_section,
+    "energy": _energy_section,
+    "salem": _salem_section,
+    "distance": _distance_section,
+    "incidence": _incidence_section,
+    "ranges": _ranges_section,
+}
+KNOWN_ANALYSES = tuple(SECTIONS)
+
+
 def validate_config(config: dict) -> dict:
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
@@ -78,98 +199,34 @@ def validate_config(config: dict) -> dict:
     return config
 
 
-def _build_set(config: dict) -> PointSet:
-    c = config["construction"]
-    params = dict(c)
-    kind = params.pop("kind")
+def build_set(config: dict) -> PointSet:
+    """The config's construction; it takes the config's seed unless it sets its own."""
+    if "construction" not in config:
+        raise ConfigError("config needs a 'construction'")
+    params = dict(config["construction"])
+    kind = params.pop("kind", None)
     if "seed" not in params and "seed" in config:
         params["seed"] = config["seed"]
     return ConstructionSpec(kind, params).build()
 
 
-def run(config: dict, include_timings: bool = False) -> dict:
+def run(config: dict) -> dict:
     """Execute the requested analyses; returns the report dict."""
     validate_config(config)
-    budget = config.get("budget", DEFAULT_BUDGET)
-    tol = config.get("tolerances", {})
-    report: dict = {"config": config, "results": {}}
-    results = report["results"]
+    results: dict = {}
     gates: dict[str, bool] = {}
-    t0 = time.perf_counter()
-
-    E = _build_set(config) if "construction" in config else None
-    if E is not None:
+    A = None
+    if "construction" in config:
+        E = build_set(config)
+        A = Analysis(E, config.get("budget", DEFAULT_BUDGET))
         results["set"] = {"size": len(E), "q": E.field.q, "d": E.d}
-
-    analyses = config.get("analyses", [])
-    for name in analyses:
-        if name == "ranges":
-            results["ranges"] = _ranges_tables(config)
-            continue
-        if E is None:
+    for name in config.get("analyses", []):
+        if A is None and name != "ranges":
             raise ConfigError(f"analysis {name!r} needs a construction")
-        if name == "fourier":
-            spec = spectral.fourier(E, budget)
-            # fsum is correctly rounded, so the bytes do not depend on summation order
-            parseval = abs(math.fsum(np.abs(spec.values) ** 2) - len(E) / E.field.q ** E.d)
-            resid = spectral.energy_identity_residual(E, 2, budget)
-            results["fourier"] = {
-                "parsevalResidual": parseval,
-                "energyIdentityResidual": resid,
-                "lInfNorm": spectral.lp_norm(spec, float("inf")),
-                "l4Norm": spectral.lp_norm(spec, 4),
-            }
-            gates["parseval"] = parseval <= tol.get("parseval", 1e-10)
-            gates["energyIdentity"] = resid <= tol.get("energyIdentity", 1e-9)
-        elif name == "energy":
-            k = int(config.get("k", 2))
-            results["energy"] = energy.energy_report(E, k, budget=budget).to_json_dict()
-        elif name == "salem":
-            results["salem"] = {"s": energy.salem_parameter(E, budget=budget)}
-        elif name == "distance":
-            prof = distance.distance_profile(E, budget=budget)
-            results["distance"] = {
-                "support": sorted(prof.support),
-                "secondMoment": distance.second_moment(prof),
-                "csLowerBound": distance.cs_lower_bound(prof),
-                "energyRoute": distance.verify_difference_bounds(E, budget=budget),
-                "secondMomentRatios": distance.verify_secondmoment_bounds(E, budget=budget),
-            }
-        elif name == "incidence":
-            fam = incidence.distance_energy_setup(E, budget)
-            results["incidence"] = {
-                "pairTotal": fam.total_pairs,
-                "sumM2": fam.sum_m2,
-                "lambda4": energy.energy_convolution(E, 2, budget),
-            }
-    report["gates"] = gates
-    report["allGatesPass"] = all(gates.values()) if gates else True
-    if include_timings:
-        report["wallClockSeconds"] = time.perf_counter() - t0
-    return report
-
-
-def _ranges_tables(config: dict) -> dict:
-    ds = config.get("dims", [2, 3, 4, 5, 6])
-    ss = [Fraction(str(x)) for x in config.get("sValues", ["1/4", "3/8", "1/2"])]
-    table = []
-    for d in ds:
-        for s in ss:
-            val, branch = improved_threshold(d, s)
-            table.append({
-                "d": d, "s": s,
-                "conjecturedAlpha": conjectured_alpha(d, s),
-                "improved": val, "improvedBranch": branch,
-                "energyRoute": energy_threshold(d, s),
-                "sphere": sphere_threshold(d, s),
-            })
-    return {
-        "table": table,
-        "crossoversExact": {str(d): all(crossover_identities(d).values())
-                            for d in ds},
-        "subgroupThreshold": {str(d): family_thresholds("subgroup", d)
-                              for d in ds if d >= 2},
-    }
+        results[name], section_gates = SECTIONS[name](A, config)
+        gates.update(section_gates)
+    return {"config": config, "results": results, "gates": gates,
+            "allGatesPass": all(gates.values())}
 
 
 # --- sweep --------------------------------------------------------------------
@@ -195,7 +252,7 @@ def sweep(config: dict, out_dir, jobs: int = 1) -> Path:
     if ledger_path.exists():
         for line in ledger_path.read_text().splitlines():
             idx, _, row = line.partition("\t")
-            done[int(idx)] = row
+            done[int(idx)] = row + "\n"
 
     master = int(config.get("seed", 0))
 
@@ -211,13 +268,11 @@ def sweep(config: dict, out_dir, jobs: int = 1) -> Path:
             construction[k] = v
         sub["construction"] = construction
         try:
-            rep = run(sub)
-            row = _cell_row(i, cell, rep)
+            return _csv_row(i, "ok", _cell_detail(cell, run(sub)))
         except BudgetExceeded as exc:
-            row = f"{i},error,budget:{exc}"
+            return _csv_row(i, "error", f"budget:{exc}")
         except ConfigError as exc:
-            row = f"{i},error,config:{exc}"
-        return row
+            return _csv_row(i, "error", f"config:{exc}")
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as ex:
@@ -227,20 +282,26 @@ def sweep(config: dict, out_dir, jobs: int = 1) -> Path:
 
     with open(ledger_path, "w") as fh:
         for i, row in enumerate(rows):
-            fh.write(f"{i}\t{row}\n")
-    header = "cell,status,detail"
-    csv_path.write_text("\n".join([header] + rows) + "\n")
+            fh.write(f"{i}\t{row}")
+    csv_path.write_text(_csv_row("cell", "status", "detail") + "".join(rows))
     return csv_path
 
 
-def _cell_row(i: int, cell: dict, rep: dict) -> str:
+def _csv_row(*fields) -> str:
+    """One CSV line, quoted where a field holds a comma, quote or newline."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()
+
+
+def _cell_detail(cell: dict, rep: dict) -> str:
     size = rep["results"].get("set", {}).get("size", "")
     s = rep["results"].get("salem", {}).get("s", "")
     detail = ";".join(f"{k}={v}" for k, v in sorted(cell.items()))
     extra = f"size={size}"
     if s != "":
         extra += f";salemS={format(s, '.12g')}"
-    return f"{i},ok,{detail};{extra}"
+    return f"{detail};{extra}"
 
 
 # --- oracles --------------------------------------------------------------------
@@ -267,7 +328,6 @@ def oracle_distances(E: PointSet, budget: int | None = None) -> dict[int, int]:
 
 def oracle_incidences(P: PointSet, H, budget: int | None = None) -> int:
     """Plain double loop, kept separate from incidence.count_incidences."""
-    from .geometry import dot
     F = P.field
     total = 0
     for a, b, m in H.entries:

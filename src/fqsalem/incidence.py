@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .energy import difference_counts, energy_convolution, salem_parameter
+from .energy import difference_counts
 from .errors import check_budget, check_invariant, ConfigError
 from .geometry import HyperplaneMultiset, PointSet, Vector, norms, vectors
 from .kernels import KeyCounter, pair_codes, row_blocks
@@ -67,11 +67,8 @@ class IncidenceReport:
         }
 
 
-def verify_counting_bounds(P: PointSet, H: HyperplaneMultiset,
-                           s: float | None = None,
+def verify_counting_bounds(P: PointSet, H: HyperplaneMultiset, s: float,
                            budget: int | None = None) -> IncidenceReport:
-    if s is None:
-        s = salem_parameter(P, budget=budget)
     q, d, n = P.field.q, P.d, len(P)
     count = count_incidences(P, H, budget)
     total = H.total
@@ -86,16 +83,13 @@ def verify_counting_bounds(P: PointSet, H: HyperplaneMultiset,
                            mainf + err46, s)
 
 
-def incidence_bound(P: PointSet, H: HyperplaneMultiset,
-                    s: float | None = None,
+def incidence_bound(P: PointSet, H: HyperplaneMultiset, s: float,
                     budget: int | None = None) -> dict:
     """Incidence bound |P||H|/q + |H|^{3/4} q^{(d-1)/4} |P|^{1-s}.
 
     Entries with b = 0 automatically fall back to the weaker q^{d/4}
     error-term exponent.
     """
-    if s is None:
-        s = salem_parameter(P, budget=budget)
     q, d, n = P.field.q, P.d, len(P)
     count = count_incidences(P, H, budget)
     total = H.total
@@ -134,12 +128,12 @@ def incidence_via_dilation(P: PointSet, H: HyperplaneMultiset,
     return I
 
 
-def sphere_incidence_setup(E: PointSet, budget: int | None = None
+def sphere_incidence_setup(E: PointSet, lam4: int, budget: int | None = None
                            ) -> tuple[PointSet, HyperplaneMultiset]:
     """Dilated point set and zero-offset difference multiset for sets on a sphere.
 
     Requires E on a single sphere of nonzero radius; the multiset's
-    sum-of-squared-multiplicities equals L_4(E) exactly (checked).
+    sum-of-squared-multiplicities equals lam4 = L_4(E) exactly (checked).
     """
     F, d, q = E.field, E.d, E.field.q
     if len(E) == 0:
@@ -159,7 +153,7 @@ def sphere_incidence_setup(E: PointSet, budget: int | None = None
     diffs = vectors(keys, q, d)
     Pp = HyperplaneMultiset.build(F, d, ((u, 0, m) for u, m in zip(diffs, mult.tolist())),
                                   allow_degenerate=True)
-    check_invariant(sum(m * m for _, _, m in Pp.entries) == energy_convolution(E, 2, budget),
+    check_invariant(sum(m * m for _, _, m in Pp.entries) == lam4,
                     "sum of squared difference multiplicities differs from L_4(E)")
     return P, Pp
 
@@ -181,11 +175,13 @@ class DifferenceFamily:
         return sum(m * m for ms in self.multiplicities.values() for m in ms.values())
 
 
-def distance_energy_setup(E: PointSet, budget: int | None = None) -> DifferenceFamily:
+def distance_energy_setup(E: PointSet, lam4: int,
+                          budget: int | None = None) -> DifferenceFamily:
     """X_t = {(y,z) in E^2 : ||y|| - ||z|| = t} with difference multiplicities.
 
-    Invariants (checked, InvariantViolation otherwise): sum_t |X_t| = |E|^2 and
-    sum_t sum_u m_t(u)^2 <= L_4(E), with equality when E is on one sphere.
+    Invariants (checked against lam4 = L_4(E), InvariantViolation otherwise):
+    sum_t |X_t| = |E|^2 and sum_t sum_u m_t(u)^2 <= L_4(E), with equality
+    when E is on one sphere.
     """
     F, d, q, n = E.field, E.d, E.field.q, len(E)
     check_budget(n ** 2, budget, "difference family")
@@ -205,7 +201,6 @@ def distance_energy_setup(E: PointSet, budget: int | None = None) -> DifferenceF
         mult.setdefault(t, {})[u] = c
     fam = DifferenceFamily(x_sizes, mult, n)
     check_invariant(fam.total_pairs == n ** 2, "sum_t |X_t| differs from |E|^2")
-    lam4 = energy_convolution(E, 2, budget)
     check_invariant(fam.sum_m2 <= lam4, "sum_t sum_u m_t(u)^2 exceeds L_4(E)")
     if len(set(nrm.tolist())) == 1:
         check_invariant(fam.sum_m2 == lam4,

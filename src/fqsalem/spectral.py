@@ -20,13 +20,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .energy import energy_convolution
 from .errors import ConfigError, check_budget
 from .field import FieldSpec
 from .geometry import PointSet, dot
+
+if TYPE_CHECKING:
+    from .harness import Analysis
+
 
 def point_index(q: int, p: tuple[int, ...]) -> int:
     """Canonical flat index: coordinate 0 most significant (lexicographic)."""
@@ -126,11 +130,11 @@ def lp_norm(S: Spectrum, u: float) -> float:
     return float((np.sum(nonzero ** u) / q_d) ** (1.0 / u))
 
 
-def energy_identity_residual(E: PointSet, k: int, budget: int | None = None) -> float:
+def energy_identity_residual(A: Analysis, k: int) -> float:
     """Relative residual of ||E_hat||_{2k}^{2k} = q^{-2kd} L_{2k} - q^{-(2k+1)d} |E|^{2k}."""
-    F, d = E.field, E.d
-    q_d = F.q ** d
-    lam = energy_convolution(E, k, budget)
-    lhs = lp_norm(fourier(E, budget), 2 * k) ** (2 * k)
+    E = A.E
+    q_d = E.field.q ** E.d
+    lam = A.lam(k)
+    lhs = lp_norm(A.spectrum, 2 * k) ** (2 * k)
     rhs = lam / q_d ** (2 * k) - len(E) ** (2 * k) / q_d ** (2 * k + 1)
     return abs(lhs - rhs) / max(abs(rhs), q_d ** -(2 * k + 1))

@@ -8,11 +8,13 @@ brute-force oracles, e.g.:
     from fqsalem.geometry import PointSet, all_vectors
     from fqsalem.constructions import isotropic_subspace
     from fqsalem.distance import verify_secondmoment_bounds
+    from fqsalem.harness import Analysis
     for q, d in [(3,2),(5,2),(3,3),(5,3)]:
         F = field_create(q, 1)
         E = PointSet.build(F, d, all_vectors(F, d))
-        print(q, d, verify_secondmoment_bounds(E, s=0.5))
-    print(verify_secondmoment_bounds(isotropic_subspace(field_create(5,1), 4, 2), s=0.25))"
+        print(q, d, verify_secondmoment_bounds(Analysis(E), s=0.5))
+    iso = isotropic_subspace(field_create(5,1), 4, 2)
+    print(verify_secondmoment_bounds(Analysis(iso), s=0.25))"
 """
 
 import json
@@ -30,7 +32,7 @@ from fqsalem.distance import distance_set, verify_secondmoment_bounds
 from fqsalem.energy import energy_bruteforce, energy_convolution
 from fqsalem.field import field_create
 from fqsalem.geometry import (HyperplaneMultiset, PointSet, all_vectors, norm, sphere)
-from fqsalem.harness import oracle_incidences, render_report, run, sweep
+from fqsalem.harness import Analysis, oracle_incidences, render_report, run, sweep
 from fqsalem.incidence import (count_incidences, distance_energy_setup,
                                 incidence_via_dilation, incidence_bound)
 from fqsalem.ranges import family_thresholds, crossover_identities
@@ -60,7 +62,7 @@ def test_01_fourier_energy_identity():
             size = 2 + (seed * 7) % (F.q ** d - 2)
             E = random_pointset(F, d, size, seed)
             for k in (1, 2, 3):
-                assert energy_identity_residual(E, k) <= 1e-9
+                assert energy_identity_residual(Analysis(E), k) <= 1e-9
     elapsed = time.perf_counter() - t0
     assert elapsed <= 30
     print(f"PASS: Fourier-energy identity, residual <= 1e-9 on 60 sets x k in 1..3 "
@@ -170,9 +172,10 @@ def test_07_difference_family_invariants():
         d = rng.randrange(2, 4)
         F = field_create(q, 1)
         E = random_pointset(F, d, rng.randrange(2, min(20, q ** d) + 1), seed=trial)
-        fam = distance_energy_setup(E)
+        lam4 = energy_convolution(E, 2)
+        fam = distance_energy_setup(E, lam4)
         assert fam.total_pairs == len(E) ** 2
-        assert fam.sum_m2 <= energy_convolution(E, 2)
+        assert fam.sum_m2 <= lam4
     equalities = 0
     while equalities < 10:
         q = rng.choice([5, 7])
@@ -184,8 +187,8 @@ def test_07_difference_family_invariants():
         size = rng.randrange(2, len(S) + 1)
         pts = rng.sample(S.points, size)
         E = PointSet.build(F, 2, pts)
-        fam = distance_energy_setup(E)
-        assert fam.sum_m2 == energy_convolution(E, 2)
+        lam4 = energy_convolution(E, 2)
+        assert distance_energy_setup(E, lam4).sum_m2 == lam4
         equalities += 1
     print("PASS: difference families cover |E|^2 pairs with squared multiplicities "
           "at most the energy on 30 random sets, equality on 10 sphere subsets")
@@ -194,12 +197,12 @@ def test_07_difference_family_invariants():
 def test_08_second_moment_ratios():
     for (q, d, s), golden in sorted(GOLDEN_SECOND_MOMENT_RATIOS.items()):
         F = field_create(q, 1)
-        rep = verify_secondmoment_bounds(full_space(F, d), s=s)
+        rep = verify_secondmoment_bounds(Analysis(full_space(F, d)), s=s)
         assert rep["ratioGeneral"] <= 1.1
         assert rep["ratioSalem"] == pytest.approx(golden[0], abs=1e-9)
         assert rep["ratioGeneral"] == pytest.approx(golden[1], abs=1e-9)
     iso = isotropic_subspace(field_create(5, 1), 4, 2)
-    rep = verify_secondmoment_bounds(iso, s=0.25)
+    rep = verify_secondmoment_bounds(Analysis(iso), s=0.25)
     assert rep["ratioSalem"] == pytest.approx(GOLDEN_ISOTROPIC_RATIOS[0], abs=1e-9)
     assert rep["ratioGeneral"] == pytest.approx(GOLDEN_ISOTROPIC_RATIOS[1], abs=1e-9)
     print("PASS: second-moment ratios <= 1.1 for full spaces at s=1/2 and all "

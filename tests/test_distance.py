@@ -16,6 +16,7 @@ from fqsalem.errors import ConfigError
 from fqsalem.field import field_create
 from fqsalem.geometry import (PointSet, apply_matrix, norm, rotation_group_generator,
                                sphere, vsub)
+from fqsalem.harness import Analysis
 
 
 def brute_profile(E):
@@ -131,29 +132,30 @@ def test_lift_energy_comparison_logged(f5):
 def test_secondmoment_verifier_singleton(f5):
     E = PointSet.build(f5, 2, [(0, 1)])
     with pytest.warns(UserWarning):
-        rep = verify_secondmoment_bounds(E)
+        A = Analysis(E)
+        rep = verify_secondmoment_bounds(A, A.salem_s)
     assert rep["ratioSalem"] <= 1 and rep["ratioGeneral"] <= 1
 
 
 def test_secondmoment_verifier_full_space(f3):
-    rep = verify_secondmoment_bounds(full_space(f3, 2), s=0.5)
+    rep = verify_secondmoment_bounds(Analysis(full_space(f3, 2)), s=0.5)
     assert rep["ratioGeneral"] <= 1.1
     assert int(rep["secondMoment"]) == second_moment(distance_profile(full_space(f3, 2)))
 
 
 def test_difference_bounds_verifier(f5):
     E = full_space(f5, 2)
-    rep = verify_difference_bounds(E, s=0.5)
+    rep = verify_difference_bounds(Analysis(E), s=0.5)
     assert rep["sizeDelta"] == 5
     assert rep["ratioDelta"] >= 1
-    orbit = rotation_orbit(3, 3)
-    rep = verify_difference_bounds(orbit)
+    orbit = Analysis(rotation_orbit(3, 3))
+    rep = verify_difference_bounds(orbit, orbit.salem_s)
     assert rep["sizeDelta"] >= 3 and rep["ratioDelta"] > 0
 
 
 def test_difference_bounds_isotropic_reported_not_asserted(f5):
     E = isotropic_subspace(f5, 4, 2)
-    rep = verify_difference_bounds(E, s=0.25)
+    rep = verify_difference_bounds(Analysis(E), s=0.25)
     assert rep["sizeDelta"] == 1  # single distance, still just reported
 
 

@@ -11,6 +11,7 @@ from fqsalem.energy import (difference_set, energy_bruteforce, energy_convolutio
 from fqsalem.errors import BudgetExceeded, ConfigError
 from fqsalem.field import field_create
 from fqsalem.geometry import PointSet
+from fqsalem.harness import Analysis
 
 
 def test_singleton_energy(f5):
@@ -115,26 +116,26 @@ def test_cauchy_schwarz_chain(f7):
 
 
 def test_salem_full_space(f5):
-    assert salem_parameter(full_space(f5, 2)) == 0.5
+    assert salem_parameter(Analysis(full_space(f5, 2))) == 0.5
 
 
 def test_salem_isotropic_near_quarter(f5):
     E = isotropic_subspace(f5, 4, 2)
-    s = salem_parameter(E)
+    s = salem_parameter(Analysis(E))
     assert s == pytest.approx(0.25, abs=0.02)
 
 
 def test_salem_monotone_in_constant(f5):
-    E = rand_set(f5, 2, 12, seed=6)
-    assert salem_parameter(E, C=2.0) >= salem_parameter(E, C=1.0)
+    A = Analysis(rand_set(f5, 2, 12, seed=6))
+    assert salem_parameter(A, C=2.0) >= salem_parameter(A, C=1.0)
 
 
 def test_salem_singleton_warns(f5):
     E = PointSet.build(f5, 2, [(1, 1)])
     with pytest.warns(UserWarning):
-        assert salem_parameter(E) == 0.5
+        assert salem_parameter(Analysis(E)) == 0.5
     with pytest.raises(ConfigError):
-        salem_parameter(PointSet.build(f5, 2, []))
+        salem_parameter(Analysis(PointSet.build(f5, 2, [])))
 
 
 def test_product_multiplicativity(f5):
@@ -156,7 +157,7 @@ def test_subgroup_power_law(f7):
 
 def test_energy_report_serialization(f5):
     E = rand_set(f5, 2, 8, seed=9)
-    rep = energy_report(E, 2)
+    rep = energy_report(Analysis(E), 2)
     js = rep.to_json_dict()
     assert js["lambda"] == str(energy_convolution(E, 2))
     assert js["size"] == 8 and js["q"] == 5 and js["k"] == 2

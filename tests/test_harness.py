@@ -1,6 +1,8 @@
 """Config validation, reports, sweeps, oracles, and the CLI."""
 
+import csv
 import json
+import sys
 
 import pytest
 
@@ -14,12 +16,32 @@ from fqsalem.geometry import (HyperplaneMultiset, PointSet, write_hyperplanes,
 from fqsalem.harness import (oracle_distances, oracle_incidences, oracle_lambda4,
                               render_report, run, sweep, validate_config)
 from fqsalem.incidence import count_incidences
+from fqsalem.spectral import fourier_fast
 
 ISO_CONFIG = {
     "construction": {"kind": "isotropic", "p": 5, "r": 1, "d": 4, "m": 2},
     "analyses": ["fourier", "energy", "salem", "distance"],
     "seed": 0,
 }
+ALL_SET_ANALYSES = ["fourier", "energy", "salem", "distance", "incidence"]
+
+
+def patch_everywhere(monkeypatch, fn, replacement):
+    """Rebind every fqsalem module attribute that is `fn`, whatever the import style."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fqsalem") and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, replacement)
+
+
+def count_calls(monkeypatch, fn) -> list:
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    patch_everywhere(monkeypatch, fn, counted)
+    return calls
 
 
 def test_validate_config():
@@ -57,6 +79,17 @@ def test_run_full_report():
     assert rep["results"]["distance"]["support"] == [0]
     assert rep["gates"]["parseval"] and rep["gates"]["energyIdentity"]
     assert rep["allGatesPass"]
+
+
+@pytest.mark.parametrize("p,r", [(7, 1), (3, 2)])
+def test_run_computes_each_quantity_once(monkeypatch, p, r):
+    calls = {fn.__name__: count_calls(monkeypatch, fn)
+             for fn in (energy_convolution, distance_profile, fourier_fast)}
+    rep = run({"construction": {"kind": "random", "p": p, "r": r, "d": 3, "size": 40},
+               "analyses": ALL_SET_ANALYSES, "k": 2, "seed": 3})
+    assert rep["allGatesPass"]
+    assert {name: len(c) for name, c in calls.items()} == {
+        "energy_convolution": 1, "distance_profile": 1, "fourier_fast": 1}
 
 
 def test_report_rendering_is_deterministic():
@@ -105,14 +138,22 @@ def test_sweep_jobs_independent(tmp_path):
 
 
 def test_sweep_records_cell_errors(tmp_path):
-    cfg = {"construction": {"kind": "isotropic", "p": 3, "m": 2},
+    cfg = {"construction": {"kind": "isotropic", "p": 3},
            "analyses": ["energy"],
-           "grid": {"d": [4, 5]},  # d = 5 is invalid for this construction
+           # d = 5 is invalid for this construction, and d = 6 needs q = 1 mod 4
+           "grid": {"d": [4, 5, 6], "m": [1, 2]},
            "seed": 0}
     csv_path = sweep(cfg, tmp_path / "s", jobs=1)
     rows = csv_path.read_text().strip().splitlines()[1:]
     assert any(",ok," in r for r in rows)
     assert any(",error," in r for r in rows)
+    with open(csv_path, newline="") as fh:
+        parsed = list(csv.reader(fh))
+    assert parsed[0] == ["cell", "status", "detail"]
+    assert all(len(row) == 3 for row in parsed)
+    # the cell d = 6, m = 1: its message holds commas
+    assert parsed[1 + 4] == ["4", "error",
+                             "config:d = 6 (2 mod 4) needs q = 1 mod 4, got q = 3"]
 
 
 def test_sweep_requires_grid(tmp_path):
@@ -185,6 +226,23 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     tight = tmp_path / "tight.json"
     tight.write_text(json.dumps({**ISO_CONFIG, "budget": 2}))
     assert main(["verify", "--config", str(tight)]) == 4
+
+
+def test_cli_invariant_violation_exit_code(tmp_path, capsys, monkeypatch):
+    # ISO_CONFIG's set lies on one sphere (radius 0), so the difference family
+    # must reproduce Lambda_4 exactly; a Lambda_4 off by one breaks that
+    patch_everywhere(monkeypatch, energy_convolution,
+                     lambda E, k, budget=None: energy_convolution(E, k, budget) + 1)
+    cfg = {**ISO_CONFIG, "analyses": ["incidence"]}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["verify", "--config", str(path)]) == 5
+    assert capsys.readouterr().err.startswith("invariant violated: ")
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({**cfg, "grid": {"m": [1, 2]}}))
+    assert main(["sweep", "--config", str(grid), "--out", str(tmp_path / "s"),
+                 "--jobs", "2"]) == 5
+    assert capsys.readouterr().err.startswith("invariant violated: ")
 
 
 def test_cli_analyze_writes_report(tmp_path, capsys):

@@ -134,29 +134,31 @@ def test_dilation_identity(q):
 
 def test_sphere_incidence_setup(f5):
     E = sphere(f5, 2, 1)
-    P, Pp = sphere_incidence_setup(E)
+    lam4 = energy_convolution(E, 2)
+    P, Pp = sphere_incidence_setup(E, lam4)
     assert len(P) <= (5 - 1) * len(E)
     assert sum(m for _, _, m in Pp.entries) == len(E) ** 2
-    assert sum(m * m for _, _, m in Pp.entries) == energy_convolution(E, 2)
+    assert sum(m * m for _, _, m in Pp.entries) == lam4
 
 
 def test_sphere_setup_antipodal_pair(f5):
     E = PointSet.build(f5, 2, [(0, 1), (0, 4)])
-    P, Pp = sphere_incidence_setup(E)
-    assert sum(m * m for _, _, m in Pp.entries) == energy_convolution(E, 2)
+    lam4 = energy_convolution(E, 2)
+    P, Pp = sphere_incidence_setup(E, lam4)
+    assert sum(m * m for _, _, m in Pp.entries) == lam4
     assert len(P) == 4  # the two points are parallel, orbits coincide
 
 
 def test_sphere_setup_rejects_off_sphere(f5):
     with pytest.raises(ConfigError):
-        sphere_incidence_setup(rand_set(f5, 2, 6, 0))
+        sphere_incidence_setup(rand_set(f5, 2, 6, 0), 0)
     with pytest.raises(ConfigError):
-        sphere_incidence_setup(PointSet.build(f5, 2, []))
+        sphere_incidence_setup(PointSet.build(f5, 2, []), 0)
 
 
 def test_distance_energy_family_singleton(f5):
     E = PointSet.build(f5, 2, [(1, 2)])
-    fam = distance_energy_setup(E)
+    fam = distance_energy_setup(E, 1)
     assert fam.x_sizes == {0: 1}
     assert fam.total_pairs == 1 and fam.sum_m2 == 1
 
@@ -166,9 +168,10 @@ def test_distance_energy_family_random(q, d):
     F = field_of_order(q)
     for seed in range(4):
         E = rand_set(F, d, 8, seed)
-        fam = distance_energy_setup(E)
+        lam4 = energy_convolution(E, 2)
+        fam = distance_energy_setup(E, lam4)
         assert fam.total_pairs == len(E) ** 2
-        assert fam.sum_m2 <= energy_convolution(E, 2)
+        assert fam.sum_m2 <= lam4
         brute = {}
         for y in E.points:
             for z in E.points:
@@ -181,18 +184,18 @@ def test_distance_energy_family_random(q, d):
 
 def test_distance_energy_equality_iff_sphere(f5):
     on = sphere(f5, 2, 2)
-    fam = distance_energy_setup(on)
-    assert fam.sum_m2 == energy_convolution(on, 2)
+    lam4 = energy_convolution(on, 2)
+    assert distance_energy_setup(on, lam4).sum_m2 == lam4
     # off-sphere set where one difference occurs at two norm gaps: strict
     off = PointSet.build(f5, 2, [(0, 0), (1, 0), (2, 0)])
-    fam2 = distance_energy_setup(off)
-    assert fam2.sum_m2 < energy_convolution(off, 2)
+    lam4 = energy_convolution(off, 2)
+    assert distance_energy_setup(off, lam4).sum_m2 < lam4
 
 
-def test_invariant_violation_is_typed(f5, monkeypatch):
+def test_invariant_violation_is_typed(f5):
     # a wrong Lambda_4 breaks the one-sphere equality, which must survive python -O
     E = sphere(f5, 2, 2)
-    lam4 = energy_convolution(E, 2)
-    monkeypatch.setattr("fqsalem.incidence.energy_convolution", lambda *a, **k: lam4 - 1)
     with pytest.raises(InvariantViolation):
-        distance_energy_setup(E)
+        distance_energy_setup(E, energy_convolution(E, 2) - 1)
+    with pytest.raises(InvariantViolation):
+        sphere_incidence_setup(E, energy_convolution(E, 2) - 1)

@@ -25,14 +25,15 @@ def test_small_chunk_cap_matches_oracles(q, d, chunk, monkeypatch):
     H = HyperplaneMultiset.build(F, d, [
         (tuple(rng.randrange(1, q) for _ in range(d)), rng.randrange(q), rng.randrange(1, 4))
         for _ in range(5)])
-    family = distance_energy_setup(E).multiplicities
+    lam4 = energy_convolution(E, 2)
+    family = distance_energy_setup(E, lam4).multiplicities
     monkeypatch.setattr(kernels, "CHUNK_ELEMS", chunk)
     assert distance_profile(E).counts == oracle_distances(E)
     assert energy_convolution(E, 2) == energy_bruteforce(E, 2)
     assert energy_convolution(E, 3) == energy_bruteforce(E, 3)
     assert set(difference_set(E).points) == {vsub(F, x, y) for x in E.points for y in E.points}
     assert count_incidences(E, H) == oracle_incidences(E, H)
-    assert distance_energy_setup(E).multiplicities == family
+    assert distance_energy_setup(E, lam4).multiplicities == family
 
 
 def test_counts_beyond_int64_are_refused(f3):

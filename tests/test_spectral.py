@@ -9,6 +9,7 @@ from conftest import full_space, rand_set
 from fqsalem.errors import ConfigError
 from fqsalem.field import field_create
 from fqsalem.geometry import PointSet
+from fqsalem.harness import Analysis
 from fqsalem.spectral import (energy_identity_residual, fourier, fourier_direct,
                                fourier_fast, lp_norm, point_index)
 
@@ -108,7 +109,7 @@ def test_norm_dominated_by_sup(f7):
 def test_energy_identity_singleton(f5):
     E = PointSet.build(f5, 2, [(1, 1)])
     for k in (1, 2, 3):
-        assert energy_identity_residual(E, k) <= 1e-9
+        assert energy_identity_residual(Analysis(E), k) <= 1e-9
         # both sides equal q^{-2kd}(1 - q^{-d}) here
         S = fourier_direct(E)
         lhs = lp_norm(S, 2 * k) ** (2 * k)
@@ -120,14 +121,14 @@ def test_energy_identity_full_space(f3):
     E = full_space(f3, 2)
     for k in (1, 2):
         assert lp_norm(fourier(E), 2 * k) ** (2 * k) == pytest.approx(0, abs=1e-15)
-        assert energy_identity_residual(E, k) <= 1e-9
+        assert energy_identity_residual(Analysis(E), k) <= 1e-9
 
 
 def test_energy_identity_random(f5):
     for seed in range(5):
         E = rand_set(f5, 2, 6 + 3 * seed, seed)
         for k in (1, 2, 3):
-            assert energy_identity_residual(E, k) <= 1e-9
+            assert energy_identity_residual(Analysis(E), k) <= 1e-9
 
 
 def test_spectrum_csv_export(tmp_path, f3):
