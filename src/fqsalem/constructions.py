@@ -11,16 +11,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import numpy as np
 
-from .errors import ConfigError, check_budget, check_invariant
+from .errors import ConfigError, check_budget, check_invariant, config_value
 from .field import FieldSpec, field_create
-from .geometry import (PointSet, Vector, _rot_compose, norm, dot,
-                       rotation_group_generator, rotation_group_order,
-                       unit_circle_points)
-from .spectral import point_index
+from .geometry import (PointSet, Vector, _rot_compose, encode, full_space, norm, dot,
+                       paraboloid, rotation_group_generator, rotation_group_order,
+                       sphere, unit_circle_points)
 
 
 # --- deterministic thinning generator: splitmix64 ---------------------------------
@@ -35,23 +35,26 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _uniform01(seed: int, counter: int) -> float:
-    """Order-independent per-index uniform draw in [0, 1)."""
-    h = _splitmix64((seed & _MASK) ^ _splitmix64(counter))
-    return (h >> 11) / float(1 << 53)
+def _splitmix64_array(x: np.ndarray) -> np.ndarray:
+    """_splitmix64 on a uint64 array (numpy's uint64 arithmetic wraps mod 2^64)."""
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
 
 
 def bernoulli_thin(X: PointSet, theta: float, seed: int) -> PointSet:
     """Keep each point independently with probability theta.
 
-    Inclusion is keyed on the point's canonical index, so the result does
-    not depend on iteration order.
+    The point with flat index i is kept when the top 53 bits of
+    splitmix64((seed mod 2^64) ^ splitmix64(i)), as a fraction of 2^53, are
+    below theta, so the result does not depend on iteration order.
     """
     if not 0.0 <= theta <= 1.0:
         raise ConfigError(f"theta must be in [0, 1], got {theta}")
-    q = X.field.q
-    kept = [p for p in X.points if _uniform01(seed, point_index(q, p)) < theta]
-    return PointSet.build(X.field, X.d, kept)
+    h = _splitmix64_array(np.uint64(seed & _MASK) ^ _splitmix64_array(X.codes.astype(np.uint64)))
+    kept = (h >> np.uint64(11)) / float(1 << 53) < theta
+    return PointSet.from_codes(X.field, X.d, X.codes[kept])
 
 
 # --- rotation orbits ---------------------------------------------------------------
@@ -132,14 +135,11 @@ def isotropic_subspace(F: FieldSpec, d: int, m: int) -> PointSet:
     for i_, u in enumerate(basis):
         for w in basis[i_ + 1:]:
             check_invariant(dot(F, u, w) == 0, f"basis vectors {u}, {w} are not orthogonal")
-    pts = []
-    for coeffs in product(range(F.q), repeat=m):
-        acc = [0] * d
-        for c, v in zip(coeffs, basis):
-            for idx in range(d):
-                acc[idx] = F.add(acc[idx], F.mul(c, v[idx]))
-        pts.append(tuple(acc))
-    E = PointSet.build(F, d, pts)
+    # the span as all sums of c v over the basis, through the field tables
+    T, X = F.tables(), np.zeros((1, d), dtype=np.int64)
+    for v in basis:
+        X = T.add[X[:, None], T.mul[np.arange(F.q)[:, None], np.array(v)]].reshape(-1, d)
+    E = PointSet.from_codes(F, d, encode(X, F.q))
     check_invariant(len(E) == F.q ** m, "basis vectors were not independent")
     return E
 
@@ -180,8 +180,9 @@ def _in_span(F: FieldSpec, v: Vector, basis: list[Vector]) -> bool:
 def product_set(A: PointSet, B: PointSet) -> PointSet:
     if A.field != B.field:
         raise ConfigError("product factors must share one field")
-    pts = (a + b for a in A.points for b in B.points)
-    return PointSet.build(A.field, A.d + B.d, pts)
+    # the index of (a, b) is index(a) q^{dim B} + index(b)
+    codes = A.codes[:, None] * A.field.q ** B.d + B.codes[None, :]
+    return PointSet.from_codes(A.field, A.d + B.d, codes.ravel())
 
 
 def multiplicative_subgroup(F: FieldSpec, m: int) -> PointSet:
@@ -257,7 +258,7 @@ def conjecture_witness(d: int, s: Fraction | float, p: int, r: int,
     # odd d: full line factor (alpha = 1 in the limit construction)
     if d < 3:
         raise ConfigError("odd-dimension witnesses need d >= 3")
-    A = PointSet.build(F, 1, ((x,) for x in range(q)))
+    A = full_space(F, 1)
     X = isotropic_subspace(F, d - 1, (d - 1) // 2)
     expo = (d + 1) * (1 - 4 * float(s)) / (8 * float(s))
     theta = min(1.0, q ** expo)
@@ -292,44 +293,29 @@ class ConstructionSpec:
     params: dict
 
     def build(self):
-        F = field_create(int(self.params["p"]), int(self.params.get("r", 1)))
+        get = partial(config_value, self.params)
+        F = field_create(get("p"), get("r", 1))
         k = self.kind
         if k == "orbit":
             return rotation_orbit(F.p, F.r)
         if k == "isotropic":
-            return isotropic_subspace(F, int(self.params["d"]), int(self.params["m"]))
+            return isotropic_subspace(F, get("d"), get("m"))
         if k == "subgroupPower":
-            return subgroup_power(F, int(self.params["m"]), int(self.params["d"]))
+            return subgroup_power(F, get("m"), get("d"))
         if k == "sphere":
-            from .geometry import sphere
-            return sphere(F, int(self.params["d"]), int(self.params.get("j", 1)))
+            return sphere(F, get("d"), get("j", 1))
         if k == "paraboloid":
-            from .geometry import paraboloid
-            return paraboloid(F, int(self.params["d"]))
+            return paraboloid(F, get("d"))
         if k == "fullSpace":
-            from .geometry import all_vectors
-            d = int(self.params["d"])
-            return PointSet.build(F, d, all_vectors(F, d))
+            return full_space(F, get("d"))
         if k == "random":
-            return random_pointset(F, int(self.params["d"]),
-                                   int(self.params["size"]),
-                                   int(self.params.get("seed", 0)))
+            return random_pointset(F, get("d"), get("size"), get("seed", 0))
         if k == "conjectureWitness":
-            res = conjecture_witness(int(self.params["d"]),
-                                     Fraction(str(self.params["s"])),
-                                     F.p, F.r, int(self.params.get("seed", 0)))
-            return res.pointset
+            s = get("s", convert=lambda v: Fraction(str(v)))
+            return conjecture_witness(get("d"), s, F.p, F.r, get("seed", 0)).pointset
         if k == "twoSetPair":
-            return two_set_sharpness(F, int(self.params["d"]))[0]
+            return two_set_sharpness(F, get("d"))[0]
         raise ConfigError(f"unknown construction kind {k!r}")
-
-
-def _splitmix64_array(x: np.ndarray) -> np.ndarray:
-    """_splitmix64 on a uint64 array (numpy's uint64 arithmetic wraps mod 2^64)."""
-    x = x + np.uint64(0x9E3779B97F4A7C15)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
 
 
 def random_pointset(F: FieldSpec, d: int, size: int, seed: int,

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 from .energy import energy_convolution
 from .errors import check_budget, check_invariant, ConfigError
 from .field import FieldSpec
-from .geometry import PointSet, norm
+from .geometry import PointSet, lift_to_paraboloid
 from .kernels import KeyCounter, row_blocks
 
 if TYPE_CHECKING:
@@ -77,12 +77,6 @@ def cs_lower_bound(P: DistanceProfile) -> Fraction:
     bound = Fraction((P.size_e * P.size_f) ** 2, second_moment(P))
     check_invariant(bound <= len(P.support), "Cauchy-Schwarz bound exceeds |support|")
     return bound
-
-
-def lift_to_paraboloid(E: PointSet) -> PointSet:
-    """E' = {(x, ||x||)} in F_q^{d+1}."""
-    F = E.field
-    return PointSet.build(F, E.d + 1, (p + (norm(F, p),) for p in E.points))
 
 
 # --- verifiers (ratios, never pass/fail against hidden constants) ---------------

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import check_budget, ConfigError
-from .geometry import PointSet, Vector, decode, encode, vadd, vectors, vsub
+from .geometry import PointSet, Vector, decode, vadd, vectors, vsub
 from .kernels import KeyCounter, pair_codes, row_blocks
 
 if TYPE_CHECKING:
@@ -44,7 +44,7 @@ def _representation(E: PointSet, k: int, budget: int | None
         raise ConfigError("k must be >= 1")
     F, d, n = E.field, E.d, len(E)
     q = F.q
-    keys, counts = encode(E.array, q), np.ones(n, dtype=np.int64)
+    keys, counts = E.codes, np.ones(n, dtype=np.int64)
     X = E.array
     for step in range(k - 1):
         check_budget(len(keys) * max(n, 1), budget, "energy convolution")
@@ -79,7 +79,7 @@ def energy_bruteforce(E: PointSet, k: int, budget: int | None = None) -> int:
         return 0
     check_budget(n ** (2 * k - 1), budget, "brute-force energy")
     F = E.field
-    members = E._index
+    members = set(E.points)
     count = 0
     pts = E.points
     for left in product(pts, repeat=k):

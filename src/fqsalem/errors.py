@@ -17,6 +17,15 @@ class InvariantViolation(FqsalemError):
     """An identity the computation relies on failed: a defect, never bad input."""
 
 
+def config_value(config: dict, key: str, default=None, convert=int):
+    """convert(config.get(key, default)); ConfigError if the value is missing or ill-typed."""
+    value = config.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"config value {key!r} is missing or ill-typed: {value!r}") from exc
+
+
 def check_invariant(ok: bool, what: str) -> None:
     """Raise InvariantViolation unless ok; unlike assert, kept under python -O."""
     if not ok:

@@ -1,10 +1,12 @@
 """Vectors in F_q^d, the sum-of-squares form, classical varieties, point sets.
 
-Vectors are tuples of canonical field integers. Point sets are immutable,
-deduplicated and lexicographically sorted, so every derived file or report
-is byte-reproducible. The kernels see a point set as an (n, d) integer
-array and a vector as its flat index sum_i x_i q^(d-1-i), whose order is
-the lexicographic order of the vectors.
+A point set is held as the sorted, distinct int64 flat indices (codes) of
+its vectors, the index of x being sum_i x_i q^(d-1-i) (`encode`). Index
+order is the lexicographic order of the vectors, so every derived file or
+report is byte-reproducible. The (n, d) coordinate array the kernels
+gather from and the tuples that I/O and the scalar oracles iterate are
+lazy views of the codes. Single vectors are tuples of canonical field
+integers.
 """
 
 from __future__ import annotations
@@ -17,59 +19,79 @@ import numpy as np
 
 from .errors import ConfigError, check_budget
 from .field import FieldSpec, parse_header
+from .kernels import check_int64
 
 Vector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet:
     field: FieldSpec
     d: int
-    points: tuple[Vector, ...]
+    codes: np.ndarray  # sorted distinct int64 flat indices, read-only
 
     @staticmethod
     def build(field: FieldSpec, d: int, points) -> "PointSet":
-        pts = sorted(set(tuple(p) for p in points))
+        """The set of the given coordinate sequences, validated as outside input."""
+        pts = [tuple(p) for p in points]
         for p in pts:
             if len(p) != d:
                 raise ConfigError(f"point {p} has dimension {len(p)}, expected {d}")
-            if any(not (0 <= c < field.q) for c in p):
-                raise ConfigError(f"coordinate out of range in {p}")
-        return PointSet(field, d, tuple(pts))
+        X = np.array(pts, dtype=np.int64).reshape(len(pts), d)
+        bad = np.flatnonzero(((X < 0) | (X >= field.q)).any(axis=1))
+        if len(bad):
+            raise ConfigError(f"coordinate out of range in {pts[bad[0]]}")
+        return PointSet.from_codes(field, d, encode(X, field.q))
+
+    @staticmethod
+    def from_codes(field: FieldSpec, d: int, codes) -> "PointSet":
+        """The set whose flat indices are `codes`, in any order, repeats allowed."""
+        check_int64(field.q ** d, f"flat index space of F_{field.q}^{d}")
+        codes = np.unique(np.asarray(codes, dtype=np.int64))
+        codes.flags.writeable = False
+        return PointSet(field, d, codes)
 
     def __len__(self):
-        return len(self.points)
+        return len(self.codes)
+
+    def __eq__(self, other):
+        return (isinstance(other, PointSet) and (self.field, self.d) == (other.field, other.d)
+                and np.array_equal(self.codes, other.codes))
+
+    def __hash__(self):
+        return hash((self.field, self.d, self.codes.tobytes()))
 
     def __contains__(self, p):
-        return tuple(p) in self._index
+        p = tuple(p)
+        if len(p) != self.d or not all(0 <= c < self.field.q for c in p):
+            return False
+        return bool((self.codes == encode(np.array([p]), self.field.q)[0]).any())
 
-    @property
-    def _index(self):
-        cached = self.__dict__.get("_index_cache")
-        if cached is None:
-            cached = frozenset(self.points)
-            self.__dict__["_index_cache"] = cached
-        return cached
+    def _view(self, key, compute):
+        # the dataclass is frozen, so lazy views are kept in the instance __dict__
+        if key not in self.__dict__:
+            self.__dict__[key] = compute()
+        return self.__dict__[key]
 
     @property
     def array(self) -> np.ndarray:
         """The points as a read-only (n, d) int64 array, in point order."""
-        cached = self.__dict__.get("_array_cache")
-        if cached is None:
-            cached = np.array(self.points, dtype=np.int64).reshape(len(self.points), self.d)
-            cached.flags.writeable = False
-            self.__dict__["_array_cache"] = cached
-        return cached
+        def compute():
+            X = decode(self.codes, self.field.q, self.d)
+            X.flags.writeable = False
+            return X
+        return self._view("_array", compute)
 
-    @staticmethod
-    def from_codes(field: FieldSpec, d: int, codes: np.ndarray) -> "PointSet":
-        """The set whose flat indices are `codes`, which must be sorted and distinct."""
-        return PointSet(field, d, tuple(vectors(codes, field.q, d)))
+    @property
+    def points(self) -> tuple[Vector, ...]:
+        """The points as sorted tuples of Python ints, for I/O and the scalar oracles."""
+        return self._view("_points", lambda: tuple(vectors(self.codes, self.field.q, self.d)))
 
     def translate(self, v: Vector) -> "PointSet":
-        F = self.field
-        return PointSet.build(F, self.d,
-                              (tuple(F.add(a, b) for a, b in zip(p, v)) for p in self.points))
+        """E + v, through the field's addition table."""
+        T = self.field.tables()
+        return PointSet.from_codes(self.field, self.d,
+                                   encode(T.add[self.array, np.asarray(v)], self.field.q))
 
 
 def encode(X: np.ndarray, q: int) -> np.ndarray:
@@ -83,7 +105,7 @@ def encode(X: np.ndarray, q: int) -> np.ndarray:
 def decode(codes: np.ndarray, q: int, d: int) -> np.ndarray:
     """Inverse of encode: an (n, d) int64 coordinate array."""
     codes = np.asarray(codes, dtype=np.int64)
-    return np.stack([codes // q ** (d - 1 - i) % q for i in range(d)], axis=-1)
+    return codes[:, None] // q ** np.arange(d - 1, -1, -1, dtype=np.int64) % q
 
 
 def vectors(codes: np.ndarray, q: int, d: int):
@@ -125,21 +147,32 @@ def vadd(F: FieldSpec, x: Vector, y: Vector) -> Vector:
 
 
 def all_vectors(F: FieldSpec, d: int, budget: int | None = None):
+    """Every vector of F_q^d as a tuple, in index order (for the scalar oracles)."""
     check_budget(F.q ** d, budget, f"full scan of F_{F.q}^{d}")
     return product(range(F.q), repeat=d)
 
 
+def full_space(F: FieldSpec, d: int, budget: int | None = None) -> PointSet:
+    """All of F_q^d."""
+    check_budget(F.q ** d, budget, f"full scan of F_{F.q}^{d}")
+    return PointSet.from_codes(F, d, np.arange(F.q ** d))
+
+
 def sphere(F: FieldSpec, d: int, j: int, budget: int | None = None) -> PointSet:
-    """S_j: all x with ||x|| = j, by exhaustive enumeration."""
-    pts = [x for x in all_vectors(F, d, budget) if norm(F, x) == j]
-    return PointSet(F, d, tuple(pts))
+    """S_j: all x with ||x|| = j, by a scan of the full space."""
+    X = full_space(F, d, budget)
+    return PointSet.from_codes(F, d, X.codes[norms(X, budget) == j])
+
+
+def lift_to_paraboloid(E: PointSet) -> PointSet:
+    """E' = {(x, ||x||)} in F_q^{d+1}: ||x|| becomes the last digit of the index."""
+    return PointSet.from_codes(E.field, E.d + 1, E.codes * E.field.q + norms(E))
 
 
 def paraboloid(F: FieldSpec, d: int, budget: int | None = None) -> PointSet:
     """Graph x_d = x_1^2 + ... + x_{d-1}^2."""
     check_budget(F.q ** (d - 1), budget, "paraboloid enumeration")
-    pts = [x + (norm(F, x),) for x in product(range(F.q), repeat=d - 1)]
-    return PointSet(F, d, tuple(sorted(pts)))
+    return lift_to_paraboloid(full_space(F, d - 1, budget))
 
 
 # --- rotations in the plane -------------------------------------------------
@@ -243,16 +276,7 @@ def read_pointset(path) -> PointSet:
     if len(lines) < 2 or not lines[1].startswith("d="):
         raise ConfigError(f"malformed point-set file {path}")
     F = parse_header(lines[0])
-    d = int(lines[1][2:])
-    pts = []
-    for ln in lines[2:]:
-        coords = tuple(int(c) for c in ln.split())
-        if len(coords) != d:
-            raise ConfigError(f"point {coords} has wrong dimension in {path}")
-        if any(not (0 <= c < F.q) for c in coords):
-            raise ConfigError(f"coordinate out of range in {path}: {coords}")
-        pts.append(coords)
-    return PointSet.build(F, d, pts)
+    return PointSet.build(F, int(lines[1][2:]), (map(int, ln.split()) for ln in lines[2:]))
 
 
 def write_hyperplanes(H: HyperplaneMultiset, path) -> None:

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import distance, energy, incidence, spectral
 from .constructions import ConstructionSpec
-from .errors import BudgetExceeded, ConfigError, DEFAULT_BUDGET, check_budget
+from .errors import (BudgetExceeded, ConfigError, DEFAULT_BUDGET, check_budget,
+                     config_value)
 from .geometry import PointSet
 from .ranges import (conjectured_alpha, family_thresholds, crossover_identities,
                      energy_threshold, sphere_threshold, improved_threshold)
@@ -120,7 +121,7 @@ def _fourier_section(A: Analysis, config: dict) -> tuple[dict, dict]:
 
 
 def _energy_section(A: Analysis, config: dict) -> tuple[dict, dict]:
-    return energy.energy_report(A, int(config.get("k", 2))).to_json_dict(), {}
+    return energy.energy_report(A, config_value(config, "k", 2)).to_json_dict(), {}
 
 
 def _salem_section(A: Analysis, config: dict) -> tuple[dict, dict]:
@@ -250,9 +251,10 @@ def sweep(config: dict, out_dir, jobs: int = 1) -> Path:
     csv_path = out_dir / "sweep.csv"
     done: dict[int, str] = {}
     if ledger_path.exists():
-        for line in ledger_path.read_text().splitlines():
+        for line in ledger_path.read_text().splitlines(keepends=True):
             idx, _, row = line.partition("\t")
-            done[int(idx)] = row + "\n"
+            if row.endswith("\n"):  # a line cut short by a crash is redone
+                done[int(idx)] = row
 
     master = int(config.get("seed", 0))
 
@@ -274,15 +276,20 @@ def sweep(config: dict, out_dir, jobs: int = 1) -> Path:
         except ConfigError as exc:
             return _csv_row(i, "error", f"config:{exc}")
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            rows = list(ex.map(run_cell, range(len(cells))))
-    else:
-        rows = [run_cell(i) for i in range(len(cells))]
-
-    with open(ledger_path, "w") as fh:
-        for i, row in enumerate(rows):
-            fh.write(f"{i}\t{row}")
+    # each finished row is appended and flushed in cell order, so an
+    # interrupted or failed sweep resumes from every row before the failure;
+    # on a failure the cells not yet started are dropped, not run
+    rows = []
+    with open(ledger_path, "w") as ledger, ThreadPoolExecutor(max_workers=max(jobs, 1)) as ex:
+        ledger.write("".join(f"{i}\t{row}" for i, row in sorted(done.items())))
+        try:
+            for i, row in enumerate(ex.map(run_cell, range(len(cells)))):
+                if i not in done:
+                    ledger.write(f"{i}\t{row}")
+                    ledger.flush()
+                rows.append(row)
+        finally:
+            ex.shutdown(cancel_futures=True)
     csv_path.write_text(_csv_row("cell", "status", "detail") + "".join(rows))
     return csv_path
 
@@ -328,6 +335,7 @@ def oracle_distances(E: PointSet, budget: int | None = None) -> dict[int, int]:
 
 def oracle_incidences(P: PointSet, H, budget: int | None = None) -> int:
     """Plain double loop, kept separate from incidence.count_incidences."""
+    check_budget(len(P) * max(len(H.entries), 1), budget, "incidence oracle")
     F = P.field
     total = 0
     for a, b, m in H.entries:

@@ -14,8 +14,8 @@ import numpy as np
 
 from .energy import difference_counts
 from .errors import check_budget, check_invariant, ConfigError
-from .geometry import HyperplaneMultiset, PointSet, Vector, norms, vectors
-from .kernels import KeyCounter, pair_codes, row_blocks
+from .geometry import HyperplaneMultiset, PointSet, norms, vectors
+from .kernels import KeyCounter, merge, pair_codes, row_blocks
 
 
 def count_incidences(P: PointSet, H: HyperplaneMultiset,
@@ -160,19 +160,17 @@ def sphere_incidence_setup(E: PointSet, lam4: int, budget: int | None = None
 
 @dataclass(frozen=True)
 class DifferenceFamily:
-    """Per-t difference multisets from the second-moment proof."""
+    """Per-t difference multisets from the second-moment proof.
 
-    x_sizes: dict[int, int]                    # t -> |X_t|
-    multiplicities: dict[int, dict[Vector, int]]  # t -> (u -> m_t(u))
-    set_size: int
+    keys are the sorted t q^d + u over the pairs with m_t(u) > 0, for the gap t
+    and the flat index u of the difference; counts are the m_t(u).
+    """
 
-    @property
-    def total_pairs(self) -> int:
-        return sum(self.x_sizes.values())
-
-    @property
-    def sum_m2(self) -> int:
-        return sum(m * m for ms in self.multiplicities.values() for m in ms.values())
+    keys: np.ndarray
+    counts: np.ndarray
+    x_sizes: dict[int, int]  # t -> |X_t|
+    total_pairs: int         # sum_t |X_t|
+    sum_m2: int              # sum_t sum_u m_t(u)^2
 
 
 def distance_energy_setup(E: PointSet, lam4: int,
@@ -187,19 +185,14 @@ def distance_energy_setup(E: PointSet, lam4: int,
     check_budget(n ** 2, budget, "difference family")
     T = F.tables(budget)
     X, nrm = E.array, norms(E, budget)
-    # key (t, u) = t q^d + u for the gap t = ||y|| - ||z|| and difference u = y - z
     counter = KeyCounter(q ** (d + 1), n * n, "difference family")
     for rows in row_blocks(n, n):
         gap = T.sub[nrm[rows, None], nrm[None, :]].astype(np.int64)
         counter.add(pair_codes(T.sub, X[rows], X, q, gap))
     keys, counts = counter.result()
-    gaps, diffs = np.divmod(keys, q ** d)
-    x_sizes: dict[int, int] = {}
-    mult: dict[int, dict[Vector, int]] = {}
-    for t, u, c in zip(gaps.tolist(), vectors(diffs, q, d), counts.tolist()):
-        x_sizes[t] = x_sizes.get(t, 0) + c
-        mult.setdefault(t, {})[u] = c
-    fam = DifferenceFamily(x_sizes, mult, n)
+    gaps, sizes = merge(keys // q ** d, counts)
+    fam = DifferenceFamily(keys, counts, dict(zip(gaps.tolist(), sizes.tolist())),
+                           int(counts.sum()), sum(c * c for c in counts.tolist()))
     check_invariant(fam.total_pairs == n ** 2, "sum_t |X_t| differs from |E|^2")
     check_invariant(fam.sum_m2 <= lam4, "sum_t sum_u m_t(u)^2 exceeds L_4(E)")
     if len(set(nrm.tolist())) == 1:

@@ -47,7 +47,7 @@ def pair_codes(table: np.ndarray, A: np.ndarray, B: np.ndarray, q: int,
     return code
 
 
-def _merge(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def merge(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct keys with the int64 sum of their counts."""
     if len(keys) == 0:
         return keys, counts
@@ -89,7 +89,7 @@ class KeyCounter:
         if weights is None:
             chunk = np.unique(keys, return_counts=True)
         else:
-            chunk = _merge(keys, weights)
+            chunk = merge(keys, weights)
         self._pending.append(chunk)
         self._n_pending += len(chunk[0])
         # merge geometrically: each key is re-sorted O(log) times overall
@@ -98,7 +98,7 @@ class KeyCounter:
 
     def _flush(self) -> None:
         if self._pending:
-            self._keys, self._counts = _merge(
+            self._keys, self._counts = merge(
                 np.concatenate([self._keys] + [k for k, _ in self._pending]),
                 np.concatenate([self._counts] + [c for _, c in self._pending]))
             self._pending, self._n_pending = [], 0

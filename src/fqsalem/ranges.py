@@ -103,13 +103,18 @@ class ThresholdQuery:
     alpha: Optional[Fraction] = None  # set-size exponent
 
 
-def _even_style_windows(d: int, s: Fraction, numer: int) -> list[SizeWindow]:
-    """Case lists shared by the even-sphere/paraboloid family (numer = d-2)
-    and the odd-sphere family (numer = d-1); upper bulk exponent is
-    (numer + 2)/2 and the sup size is d-1."""
+def _even_style_windows(d: int, s: Fraction, numer: int | Fraction) -> list[SizeWindow]:
+    """Case lists shared by the even-sphere/paraboloid family (numer = d-2),
+    the odd-sphere family (numer = d-1) and the epsilon-improved odd family
+    (numer = d-2-eps); upper bulk exponent is (numer + 2)/2 and the sup size
+    is d-1."""
+    if d < 2:
+        raise ConfigError("d must be >= 2")
     bulk = Fraction(numer + 2, 2)
     windows = []
     if s <= QUARTER + Fraction(1, 2 * (numer + 2)):
+        if s == HALF:  # reached only when numer <= 0: the lower end divides by 0
+            raise ConfigError(f"window (i) is undefined at s = 1/2 for d = {d}")
         windows.append(SizeWindow("i", QUARTER, QUARTER + Fraction(1, 2 * (numer + 2)),
                                   Fraction(numer) / (4 * (1 - 2 * s)), bulk))
     if s <= QUARTER + Fraction(1, 4 * (d - 1)):
@@ -133,22 +138,9 @@ def salem_s_ranges(query: ThresholdQuery) -> SRange:
         return SRange(geo, s, tuple(_even_style_windows(d, s, d - 1)))
     if geo == "sphereOddPrimitiveEps":
         eps = query.epsilon
-        if eps is None or eps <= 0:
-            raise ConfigError("epsilon > 0 is required for the epsilon-improved ranges")
-        windows = []
-        if s <= QUARTER + Fraction(1, 2) / (d - eps):
-            windows.append(SizeWindow("i", QUARTER, QUARTER + Fraction(1, 2) / (d - eps),
-                                      Fraction(d - 2 - eps) / (4 * (1 - 2 * s)),
-                                      (Fraction(d) - eps) / 2))
-        if s <= QUARTER + Fraction(1, 4 * (d - 1)):
-            windows.append(SizeWindow("ii", QUARTER, QUARTER + Fraction(1, 4 * (d - 1)),
-                                      (Fraction(d) - eps) / 2, Fraction(d - 1)))
-        if QUARTER + Fraction(1, 4 * (d - 1)) <= s <= QUARTER + Fraction(1, 2) / (d - eps):
-            windows.append(SizeWindow("iii", QUARTER + Fraction(1, 4 * (d - 1)),
-                                      QUARTER + Fraction(1, 2) / (d - eps),
-                                      (Fraction(d) - eps) / 2, Fraction(1) / (4 * s - 1)))
-        windows.append(SizeWindow("iv", QUARTER, HALF, Fraction(d - 1), Fraction(d - 1)))
-        return SRange(geo, s, tuple(windows), {"epsilon": eps})
+        if eps is None or not 0 < eps < d:
+            raise ConfigError("0 < epsilon < d is required for the epsilon-improved ranges")
+        return SRange(geo, s, tuple(_even_style_windows(d, s, d - 2 - eps)), {"epsilon": eps})
     if geo == "subgroup":
         # powers of a multiplicative subgroup with |A| <= p^{3/5}
         ok = s < Fraction(7, 18)

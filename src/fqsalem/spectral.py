@@ -26,29 +26,21 @@ import numpy as np
 
 from .errors import ConfigError, check_budget
 from .field import FieldSpec
-from .geometry import PointSet, dot
+from .geometry import PointSet, all_vectors, dot, encode
 
 if TYPE_CHECKING:
     from .harness import Analysis
-
-
-def point_index(q: int, p: tuple[int, ...]) -> int:
-    """Canonical flat index: coordinate 0 most significant (lexicographic)."""
-    idx = 0
-    for c in p:
-        idx = idx * q + c
-    return idx
 
 
 @dataclass(frozen=True)
 class Spectrum:
     field: FieldSpec
     d: int
-    values: np.ndarray  # complex, length q^d, indexed by point_index
+    values: np.ndarray  # complex, length q^d, indexed by flat index (geometry.encode)
     set_size: int
 
     def at(self, m: tuple[int, ...]) -> complex:
-        return complex(self.values[point_index(self.field.q, m)])
+        return complex(self.values[encode(np.array([m]), self.field.q)[0]])
 
     def export_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -68,12 +60,11 @@ def fourier_direct(E: PointSet, budget: int | None = None) -> Spectrum:
     check_budget(q ** d * max(len(E), 1), budget, "direct Fourier transform")
     chi_neg = _char_table(F)
     vals = np.zeros(q ** d, dtype=complex)
-    from .geometry import all_vectors
-    for m in all_vectors(F, d, budget):
+    for i, m in enumerate(all_vectors(F, d, budget)):  # index order
         acc = 0j
         for y in E.points:
             acc += chi_neg[dot(F, m, y)]
-        vals[point_index(q, m)] = acc / q ** d
+        vals[i] = acc / q ** d
     return Spectrum(F, d, vals, len(E))
 
 
@@ -100,10 +91,10 @@ def fourier_fast(E: PointSet, budget: int | None = None) -> Spectrum:
     """rd successive length-p transforms over (Z_p)^{rd}, then digit twist."""
     F, d, q, p, r = E.field, E.d, E.field.q, E.field.p, E.field.r
     check_budget(q ** d, budget, "fast Fourier transform")
-    ind = np.zeros((q,) * d)
-    ind[tuple(E.array.T)] = 1.0
-    # each coordinate axis splits into r digit axes (big-endian digit order),
-    # under which the canonical value is the linear C-order index
+    ind = np.zeros(q ** d)
+    ind[E.codes] = 1.0
+    # the flat index is C-order over the (q,)*d grid; each axis splits into r
+    # digit axes (big-endian), under which a canonical value is its C-order index
     G = np.fft.fftn(ind.reshape((p,) * (r * d)))
     S = G.reshape((q,) * d)
     perm = _digit_permutation(F)
@@ -123,7 +114,7 @@ def lp_norm(S: Spectrum, u: float) -> float:
         raise ConfigError(f"u must be >= 1, got {u}")
     q_d = S.field.q ** S.d
     mags = np.abs(S.values)
-    zero_idx = 0  # point_index of the zero frequency
+    zero_idx = 0  # flat index of the zero frequency
     nonzero = np.delete(mags, zero_idx)
     if math.isinf(u):
         return float(nonzero.max(initial=0.0))

@@ -4,7 +4,7 @@ import pytest
 
 from fqsalem.constructions import random_pointset
 from fqsalem.field import field_create, prime_factors
-from fqsalem.geometry import PointSet, all_vectors
+from fqsalem.geometry import full_space, norm, vsub
 
 
 @pytest.fixture(scope="session")
@@ -32,10 +32,6 @@ def f27():
     return field_create(3, 3)
 
 
-def full_space(F, d):
-    return PointSet.build(F, d, all_vectors(F, d))
-
-
 def rand_set(F, d, size, seed):
     return random_pointset(F, d, size, seed)
 
@@ -47,3 +43,17 @@ def field_of_order(q):
     while p ** r < q:
         r += 1
     return field_create(p, r)
+
+
+def difference_family_oracle(E):
+    """The difference family of E as sorted (t q^d + index(u), m_t(u)) pairs, by a
+    scalar double loop: t = ||y|| - ||z||, u = y - z over (y, z) in E^2."""
+    F = E.field
+    counts = {}
+    for y in E.points:
+        for z in E.points:
+            key = F.sub(norm(F, y), norm(F, z))
+            for c in vsub(F, y, z):
+                key = key * F.q + c
+            counts[key] = counts.get(key, 0) + 1
+    return sorted(counts.items())

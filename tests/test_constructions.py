@@ -258,3 +258,19 @@ def test_random_pointset_matches_scalar_reference(p, r, d, size, seed):
     order = sorted(range(q ** d), key=lambda i: (_splitmix64_reference((seed << 20) ^ i), i))
     expect = sorted(tuple(i // q ** (d - 1 - j) % q for j in range(d)) for i in order[:size])
     assert random_pointset(F, d, size, seed).points == tuple(expect)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, (1 << 64) - 1, -7])
+def test_bernoulli_thin_matches_scalar_reference(seed):
+    F = field_create(3, 2)
+    X = random_pointset(F, 3, 300, seed=2)
+
+    def kept(p, theta):
+        i = sum(c * F.q ** (len(p) - 1 - j) for j, c in enumerate(p))
+        h = _splitmix64_reference((seed & ((1 << 64) - 1)) ^ _splitmix64_reference(i))
+        return (h >> 11) / float(1 << 53) < theta
+
+    for theta in (0.0, 0.3, 0.75, 1.0):
+        expect = tuple(p for p in X.points if kept(p, theta))
+        assert bernoulli_thin(X, theta, seed).points == expect
+    assert len(bernoulli_thin(X, 1.0, seed)) == len(X)

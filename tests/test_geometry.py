@@ -2,16 +2,24 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from conftest import full_space
-from fqsalem.errors import ConfigError
+from fqsalem.errors import BudgetExceeded, ConfigError
 from fqsalem.field import field_create
 from fqsalem.geometry import (HyperplaneMultiset, PointSet, all_vectors, apply_matrix,
-                               dot, norm, paraboloid, read_hyperplanes, read_pointset,
-                               rotation_group_generator, rotation_group_order, sphere,
-                               unit_circle_points, vadd, vsub, write_hyperplanes,
-                               write_pointset)
+                               decode, dot, encode, norm, paraboloid, read_hyperplanes,
+                               read_pointset, rotation_group_generator,
+                               rotation_group_order, sphere, unit_circle_points, vadd,
+                               vsub, write_hyperplanes, write_pointset)
+
+
+def test_encode_is_bijection(f5):
+    X = np.array(list(all_vectors(f5, 2)))
+    assert encode(X, 5).tolist() == list(range(25))  # index order is lexicographic
+    assert encode(np.array([(1, 0)]), 5)[0] == 5  # first coordinate most significant
+    assert (decode(encode(X, 5), 5, 2) == X).all()
 
 
 def test_norm_examples(f5):
@@ -61,7 +69,7 @@ def test_spheres_partition(q, d):
     assert len(seen) == q ** d
 
 
-@pytest.mark.parametrize("q,d", [(3, 2), (5, 2), (3, 3)])
+@pytest.mark.parametrize("q,d", [(3, 1), (3, 2), (5, 2), (3, 3)])
 def test_paraboloid(q, d):
     F = field_create(q, 1)
     P = paraboloid(F, d)
@@ -106,6 +114,15 @@ def test_pointset_dedup_and_order(f5):
     assert len(E) == 3
     assert list(E.points) == sorted(E.points)
     assert (1, 2) in E and (2, 1) not in E
+
+
+def test_pointset_beyond_int64_index_range(f3):
+    # 3^40 > 2^63: flat indices would not fit in int64
+    with pytest.raises(BudgetExceeded):
+        PointSet.from_codes(f3, 40, [0])
+    with pytest.raises(BudgetExceeded):
+        PointSet.build(f3, 40, [(0,) * 40])
+    assert len(PointSet.build(f3, 39, [(0,) * 39, (2,) * 39])) == 2  # 3^39 < 2^63
 
 
 def test_pointset_validation(f5):
@@ -175,3 +192,4 @@ def test_hyperplane_io_roundtrip(tmp_path, f5):
 
 def test_full_space_helper(f3):
     assert len(full_space(f3, 3)) == 27
+    assert full_space(f3, 3) == PointSet.build(f3, 3, all_vectors(f3, 3))

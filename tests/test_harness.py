@@ -10,7 +10,7 @@ from conftest import rand_set
 from fqsalem.cli import main
 from fqsalem.distance import distance_profile
 from fqsalem.energy import energy_convolution
-from fqsalem.errors import ConfigError
+from fqsalem.errors import BudgetExceeded, ConfigError, InvariantViolation
 from fqsalem.geometry import (HyperplaneMultiset, PointSet, write_hyperplanes,
                                write_pointset)
 from fqsalem.harness import (oracle_distances, oracle_incidences, oracle_lambda4,
@@ -81,6 +81,20 @@ def test_run_full_report():
     assert rep["allGatesPass"]
 
 
+@pytest.mark.parametrize("construction", [
+    {"kind": "random", "p": 7, "d": 3, "size": 60},
+    {"kind": "conjectureWitness", "p": 5, "r": 2, "d": 4, "s": "1/4"},
+    {"kind": "orbit", "p": 3, "r": 3}])
+def test_run_never_reads_point_tuples(monkeypatch, construction):
+    # the kernels work on codes; the tuple view is for I/O and the oracles
+    def no_tuples(self):
+        raise AssertionError("the tuple view of a point set was read")
+
+    monkeypatch.setattr(PointSet, "points", property(no_tuples))
+    rep = run({"construction": construction, "analyses": ALL_SET_ANALYSES, "seed": 0})
+    assert rep["allGatesPass"]
+
+
 @pytest.mark.parametrize("p,r", [(7, 1), (3, 2)])
 def test_run_computes_each_quantity_once(monkeypatch, p, r):
     calls = {fn.__name__: count_calls(monkeypatch, fn)
@@ -127,6 +141,27 @@ def test_sweep_grid_and_resume(tmp_path):
     assert "resumed-marker" in csv_path.read_text()
 
 
+def test_sweep_keeps_finished_rows_when_a_cell_fails(tmp_path, monkeypatch):
+    # ISO_CONFIG's sets lie on one sphere, so the incidence section checks the
+    # difference family against Lambda_4 exactly; only cell 1 (m = 2, 25
+    # points) gets a Lambda_4 off by one
+    patch_everywhere(monkeypatch, energy_convolution,
+                     lambda E, k, budget=None: energy_convolution(E, k, budget) + (len(E) > 5))
+    cfg = {**ISO_CONFIG, "analyses": ["incidence"], "grid": {"m": [1, 2]}}
+    out = tmp_path / "s"
+    with pytest.raises(InvariantViolation):
+        sweep(cfg, out, jobs=1)
+    ledger = out / "sweep.ledger"
+    assert [ln.split("\t")[0] for ln in ledger.read_text().splitlines()] == ["0"]
+    assert not (out / "sweep.csv").exists()
+    # without the fault, cell 0 is resumed from the ledger and cell 1 computed
+    monkeypatch.undo()
+    ledger.write_text("0\t0,ok,resumed-marker\n")
+    rows = sweep(cfg, out, jobs=1).read_text().splitlines()
+    assert rows[1] == "0,ok,resumed-marker"
+    assert rows[2].startswith("1,ok,")
+
+
 def test_sweep_jobs_independent(tmp_path):
     cfg = {"construction": {"kind": "random", "size": 8},
            "analyses": ["energy", "salem"],
@@ -154,6 +189,16 @@ def test_sweep_records_cell_errors(tmp_path):
     # the cell d = 6, m = 1: its message holds commas
     assert parsed[1 + 4] == ["4", "error",
                              "config:d = 6 (2 mod 4) needs q = 1 mod 4, got q = 3"]
+
+
+def test_sweep_records_bad_config_value(tmp_path):
+    cfg = {"construction": {"kind": "random", "p": 5, "d": 2},
+           "analyses": ["energy"], "grid": {"size": [4, "four"]}, "seed": 0}
+    with open(sweep(cfg, tmp_path / "s"), newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1][:2] == ["0", "ok"]
+    assert rows[2] == ["1", "error",
+                       "config:config value 'size' is missing or ill-typed: 'four'"]
 
 
 def test_sweep_requires_grid(tmp_path):
@@ -202,6 +247,23 @@ def test_cli_oracle_incidences(tmp_path, capsys, f5):
     assert main(["oracle", "incidences", str(ep), str(hp)]) == 0
     assert int(capsys.readouterr().out) == count_incidences(E, H)
     assert main(["oracle", "incidences", str(ep)]) == 3  # missing hyperplane file
+    # the oracle charges |P| * |H| = 6 units
+    with pytest.raises(BudgetExceeded):
+        oracle_incidences(E, H, budget=5)
+    assert main(["oracle", "incidences", str(ep), str(hp), "--budget", "1"]) == 4
+
+
+@pytest.mark.parametrize("config", [
+    {"construction": {"kind": "random", "p": 5, "d": 2}, "analyses": ["energy"]},
+    {"construction": {"kind": "random", "p": 5, "d": 2, "size": 5},
+     "analyses": ["energy"], "k": "two"},
+    {"construction": {"kind": "conjectureWitness", "p": 3, "d": 4, "s": "1/0"},
+     "analyses": ["energy"]}])
+def test_cli_bad_config_values_exit_3(tmp_path, capsys, config):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    assert main(["analyze", "--config", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_cli_verify_exit_codes(tmp_path, capsys):

@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from conftest import field_of_order, full_space, rand_set
+from conftest import difference_family_oracle, field_of_order, full_space, rand_set
 from fqsalem.energy import energy_convolution
 from fqsalem.errors import ConfigError, InvariantViolation
 from fqsalem.field import field_create
-from fqsalem.geometry import HyperplaneMultiset, PointSet, all_vectors, norm, sphere, vsub
+from fqsalem.geometry import HyperplaneMultiset, PointSet, all_vectors, sphere
 from fqsalem.harness import oracle_incidences
 from fqsalem.incidence import (count_incidences, dilate_hyperplanes,
                                 distance_energy_setup, incidence_via_dilation,
@@ -172,14 +172,13 @@ def test_distance_energy_family_random(q, d):
         fam = distance_energy_setup(E, lam4)
         assert fam.total_pairs == len(E) ** 2
         assert fam.sum_m2 <= lam4
-        brute = {}
-        for y in E.points:
-            for z in E.points:
-                ms = brute.setdefault(F.sub(norm(F, y), norm(F, z)), {})
-                u = vsub(F, y, z)
-                ms[u] = ms.get(u, 0) + 1
-        assert fam.multiplicities == brute
-        assert fam.x_sizes == {t: sum(ms.values()) for t, ms in brute.items()}
+        brute = difference_family_oracle(E)
+        assert list(zip(fam.keys.tolist(), fam.counts.tolist())) == brute
+        sizes = {}
+        for key, m in brute:
+            sizes[key // q ** d] = sizes.get(key // q ** d, 0) + m
+        assert fam.x_sizes == sizes
+        assert fam.sum_m2 == sum(m * m for _, m in brute)
 
 
 def test_distance_energy_equality_iff_sphere(f5):

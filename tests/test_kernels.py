@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import field_of_order, rand_set
+from conftest import difference_family_oracle, field_of_order, rand_set
 from fqsalem import kernels
 from fqsalem.distance import distance_profile
 from fqsalem.energy import difference_set, energy_bruteforce, energy_convolution
@@ -26,14 +26,14 @@ def test_small_chunk_cap_matches_oracles(q, d, chunk, monkeypatch):
         (tuple(rng.randrange(1, q) for _ in range(d)), rng.randrange(q), rng.randrange(1, 4))
         for _ in range(5)])
     lam4 = energy_convolution(E, 2)
-    family = distance_energy_setup(E, lam4).multiplicities
     monkeypatch.setattr(kernels, "CHUNK_ELEMS", chunk)
     assert distance_profile(E).counts == oracle_distances(E)
     assert energy_convolution(E, 2) == energy_bruteforce(E, 2)
     assert energy_convolution(E, 3) == energy_bruteforce(E, 3)
     assert set(difference_set(E).points) == {vsub(F, x, y) for x in E.points for y in E.points}
     assert count_incidences(E, H) == oracle_incidences(E, H)
-    assert distance_energy_setup(E, lam4).multiplicities == family
+    family = distance_energy_setup(E, lam4)
+    assert list(zip(family.keys.tolist(), family.counts.tolist())) == difference_family_oracle(E)
 
 
 def test_counts_beyond_int64_are_refused(f3):

@@ -130,6 +130,29 @@ def test_epsilon_ranges_require_positive_epsilon():
     assert r.windows
 
 
+def test_epsilon_windows_pinned():
+    # minted before the epsilon branch shared _even_style_windows
+    r = salem_s_ranges(ThresholdQuery(d=5, s=F(1, 4), geometry="sphereOddPrimitiveEps",
+                                      epsilon=F(1, 10)))
+    assert [(w.case, w.s_lo, w.s_hi, w.lo, w.hi) for w in r.windows] == [
+        ("i", F(1, 4), F(69, 196), F(29, 20), F(49, 20)),
+        ("ii", F(1, 4), F(5, 16), F(49, 20), F(4)),
+        ("iv", F(1, 4), F(1, 2), F(4), F(4))]
+
+
+@pytest.mark.parametrize("query", [
+    ThresholdQuery(d=2, s=F(1, 2), geometry="sphereEven"),
+    ThresholdQuery(d=2, s=F(1, 2), geometry="paraboloid"),
+    ThresholdQuery(d=2, s=F(1, 2), geometry="sphereOddPrimitive"),
+    ThresholdQuery(d=3, s=F(1, 2), geometry="sphereOddPrimitiveEps", epsilon=F(1)),
+    ThresholdQuery(d=3, s=F(1, 4), geometry="sphereOddPrimitiveEps", epsilon=F(3)),
+    ThresholdQuery(d=1, s=F(1, 4), geometry="sphereOdd")])
+def test_undefined_windows_are_config_errors(query):
+    # each of these divided by zero before
+    with pytest.raises(ConfigError):
+        salem_s_ranges(query)
+
+
 def test_subgroup_range():
     r = salem_s_ranges(ThresholdQuery(d=4, s=F(1, 3), geometry="subgroup"))
     assert r.notes["valid"] and r.notes["sMax"] == F(7, 18)

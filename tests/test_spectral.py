@@ -11,14 +11,7 @@ from fqsalem.field import field_create
 from fqsalem.geometry import PointSet
 from fqsalem.harness import Analysis
 from fqsalem.spectral import (energy_identity_residual, fourier, fourier_direct,
-                               fourier_fast, lp_norm, point_index)
-
-
-def test_point_index_is_bijection(f5):
-    idxs = {point_index(5, (a, b)) for a in range(5) for b in range(5)}
-    assert idxs == set(range(25))
-    assert point_index(5, (0, 0)) == 0
-    assert point_index(5, (1, 0)) == 5  # first coordinate most significant
+                               fourier_fast, lp_norm)
 
 
 def test_full_space_spectrum(f5):
