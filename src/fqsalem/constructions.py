@@ -78,7 +78,7 @@ def rotation_orbit(p: int, r: int, base_point: tuple[int, int] | None = None) ->
     for _ in range(sub - 1):
         theta = _rot_compose(F, theta, gen)
     if base_point is None:
-        base_point = F.two_square_decomposition(1)
+        base_point = (0, 1)  # the first unit-circle point in canonical order
     if norm(F, base_point) != 1:
         raise ConfigError(f"base point {base_point} is not on the unit circle")
     pts = []

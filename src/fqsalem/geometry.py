@@ -37,7 +37,10 @@ class PointSet:
         for p in pts:
             if len(p) != d:
                 raise ConfigError(f"point {p} has dimension {len(p)}, expected {d}")
-        X = np.array(pts, dtype=np.int64).reshape(len(pts), d)
+        try:
+            X = np.array(pts, dtype=np.int64).reshape(len(pts), d)
+        except OverflowError as exc:
+            raise ConfigError("coordinate out of range: beyond int64") from exc
         bad = np.flatnonzero(((X < 0) | (X >= field.q)).any(axis=1))
         if len(bad):
             raise ConfigError(f"coordinate out of range in {pts[bad[0]]}")
@@ -182,19 +185,16 @@ Matrix2 = tuple[tuple[int, int], tuple[int, int]]
 
 def unit_circle_points(F: FieldSpec) -> list[tuple[int, int]]:
     """All (a, b) with a^2 + b^2 = 1, in canonical order."""
-    pts = []
-    for a in range(F.q):
-        rest = F.sub(1, F.mul(a, a))
-        for b in F.sqrt(rest):
-            pts.append((a, b))
-    return sorted(pts)
+    T = F.tables()
+    return [tuple(ab) for ab in np.argwhere(T.add[T.square[:, None], T.square[None, :]] == 1).tolist()]
 
 
 def _rot_compose(F: FieldSpec, u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
-    # (a1 + i b1)(a2 + i b2) with i^2 = -1
-    a = F.sub(F.mul(u[0], v[0]), F.mul(u[1], v[1]))
-    b = F.add(F.mul(u[0], v[1]), F.mul(u[1], v[0]))
-    return a, b
+    # (a1 + i b1)(a2 + i b2) with i^2 = -1, through the field tables
+    T = F.tables()
+    a = T.sub[T.mul[u[0], v[0]], T.mul[u[1], v[1]]]
+    b = T.add[T.mul[u[0], v[1]], T.mul[u[1], v[0]]]
+    return int(a), int(b)
 
 
 def rotation_group_order(F: FieldSpec) -> int:
@@ -245,6 +245,8 @@ class HyperplaneMultiset:
             a = tuple(a)
             if len(a) != d:
                 raise ConfigError(f"normal vector {a} has wrong dimension")
+            if not all(0 <= c < field.q for c in (*a, b)):
+                raise ConfigError(f"hyperplane {a}.x = {b} has an entry outside F_{field.q}")
             if m <= 0:
                 raise ConfigError("multiplicity must be positive")
             if not allow_degenerate and all(c == 0 for c in a):
@@ -270,13 +272,30 @@ def write_pointset(E: PointSet, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_pointset(path) -> PointSet:
+def _read_file(path) -> tuple[FieldSpec, int, list[list[str]]]:
+    """The field, the dimension and the tokens of each body line of a point-set
+    or hyperplane file."""
     lines = [ln for ln in Path(path).read_text().splitlines()
              if ln.strip() and not ln.startswith("#")]
     if len(lines) < 2 or not lines[1].startswith("d="):
-        raise ConfigError(f"malformed point-set file {path}")
+        raise ConfigError(f"malformed header in {path}")
     F = parse_header(lines[0])
-    return PointSet.build(F, int(lines[1][2:]), (map(int, ln.split()) for ln in lines[2:]))
+    d = _parse_int(lines[1][2:], f"dimension in {path}")
+    if d < 0:
+        raise ConfigError(f"negative dimension in {path}")
+    return F, d, [ln.split() for ln in lines[2:]]
+
+
+def _parse_int(token: str, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError as exc:
+        raise ConfigError(f"{what} is not an integer: {token!r}") from exc
+
+
+def read_pointset(path) -> PointSet:
+    F, d, rows = _read_file(path)
+    return PointSet.build(F, d, ([_parse_int(t, "coordinate") for t in toks] for toks in rows))
 
 
 def write_hyperplanes(H: HyperplaneMultiset, path) -> None:
@@ -287,14 +306,13 @@ def write_hyperplanes(H: HyperplaneMultiset, path) -> None:
 
 
 def read_hyperplanes(path, allow_degenerate: bool = False) -> HyperplaneMultiset:
-    lines = [ln for ln in Path(path).read_text().splitlines()
-             if ln.strip() and not ln.startswith("#")]
-    F = parse_header(lines[0])
-    d = int(lines[1][2:])
+    F, d, rows = _read_file(path)
     entries = []
-    for ln in lines[2:]:
-        toks = ln.split()
-        a = tuple(int(c) for c in toks[:d])
-        kv = dict(t.split("=") for t in toks[d:])
-        entries.append((a, int(kv["b"]), int(kv.get("mult", "1"))))
+    for toks in rows:
+        a = tuple(_parse_int(c, "normal-vector coordinate") for c in toks[:d])
+        kv = dict(t.partition("=")[::2] for t in toks[d:])
+        if len(a) != d or "b" not in kv or not set(kv) <= {"b", "mult"}:
+            raise ConfigError(f"malformed hyperplane line {' '.join(toks)!r} in {path}")
+        entries.append((a, _parse_int(kv["b"], "offset b"),
+                        _parse_int(kv.get("mult", "1"), "multiplicity")))
     return HyperplaneMultiset.build(F, d, entries, allow_degenerate)

@@ -89,6 +89,21 @@ class Analysis:
         return self._once("spectrum", lambda: spectral.fourier(self.E, self.budget))
 
     @property
+    def power(self) -> np.ndarray:
+        """|E_hat(m)|^2 at every frequency m, in index order."""
+        def compute():
+            v = self.spectrum.values
+            power = np.square(v.real)
+            power += np.square(v.imag)
+            return power
+        return self._once("power", compute)
+
+    def fourier_moment(self, k: int) -> float:
+        """||E_hat||_{2k}^{2k} = q^{-d} sum_{m != 0} |E_hat(m)|^{2k}."""
+        return self._once(("moment", k), lambda: float(
+            np.sum(self.power[1:] ** k) / len(self.power)))
+
+    @property
     def salem_s(self) -> float:
         return self._once("salem_s", lambda: energy.salem_parameter(self))
 
@@ -106,15 +121,14 @@ class Analysis:
 
 def _fourier_section(A: Analysis, config: dict) -> tuple[dict, dict]:
     tol = config.get("tolerances", {})
-    E, spec = A.E, A.spectrum
-    # fsum is correctly rounded, so the bytes do not depend on summation order
-    parseval = abs(math.fsum(np.abs(spec.values) ** 2) - len(E) / E.field.q ** E.d)
+    E, power = A.E, A.power
+    parseval = abs(float(np.sum(power)) - len(E) / E.field.q ** E.d)
     resid = spectral.energy_identity_residual(A, 2)
     results = {
         "parsevalResidual": parseval,
         "energyIdentityResidual": resid,
-        "lInfNorm": spectral.lp_norm(spec, float("inf")),
-        "l4Norm": spectral.lp_norm(spec, 4),
+        "lInfNorm": math.sqrt(power[1:].max(initial=0.0)),  # index 0: zero frequency
+        "l4Norm": A.fourier_moment(2) ** 0.25,
     }
     return results, {"parseval": parseval <= tol.get("parseval", 1e-10),
                      "energyIdentity": resid <= tol.get("energyIdentity", 1e-9)}
@@ -239,6 +253,7 @@ def _child_seed(master: int, cell_index: int) -> int:
 
 def sweep(config: dict, out_dir, jobs: int = 1) -> Path:
     """Cartesian product over the grid; one CSV row per cell; resumable."""
+    import hashlib  # here, not at module load: it loads OpenSSL, which only sweeps need
     validate_config({k: v for k, v in config.items() if k != "grid"})
     grid = config.get("grid")
     if not grid:
@@ -248,9 +263,13 @@ def sweep(config: dict, out_dir, jobs: int = 1) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ledger_path = out_dir / "sweep.ledger"
+    stamp_path = out_dir / "sweep.stamp"
     csv_path = out_dir / "sweep.csv"
+    # the ledger's rows are replayed only into a rerun of the config (grid and
+    # seed included) that wrote them; otherwise it is rewritten from scratch
+    stamp = hashlib.sha256(json.dumps(config, sort_keys=True, default=str).encode()).hexdigest() + "\n"
     done: dict[int, str] = {}
-    if ledger_path.exists():
+    if ledger_path.exists() and stamp_path.exists() and stamp_path.read_text() == stamp:
         for line in ledger_path.read_text().splitlines(keepends=True):
             idx, _, row = line.partition("\t")
             if row.endswith("\n"):  # a line cut short by a crash is redone
@@ -282,6 +301,8 @@ def sweep(config: dict, out_dir, jobs: int = 1) -> Path:
     rows = []
     with open(ledger_path, "w") as ledger, ThreadPoolExecutor(max_workers=max(jobs, 1)) as ex:
         ledger.write("".join(f"{i}\t{row}" for i, row in sorted(done.items())))
+        ledger.flush()
+        stamp_path.write_text(stamp)  # after the rows of any other config are gone
         try:
             for i, row in enumerate(ex.map(run_cell, range(len(cells)))):
                 if i not in done:

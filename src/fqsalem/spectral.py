@@ -7,10 +7,12 @@ chi(x) = exp(2*pi*i*Tr(x)/p). Two evaluation paths are kept:
 * the path `fourier` always takes, through the additive-group isomorphism
   F_q^d ~ (Z_p)^{rd}.
   The kernel Tr(m_i * y_i) is bilinear in the base-p digit vectors with
-  Gram matrix B[j][k] = Tr(x^{j+k}), so after a length-p DFT along each of
-  the rd digit axes the spectrum is read off through the digit permutation
-  e -> B . digits(e). B is invertible because the trace form is
-  nondegenerate.
+  Gram matrix B[j][k] = Tr(x^{j+k}). B is symmetric, so Tr(m_i * y_i) is
+  digits(m_i) . (B . digits(y_i)): after the digit twist y -> B . digits(y)
+  of the points of E, a length-p DFT along each of the rd digit axes gives
+  the spectrum in index order. B is invertible because the trace form is
+  nondegenerate, so the twist is a bijection. Each axis is transformed only
+  under the digit prefixes that the twisted points occupy.
 
 Counting quantities are never taken from the spectrum; identities against
 exact integers are checked through the energy module.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -74,33 +77,46 @@ def _trace_gram(F: FieldSpec) -> list[list[int]]:
             for j in range(F.r)]
 
 
+@lru_cache(maxsize=None)
 def _digit_permutation(F: FieldSpec) -> np.ndarray:
-    """perm[e] = value whose digits are B . digits(e) mod p."""
-    if F.r == 1:
-        return np.arange(F.q)
-    B = _trace_gram(F)
-    perm = np.empty(F.q, dtype=np.int64)
-    for e in range(F.q):
-        ds = F.digits(e)
-        out = [sum(B[j][k] * ds[k] for k in range(F.r)) % F.p for j in range(F.r)]
-        perm[e] = F.from_digits(out)
+    """perm[e] = value whose digits are B . digits(e) mod p; built once per field."""
+    weights = F.p ** np.arange(F.r)
+    digits = np.arange(F.q)[:, None] // weights % F.p  # little-endian, as F.digits
+    perm = (digits @ np.array(_trace_gram(F)) % F.p) @ weights  # B is symmetric
+    perm.flags.writeable = False
     return perm
 
 
 def fourier_fast(E: PointSet, budget: int | None = None) -> Spectrum:
-    """rd successive length-p transforms over (Z_p)^{rd}, then digit twist."""
-    F, d, q, p, r = E.field, E.d, E.field.q, E.field.p, E.field.r
+    """Length-p transforms along the rd digit axes of the twisted points, trailing
+    axis first, each only under the digit prefixes the points occupy."""
+    F, d, q, p = E.field, E.d, E.field.q, E.field.p
     check_budget(q ** d, budget, "fast Fourier transform")
-    ind = np.zeros(q ** d)
-    ind[E.codes] = 1.0
+    if len(E) == 0:
+        return Spectrum(F, d, np.zeros(q ** d, dtype=complex), 0)
     # the flat index is C-order over the (q,)*d grid; each axis splits into r
     # digit axes (big-endian), under which a canonical value is its C-order index
-    G = np.fft.fftn(ind.reshape((p,) * (r * d)))
-    S = G.reshape((q,) * d)
-    perm = _digit_permutation(F)
-    if F.r > 1:
-        S = S[np.ix_(*([perm] * d))]
-    return Spectrum(F, d, S.ravel() / q ** d, len(E))
+    heads = E.codes if F.r == 1 else np.sort(encode(_digit_permutation(F)[E.array], q))
+    # heads: the sorted occupied prefixes over the axes not yet transformed;
+    # X[i, f]: the transform at frequency f over the axes already transformed
+    # of the points under heads[i]
+    X = np.ones((len(heads), 1), dtype=complex)
+    for _ in range(F.r * d):
+        up = heads // p
+        first = np.empty(len(up), dtype=bool)  # first head under each new prefix
+        first[0] = True
+        np.not_equal(up[1:], up[:-1], out=first[1:])
+        n = int(np.count_nonzero(first))
+        if n * p == len(heads):  # heads are distinct: every prefix has all p digits
+            Y = X.reshape(n, p, -1)
+        else:
+            Y = np.zeros((n, p, X.shape[1]), dtype=complex)
+            Y[np.cumsum(first) - 1, heads % p] = X
+        X = np.fft.fft(Y, axis=1).reshape(n, -1)
+        heads = up[first]
+    values = X.reshape(-1)
+    values /= q ** d
+    return Spectrum(F, d, values, len(E))
 
 
 def fourier(E: PointSet, budget: int | None = None) -> Spectrum:
@@ -113,9 +129,7 @@ def lp_norm(S: Spectrum, u: float) -> float:
     if u < 1:
         raise ConfigError(f"u must be >= 1, got {u}")
     q_d = S.field.q ** S.d
-    mags = np.abs(S.values)
-    zero_idx = 0  # flat index of the zero frequency
-    nonzero = np.delete(mags, zero_idx)
+    nonzero = np.abs(S.values[1:])  # index 0 is the zero frequency
     if math.isinf(u):
         return float(nonzero.max(initial=0.0))
     return float((np.sum(nonzero ** u) / q_d) ** (1.0 / u))
@@ -126,6 +140,6 @@ def energy_identity_residual(A: Analysis, k: int) -> float:
     E = A.E
     q_d = E.field.q ** E.d
     lam = A.lam(k)
-    lhs = lp_norm(A.spectrum, 2 * k) ** (2 * k)
+    lhs = A.fourier_moment(k)
     rhs = lam / q_d ** (2 * k) - len(E) ** (2 * k) / q_d ** (2 * k + 1)
     return abs(lhs - rhs) / max(abs(rhs), q_d ** -(2 * k + 1))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import full_space
+from fqsalem.constructions import rotation_orbit
 from fqsalem.errors import BudgetExceeded, ConfigError
 from fqsalem.field import field_create
 from fqsalem.geometry import (HyperplaneMultiset, PointSet, all_vectors, apply_matrix,
@@ -109,6 +110,38 @@ def test_rotation_generator_order_and_norms(p, r):
             assert norm(F, y) == norm(F, v)
 
 
+def _scalar_rot_compose(F, u, v):
+    return (F.sub(F.mul(u[0], v[0]), F.mul(u[1], v[1])),
+            F.add(F.mul(u[0], v[1]), F.mul(u[1], v[0])))
+
+
+@pytest.mark.parametrize("p,r", [(3, 1), (5, 2), (7, 2), (3, 3)])
+def test_rotations_match_scalar_path(p, r):
+    # the unit circle by scalar square roots, the generator and the orbit by
+    # scalar field multiplication
+    F = field_create(p, r)
+    circle = sorted((a, b) for a in range(F.q) for b in F.sqrt(F.sub(1, F.mul(a, a))))
+    assert unit_circle_points(F) == circle
+
+    def order(g):
+        n, cur = 1, g
+        while cur != (1, 0):
+            cur, n = _scalar_rot_compose(F, cur, g), n + 1
+        return n
+
+    gen = next(g for g in circle if order(g) == rotation_group_order(F))
+    assert rotation_group_generator(F) == ((gen[0], F.neg(gen[1])), (gen[1], gen[0]))
+    sub = p + 1 if F.q % 4 == 3 else p - 1
+    theta = gen
+    for _ in range(sub - 1):
+        theta = _scalar_rot_compose(F, theta, gen)
+    pts, x = [], F.two_square_decomposition(1)
+    for _ in range(rotation_group_order(F) // sub):
+        pts.append(x)
+        x = _scalar_rot_compose(F, theta, x)
+    assert rotation_orbit(p, r).points == tuple(sorted(pts))
+
+
 def test_pointset_dedup_and_order(f5):
     E = PointSet.build(f5, 2, [(1, 2), (0, 0), (1, 2), (4, 4)])
     assert len(E) == 3
@@ -188,6 +221,37 @@ def test_hyperplane_io_roundtrip(tmp_path, f5):
     path = tmp_path / "planes.txt"
     write_hyperplanes(H, path)
     assert read_hyperplanes(path, allow_degenerate=True) == H
+
+
+def test_hyperplane_entries_must_lie_in_the_field(f5):
+    for entry in [((9, 1), 1, 1), ((1, -1), 1, 1), ((1, 1), 5, 1), ((1, 1), -2, 1)]:
+        with pytest.raises(ConfigError):
+            HyperplaneMultiset.build(f5, 2, [entry])
+
+
+@pytest.mark.parametrize("body", [
+    "1 2 mult=1",        # no offset
+    "1 2 b=x",           # offset not an integer
+    "1 2 b=1 mult=one",  # multiplicity not an integer
+    "1 2 b=1 weight=2",  # unknown column
+    "1 b=1",             # too few coordinates
+    "1 9 b=1",           # coordinate outside F_5
+    "1 2 b=7",           # offset outside F_5
+])
+def test_hyperplane_io_rejects_bad_lines(tmp_path, body):
+    path = tmp_path / "planes.txt"
+    path.write_text(f"q=5^1\nd=2\n{body}\n")
+    with pytest.raises(ConfigError):
+        read_hyperplanes(path)
+
+
+@pytest.mark.parametrize("text", ["", "q=5^1\n", "q=5^1\nd=two\n", "q=5^1\nd=-1\n",
+                                  "q=5^1\nd=2\n1 x\n", "q=5^1\nd=2\n1 99999999999999999999\n"])
+def test_pointset_io_rejects_bad_files(tmp_path, text):
+    path = tmp_path / "set.txt"
+    path.write_text(text)
+    with pytest.raises(ConfigError):
+        read_pointset(path)
 
 
 def test_full_space_helper(f3):

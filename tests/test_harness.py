@@ -141,6 +141,26 @@ def test_sweep_grid_and_resume(tmp_path):
     assert "resumed-marker" in csv_path.read_text()
 
 
+def test_sweep_refuses_rows_of_another_config(tmp_path):
+    cfg = {"construction": {"kind": "random", "d": 2, "size": 5}, "analyses": ["energy"],
+           "grid": {"p": [3, 5]}, "seed": 2}
+    out = tmp_path / "s"
+    rows = sweep(cfg, out, jobs=1).read_text().splitlines()
+    assert rows[1:] == ["0,ok,p=3;size=5", "1,ok,p=5;size=5"]
+    cfg = {**cfg, "construction": {"kind": "random", "d": 2, "size": 7},
+           "analyses": ["energy", "salem"]}
+    rows = sweep(cfg, out, jobs=1).read_text().splitlines()
+    assert [r.split(";")[:2] for r in rows[1:]] == [["0,ok,p=3", "size=7"],
+                                                    ["1,ok,p=5", "size=7"]]
+    assert all("salemS=" in r for r in rows[1:])
+    # the same config again resumes from the rewritten ledger
+    ledger = out / "sweep.ledger"
+    ledger.write_text(ledger.read_text().replace("size=7", "size=resumed", 1))
+    assert "size=resumed" in sweep(cfg, out, jobs=1).read_text()
+    # another seed is another config
+    assert "size=resumed" not in sweep({**cfg, "seed": 3}, out, jobs=1).read_text()
+
+
 def test_sweep_keeps_finished_rows_when_a_cell_fails(tmp_path, monkeypatch):
     # ISO_CONFIG's sets lie on one sphere, so the incidence section checks the
     # difference family against Lambda_4 exactly; only cell 1 (m = 2, 25
@@ -251,6 +271,16 @@ def test_cli_oracle_incidences(tmp_path, capsys, f5):
     with pytest.raises(BudgetExceeded):
         oracle_incidences(E, H, budget=5)
     assert main(["oracle", "incidences", str(ep), str(hp), "--budget", "1"]) == 4
+
+
+@pytest.mark.parametrize("body", ["1 2 mult=2", "9 2 b=1"])
+def test_cli_oracle_incidences_bad_hyperplane_file(tmp_path, capsys, f5, body):
+    # a line without an offset, and a normal vector outside F_5: both exit 3
+    ep, hp = tmp_path / "e.txt", tmp_path / "h.txt"
+    write_pointset(rand_set(f5, 2, 6, seed=1), ep)
+    hp.write_text(f"q=5^1\nd=2\n{body}\n")
+    assert main(["oracle", "incidences", str(ep), str(hp)]) == 3
+    assert "config error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("config", [

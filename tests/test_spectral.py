@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import full_space, rand_set
+from fqsalem.constructions import product_set
 from fqsalem.errors import ConfigError
 from fqsalem.field import field_create
 from fqsalem.geometry import PointSet
-from fqsalem.harness import Analysis
+from fqsalem.harness import Analysis, run
 from fqsalem.spectral import (energy_identity_residual, fourier, fourier_direct,
                                fourier_fast, lp_norm)
 
@@ -134,3 +135,66 @@ def test_spectrum_csv_export(tmp_path, f3):
     assert len(lines) == 1 + 9
     m, re, im = lines[1].split(",")
     assert int(m) == 0 and float(re) == pytest.approx(len(E) / 9)
+
+
+def record_fft_inputs(monkeypatch) -> list:
+    """Patch np.fft.fft to record, per call, whether its input is a view (the
+    reshape path) or a freshly scattered array."""
+    views = []
+    fft = np.fft.fft
+
+    def recorded(a, *args, **kwargs):
+        views.append(a.base is not None)
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", recorded)
+    return views
+
+
+def test_pruned_fft_empty_set(f9):
+    E = PointSet.from_codes(f9, 2, [])
+    S = fourier_fast(E)
+    assert S.values.shape == (81,) and not S.values.any() and S.set_size == 0
+
+
+@pytest.mark.parametrize("p,r", [(5, 1), (3, 2), (3, 3)])
+def test_pruned_fft_singleton(p, r):
+    F = field_create(p, r)
+    E = PointSet.build(F, 2, [(1, F.q - 1)])
+    S = fourier_fast(E)
+    assert np.allclose(np.abs(S.values), 1 / F.q ** 2, rtol=0, atol=1e-15)
+    assert np.max(np.abs(S.values - fourier_direct(E).values)) <= 1e-12
+
+
+@pytest.mark.parametrize("p,r,d", [(3, 2, 2), (5, 1, 3)])
+def test_pruned_fft_full_space_takes_reshape_path(monkeypatch, p, r, d):
+    F = field_create(p, r)
+    views = record_fft_inputs(monkeypatch)
+    S = fourier_fast(full_space(F, d))
+    assert views == [True] * (r * d)  # every prefix holds all p digits
+    assert S.values[0] == pytest.approx(1)
+    assert np.max(np.abs(S.values[1:])) < 1e-12
+
+
+def test_pruned_fft_collapsed_prefixes(monkeypatch, f9):
+    # a full line times one point: after the two trailing digit axes of each
+    # fixed coordinate, every point falls under one prefix
+    E = product_set(full_space(f9, 1), PointSet.build(f9, 2, [(4, 7)]))
+    views = record_fft_inputs(monkeypatch)
+    S = fourier_fast(E)
+    assert len(views) == 6 and not all(views)
+    assert np.max(np.abs(S.values - fourier_direct(E).values)) <= 1e-12
+
+
+def test_report_makes_at_most_rd_ffts(monkeypatch):
+    def no_fftn(*args, **kwargs):
+        raise AssertionError("np.fft.fftn was called")
+
+    views = record_fft_inputs(monkeypatch)
+    monkeypatch.setattr(np.fft, "fftn", no_fftn)
+    rep = run({"construction": {"kind": "conjectureWitness", "p": 3, "r": 2, "d": 4,
+                                "s": "1/4"},
+               "analyses": ["fourier", "energy", "salem", "distance", "incidence"],
+               "seed": 0})
+    assert rep["allGatesPass"]
+    assert 1 <= len(views) <= 2 * 4
