@@ -1,13 +1,13 @@
 """Finite-field distance-set and Salem-set verification toolkit."""
 
 from .field import FieldSpec, field_create
-from .geometry import (HyperplaneMultiset, PointSet, dot, norm, paraboloid,
-                       read_pointset, sphere, write_pointset)
+from .geometry import (HyperplaneMultiset, PointSet, dot, lift_to_paraboloid, norm,
+                       paraboloid, read_pointset, sphere, write_pointset)
 from .energy import (energy_bruteforce, energy_convolution, difference_set,
                      salem_parameter)
 from .spectral import Spectrum, fourier, lp_norm, energy_identity_residual
 from .distance import (DistanceProfile, cs_lower_bound, distance_profile,
-                       distance_set, lift_to_paraboloid, second_moment)
+                       distance_set, second_moment)
 from .incidence import (count_incidences, dilate_hyperplanes,
                         distance_energy_setup, sphere_incidence_setup,
                         incidence_bound, verify_counting_bounds)

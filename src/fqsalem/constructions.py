@@ -322,14 +322,14 @@ def random_pointset(F: FieldSpec, d: int, size: int, seed: int,
                     budget: int | None = None) -> PointSet:
     """Deterministic pseudo-random subset of F_q^d of the given size.
 
-    The flat indices i with the smallest (splitmix64(((seed << 20) mod 2^64) ^ i), i)
-    are chosen.
+    The flat indices i with the smallest splitmix64(((seed << 20) mod 2^64) ^ i)
+    are chosen; these scores are distinct (splitmix64 and xor are bijections
+    of uint64), so a partial sort picks them.
     """
     space = F.q ** d
-    if size > space:
+    if not 0 <= size <= space:
         raise ConfigError(f"cannot pick {size} points from {space}")
     check_budget(space, budget, f"random sample from F_{F.q}^{d}")
     key = np.uint64((seed << 20) & _MASK)
     scores = _splitmix64_array(np.arange(space, dtype=np.uint64) ^ key)
-    chosen = np.sort(np.argsort(scores, kind="stable")[:size])
-    return PointSet.from_codes(F, d, chosen)
+    return PointSet.from_codes(F, d, np.argpartition(scores, max(size - 1, 0))[:size])

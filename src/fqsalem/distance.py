@@ -12,11 +12,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .energy import energy_convolution
+import numpy as np
+
+from .energy import PairCounts, pair_counts
 from .errors import check_budget, check_invariant, ConfigError
 from .field import FieldSpec
-from .geometry import PointSet, lift_to_paraboloid
-from .kernels import KeyCounter, row_blocks
+from .geometry import PointSet, norms
+from .kernels import KeyCounter, merge, row_blocks, sum_squares
 
 if TYPE_CHECKING:
     from .harness import Analysis
@@ -43,8 +45,9 @@ class DistanceProfile:
 
 def distance_profile(E: PointSet, F: PointSet | None = None,
                      budget: int | None = None) -> DistanceProfile:
+    """nu over E x F, or over E x E from the pair counts when F is omitted."""
     if F is None:
-        F = E
+        return pair_profile(pair_counts(E, budget))
     if F.field != E.field or F.d != E.d:
         raise ConfigError("mismatched fields or dimensions")
     check_budget(len(E) * len(F), budget, "distance profile")
@@ -61,13 +64,20 @@ def distance_profile(E: PointSet, F: PointSet | None = None,
     return DistanceProfile(K, dict(zip(keys.tolist(), counts.tolist())), len(E), len(F))
 
 
+def pair_profile(pairs: PairCounts) -> DistanceProfile:
+    """nu(t) = sum of D(u) over the differences u in E - E with ||u|| = t."""
+    E = pairs.E
+    keys, counts = merge(norms(pairs.differences), pairs.diff_counts)
+    return DistanceProfile(E.field, dict(zip(keys.tolist(), counts.tolist())), len(E), len(E))
+
+
 def distance_set(E: PointSet, F: PointSet | None = None,
                  budget: int | None = None) -> frozenset[int]:
     return distance_profile(E, F, budget).support
 
 
 def second_moment(P: DistanceProfile) -> int:
-    return sum(c * c for c in P.counts.values())
+    return sum_squares(np.fromiter(P.counts.values(), np.int64, len(P.counts)), P.total ** 2)
 
 
 def cs_lower_bound(P: DistanceProfile) -> Fraction:
@@ -104,7 +114,7 @@ def verify_difference_bounds(A: Analysis, s: float) -> dict:
     """|Delta(E)| and |E - E| against min{q, q^{1-d}|E|^{4s}} and min{q^d, |E|^{4s}}."""
     E = A.E
     q, d, n = E.field.q, E.d, len(E)
-    size_delta, size_diff = len(A.profile.support), len(A.difference_set)
+    size_delta, size_diff = len(A.profile.support), len(A.pairs.differences)
     bound_delta = min(q, q ** (1 - d) * n ** (4 * s))
     bound_diff = min(q ** d, n ** (4 * s))
     return {
@@ -131,16 +141,3 @@ def verify_two_set(E: PointSet, F: PointSet, s_e: float, s_f: float,
         "ratioOneSalem": len(delta) / min(q, len(E), expr_single),
     }
 
-
-def lift_energy_comparison(E: PointSet, budget: int | None = None) -> dict:
-    """Empirical check of L_4(E') <= L_4(E) for the paraboloid lift.
-
-    The inequality is expected but unproven in general; we report both
-    values and flag any counterexample instead of assuming it.
-    """
-    lam = energy_convolution(E, 2, budget)
-    lam_lift = energy_convolution(lift_to_paraboloid(E), 2, budget)
-    return {
-        "lambda4": str(lam), "lambda4Lift": str(lam_lift),
-        "liftNotLarger": lam_lift <= lam,
-    }

@@ -10,13 +10,12 @@ Two independent evaluation paths:
 
 * energy_bruteforce — tuple enumeration with a membership completion over
   the scalar field methods, O(|E|^{2k-1}); the oracle.
-* energy_convolution — iterated exact convolution of the representation
-  function r_k(v) = #{k-tuples of E summing to v}, as chunked numpy pair
-  sums over the field tables whose flat indices into q^d are counted;
-  L = sum r_k(v)^2.
+* energy_convolution — L = sum_v r_k(v)^2 for the representation function
+  r_k(v) = #{k-tuples of E summing to v}: for k = 2, sum_v D(v)^2 over the
+  difference counts D(v) = #{(x, y) in E^2 : x - y = v} of `pair_counts`;
+  for k >= 3, an iterated exact convolution of chunked numpy pair sums.
 
-Counts are int64 with the range checked from |E|^k; the sum of squares is
-an exact Python int.
+Counts are int64 with the range checked from |E|^k; sums of squares are exact.
 """
 
 from __future__ import annotations
@@ -30,8 +29,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import check_budget, ConfigError
-from .geometry import PointSet, Vector, decode, vadd, vectors, vsub
-from .kernels import KeyCounter, pair_codes, row_blocks
+from .geometry import (PointSet, Vector, decode, encode, lift_to_paraboloid, vadd,
+                       vectors, vsub)
+from .kernels import (KeyCounter, group_sums, pair_codes, row_blocks,
+                      sum_squares, upper_pair_codes)
 
 if TYPE_CHECKING:
     from .harness import Analysis
@@ -51,7 +52,7 @@ def _representation(E: PointSet, k: int, budget: int | None
         T = F.tables(budget)
         V = decode(keys, q, d)
         counter = KeyCounter(q ** d, n ** (step + 2), "energy convolution")
-        for rows in row_blocks(len(V), n):
+        for rows in row_blocks(len(V), max(n, q)):
             counter.add(pair_codes(T.add, V[rows], X, q),
                         None if step == 0 else counts[rows, None])
         keys, counts = counter.result()
@@ -68,8 +69,9 @@ def energy_convolution(E: PointSet, k: int, budget: int | None = None) -> int:
     """L_{2k}(E) = sum_v r_k(v)^2, exact."""
     if len(E) == 0:
         return 0
-    # squares of the int64 counts as Python ints, so the sum cannot wrap
-    return sum(c * c for c in _representation(E, k, budget)[1].tolist())
+    if k == 2:
+        return pair_counts(E, budget).lam4
+    return sum_squares(_representation(E, k, budget)[1], len(E) ** (2 * k))
 
 
 def energy_bruteforce(E: PointSet, k: int, budget: int | None = None) -> int:
@@ -97,21 +99,44 @@ def energy_bruteforce(E: PointSet, k: int, budget: int | None = None) -> int:
     return count
 
 
-def difference_counts(E: PointSet, budget: int | None = None
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """#{(x, y) in E^2 : x - y = v} as (sorted flat indices of v, counts)."""
-    n, d, q = len(E), E.d, E.field.q
-    check_budget(n ** 2, budget, "difference set")
-    T = E.field.tables(budget)
-    X = E.array
-    counter = KeyCounter(q ** d, n * n, "difference counts")
-    for rows in row_blocks(n, n):
-        counter.add(pair_codes(T.sub, X[rows], X, q))
-    return counter.result()
+@dataclass(frozen=True, eq=False)
+class PairCounts:
+    """The pairs (x, y) of E^2, diagonal included, counted by their lifted
+    difference (x - y, ||x|| - ||y||): the one pass that Lambda_4, E - E, nu
+    and the difference family m_t(u) are all read from."""
+
+    E: PointSet
+    keys: np.ndarray         # sorted u q + t: u the flat index of x - y, t the norm gap
+    counts: np.ndarray       # m_t(u)
+    differences: PointSet    # E - E, the support of D(u) = sum_t m_t(u)
+    diff_counts: np.ndarray  # D, in the point order of differences
+    lam4: int                # sum_u D(u)^2 = Lambda_4(E)
+
+
+def pair_counts(E: PointSet, budget: int | None = None) -> PairCounts:
+    """One pass over the pairs i < j of the lifted points; the rest by symmetry.
+
+    The pair (j, i) has the lifted difference of (i, j) negated digit by
+    digit, and the n diagonal pairs have difference 0. Charges |E|^2 units.
+    """
+    F, d, n = E.field, E.d, len(E)
+    q = F.q
+    check_budget(n ** 2, budget, "pair counts")
+    T = F.tables(budget)
+    counter = KeyCounter(q ** (d + 1), n * n, "pair counts")
+    for codes in upper_pair_codes(T.sub, lift_to_paraboloid(E).array, q):
+        counter.add(codes)
+    half, counts = counter.result()
+    counter.add(encode(T.neg[decode(half, q, d + 1)], q), counts)
+    counter.add(np.zeros(min(n, 1), dtype=np.int64), n)  # no key 0 for the empty set
+    keys, counts = counter.result()
+    diff_codes, diff_counts = group_sums(keys // q, counts)  # D(u) = sum_t m_t(u)
+    return PairCounts(E, keys, counts, PointSet.from_codes(F, d, diff_codes), diff_counts,
+                      sum_squares(diff_counts, n ** 4))
 
 
 def difference_set(E: PointSet, budget: int | None = None) -> PointSet:
-    return PointSet.from_codes(E.field, E.d, difference_counts(E, budget)[0])
+    return pair_counts(E, budget).differences
 
 
 @dataclass(frozen=True)

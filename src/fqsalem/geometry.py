@@ -50,7 +50,9 @@ class PointSet:
     def from_codes(field: FieldSpec, d: int, codes) -> "PointSet":
         """The set whose flat indices are `codes`, in any order, repeats allowed."""
         check_int64(field.q ** d, f"flat index space of F_{field.q}^{d}")
-        codes = np.unique(np.asarray(codes, dtype=np.int64))
+        # sort and drop repeats: np.unique takes a much slower hash path on numpy 2.4
+        codes = np.sort(np.asarray(codes, dtype=np.int64))
+        codes = codes[np.diff(codes, prepend=-1) != 0]
         codes.flags.writeable = False
         return PointSet(field, d, codes)
 
@@ -108,7 +110,10 @@ def encode(X: np.ndarray, q: int) -> np.ndarray:
 def decode(codes: np.ndarray, q: int, d: int) -> np.ndarray:
     """Inverse of encode: an (n, d) int64 coordinate array."""
     codes = np.asarray(codes, dtype=np.int64)
-    return codes[:, None] // q ** np.arange(d - 1, -1, -1, dtype=np.int64) % q
+    X = np.empty((len(codes), d), dtype=np.int64)
+    for i in range(d - 1, -1, -1):
+        codes, X[:, i] = np.divmod(codes, q)
+    return X
 
 
 def vectors(codes: np.ndarray, q: int, d: int):

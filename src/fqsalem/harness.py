@@ -61,7 +61,9 @@ class Analysis:
 
     Each is computed on first use and kept for the lifetime of the object,
     which `run()` creates once per report, so a report computes Lambda_{2k},
-    nu and E_hat once each however many sections read them.
+    nu and E_hat once each however many sections read them. Lambda_4, nu,
+    E - E and the difference family all come from one pass over the pairs
+    of E (`pairs`).
     """
 
     def __init__(self, E: PointSet, budget: int | None = None):
@@ -76,13 +78,19 @@ class Analysis:
             self._values[key] = compute()
         return self._values[key]
 
+    @property
+    def pairs(self) -> energy.PairCounts:
+        return self._once("pairs", lambda: energy.pair_counts(self.E, self.budget))
+
     def lam(self, k: int) -> int:
         """Lambda_{2k}(E)."""
+        if k == 2:
+            return self.pairs.lam4
         return self._once(("lam", k), lambda: energy.energy_convolution(self.E, k, self.budget))
 
     @property
     def profile(self) -> distance.DistanceProfile:
-        return self._once("profile", lambda: distance.distance_profile(self.E, budget=self.budget))
+        return self._once("profile", lambda: distance.pair_profile(self.pairs))
 
     @property
     def spectrum(self) -> spectral.Spectrum:
@@ -108,13 +116,9 @@ class Analysis:
         return self._once("salem_s", lambda: energy.salem_parameter(self))
 
     @property
-    def difference_set(self) -> PointSet:
-        return self._once("difference_set", lambda: energy.difference_set(self.E, self.budget))
-
-    @property
     def difference_family(self) -> incidence.DifferenceFamily:
-        return self._once("difference_family", lambda: incidence.distance_energy_setup(
-            self.E, self.lam(2), self.budget))
+        return self._once("difference_family", lambda: incidence.difference_family(
+            self.pairs, self.lam(2)))
 
 
 # --- report sections: name -> section(A, config) -> (results, gates) ------------

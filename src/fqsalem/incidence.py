@@ -12,10 +12,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .energy import difference_counts
+from .energy import PairCounts, pair_counts
 from .errors import check_budget, check_invariant, ConfigError
 from .geometry import HyperplaneMultiset, PointSet, norms, vectors
-from .kernels import KeyCounter, merge, pair_codes, row_blocks
+from .kernels import KeyCounter, group_sums, pair_codes, row_blocks, sum_squares
 
 
 def count_incidences(P: PointSet, H: HyperplaneMultiset,
@@ -74,7 +74,7 @@ def verify_counting_bounds(P: PointSet, H: HyperplaneMultiset, s: float,
     total = H.total
     main = Fraction(n * total, q)
     sum_m43 = sum(m ** (4 / 3) for _, _, m in H.entries)
-    sum_m2 = sum(m * m for _, _, m in H.entries)
+    sum_m2 = sum_squares([m for _, _, m in H.entries], total ** 2)
     err42 = total ** 0.75 * q ** (d / 4) * n ** (1 - s)
     err43 = sum_m43 ** 0.75 * q ** (d / 4) * n ** (1 - s)
     err46 = sum_m2 ** 0.5 * q ** (d / 2) * n ** 0.5
@@ -141,19 +141,17 @@ def sphere_incidence_setup(E: PointSet, lam4: int, budget: int | None = None
     radii = set(norms(E, budget).tolist())
     if len(radii) != 1 or 0 in radii:
         raise ConfigError("E must lie on one sphere of nonzero radius")
-    check_budget(len(E) ** 2, budget, "difference multiset")
+    pairs = pair_counts(E, budget)
     T = F.tables(budget)
     X = E.array
     lam = np.repeat(np.arange(1, q)[:, None], d, axis=1)  # row j multiplies every coordinate by j + 1
     dilates = KeyCounter(q ** d, len(E) * (q - 1), "dilated point set")
-    for rows in row_blocks(len(X), q - 1):
+    for rows in row_blocks(len(X), q):
         dilates.add(pair_codes(T.mul, X[rows], lam, q))
     P = PointSet.from_codes(F, d, dilates.result()[0])
-    keys, mult = difference_counts(E, budget)
-    diffs = vectors(keys, q, d)
-    Pp = HyperplaneMultiset.build(F, d, ((u, 0, m) for u, m in zip(diffs, mult.tolist())),
-                                  allow_degenerate=True)
-    check_invariant(sum(m * m for _, _, m in Pp.entries) == lam4,
+    diffs = zip(vectors(pairs.differences.codes, q, d), pairs.diff_counts.tolist())
+    Pp = HyperplaneMultiset.build(F, d, ((u, 0, m) for u, m in diffs), allow_degenerate=True)
+    check_invariant(pairs.lam4 == lam4,
                     "sum of squared difference multiplicities differs from L_4(E)")
     return P, Pp
 
@@ -179,23 +177,27 @@ def distance_energy_setup(E: PointSet, lam4: int,
 
     Invariants (checked against lam4 = L_4(E), InvariantViolation otherwise):
     sum_t |X_t| = |E|^2 and sum_t sum_u m_t(u)^2 <= L_4(E), with equality
-    when E is on one sphere.
+    when E is on one sphere. The inequality holds for every E, and with it
+    Lambda_4(E') <= Lambda_4(E) for the paraboloid lift E': summed over u,
+    sum_t m_t(u)^2 <= (sum_t m_t(u))^2 = D(u)^2.
     """
-    F, d, q, n = E.field, E.d, E.field.q, len(E)
-    check_budget(n ** 2, budget, "difference family")
-    T = F.tables(budget)
-    X, nrm = E.array, norms(E, budget)
-    counter = KeyCounter(q ** (d + 1), n * n, "difference family")
-    for rows in row_blocks(n, n):
-        gap = T.sub[nrm[rows, None], nrm[None, :]].astype(np.int64)
-        counter.add(pair_codes(T.sub, X[rows], X, q, gap))
-    keys, counts = counter.result()
-    gaps, sizes = merge(keys // q ** d, counts)
+    return difference_family(pair_counts(E, budget), lam4)
+
+
+def difference_family(pairs: PairCounts, lam4: int) -> DifferenceFamily:
+    """distance_energy_setup of pairs.E, remapped from its lifted pair counts."""
+    E = pairs.E
+    d, q, n = E.d, E.field.q, len(E)
+    gap, u = pairs.keys % q, pairs.keys // q
+    # keys are sorted by (u, t); a stable sort on the small gaps gives (t, u)
+    order = np.argsort(gap.astype(np.min_scalar_type(q - 1)), kind="stable")
+    keys, counts = (gap * q ** d + u)[order], pairs.counts[order]
+    gaps, sizes = group_sums(gap[order], counts)
     fam = DifferenceFamily(keys, counts, dict(zip(gaps.tolist(), sizes.tolist())),
-                           int(counts.sum()), sum(c * c for c in counts.tolist()))
+                           int(counts.sum()), sum_squares(counts, n ** 4))
     check_invariant(fam.total_pairs == n ** 2, "sum_t |X_t| differs from |E|^2")
     check_invariant(fam.sum_m2 <= lam4, "sum_t sum_u m_t(u)^2 exceeds L_4(E)")
-    if len(set(nrm.tolist())) == 1:
+    if set(fam.x_sizes) == {0}:  # E on one sphere: every norm gap is 0
         check_invariant(fam.sum_m2 == lam4,
                         "sum_t sum_u m_t(u)^2 differs from L_4(E) on one sphere")
     return fam

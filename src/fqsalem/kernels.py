@@ -2,7 +2,7 @@
 
 The kernels walk pairs (x, y) of two coordinate arrays in row blocks, gather
 field-table entries per coordinate, and count the resulting integer keys.
-Memory is bounded by CHUNK_ELEMS: every broadcast temporary has at most that
+Memory is bounded by CHUNK_ELEMS: every gather temporary has at most that
 many elements (one row at the least), and a key space of at most that many
 keys is counted densely with np.bincount, a larger one by merging sorted
 np.unique chunks. Counts are int64; the largest count a kernel can reach is
@@ -28,33 +28,56 @@ def check_int64(n: int, what: str) -> None:
 
 
 def row_blocks(n_rows: int, width: int):
-    """Slices of range(n_rows) whose rows times width stay within CHUNK_ELEMS."""
+    """Slices of range(n_rows) whose rows times width stay within CHUNK_ELEMS
+    (one row at the least); pair_codes blocks have width max(len(B), q)."""
     step = max(1, CHUNK_ELEMS // max(width, 1))
     for lo in range(0, n_rows, step):
         yield slice(lo, min(lo + step, n_rows))
 
 
-def pair_codes(table: np.ndarray, A: np.ndarray, B: np.ndarray, q: int,
-               code=np.int64(0)) -> np.ndarray:
-    """Flat index of the vector (table[a_i, b_i])_i for every row pair (a, b) of A x B.
-
-    `code` (an int64 array broadcastable to (len(A), len(B))) is a leading
-    digit placed above the d coordinate digits.
-    """
-    for i in range(A.shape[1]):
-        # dtype pins int64 even where older numpy would narrow to the table's dtype
-        code = np.add(code * q, table[A[:, i, None], B[None, :, i]], dtype=np.int64)
+def pair_codes(table: np.ndarray, A: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:
+    """Flat index of the vector (table[a_i, b_i])_i for every row pair (a, b) of A x B."""
+    if A.shape[1] == 0:
+        return np.zeros((len(A), len(B)), dtype=np.int64)
+    # per digit, the table rows of the a_i and then their b_i columns: two
+    # 2-D gathers, several times cheaper than one broadcast fancy index
+    code = table[A[:, 0]][:, B[:, 0]].astype(np.int64)
+    for i in range(1, A.shape[1]):
+        code *= q
+        code += table[A[:, i]][:, B[:, i]]
     return code
+
+
+def upper_pair_codes(table: np.ndarray, X: np.ndarray, q: int):
+    """pair_codes(table, X, X, q) at the row pairs i < j only, in triangular
+    blocks: rows [lo, hi) against columns [lo, n), keeping the columns j > i."""
+    n, lo = len(X), 0
+    while lo < n:
+        hi = min(n, lo + max(1, CHUNK_ELEMS // max(n - lo, q)))
+        codes = pair_codes(table, X[lo:hi], X[lo:], q)
+        yield codes[np.arange(n - lo) > np.arange(hi - lo)[:, None]]  # j > i
+        lo = hi
+
+
+def group_sums(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct keys of the sorted `keys` with the int64 sum of their counts."""
+    if len(keys) == 0:
+        return keys, counts
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.add.reduceat(counts, starts)
 
 
 def merge(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct keys with the int64 sum of their counts."""
-    if len(keys) == 0:
-        return keys, counts
     order = np.argsort(keys, kind="stable")
-    keys, counts = keys[order], counts[order]
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    return keys[starts], np.add.reduceat(counts, starts)
+    return group_sums(keys[order], counts[order])
+
+
+def sum_squares(counts, bound: int) -> int:
+    """Exact sum of c^2 over integer counts: an int64 dot when `bound`, a bound
+    on the sum, fits int64, so nothing wraps; a dot over Python ints otherwise."""
+    c = np.asarray(counts, dtype=np.int64 if bound <= _INT64_MAX else object)
+    return int(c @ c)
 
 
 class KeyCounter:

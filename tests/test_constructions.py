@@ -14,7 +14,7 @@ from fqsalem.distance import distance_set
 from fqsalem.energy import energy_bruteforce, energy_convolution
 from fqsalem.errors import BudgetExceeded, ConfigError
 from fqsalem.field import field_create
-from fqsalem.geometry import PointSet, dot, norm, write_pointset
+from fqsalem.geometry import PointSet, dot, full_space, norm, write_pointset
 
 
 def test_rotation_orbit_q27():
@@ -237,6 +237,10 @@ def test_random_pointset(f5):
     assert random_pointset(f5, 2, 10, seed=4) != E
     with pytest.raises(ConfigError):
         random_pointset(f5, 2, 26, seed=0)
+    assert len(random_pointset(f5, 2, 0, seed=3)) == 0
+    assert random_pointset(f5, 2, 25, seed=3) == full_space(f5, 2)
+    with pytest.raises(ConfigError):
+        random_pointset(f5, 2, -1, seed=0)
     with pytest.raises(BudgetExceeded):
         random_pointset(f5, 4, 3, seed=0, budget=600)
 

@@ -8,14 +8,13 @@ import pytest
 from conftest import full_space, rand_set
 from fqsalem.constructions import isotropic_subspace, rotation_orbit, two_set_sharpness
 from fqsalem.distance import (cs_lower_bound, distance_profile, distance_set,
-                               lift_energy_comparison, lift_to_paraboloid,
                                second_moment, verify_difference_bounds, verify_secondmoment_bounds,
                                verify_two_set)
 from fqsalem.energy import energy_convolution
 from fqsalem.errors import ConfigError
 from fqsalem.field import field_create
-from fqsalem.geometry import (PointSet, apply_matrix, norm, rotation_group_generator,
-                               sphere, vsub)
+from fqsalem.geometry import (PointSet, apply_matrix, lift_to_paraboloid, norm,
+                               rotation_group_generator, sphere, vsub)
 from fqsalem.harness import Analysis
 
 
@@ -122,11 +121,6 @@ def test_lift_preserves_energy_on_sphere(f5):
     L = lift_to_paraboloid(E)
     assert energy_convolution(L, 2) == energy_convolution(E, 2)
 
-
-def test_lift_energy_comparison_logged(f5):
-    for seed in range(4):
-        rep = lift_energy_comparison(rand_set(f5, 2, 8, seed))
-        assert int(rep["lambda4Lift"]) <= int(rep["lambda4"]) or not rep["liftNotLarger"]
 
 
 def test_secondmoment_verifier_singleton(f5):

@@ -1,6 +1,7 @@
 """Config validation, reports, sweeps, oracles, and the CLI."""
 
 import csv
+import dataclasses
 import json
 import sys
 
@@ -9,7 +10,7 @@ import pytest
 from conftest import rand_set
 from fqsalem.cli import main
 from fqsalem.distance import distance_profile
-from fqsalem.energy import energy_convolution
+from fqsalem.energy import energy_convolution, pair_counts
 from fqsalem.errors import BudgetExceeded, ConfigError, InvariantViolation
 from fqsalem.geometry import (HyperplaneMultiset, PointSet, write_hyperplanes,
                                write_pointset)
@@ -31,6 +32,14 @@ def patch_everywhere(monkeypatch, fn, replacement):
     for name, module in list(sys.modules.items()):
         if name.startswith("fqsalem") and getattr(module, fn.__name__, None) is fn:
             monkeypatch.setattr(module, fn.__name__, replacement)
+
+
+def lam4_off_by(offset):
+    """pair_counts with Lambda_4 moved by offset(E)."""
+    def faulty(E, budget=None):
+        pairs = pair_counts(E, budget)
+        return dataclasses.replace(pairs, lam4=pairs.lam4 + offset(E))
+    return faulty
 
 
 def count_calls(monkeypatch, fn) -> list:
@@ -97,13 +106,15 @@ def test_run_never_reads_point_tuples(monkeypatch, construction):
 
 @pytest.mark.parametrize("p,r", [(7, 1), (3, 2)])
 def test_run_computes_each_quantity_once(monkeypatch, p, r):
+    # Lambda_4, nu, E - E and the difference family are read from one pair
+    # pass; energy_convolution and distance_profile would each be another
     calls = {fn.__name__: count_calls(monkeypatch, fn)
-             for fn in (energy_convolution, distance_profile, fourier_fast)}
+             for fn in (pair_counts, energy_convolution, distance_profile, fourier_fast)}
     rep = run({"construction": {"kind": "random", "p": p, "r": r, "d": 3, "size": 40},
                "analyses": ALL_SET_ANALYSES, "k": 2, "seed": 3})
     assert rep["allGatesPass"]
     assert {name: len(c) for name, c in calls.items()} == {
-        "energy_convolution": 1, "distance_profile": 1, "fourier_fast": 1}
+        "pair_counts": 1, "energy_convolution": 0, "distance_profile": 0, "fourier_fast": 1}
 
 
 def test_report_rendering_is_deterministic():
@@ -165,8 +176,7 @@ def test_sweep_keeps_finished_rows_when_a_cell_fails(tmp_path, monkeypatch):
     # ISO_CONFIG's sets lie on one sphere, so the incidence section checks the
     # difference family against Lambda_4 exactly; only cell 1 (m = 2, 25
     # points) gets a Lambda_4 off by one
-    patch_everywhere(monkeypatch, energy_convolution,
-                     lambda E, k, budget=None: energy_convolution(E, k, budget) + (len(E) > 5))
+    patch_everywhere(monkeypatch, pair_counts, lam4_off_by(lambda E: len(E) > 5))
     cfg = {**ISO_CONFIG, "analyses": ["incidence"], "grid": {"m": [1, 2]}}
     out = tmp_path / "s"
     with pytest.raises(InvariantViolation):
@@ -288,7 +298,8 @@ def test_cli_oracle_incidences_bad_hyperplane_file(tmp_path, capsys, f5, body):
     {"construction": {"kind": "random", "p": 5, "d": 2, "size": 5},
      "analyses": ["energy"], "k": "two"},
     {"construction": {"kind": "conjectureWitness", "p": 3, "d": 4, "s": "1/0"},
-     "analyses": ["energy"]}])
+     "analyses": ["energy"]},
+    {"construction": {"kind": "random", "p": 3, "d": 2, "size": -2}, "analyses": ["energy"]}])
 def test_cli_bad_config_values_exit_3(tmp_path, capsys, config):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(config))
@@ -320,11 +331,22 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     assert main(["verify", "--config", str(tight)]) == 4
 
 
+def test_pair_pass_charges_n_squared(tmp_path, capsys):
+    # the one pair pass charges |E|^2 = 100 units; the set and the field
+    # tables charge q^d = q^2 = 25
+    cfg = {"construction": {"kind": "random", "p": 5, "d": 2, "size": 10},
+           "analyses": ["energy", "salem", "distance", "incidence"], "seed": 1}
+    path = tmp_path / "c.json"
+    for budget, code in ((100, 0), (99, 4)):
+        path.write_text(json.dumps({**cfg, "budget": budget}))
+        assert main(["verify", "--config", str(path)]) == code
+    assert capsys.readouterr().err == "budget exceeded: pair counts needs 100 units, budget is 99\n"
+
+
 def test_cli_invariant_violation_exit_code(tmp_path, capsys, monkeypatch):
     # ISO_CONFIG's set lies on one sphere (radius 0), so the difference family
     # must reproduce Lambda_4 exactly; a Lambda_4 off by one breaks that
-    patch_everywhere(monkeypatch, energy_convolution,
-                     lambda E, k, budget=None: energy_convolution(E, k, budget) + 1)
+    patch_everywhere(monkeypatch, pair_counts, lam4_off_by(lambda E: 1))
     cfg = {**ISO_CONFIG, "analyses": ["incidence"]}
     path = tmp_path / "c.json"
     path.write_text(json.dumps(cfg))

@@ -1,13 +1,14 @@
 """The chunked numpy counting: block boundaries, the sparse merge, the int64 guard."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from conftest import difference_family_oracle, field_of_order, rand_set
-from fqsalem import kernels
+from fqsalem import energy, kernels
 from fqsalem.distance import distance_profile
-from fqsalem.energy import difference_set, energy_bruteforce, energy_convolution
+from fqsalem.energy import difference_set, energy_bruteforce, energy_convolution, pair_counts
 from fqsalem.errors import BudgetExceeded
 from fqsalem.geometry import HyperplaneMultiset, PointSet, vsub
 from fqsalem.harness import oracle_distances, oracle_incidences
@@ -18,7 +19,9 @@ from fqsalem.incidence import count_incidences, distance_energy_setup
 @pytest.mark.parametrize("q,d", [(5, 2), (9, 2), (27, 1)])
 def test_small_chunk_cap_matches_oracles(q, d, chunk, monkeypatch):
     # a cap of 1 puts one row in each block and counts every key space
-    # sparsely; 64 counts F_5^2 and F_27 densely and F_9^2 sparsely
+    # sparsely; 64 counts F_5^2 and F_27 densely and F_9^2 sparsely, and its
+    # pair-pass blocks hold several rows, so their triangles are cut on the
+    # block diagonal
     F = field_of_order(q)
     E = rand_set(F, d, min(8, q ** d), seed=q + d)
     rng = random.Random(q * d)
@@ -27,6 +30,16 @@ def test_small_chunk_cap_matches_oracles(q, d, chunk, monkeypatch):
         for _ in range(5)])
     lam4 = energy_convolution(E, 2)
     monkeypatch.setattr(kernels, "CHUNK_ELEMS", chunk)
+    blocks = []
+
+    def recorded(table, A, B, q):
+        # a block gathers (rows, q) table rows, then (rows, len(B)) entries
+        blocks.append((len(A), len(A) * max(len(B), q)))
+        return pair_codes_(table, A, B, q)
+
+    pair_codes_ = kernels.pair_codes
+    monkeypatch.setattr(kernels, "pair_codes", recorded)
+    monkeypatch.setattr(energy, "pair_codes", recorded)
     assert distance_profile(E).counts == oracle_distances(E)
     assert energy_convolution(E, 2) == energy_bruteforce(E, 2)
     assert energy_convolution(E, 3) == energy_bruteforce(E, 3)
@@ -34,6 +47,11 @@ def test_small_chunk_cap_matches_oracles(q, d, chunk, monkeypatch):
     assert count_incidences(E, H) == oracle_incidences(E, H)
     family = distance_energy_setup(E, lam4)
     assert list(zip(family.keys.tolist(), family.counts.tolist())) == difference_family_oracle(E)
+    pairs = pair_counts(E)
+    assert dict(zip(pairs.differences.points, pairs.diff_counts.tolist())) == Counter(
+        vsub(F, x, y) for x in E.points for y in E.points)
+    assert any(rows > 1 for rows, _ in blocks) == (chunk == 64)
+    assert all(rows == 1 or elems <= chunk for rows, elems in blocks)
 
 
 def test_counts_beyond_int64_are_refused(f3):

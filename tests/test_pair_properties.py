@@ -1,0 +1,44 @@
+"""Property tests of the one pair pass against the scalar oracles (needs hypothesis)."""
+
+from collections import Counter
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from conftest import difference_family_oracle  # noqa: E402
+from fqsalem.energy import energy_bruteforce  # noqa: E402
+from fqsalem.field import field_create  # noqa: E402
+from fqsalem.geometry import PointSet, lift_to_paraboloid, vsub  # noqa: E402
+from fqsalem.harness import Analysis, oracle_distances  # noqa: E402
+
+
+@st.composite
+def small_sets(draw):
+    F = field_create(draw(st.sampled_from([3, 5, 7])), draw(st.integers(1, 3)))
+    d = draw(st.integers(1, 3))
+    codes = draw(st.lists(st.integers(0, F.q ** d - 1), max_size=12))
+    shift = tuple(draw(st.lists(st.integers(0, F.q - 1), min_size=d, max_size=d)))
+    return PointSet.from_codes(F, d, codes), shift
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_sets())
+def test_pair_pass_matches_oracles(case):
+    E, shift = case
+    F, A = E.field, Analysis(E)
+    lam4 = A.lam(2)
+    assert lam4 == energy_bruteforce(E, 2)
+    diffs = Counter(vsub(F, x, y) for x in E.points for y in E.points)
+    assert dict(zip(A.pairs.differences.points, A.pairs.diff_counts.tolist())) == diffs
+    assert A.profile.counts == oracle_distances(E)
+    family = A.difference_family
+    assert list(zip(family.keys.tolist(), family.counts.tolist())) == difference_family_oracle(E)
+    # Lambda_4(E') <= Lambda_4(E) for the paraboloid lift E'
+    assert family.sum_m2 == energy_bruteforce(lift_to_paraboloid(E), 2) <= lam4
+    moved = Analysis(E.translate(shift))
+    assert moved.lam(2) == lam4
+    assert moved.profile.counts == A.profile.counts
+    assert moved.pairs.differences == A.pairs.differences
