@@ -102,19 +102,24 @@ def null_basis(F: FieldSpec, d: int) -> list[Vector]:
     """
     if d % 2 != 0:
         raise ConfigError("dimension must be even")
+    if F.q % 4 != 1 and d % 4 != 0:
+        raise ConfigError(
+            f"d = {d} (2 mod 4) needs q = 1 mod 4, got q = {F.q}")
+    T = F.tables()
+    minus_one = T.neg[1]
     if F.q % 4 == 1:
-        roots = F.sqrt(F.neg(1))
-        i = roots[0]
+        i = int(np.flatnonzero(T.square == minus_one)[0])  # the smaller root of -1
         basis = []
         for j in range(d // 2):
             v = [0] * d
             v[2 * j], v[2 * j + 1] = 1, i
             basis.append(tuple(v))
         return basis
-    if d % 4 != 0:
-        raise ConfigError(
-            f"d = {d} (2 mod 4) needs q = 1 mod 4, got q = {F.q}")
-    a, b = F.two_square_decomposition(F.neg(1))
+    # the first a with -1 - a^2 a square, and b its smaller root
+    is_square = np.zeros(F.q, dtype=bool)
+    is_square[T.square] = True
+    a = int(np.flatnonzero(is_square[T.sub[minus_one, T.square]])[0])
+    b = int(np.flatnonzero(T.square == T.sub[minus_one, T.square[a]])[0])
     basis = []
     for blk in range(d // 4):
         off = 4 * blk

@@ -55,10 +55,10 @@ def distance_profile(E: PointSet, F: PointSet | None = None,
     T = K.tables(budget)
     X, Y = E.array, F.array
     counter = KeyCounter(K.q, len(E) * len(F), "distance profile")
-    for rows in row_blocks(len(X), len(Y)):
+    for rows in row_blocks(len(X), max(len(Y), K.q)):
         t = 0
-        for i in range(E.d):
-            t = T.add[t, T.square[T.sub[X[rows, i, None], Y[None, :, i]]]]
+        for i in range(E.d):  # row gathers: the table rows of X, then the columns of Y
+            t = T.add[t, T.square[T.sub[X[rows, i]][:, Y[:, i]]]]
         counter.add(t)
     keys, counts = counter.result()
     return DistanceProfile(K, dict(zip(keys.tolist(), counts.tolist())), len(E), len(F))

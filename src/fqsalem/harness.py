@@ -61,7 +61,7 @@ class Analysis:
 
     Each is computed on first use and kept for the lifetime of the object,
     which `run()` creates once per report, so a report computes Lambda_{2k},
-    nu and E_hat once each however many sections read them. Lambda_4, nu,
+    nu and |E_hat|^2 once each however many sections read them. Lambda_4, nu,
     E - E and the difference family all come from one pass over the pairs
     of E (`pairs`).
     """
@@ -93,23 +93,25 @@ class Analysis:
         return self._once("profile", lambda: distance.pair_profile(self.pairs))
 
     @property
-    def spectrum(self) -> spectral.Spectrum:
-        return self._once("spectrum", lambda: spectral.fourier(self.E, self.budget))
-
-    @property
-    def power(self) -> np.ndarray:
-        """|E_hat(m)|^2 at every frequency m, in index order."""
+    def power(self) -> tuple[np.ndarray, np.ndarray]:
+        """(P, w): |E_hat|^2 on the Hermitian half (spectral.half_power) and its
+        column weights w = (1, 2, ..., 2), so that the sum of g(|E_hat(m)|^2)
+        over every frequency m is the sum of w * g(P). P[0, 0] is m = 0."""
         def compute():
-            v = self.spectrum.values
-            power = np.square(v.real)
-            power += np.square(v.imag)
-            return power
+            P = spectral.half_power(self.E, self.budget)
+            w = np.full(P.shape[1], 2.0)
+            w[0] = 1.0
+            return P, w
         return self._once("power", compute)
 
     def fourier_moment(self, k: int) -> float:
         """||E_hat||_{2k}^{2k} = q^{-d} sum_{m != 0} |E_hat(m)|^{2k}."""
-        return self._once(("moment", k), lambda: float(
-            np.sum(self.power[1:] ** k) / len(self.power)))
+        def compute():
+            P, w = self.power
+            Pk = P ** k
+            Pk[0, 0] = 0.0  # m = 0
+            return float(np.sum(Pk @ w) / self.E.field.q ** self.E.d)
+        return self._once(("moment", k), compute)
 
     @property
     def salem_s(self) -> float:
@@ -125,13 +127,13 @@ class Analysis:
 
 def _fourier_section(A: Analysis, config: dict) -> tuple[dict, dict]:
     tol = config.get("tolerances", {})
-    E, power = A.E, A.power
-    parseval = abs(float(np.sum(power)) - len(E) / E.field.q ** E.d)
+    E, (P, w) = A.E, A.power
+    parseval = abs(float(np.sum(P @ w)) - len(E) / E.field.q ** E.d)
     resid = spectral.energy_identity_residual(A, 2)
     results = {
         "parsevalResidual": parseval,
         "energyIdentityResidual": resid,
-        "lInfNorm": math.sqrt(power[1:].max(initial=0.0)),  # index 0: zero frequency
+        "lInfNorm": math.sqrt(P.ravel()[1:].max(initial=0.0)),  # [0, 0]: m = 0
         "l4Norm": A.fourier_moment(2) ** 0.25,
     }
     return results, {"parseval": parseval <= tol.get("parseval", 1e-10),

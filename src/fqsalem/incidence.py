@@ -31,10 +31,10 @@ def count_incidences(P: PointSet, H: HyperplaneMultiset,
     b = np.array([b for _, b, _ in H.entries], dtype=np.int64)
     X = P.array
     hits = np.zeros(len(A), dtype=np.int64)
-    for rows in row_blocks(len(X), len(A)):
+    for rows in row_blocks(len(X), max(len(A), P.field.q)):
         dots = 0
-        for i in range(P.d):
-            dots = T.add[dots, T.mul[X[rows, i, None], A[None, :, i]]]
+        for i in range(P.d):  # row gathers: the table rows of X, then the columns of A
+            dots = T.add[dots, T.mul[X[rows, i]][:, A[:, i]]]
         hits += np.count_nonzero(dots == b, axis=0)
     return sum(m * h for (_, _, m), h in zip(H.entries, hits.tolist()))
 

@@ -3,16 +3,29 @@
 The transform is E_hat(m) = q^{-d} sum_{y in E} chi(-m.y) with
 chi(x) = exp(2*pi*i*Tr(x)/p). Two evaluation paths are kept:
 
-* direct summation, O(|E| * q^d), the oracle;
-* the path `fourier` always takes, through the additive-group isomorphism
-  F_q^d ~ (Z_p)^{rd}.
+* direct summation, O(|E| * q^d), the oracle (`fourier_direct`);
+* the pruned transform (`_pruned_transform`), through the additive-group
+  isomorphism F_q^d ~ (Z_p)^{rd}.
   The kernel Tr(m_i * y_i) is bilinear in the base-p digit vectors with
   Gram matrix B[j][k] = Tr(x^{j+k}). B is symmetric, so Tr(m_i * y_i) is
   digits(m_i) . (B . digits(y_i)): after the digit twist y -> B . digits(y)
   of the points of E, a length-p DFT along each of the rd digit axes gives
   the spectrum in index order. B is invertible because the trace form is
   nondegenerate, so the twist is a bijection. Each axis is transformed only
-  under the digit prefixes that the twisted points occupy.
+  under the digit prefixes that the twisted points occupy. For p up to
+  _DFT_MATRIX_MAX_P each pass is a product with the p x p DFT matrix
+  W[f, j] = exp(-2*pi*i*f*j/p); above it, np.fft.fft along the axis.
+
+1_E is real, so E_hat(-m) = conj E_hat(m): |E_hat|^2 is even. Negating m
+negates each base-p digit, so the trailing frequency digit f pairs with
+p - f (p is odd). `half_power` keeps f in 0..(p-1)/2 only, a
+(q^d/p, (p+1)/2) array: its first pass keeps those rows of W (those
+outputs of the FFT), so every later pass carries (p+1)/(2p) of the columns.
+Column 0 holds each of its frequencies once; every other column also stands
+for the negated frequencies, so a sum over all m of a function of
+|E_hat(m)|^2 is the sum over the half with column weights (1, 2, ..., 2).
+`fourier_fast` is the same kernel over every f, for callers that want the
+values themselves.
 
 Counting quantities are never taken from the spectrum; identities against
 exact integers are checked through the energy module.
@@ -87,13 +100,69 @@ def _digit_permutation(F: FieldSpec) -> np.ndarray:
     return perm
 
 
-def fourier_fast(E: PointSet, budget: int | None = None) -> Spectrum:
-    """Length-p transforms along the rd digit axes of the twisted points, trailing
-    axis first, each only under the digit prefixes the points occupy."""
+#: the largest p whose passes are products with the p x p DFT matrix; above it a
+#: pass is np.fft.fft along the digit axis, O(p log p) per column rather than
+#: O(p^2), and the matrix is never built (crossover measured between 127 and 257)
+_DFT_MATRIX_MAX_P = 127
+
+
+@lru_cache(maxsize=None)
+def _dft_matrix(p: int) -> np.ndarray:
+    """W[f, j] = exp(-2 pi i f j / p), the length-p DFT that np.fft.fft applies."""
+    k = np.arange(p)
+    W = np.exp(-2j * np.pi / p * (np.outer(k, k) % p))
+    W.flags.writeable = False
+    return W
+
+
+#: from this many entries per prefix (p * columns), a pass makes one product per
+#: prefix with the columns of W of its occupied digits, rather than zero-filling
+#: the absent digits for one batched product: a Python call per prefix then
+#: costs less than the zeros (crossover measured at about 1 000 to 2 000)
+_PREFIX_PRODUCT_MIN = 1 << 10
+
+
+def _axis_pass(p: int, c: int, heads: np.ndarray, X: np.ndarray):
+    """Transform the trailing digit axis not yet transformed: the rows of X under
+    each prefix heads // p, one per digit, become the output digits 0..c-1 (the
+    leading ones of the new columns). Returns the new (heads, X)."""
+    cols = X.shape[1]
+    up = heads // p
+    first = np.concatenate(([True], up[1:] != up[:-1]))  # first head under each prefix
+    n = int(np.count_nonzero(first))
+    W = _dft_matrix(p)[:c] if p <= _DFT_MATRIX_MAX_P else None
+    if n * p == len(heads):  # heads are distinct: every prefix has all p digits
+        Y = X.reshape(n, p, cols)
+    elif W is not None and p * cols >= _PREFIX_PRODUCT_MIN:  # one product per prefix
+        starts = np.flatnonzero(first).tolist() + [len(heads)]
+        digits = heads % p
+        Z = np.empty((n, c, cols), dtype=complex)
+        for i, (lo, hi) in enumerate(zip(starts, starts[1:])):
+            np.matmul(W[:, digits[lo:hi]], X[lo:hi], out=Z[i])
+        return up[first], Z.reshape(n, -1)
+    else:
+        Y = np.zeros((n, p, cols), dtype=complex)
+        Y[np.cumsum(first) - 1, heads % p] = X
+    if W is None:
+        return up[first], np.fft.fft(Y, axis=1)[:, :c].reshape(n, -1)
+    return up[first], np.matmul(W, Y).reshape(n, -1)
+
+
+def _pruned_transform(E: PointSet, half: bool) -> np.ndarray:
+    """Unnormalised sum_{y in E} chi(-m.y), as a (q^d/p, c) array: row m // p,
+    column the trailing base-p digit of m. c is p, or (p+1)/2 with `half`,
+    which keeps the trailing digits 0..(p-1)/2 only. For d = 0 the one
+    frequency m = 0 has no digit, and the array is (1, 1).
+
+    One pass per digit axis of the twisted points, trailing axis first, each
+    a DFT under the digit prefixes the points occupy.
+    """
     F, d, q, p = E.field, E.d, E.field.q, E.field.p
-    check_budget(q ** d, budget, "fast Fourier transform")
+    if d == 0:
+        return np.full((1, 1), len(E), dtype=complex)
+    c = (p + 1) // 2 if half else p
     if len(E) == 0:
-        return Spectrum(F, d, np.zeros(q ** d, dtype=complex), 0)
+        return np.zeros((q ** d // p, c), dtype=complex)
     # the flat index is C-order over the (q,)*d grid; each axis splits into r
     # digit axes (big-endian), under which a canonical value is its C-order index
     heads = E.codes if F.r == 1 else np.sort(encode(_digit_permutation(F)[E.array], q))
@@ -101,27 +170,33 @@ def fourier_fast(E: PointSet, budget: int | None = None) -> Spectrum:
     # X[i, f]: the transform at frequency f over the axes already transformed
     # of the points under heads[i]
     X = np.ones((len(heads), 1), dtype=complex)
-    for _ in range(F.r * d):
-        up = heads // p
-        first = np.empty(len(up), dtype=bool)  # first head under each new prefix
-        first[0] = True
-        np.not_equal(up[1:], up[:-1], out=first[1:])
-        n = int(np.count_nonzero(first))
-        if n * p == len(heads):  # heads are distinct: every prefix has all p digits
-            Y = X.reshape(n, p, -1)
-        else:
-            Y = np.zeros((n, p, X.shape[1]), dtype=complex)
-            Y[np.cumsum(first) - 1, heads % p] = X
-        X = np.fft.fft(Y, axis=1).reshape(n, -1)
-        heads = up[first]
-    values = X.reshape(-1)
-    values /= q ** d
+    heads, X = _axis_pass(p, c, heads, X)  # the trailing digit of m: 0..c-1
+    for _ in range(F.r * d - 1):
+        heads, X = _axis_pass(p, p, heads, X)
+    return X.reshape(-1, c)
+
+
+def fourier_fast(E: PointSet, budget: int | None = None) -> Spectrum:
+    """The transform at every frequency (fourier_direct is its oracle)."""
+    F, d = E.field, E.d
+    check_budget(F.q ** d, budget, "fast Fourier transform")
+    values = _pruned_transform(E, half=False).reshape(-1)
+    values /= F.q ** d
     return Spectrum(F, d, values, len(E))
 
 
-def fourier(E: PointSet, budget: int | None = None) -> Spectrum:
-    """Transform of the indicator of E (the fast path; fourier_direct is its oracle)."""
-    return fourier_fast(E, budget)
+def half_power(E: PointSet, budget: int | None = None) -> np.ndarray:
+    """|E_hat(m)|^2 on the Hermitian half: the (q^d/p, (p+1)/2) array of
+    _pruned_transform(E, half=True), or (1, 1) for d = 0. Column 0 holds each
+    of its frequencies once, every other column also stands for the negated
+    frequencies."""
+    F, d = E.field, E.d
+    check_budget(F.q ** d, budget, "fast Fourier transform")
+    v = _pruned_transform(E, half=True).view(np.float64)  # re, im interleaved
+    np.square(v, out=v)
+    power = np.add(v[:, 0::2], v[:, 1::2])
+    power /= float(F.q ** d) ** 2
+    return power
 
 
 def lp_norm(S: Spectrum, u: float) -> float:

@@ -5,6 +5,7 @@ import statistics
 
 import pytest
 
+from conftest import field_of_order
 from fqsalem.constructions import (ConstructionSpec, bernoulli_thin, conjecture_witness,
                                     exhaustive_null_basis, isotropic_subspace,
                                     multiplicative_subgroup, null_basis, product_set,
@@ -57,6 +58,19 @@ def test_null_basis_properties(p, r, d):
         assert norm(F, u) == 0 and any(c != 0 for c in u)
         for v in basis[i + 1:]:
             assert dot(F, u, v) == 0
+
+
+@pytest.mark.parametrize("q", [5, 9, 23, 25, 27, 49])
+def test_null_basis_matches_scalar_roots(q):
+    # the table lookups pick the roots that the scalar FieldSpec.sqrt and
+    # two_square_decomposition pick, so witness sets keep their bytes
+    F = field_of_order(q)
+    first = null_basis(F, 4)[0]
+    if q % 4 == 1:
+        assert first == (1, F.sqrt(F.neg(1))[0], 0, 0)
+    else:
+        a, b = F.two_square_decomposition(F.neg(1))
+        assert first == (1, 0, a, b)
 
 
 def test_null_basis_matches_exhaustive_search(f3):

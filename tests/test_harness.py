@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import inspect
 import json
 import sys
 
@@ -17,7 +18,7 @@ from fqsalem.geometry import (HyperplaneMultiset, PointSet, write_hyperplanes,
 from fqsalem.harness import (oracle_distances, oracle_incidences, oracle_lambda4,
                               render_report, run, sweep, validate_config)
 from fqsalem.incidence import count_incidences
-from fqsalem.spectral import fourier_fast
+from fqsalem.spectral import _pruned_transform, fourier_fast
 
 ISO_CONFIG = {
     "construction": {"kind": "isotropic", "p": 5, "r": 1, "d": 4, "m": 2},
@@ -43,10 +44,12 @@ def lam4_off_by(offset):
 
 
 def count_calls(monkeypatch, fn) -> list:
+    """Patch fn everywhere to record each call's bound arguments."""
     calls = []
+    signature = inspect.signature(fn)
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append(signature.bind(*args, **kwargs).arguments)
         return fn(*args, **kwargs)
 
     patch_everywhere(monkeypatch, fn, counted)
@@ -107,14 +110,18 @@ def test_run_never_reads_point_tuples(monkeypatch, construction):
 @pytest.mark.parametrize("p,r", [(7, 1), (3, 2)])
 def test_run_computes_each_quantity_once(monkeypatch, p, r):
     # Lambda_4, nu, E - E and the difference family are read from one pair
-    # pass; energy_convolution and distance_profile would each be another
+    # pass; energy_convolution and distance_profile would each be another.
+    # The spectrum is transformed once, on the Hermitian half only
     calls = {fn.__name__: count_calls(monkeypatch, fn)
-             for fn in (pair_counts, energy_convolution, distance_profile, fourier_fast)}
+             for fn in (pair_counts, energy_convolution, distance_profile, fourier_fast,
+                        _pruned_transform)}
     rep = run({"construction": {"kind": "random", "p": p, "r": r, "d": 3, "size": 40},
                "analyses": ALL_SET_ANALYSES, "k": 2, "seed": 3})
     assert rep["allGatesPass"]
     assert {name: len(c) for name, c in calls.items()} == {
-        "pair_counts": 1, "energy_convolution": 0, "distance_profile": 0, "fourier_fast": 1}
+        "pair_counts": 1, "energy_convolution": 0, "distance_profile": 0, "fourier_fast": 0,
+        "_pruned_transform": 1}
+    assert calls["_pruned_transform"][0]["half"] is True
 
 
 def test_report_rendering_is_deterministic():

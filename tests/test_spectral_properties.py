@@ -1,4 +1,7 @@
-"""Property tests of the pruned FFT against the direct transform (needs hypothesis)."""
+"""Property tests of the pruned FFT and the half spectrum against the direct
+transform (needs hypothesis)."""
+
+import math
 
 import numpy as np
 import pytest
@@ -9,8 +12,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from fqsalem.field import field_create  # noqa: E402
 from fqsalem.geometry import PointSet  # noqa: E402
-from fqsalem.harness import Analysis  # noqa: E402
-from fqsalem.spectral import fourier_direct, fourier_fast  # noqa: E402
+from fqsalem.harness import Analysis, _fourier_section  # noqa: E402
+from fqsalem.spectral import fourier_direct, fourier_fast, half_power  # noqa: E402
 
 # (p, r, largest d with q^d <= 243): the direct transform stays cheap
 SMALL_SPACES = [(3, 1, 5), (5, 1, 3), (7, 1, 2), (3, 2, 2), (5, 2, 1), (3, 3, 1)]
@@ -30,4 +33,36 @@ def small_sets(draw):
 def test_pruned_fft_matches_direct(E):
     fast = fourier_fast(E)
     assert np.max(np.abs(fast.values - fourier_direct(E).values)) <= 1e-12
-    assert abs(np.sum(Analysis(E).power) - len(E) / E.field.q ** E.d) <= 1e-12
+    P, w = Analysis(E).power
+    assert abs(np.sum(P @ w) - len(E) / E.field.q ** E.d) <= 1e-12
+
+
+@st.composite
+def half_spectrum_sets(draw):
+    # every p in {3, 5, 7} and r in {1, 2, 3}, with q^d <= 729
+    p = draw(st.sampled_from([3, 5, 7]))
+    r = draw(st.integers(1, 3))
+    F = field_create(p, r)
+    d = draw(st.integers(1, max(1, int(math.log(729, F.q) + 1e-9))))
+    codes = draw(st.lists(st.integers(0, F.q ** d - 1), max_size=12))
+    return PointSet.from_codes(F, d, codes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(half_spectrum_sets())
+def test_half_spectrum_matches_direct(E):
+    p, q_d = E.field.p, E.field.q ** E.d
+    full = np.abs(fourier_direct(E).values) ** 2  # index order; [0] is m = 0
+    # half_power is |E_hat|^2 at the trailing frequency digits 0..(p-1)/2
+    half = half_power(E)
+    assert half.shape == (q_d // p, (p + 1) // 2)
+    assert np.max(np.abs(half - full.reshape(-1, p)[:, :(p + 1) // 2])) <= 1e-12
+    # the weighted half stands for every frequency
+    A = Analysis(E)
+    P, w = A.power
+    assert list(w) == [1.0] + [2.0] * ((p - 1) // 2)
+    assert abs(np.sum(P @ w) - len(E) / q_d) <= 1e-12
+    for k in (2, 3):
+        assert abs(A.fourier_moment(k) - np.sum(full[1:] ** k) / q_d) <= 1e-12
+    results, _ = _fourier_section(A, {})
+    assert abs(results["lInfNorm"] - math.sqrt(full[1:].max(initial=0.0))) <= 1e-12
