@@ -9,9 +9,8 @@ from .spectral import (Spectrum, energy_identity_residual, fourier_fast as fouri
                        lp_norm)
 from .distance import (DistanceProfile, cs_lower_bound, distance_profile,
                        distance_set, second_moment)
-from .incidence import (count_incidences, dilate_hyperplanes,
-                        distance_energy_setup, sphere_incidence_setup,
-                        incidence_bound, verify_counting_bounds)
+from .incidence import (count_incidences, dilate_hyperplanes, difference_family,
+                        incidence_bounds, sphere_incidence_setup)
 from .constructions import (bernoulli_thin, conjecture_witness,
                             isotropic_subspace, product_set, rotation_orbit,
                             subgroup_power, two_set_sharpness)

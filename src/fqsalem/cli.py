@@ -12,13 +12,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from .energy import energy_bruteforce
 from .errors import BudgetExceeded, ConfigError, InvariantViolation
 from .field import field_create
 from .geometry import read_hyperplanes, read_pointset, write_pointset
 from .harness import (EXIT_BUDGET, EXIT_CONFIG_ERROR, EXIT_GATE_FAILURE,
                       EXIT_INVARIANT, EXIT_OK, build_set, oracle_distances,
-                      oracle_incidences, oracle_lambda4, ranges_row,
-                      render_report, run, sweep)
+                      oracle_incidences, ranges_row, render_report, run, sweep)
 from .ranges import crossover_identities
 
 
@@ -153,7 +153,7 @@ def _dispatch(args) -> int:
     if args.command == "oracle":
         E = read_pointset(args.pointset)
         if args.kind == "lambda4":
-            print(oracle_lambda4(E, args.budget))
+            print(energy_bruteforce(E, 2, args.budget))
         elif args.kind == "distances":
             print(json.dumps(oracle_distances(E, args.budget)))
         else:

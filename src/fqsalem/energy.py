@@ -139,28 +139,6 @@ def difference_set(E: PointSet, budget: int | None = None) -> PointSet:
     return pair_counts(E, budget).differences
 
 
-@dataclass(frozen=True)
-class EnergyReport:
-    k: int
-    lam: int
-    set_size: int
-    q: int
-    d: int
-    salem_s: float | None  # only for k = 2
-    constant: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "lambda": str(self.lam),
-            "size": self.set_size,
-            "q": self.q,
-            "d": self.d,
-            "salemS": self.salem_s,
-            "C": self.constant,
-        }
-
-
 def salem_parameter(A: Analysis, C: float = 1.0) -> float:
     """Largest s in [1/4, 1/2] with L_4(E) <= C(|E|^4/q^d + |E|^{4-4s}), for E = A.E.
 
@@ -179,13 +157,15 @@ def salem_parameter(A: Analysis, C: float = 1.0) -> float:
     return min(0.5, max(0.25, s))
 
 
-def energy_report(A: Analysis, k: int, C: float = 1.0) -> EnergyReport:
+def energy_report(A: Analysis, k: int, C: float = 1.0) -> dict:
+    """The energy section: Lambda_{2k}(E) as a decimal string, and for k = 2
+    the Salem parameter s at constant C (None for other k or an empty set)."""
     E = A.E
-    lam = A.lam(k)
     n = len(E)
     s = None
     if k == 2 and n >= 1:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             s = salem_parameter(A, C)
-    return EnergyReport(k, lam, n, E.field.q, E.d, s, C)
+    return {"k": k, "lambda": str(A.lam(k)), "size": n, "q": E.field.q, "d": E.d,
+            "salemS": s, "C": C}

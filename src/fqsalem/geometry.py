@@ -117,8 +117,9 @@ def decode(codes: np.ndarray, q: int, d: int) -> np.ndarray:
 
 
 def vectors(codes: np.ndarray, q: int, d: int):
-    """Iterator over the decoded vectors, as tuples of Python ints."""
-    return zip(*decode(codes, q, d).T.tolist())
+    """Iterator over the decoded vectors, as tuples of Python ints (one empty
+    tuple per code when d = 0)."""
+    return map(tuple, decode(codes, q, d).tolist())
 
 
 def norms(E: "PointSet", budget: int | None = None) -> np.ndarray:

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import product
@@ -119,8 +120,8 @@ class Analysis:
 
     @property
     def difference_family(self) -> incidence.DifferenceFamily:
-        return self._once("difference_family", lambda: incidence.difference_family(
-            self.pairs, self.lam(2)))
+        return self._once("difference_family",
+                          lambda: incidence.difference_family(self.pairs))
 
 
 # --- report sections: name -> section(A, config) -> (results, gates) ------------
@@ -141,7 +142,7 @@ def _fourier_section(A: Analysis, config: dict) -> tuple[dict, dict]:
 
 
 def _energy_section(A: Analysis, config: dict) -> tuple[dict, dict]:
-    return energy.energy_report(A, config_value(config, "k", 2)).to_json_dict(), {}
+    return energy.energy_report(A, config_value(config, "k", 2)), {}
 
 
 def _salem_section(A: Analysis, config: dict) -> tuple[dict, dict]:
@@ -177,8 +178,9 @@ def ranges_row(d: int, s: Fraction) -> dict:
 
 
 def _ranges_section(A: Analysis | None, config: dict) -> tuple[dict, dict]:
-    ds = config.get("dims", [2, 3, 4, 5, 6])
-    ss = [Fraction(str(x)) for x in config.get("sValues", ["1/4", "3/8", "1/2"])]
+    ds = config_value(config, "dims", [2, 3, 4, 5, 6], lambda v: [operator.index(d) for d in v])
+    ss = config_value(config, "sValues", ["1/4", "3/8", "1/2"],
+                      lambda v: [Fraction(str(x)) for x in v])
     return {
         "table": [ranges_row(d, s) for d in ds for s in ss],
         "crossoversExact": {str(d): all(crossover_identities(d).values())
@@ -203,20 +205,27 @@ def validate_config(config: dict) -> dict:
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     analyses = config.get("analyses", [])
+    if not isinstance(analyses, list):
+        raise ConfigError("analyses must be a list")
     for a in analyses:
         if a not in KNOWN_ANALYSES:
             raise ConfigError(f"unknown analysis {a!r}; known: {KNOWN_ANALYSES}")
     if "construction" in config:
         c = config["construction"]
-        if "kind" not in c:
-            raise ConfigError("construction needs a 'kind'")
+        if not (isinstance(c, dict) and "kind" in c):
+            raise ConfigError("construction must be an object with a 'kind'")
     tol = config.get("tolerances", {})
+    if not isinstance(tol, dict):
+        raise ConfigError("tolerances must be an object")
     for name, t in tol.items():
-        if not (isinstance(t, (int, float)) and t > 0):
+        if isinstance(t, bool) or not (isinstance(t, (int, float)) and t > 0):
             raise ConfigError(f"tolerance {name} must be positive")
     budget = config.get("budget", DEFAULT_BUDGET)
-    if not (isinstance(budget, int) and budget > 0):
+    if isinstance(budget, bool) or not (isinstance(budget, int) and budget > 0):
         raise ConfigError("budget must be a positive integer")
+    grid = config.get("grid", {})
+    if not (isinstance(grid, dict) and all(isinstance(v, list) for v in grid.values())):
+        raise ConfigError("grid must map construction parameters to lists of values")
     return config
 
 
@@ -260,7 +269,7 @@ def _child_seed(master: int, cell_index: int) -> int:
 def sweep(config: dict, out_dir, jobs: int = 1) -> Path:
     """Cartesian product over the grid; one CSV row per cell; resumable."""
     import hashlib  # here, not at module load: it loads OpenSSL, which only sweeps need
-    validate_config({k: v for k, v in config.items() if k != "grid"})
+    validate_config(config)
     grid = config.get("grid")
     if not grid:
         raise ConfigError("sweep needs a 'grid' mapping")
@@ -339,10 +348,6 @@ def _cell_detail(cell: dict, rep: dict) -> str:
 
 
 # --- oracles --------------------------------------------------------------------
-
-def oracle_lambda4(E: PointSet, budget: int | None = None) -> int:
-    return energy.energy_bruteforce(E, 2, budget)
-
 
 def oracle_distances(E: PointSet, budget: int | None = None) -> dict[int, int]:
     """Plain double loop over the scalar field methods, kept separate from

@@ -1,8 +1,13 @@
 """Exact point-hyperplane incidence counts and the counting-bound machinery.
 
 N(P, P') is the multiplicity-weighted number of pairs (x, (a, b)) with
-a.x = b. All counts are exact; the incidence bounds are evaluated in
-double precision from exact ingredients and exported as ratios.
+a.x = b. All counts are exact. `incidence_bounds` evaluates the paper's
+bounds on N in double precision from exact ingredients and reports each
+with its ratio. The dilation trick (`dilate_hyperplanes`,
+`sphere_incidence_setup`) multiplies by every lam in F_q^* through one
+gather of the multiplication table, and the difference family of the
+second-moment proof is read from the pair pass (`energy.pair_counts`),
+whose Lambda_4 it is checked against.
 """
 
 from __future__ import annotations
@@ -14,8 +19,9 @@ import numpy as np
 
 from .energy import PairCounts, pair_counts
 from .errors import check_budget, check_invariant, ConfigError
-from .geometry import HyperplaneMultiset, PointSet, norms, vectors
-from .kernels import KeyCounter, group_sums, pair_codes, row_blocks, sum_squares
+from .field import FieldTables
+from .geometry import HyperplaneMultiset, PointSet, encode, norms
+from .kernels import group_sums, row_blocks, sum_squares
 
 
 def count_incidences(P: PointSet, H: HyperplaneMultiset,
@@ -39,81 +45,51 @@ def count_incidences(P: PointSet, H: HyperplaneMultiset,
     return sum(m * h for (_, _, m), h in zip(H.entries, hits.tolist()))
 
 
-@dataclass(frozen=True)
-class IncidenceReport:
-    count: int
-    main_term: Fraction  # |P||P'|/q
-    rhs_uniform: float       # main + |P'|^{3/4} q^{d/4} |P|^{1-s}
-    rhs_power43: float       # main + (sum m^{4/3})^{3/4} q^{d/4} |P|^{1-s}
-    rhs_sqmult: float       # main + (sum m^2)^{1/2} q^{d/2} |P|^{1/2}
-    s: float
+def incidence_bounds(P: PointSet, H: HyperplaneMultiset, s: float,
+                     budget: int | None = None) -> dict:
+    """N = N(P, P') against main term |P||P'|/q plus each bound's error term.
 
-    def ratios(self) -> dict[str, float]:
-        return {
-            "uniform": self.count / self.rhs_uniform,
-            "power43": self.count / self.rhs_power43,
-            "sqmult": self.count / self.rhs_sqmult,
-        }
-
-    def to_json_dict(self) -> dict:
-        return {
-            "N": str(self.count),
-            "mainTerm": str(self.main_term),
-            "rhsUniform": self.rhs_uniform,
-            "rhsPower43": self.rhs_power43,
-            "rhsSqMult": self.rhs_sqmult,
-            "ratios": self.ratios(),
-            "s": self.s,
-        }
-
-
-def verify_counting_bounds(P: PointSet, H: HyperplaneMultiset, s: float,
-                           budget: int | None = None) -> IncidenceReport:
-    q, d, n = P.field.q, P.d, len(P)
-    count = count_incidences(P, H, budget)
-    total = H.total
-    main = Fraction(n * total, q)
-    sum_m43 = sum(m ** (4 / 3) for _, _, m in H.entries)
-    sum_m2 = sum_squares([m for _, _, m in H.entries], total ** 2)
-    err42 = total ** 0.75 * q ** (d / 4) * n ** (1 - s)
-    err43 = sum_m43 ** 0.75 * q ** (d / 4) * n ** (1 - s)
-    err46 = sum_m2 ** 0.5 * q ** (d / 2) * n ** 0.5
-    mainf = float(main)
-    return IncidenceReport(count, main, mainf + err42, mainf + err43,
-                           mainf + err46, s)
-
-
-def incidence_bound(P: PointSet, H: HyperplaneMultiset, s: float,
-                    budget: int | None = None) -> dict:
-    """Incidence bound |P||H|/q + |H|^{3/4} q^{(d-1)/4} |P|^{1-s}.
-
-    Entries with b = 0 automatically fall back to the weaker q^{d/4}
-    error-term exponent.
+    rhs and ratios (N / rhs) have one key per bound:
+      sharp    |P'|^{3/4} q^{(d-1)/4} |P|^{1-s}, or q^{d/4} when some b = 0
+               (weakBranch);
+      uniform  |P'|^{3/4} q^{d/4} |P|^{1-s};
+      power43  (sum m^{4/3})^{3/4} q^{d/4} |P|^{1-s};
+      sqmult   (sum m^2)^{1/2} q^{d/2} |P|^{1/2}.
+    A ratio is nan when its rhs is 0 (no hyperplanes or no points).
     """
     q, d, n = P.field.q, P.d, len(P)
-    count = count_incidences(P, H, budget)
+    N = count_incidences(P, H, budget)
     total = H.total
-    exponent = d / 4 if H.has_zero_offset() else (d - 1) / 4
-    bound = n * total / q + total ** 0.75 * q ** exponent * n ** (1 - s)
-    return {
-        "incidences": count,
-        "bound": bound,
-        "ratio": count / bound if bound else float("nan"),
-        "weakBranch": H.has_zero_offset(),
-        "s": s,
+    mults = [m for _, _, m in H.entries]
+    main = Fraction(n * total, q)
+    weak = H.has_zero_offset()
+    n_s = n ** (1 - s)
+    errors = {
+        "sharp": total ** 0.75 * q ** ((d if weak else d - 1) / 4) * n_s,
+        "uniform": total ** 0.75 * q ** (d / 4) * n_s,
+        "power43": sum(m ** (4 / 3) for m in mults) ** 0.75 * q ** (d / 4) * n_s,
+        "sqmult": sum_squares(mults, total ** 2) ** 0.5 * q ** (d / 2) * n ** 0.5,
     }
+    rhs = {name: float(main) + err for name, err in errors.items()}
+    return {"N": N, "mainTerm": main, "weakBranch": weak, "s": s, "rhs": rhs,
+            "ratios": {name: N / r if r else float("nan") for name, r in rhs.items()}}
+
+
+def _dilations(T: FieldTables, X: np.ndarray) -> np.ndarray:
+    """The rows lam * x for every lam in F_q^* and every row x of X, lam
+    outermost: one gather of the multiplication table."""
+    return T.mul[1:][:, X].reshape((len(T.mul) - 1) * len(X), X.shape[1])
 
 
 def dilate_hyperplanes(H: HyperplaneMultiset) -> HyperplaneMultiset:
     """P' = {(lam*a, lam*b)}: the projective dilation trick, b != 0 only."""
     if H.has_zero_offset():
         raise ConfigError("dilation requires all b != 0")
-    F = H.field
-    entries = []
-    for a, b, m in H.entries:
-        for lam in range(1, F.q):
-            entries.append((tuple(F.mul(lam, c) for c in a), F.mul(lam, b), m))
-    return HyperplaneMultiset.build(F, H.d, entries)
+    F, d = H.field, H.d
+    rows = np.array([(*a, b) for a, b, _ in H.entries], dtype=np.int64).reshape(-1, d + 1)
+    dilates = _dilations(F.tables(), rows).tolist()
+    mults = [m for _, _, m in H.entries] * (F.q - 1)
+    return HyperplaneMultiset.build(F, d, ((ab[:d], ab[d], m) for ab, m in zip(dilates, mults)))
 
 
 def incidence_via_dilation(P: PointSet, H: HyperplaneMultiset,
@@ -128,12 +104,13 @@ def incidence_via_dilation(P: PointSet, H: HyperplaneMultiset,
     return I
 
 
-def sphere_incidence_setup(E: PointSet, lam4: int, budget: int | None = None
+def sphere_incidence_setup(E: PointSet, budget: int | None = None
                            ) -> tuple[PointSet, HyperplaneMultiset]:
     """Dilated point set and zero-offset difference multiset for sets on a sphere.
 
-    Requires E on a single sphere of nonzero radius; the multiset's
-    sum-of-squared-multiplicities equals lam4 = L_4(E) exactly (checked).
+    Requires E on a single sphere of nonzero radius. The multiset holds each
+    u in E - E with multiplicity D(u), so its sum of squared multiplicities
+    is Lambda_4(E) (checked against the pair pass).
     """
     F, d, q = E.field, E.d, E.field.q
     if len(E) == 0:
@@ -142,16 +119,11 @@ def sphere_incidence_setup(E: PointSet, lam4: int, budget: int | None = None
     if len(radii) != 1 or 0 in radii:
         raise ConfigError("E must lie on one sphere of nonzero radius")
     pairs = pair_counts(E, budget)
-    T = F.tables(budget)
-    X = E.array
-    lam = np.repeat(np.arange(1, q)[:, None], d, axis=1)  # row j multiplies every coordinate by j + 1
-    dilates = KeyCounter(q ** d, len(E) * (q - 1), "dilated point set")
-    for rows in row_blocks(len(X), q):
-        dilates.add(pair_codes(T.mul, X[rows], lam, q))
-    P = PointSet.from_codes(F, d, dilates.result()[0])
-    diffs = zip(vectors(pairs.differences.codes, q, d), pairs.diff_counts.tolist())
-    Pp = HyperplaneMultiset.build(F, d, ((u, 0, m) for u, m in diffs), allow_degenerate=True)
-    check_invariant(pairs.lam4 == lam4,
+    P = PointSet.from_codes(F, d, encode(_dilations(F.tables(budget), E.array), q))
+    Pp = HyperplaneMultiset.build(
+        F, d, ((u, 0, m) for u, m in zip(pairs.differences.points, pairs.diff_counts.tolist())),
+        allow_degenerate=True)
+    check_invariant(sum_squares([m for _, _, m in Pp.entries], len(E) ** 4) == pairs.lam4,
                     "sum of squared difference multiplicities differs from L_4(E)")
     return P, Pp
 
@@ -171,21 +143,16 @@ class DifferenceFamily:
     sum_m2: int              # sum_t sum_u m_t(u)^2
 
 
-def distance_energy_setup(E: PointSet, lam4: int,
-                          budget: int | None = None) -> DifferenceFamily:
-    """X_t = {(y,z) in E^2 : ||y|| - ||z|| = t} with difference multiplicities.
+def difference_family(pairs: PairCounts) -> DifferenceFamily:
+    """X_t = {(y,z) in E^2 : ||y|| - ||z|| = t} with difference multiplicities,
+    for E = pairs.E, remapped from its lifted pair counts.
 
-    Invariants (checked against lam4 = L_4(E), InvariantViolation otherwise):
-    sum_t |X_t| = |E|^2 and sum_t sum_u m_t(u)^2 <= L_4(E), with equality
-    when E is on one sphere. The inequality holds for every E, and with it
-    Lambda_4(E') <= Lambda_4(E) for the paraboloid lift E': summed over u,
-    sum_t m_t(u)^2 <= (sum_t m_t(u))^2 = D(u)^2.
+    Invariants (checked against pairs.lam4 = L_4(E), InvariantViolation
+    otherwise): sum_t |X_t| = |E|^2 and sum_t sum_u m_t(u)^2 <= L_4(E), with
+    equality when E is on one sphere. The inequality holds for every E, and
+    with it Lambda_4(E') <= Lambda_4(E) for the paraboloid lift E': summed
+    over u, sum_t m_t(u)^2 <= (sum_t m_t(u))^2 = D(u)^2.
     """
-    return difference_family(pair_counts(E, budget), lam4)
-
-
-def difference_family(pairs: PairCounts, lam4: int) -> DifferenceFamily:
-    """distance_energy_setup of pairs.E, remapped from its lifted pair counts."""
     E = pairs.E
     d, q, n = E.d, E.field.q, len(E)
     gap, u = pairs.keys % q, pairs.keys // q
@@ -196,8 +163,8 @@ def difference_family(pairs: PairCounts, lam4: int) -> DifferenceFamily:
     fam = DifferenceFamily(keys, counts, dict(zip(gaps.tolist(), sizes.tolist())),
                            int(counts.sum()), sum_squares(counts, n ** 4))
     check_invariant(fam.total_pairs == n ** 2, "sum_t |X_t| differs from |E|^2")
-    check_invariant(fam.sum_m2 <= lam4, "sum_t sum_u m_t(u)^2 exceeds L_4(E)")
+    check_invariant(fam.sum_m2 <= pairs.lam4, "sum_t sum_u m_t(u)^2 exceeds L_4(E)")
     if set(fam.x_sizes) == {0}:  # E on one sphere: every norm gap is 0
-        check_invariant(fam.sum_m2 == lam4,
+        check_invariant(fam.sum_m2 == pairs.lam4,
                         "sum_t sum_u m_t(u)^2 differs from L_4(E) on one sphere")
     return fam

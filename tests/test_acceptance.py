@@ -29,12 +29,12 @@ from fqsalem.constructions import (isotropic_subspace, multiplicative_subgroup,
                                     product_set, random_pointset, rotation_orbit,
                                     subgroup_power, two_set_sharpness)
 from fqsalem.distance import distance_set, verify_secondmoment_bounds
-from fqsalem.energy import energy_bruteforce, energy_convolution
+from fqsalem.energy import energy_bruteforce, energy_convolution, pair_counts
 from fqsalem.field import field_create
 from fqsalem.geometry import (HyperplaneMultiset, PointSet, all_vectors, norm, sphere)
 from fqsalem.harness import Analysis, oracle_incidences, render_report, run, sweep
-from fqsalem.incidence import (count_incidences, distance_energy_setup,
-                                incidence_via_dilation, incidence_bound)
+from fqsalem.incidence import (count_incidences, difference_family, incidence_bounds,
+                                incidence_via_dilation)
 from fqsalem.ranges import family_thresholds, crossover_identities
 from fqsalem.spectral import energy_identity_residual, fourier_direct, fourier_fast
 
@@ -158,11 +158,11 @@ def test_06_incidence_sharpness():
     H = HyperplaneMultiset.build(F, 3, [(a, b, 1)])
     I = count_incidences(P, H)
     assert I == 49
-    rep = incidence_bound(P, H, s=0.25)
-    assert rep["bound"] >= 49
+    bound = incidence_bounds(P, H, s=0.25)["rhs"]["sharp"]
+    assert bound >= 49
     assert incidence_via_dilation(P, H) == 49
     print(f"PASS: plane-on-itself incidences in F_7^3 equal 49, bound at s=1/4 is "
-          f"{rep['bound']:.1f} >= 49, dilation identity exact")
+          f"{bound:.1f} >= 49, dilation identity exact")
 
 
 def test_07_difference_family_invariants():
@@ -172,10 +172,9 @@ def test_07_difference_family_invariants():
         d = rng.randrange(2, 4)
         F = field_create(q, 1)
         E = random_pointset(F, d, rng.randrange(2, min(20, q ** d) + 1), seed=trial)
-        lam4 = energy_convolution(E, 2)
-        fam = distance_energy_setup(E, lam4)
+        fam = difference_family(pair_counts(E))
         assert fam.total_pairs == len(E) ** 2
-        assert fam.sum_m2 <= lam4
+        assert fam.sum_m2 <= energy_bruteforce(E, 2)
     equalities = 0
     while equalities < 10:
         q = rng.choice([5, 7])
@@ -187,8 +186,7 @@ def test_07_difference_family_invariants():
         size = rng.randrange(2, len(S) + 1)
         pts = rng.sample(S.points, size)
         E = PointSet.build(F, 2, pts)
-        lam4 = energy_convolution(E, 2)
-        assert distance_energy_setup(E, lam4).sum_m2 == lam4
+        assert difference_family(pair_counts(E)).sum_m2 == energy_bruteforce(E, 2)
         equalities += 1
     print("PASS: difference families cover |E|^2 pairs with squared multiplicities "
           "at most the energy on 30 random sets, equality on 10 sphere subsets")

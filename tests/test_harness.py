@@ -6,19 +6,20 @@ import inspect
 import json
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import rand_set
 from fqsalem.cli import main
 from fqsalem.distance import distance_profile
-from fqsalem.energy import energy_convolution, pair_counts
+from fqsalem.energy import energy_bruteforce, energy_convolution, pair_counts
 from fqsalem.errors import BudgetExceeded, ConfigError, InvariantViolation
 from fqsalem.geometry import (HyperplaneMultiset, PointSet, write_hyperplanes,
                                write_pointset)
-from fqsalem.harness import (oracle_distances, oracle_incidences, oracle_lambda4,
-                              render_report, run, sweep, validate_config)
+from fqsalem.harness import (oracle_distances, oracle_incidences, render_report, run,
+                              sweep, validate_config)
 from fqsalem.incidence import count_incidences
-from fqsalem.spectral import _pruned_transform, fourier_fast
+from fqsalem.spectral import _pruned_transform, fourier_direct, fourier_fast
 
 ISO_CONFIG = {
     "construction": {"kind": "isotropic", "p": 5, "r": 1, "d": 4, "m": 2},
@@ -245,13 +246,23 @@ def test_sweep_requires_grid(tmp_path):
 
 def test_oracles(f5, f9):
     E = rand_set(f5, 2, 10, seed=2)
-    assert oracle_lambda4(E) == energy_convolution(E, 2)
     single = PointSet.build(f5, 2, [(1, 1)])
     assert oracle_distances(single) == {0: 1}
     E9 = rand_set(f9, 3, 30, seed=4)
     assert oracle_distances(E9) == distance_profile(E9).counts
     H = HyperplaneMultiset.build(f5, 2, [((1, 0), 1, 2)])
     assert oracle_incidences(E, H) == count_incidences(E, H)
+
+
+@pytest.mark.parametrize("d,codes", [(0, [0]), (0, []), (2, [])])
+def test_oracles_match_kernels_on_degenerate_sets(f5, d, codes):
+    # the one point of F_5^0, and empty sets
+    E = PointSet.from_codes(f5, d, codes)
+    assert len(E.points) == len(E)
+    assert np.array_equal(fourier_direct(E).values, fourier_fast(E).values)
+    assert oracle_distances(E) == distance_profile(E).counts
+    for k in (2, 3):
+        assert energy_bruteforce(E, k) == energy_convolution(E, k)
 
 
 def test_cli_field(capsys):
@@ -311,6 +322,21 @@ def test_cli_bad_config_values_exit_3(tmp_path, capsys, config):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(config))
     assert main(["analyze", "--config", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("command,config", [
+    ("analyze", {"analyses": 5}),
+    ("analyze", {"construction": 5, "analyses": ["energy"]}),
+    ("analyze", {**ISO_CONFIG, "tolerances": []}),
+    ("analyze", {"analyses": ["ranges"], "sValues": ["abc"]}),
+    ("analyze", {"analyses": ["ranges"], "dims": ["x"]}),
+    ("sweep", {**ISO_CONFIG, "grid": {"size": 5}}),
+    ("analyze", {**ISO_CONFIG, "budget": True})])
+def test_cli_malformed_config_exit_3(tmp_path, capsys, command, config):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err.startswith("config error: ")
 
 

@@ -1,19 +1,22 @@
 """Point-hyperplane incidence counts, bounds, dilation, and difference families."""
 
+import dataclasses
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from conftest import difference_family_oracle, field_of_order, full_space, rand_set
-from fqsalem.energy import energy_convolution
+from conftest import difference_family_oracle, field_of_order, rand_set
+from fqsalem import incidence
+from fqsalem.energy import energy_bruteforce, pair_counts
 from fqsalem.errors import ConfigError, InvariantViolation
 from fqsalem.field import field_create
 from fqsalem.geometry import HyperplaneMultiset, PointSet, all_vectors, sphere
 from fqsalem.harness import oracle_incidences
-from fqsalem.incidence import (count_incidences, dilate_hyperplanes,
-                                distance_energy_setup, incidence_via_dilation,
-                                sphere_incidence_setup, incidence_bound,
-                                verify_counting_bounds)
+from fqsalem.incidence import (count_incidences, difference_family, dilate_hyperplanes,
+                                incidence_bounds, incidence_via_dilation,
+                                sphere_incidence_setup)
 
 
 def plane_points(F, d, a, b):
@@ -60,60 +63,69 @@ def test_count_matches_oracle(q, d):
 def test_counting_bounds_report(f5):
     P = rand_set(f5, 2, 12, seed=2)
     H = rand_hyperplanes(f5, 2, 5, seed=2)
-    rep = verify_counting_bounds(P, H, s=0.3)
-    assert rep.count == count_incidences(P, H)
-    assert rep.rhs_uniform >= float(rep.main_term)
-    ratios = rep.ratios()
-    assert set(ratios) == {"uniform", "power43", "sqmult"}
-    js = rep.to_json_dict()
-    assert js["N"] == str(rep.count)
+    rep = incidence_bounds(P, H, s=0.3)
+    assert rep["N"] == oracle_incidences(P, H)
+    assert rep["mainTerm"] == Fraction(12 * H.total, 5)
+    assert rep["rhs"]["uniform"] >= float(rep["mainTerm"])
+    assert set(rep["rhs"]) == set(rep["ratios"]) == {"sharp", "uniform", "power43", "sqmult"}
+    assert rep["ratios"]["sqmult"] == rep["N"] / rep["rhs"]["sqmult"]
+    # b != 0 throughout, so the sharp bound has the smaller exponent (d-1)/4
+    assert rep["rhs"]["sharp"] < rep["rhs"]["uniform"]
 
 
 def test_power43_equals_uniform_when_multiplicity_one(f5):
     P = rand_set(f5, 2, 10, seed=3)
     entries = [((1, 0), 1, 1), ((0, 1), 2, 1), ((1, 1), 3, 1)]
     H = HyperplaneMultiset.build(f5, 2, entries)
-    rep = verify_counting_bounds(P, H, s=0.25)
-    assert rep.rhs_power43 == pytest.approx(rep.rhs_uniform, rel=1e-12)
+    rhs = incidence_bounds(P, H, s=0.25)["rhs"]
+    assert rhs["power43"] == pytest.approx(rhs["uniform"], rel=1e-12)
 
 
 def test_power43_dominates_uniform_with_multiplicities(f5):
     P = rand_set(f5, 2, 10, seed=4)
     H = HyperplaneMultiset.build(f5, 2, [((1, 0), 1, 3), ((0, 1), 2, 2)])
-    rep = verify_counting_bounds(P, H, s=0.25)
-    assert rep.rhs_power43 >= rep.rhs_uniform - 1e-12
+    rhs = incidence_bounds(P, H, s=0.25)["rhs"]
+    assert rhs["power43"] >= rhs["uniform"] - 1e-12
 
 
 def test_incidence_bound_sharpness_plane(f7):
     a, b = (1, 0, 0), 1
     P = plane_points(f7, 3, a, b)
     H = HyperplaneMultiset.build(f7, 3, [(a, b, 1)])
-    rep = incidence_bound(P, H, s=0.25)
-    assert rep["incidences"] == 49
-    assert rep["bound"] >= 49
+    rep = incidence_bounds(P, H, s=0.25)
+    assert rep["N"] == 49
+    assert rep["rhs"]["sharp"] >= 49
     assert not rep["weakBranch"]
 
 
 def test_incidence_bound_empty(f5):
     P = rand_set(f5, 2, 5, 0)
     H = HyperplaneMultiset.build(f5, 2, [])
-    rep = incidence_bound(P, H, s=0.25)
-    assert rep["incidences"] == 0 and rep["bound"] == 0
+    rep = incidence_bounds(P, H, s=0.25)
+    assert rep["N"] == 0 and set(rep["rhs"].values()) == {0.0}
+    assert all(math.isnan(r) for r in rep["ratios"].values())
 
 
 def test_incidence_bound_weak_branch(f5):
     P = rand_set(f5, 2, 5, 0)
     H = HyperplaneMultiset.build(f5, 2, [((1, 0), 0, 1)], allow_degenerate=True)
     strong = HyperplaneMultiset.build(f5, 2, [((1, 0), 1, 1)])
-    weak = incidence_bound(P, H, s=0.25)
+    weak = incidence_bounds(P, H, s=0.25)
     assert weak["weakBranch"]
-    assert incidence_bound(P, strong, s=0.25)["weakBranch"] is False
-    # same counts imply a strictly larger error term on the weak branch
-    assert (weak["bound"] - len(P) * 1 / 5) > (
-        incidence_bound(P, strong, s=0.25)["bound"] - len(P) * 1 / 5)
+    assert incidence_bounds(P, strong, s=0.25)["weakBranch"] is False
+    # same counts imply a strictly larger error term on the weak branch, which
+    # is then the uniform bound's
+    assert (weak["rhs"]["sharp"] - len(P) * 1 / 5) > (
+        incidence_bounds(P, strong, s=0.25)["rhs"]["sharp"] - len(P) * 1 / 5)
+    assert weak["rhs"]["sharp"] == weak["rhs"]["uniform"]
 
 
-def test_dilation(f5):
+def dilation_oracle(F, P):
+    """{lam * x : lam in F_q^*, x in P} by the scalar field methods."""
+    return {tuple(F.mul(lam, c) for c in x) for lam in range(1, F.q) for x in P}
+
+
+def test_dilation(f5, f9):
     H = HyperplaneMultiset.build(f5, 2, [((1, 2), 3, 1)])
     D = dilate_hyperplanes(H)
     assert D.total == 4
@@ -121,6 +133,13 @@ def test_dilation(f5):
     with pytest.raises(ConfigError):
         dilate_hyperplanes(HyperplaneMultiset.build(
             f5, 2, [((1, 0), 0, 1)], allow_degenerate=True))
+    # two projectively equal entries of F_9^2 merge: each of their dilates has multiplicity 2 + 3
+    lam = [f9.mul(4, c) for c in (1, 2, 3)]
+    H = HyperplaneMultiset.build(f9, 2, [((1, 2), 3, 2), (lam[:2], lam[2], 3), ((0, 5), 7, 1)])
+    D = dilate_hyperplanes(H)
+    assert D.total == 8 * H.total
+    assert {(*a, b) for a, b, _ in D.entries} == dilation_oracle(f9, [(*a, b) for a, b, _ in H.entries])
+    assert {m for a, _, m in D.entries if a[0]} == {5}
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
@@ -132,33 +151,33 @@ def test_dilation_identity(q):
         assert incidence_via_dilation(P, H) == count_incidences(P, H)
 
 
-def test_sphere_incidence_setup(f5):
-    E = sphere(f5, 2, 1)
-    lam4 = energy_convolution(E, 2)
-    P, Pp = sphere_incidence_setup(E, lam4)
-    assert len(P) <= (5 - 1) * len(E)
-    assert sum(m for _, _, m in Pp.entries) == len(E) ** 2
-    assert sum(m * m for _, _, m in Pp.entries) == lam4
+def test_sphere_incidence_setup():
+    for q in (5, 9, 25):
+        F = field_of_order(q)
+        E = sphere(F, 2, 1)
+        P, Pp = sphere_incidence_setup(E)
+        assert set(P.points) == dilation_oracle(F, E.points)
+        assert sum(m for _, _, m in Pp.entries) == len(E) ** 2
+        assert sum(m * m for _, _, m in Pp.entries) == energy_bruteforce(E, 2)
 
 
 def test_sphere_setup_antipodal_pair(f5):
     E = PointSet.build(f5, 2, [(0, 1), (0, 4)])
-    lam4 = energy_convolution(E, 2)
-    P, Pp = sphere_incidence_setup(E, lam4)
-    assert sum(m * m for _, _, m in Pp.entries) == lam4
+    P, Pp = sphere_incidence_setup(E)
+    assert sum(m * m for _, _, m in Pp.entries) == energy_bruteforce(E, 2)
     assert len(P) == 4  # the two points are parallel, orbits coincide
 
 
 def test_sphere_setup_rejects_off_sphere(f5):
     with pytest.raises(ConfigError):
-        sphere_incidence_setup(rand_set(f5, 2, 6, 0), 0)
+        sphere_incidence_setup(rand_set(f5, 2, 6, 0))
     with pytest.raises(ConfigError):
-        sphere_incidence_setup(PointSet.build(f5, 2, []), 0)
+        sphere_incidence_setup(PointSet.build(f5, 2, []))
 
 
 def test_distance_energy_family_singleton(f5):
     E = PointSet.build(f5, 2, [(1, 2)])
-    fam = distance_energy_setup(E, 1)
+    fam = difference_family(pair_counts(E))
     assert fam.x_sizes == {0: 1}
     assert fam.total_pairs == 1 and fam.sum_m2 == 1
 
@@ -168,10 +187,9 @@ def test_distance_energy_family_random(q, d):
     F = field_of_order(q)
     for seed in range(4):
         E = rand_set(F, d, 8, seed)
-        lam4 = energy_convolution(E, 2)
-        fam = distance_energy_setup(E, lam4)
+        fam = difference_family(pair_counts(E))
         assert fam.total_pairs == len(E) ** 2
-        assert fam.sum_m2 <= lam4
+        assert fam.sum_m2 <= energy_bruteforce(E, 2)
         brute = difference_family_oracle(E)
         assert list(zip(fam.keys.tolist(), fam.counts.tolist())) == brute
         sizes = {}
@@ -181,20 +199,20 @@ def test_distance_energy_family_random(q, d):
         assert fam.sum_m2 == sum(m * m for _, m in brute)
 
 
-def test_distance_energy_equality_iff_sphere(f5):
-    on = sphere(f5, 2, 2)
-    lam4 = energy_convolution(on, 2)
-    assert distance_energy_setup(on, lam4).sum_m2 == lam4
+def test_distance_energy_equality_iff_sphere(f5, f9):
+    for on in (sphere(f5, 2, 2), sphere(f9, 2, 3)):
+        assert difference_family(pair_counts(on)).sum_m2 == energy_bruteforce(on, 2)
     # off-sphere set where one difference occurs at two norm gaps: strict
     off = PointSet.build(f5, 2, [(0, 0), (1, 0), (2, 0)])
-    lam4 = energy_convolution(off, 2)
-    assert distance_energy_setup(off, lam4).sum_m2 < lam4
+    assert difference_family(pair_counts(off)).sum_m2 < energy_bruteforce(off, 2)
 
 
-def test_invariant_violation_is_typed(f5):
+def test_invariant_violation_is_typed(f5, monkeypatch):
     # a wrong Lambda_4 breaks the one-sphere equality, which must survive python -O
     E = sphere(f5, 2, 2)
+    faulty = dataclasses.replace(pair_counts(E), lam4=energy_bruteforce(E, 2) - 1)
     with pytest.raises(InvariantViolation):
-        distance_energy_setup(E, energy_convolution(E, 2) - 1)
+        difference_family(faulty)
+    monkeypatch.setattr(incidence, "pair_counts", lambda E, budget=None: faulty)
     with pytest.raises(InvariantViolation):
-        sphere_incidence_setup(E, energy_convolution(E, 2) - 1)
+        sphere_incidence_setup(E)

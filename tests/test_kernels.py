@@ -12,7 +12,7 @@ from fqsalem.energy import difference_set, energy_bruteforce, energy_convolution
 from fqsalem.errors import BudgetExceeded
 from fqsalem.geometry import HyperplaneMultiset, PointSet, vsub
 from fqsalem.harness import oracle_distances, oracle_incidences
-from fqsalem.incidence import count_incidences, distance_energy_setup
+from fqsalem.incidence import count_incidences, difference_family
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64])
@@ -28,7 +28,6 @@ def test_small_chunk_cap_matches_oracles(q, d, chunk, monkeypatch):
     H = HyperplaneMultiset.build(F, d, [
         (tuple(rng.randrange(1, q) for _ in range(d)), rng.randrange(q), rng.randrange(1, 4))
         for _ in range(5)])
-    lam4 = energy_convolution(E, 2)
     monkeypatch.setattr(kernels, "CHUNK_ELEMS", chunk)
     blocks = []
 
@@ -45,9 +44,9 @@ def test_small_chunk_cap_matches_oracles(q, d, chunk, monkeypatch):
     assert energy_convolution(E, 3) == energy_bruteforce(E, 3)
     assert set(difference_set(E).points) == {vsub(F, x, y) for x in E.points for y in E.points}
     assert count_incidences(E, H) == oracle_incidences(E, H)
-    family = distance_energy_setup(E, lam4)
-    assert list(zip(family.keys.tolist(), family.counts.tolist())) == difference_family_oracle(E)
     pairs = pair_counts(E)
+    family = difference_family(pairs)
+    assert list(zip(family.keys.tolist(), family.counts.tolist())) == difference_family_oracle(E)
     assert dict(zip(pairs.differences.points, pairs.diff_counts.tolist())) == Counter(
         vsub(F, x, y) for x in E.points for y in E.points)
     assert any(rows > 1 for rows, _ in blocks) == (chunk == 64)
