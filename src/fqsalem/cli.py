@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .energy import energy_bruteforce
@@ -17,9 +16,8 @@ from .errors import BudgetExceeded, ConfigError, InvariantViolation
 from .field import field_create
 from .geometry import read_hyperplanes, read_pointset, write_pointset
 from .harness import (EXIT_BUDGET, EXIT_CONFIG_ERROR, EXIT_GATE_FAILURE,
-                      EXIT_INVARIANT, EXIT_OK, build_set, oracle_distances,
-                      oracle_incidences, ranges_row, render_report, run, sweep)
-from .ranges import crossover_identities
+                      EXIT_INVARIANT, EXIT_OK, _ranges_section, build_set,
+                      oracle_distances, oracle_incidences, render_report, run, sweep)
 
 
 def _add_common(p):
@@ -71,6 +69,8 @@ def _load_config(args) -> dict:
         config = json.loads(args.config.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError("config must be a JSON object")
     if getattr(args, "seed", None) is not None:
         config["seed"] = args.seed
     if getattr(args, "budget", None) is not None:
@@ -122,17 +122,15 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "ranges":
-        rows = []
-        for d in args.d:
-            for s_str in args.s:
-                row = ranges_row(d, Fraction(s_str))
-                rows.append({"d": d, "s": str(row["s"]),
-                             "conjectured": str(row["conjecturedAlpha"]),
-                             "improved": str(row["improved"]),
-                             "branch": row["improvedBranch"],
-                             "energyRoute": str(row["energyRoute"]),
-                             "sphere": str(row["sphere"]),
-                             "crossoversExact": all(crossover_identities(d).values())})
+        section, _ = _ranges_section(None, {"dims": args.d, "sValues": args.s})
+        rows = [{"d": row["d"], "s": str(row["s"]),
+                 "conjectured": str(row["conjecturedAlpha"]),
+                 "improved": str(row["improved"]),
+                 "branch": row["improvedBranch"],
+                 "energyRoute": str(row["energyRoute"]),
+                 "sphere": str(row["sphere"]),
+                 "crossoversExact": section["crossoversExact"][str(row["d"])]}
+                for row in section["table"]]
         if args.json:
             print(json.dumps(rows, indent=2))
         else:

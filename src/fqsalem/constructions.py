@@ -18,9 +18,8 @@ import numpy as np
 
 from .errors import ConfigError, check_budget, check_invariant, config_value
 from .field import FieldSpec, field_create
-from .geometry import (PointSet, Vector, _rot_compose, encode, full_space, norm, dot,
-                       paraboloid, rotation_group_generator, rotation_group_order,
-                       sphere, unit_circle_points)
+from .geometry import (PointSet, Vector, encode, full_space, norm, dot, paraboloid,
+                       rotation_group_order, sphere)
 
 
 # --- deterministic thinning generator: splitmix64 ---------------------------------
@@ -57,11 +56,37 @@ def bernoulli_thin(X: PointSet, theta: float, seed: int) -> PointSet:
     return PointSet.from_codes(X.field, X.d, X.codes[kept])
 
 
-# --- rotation orbits ---------------------------------------------------------------
+# --- cyclic subgroups as n-torsion ---------------------------------------------------
+
+def _torsion(X: np.ndarray, n: int, mul, one) -> np.ndarray:
+    """The rows x of X with x^n = one, where mul multiplies two arrays of group
+    elements row by row. In a cyclic group of order divisible by n these are
+    the n elements of its one subgroup of order n. x^n is one square and
+    multiply over all rows at once.
+    """
+    power, base = None, X
+    while n:
+        if n & 1:
+            power = base if power is None else mul(power, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return X[(power == one).all(axis=1)]
+
+
+def _circle_mul(T, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(a + bi)(c + di) with i^2 = -1 on rows (a, b) and (c, d), through the tables."""
+    a, b, c, d = u[..., 0], u[..., 1], v[..., 0], v[..., 1]
+    return np.stack([T.sub[T.mul[a, c], T.mul[b, d]], T.add[T.mul[a, d], T.mul[b, c]]], axis=-1)
+
 
 def rotation_orbit(p: int, r: int, base_point: tuple[int, int] | None = None) -> PointSet:
     """Orbit of a unit-circle point under a rotation of order
     (q+1)/(p+1) when q = 3 mod 4, or (q-1)/(p-1) when q = 1 mod 4.
+
+    The rotations (a, -b; b, a) are the unit circle S_1 under
+    (a, b)(c, d) = (ac - bd, ad + bc), a cyclic group; so the orbit is
+    base_point * H for H = {x in S_1 : x^n = 1}, n the rotation's order.
     """
     F = field_create(p, r)
     q = F.q
@@ -71,22 +96,14 @@ def rotation_orbit(p: int, r: int, base_point: tuple[int, int] | None = None) ->
         raise ConfigError(
             f"order {group_order} of the rotation group is not divisible by {sub}")
     orbit_len = group_order // sub
-    (a, _), (b, _) = rotation_group_generator(F)
-    gen = (a, b)  # the rotation (a, -b; b, a) as the pair that _rot_compose takes
-    # theta = gen^sub has exact order orbit_len
-    theta = gen
-    for _ in range(sub - 1):
-        theta = _rot_compose(F, theta, gen)
+    circle = sphere(F, 2, 1)
     if base_point is None:
         base_point = (0, 1)  # the first unit-circle point in canonical order
-    if norm(F, base_point) != 1:
+    if base_point not in circle:
         raise ConfigError(f"base point {base_point} is not on the unit circle")
-    pts = []
-    x = base_point
-    for _ in range(orbit_len):
-        pts.append(x)
-        x = _rot_compose(F, theta, x)
-    E = PointSet.build(F, 2, pts)
+    T = F.tables()
+    H = _torsion(circle.array, orbit_len, partial(_circle_mul, T), (1, 0))
+    E = PointSet.from_codes(F, 2, encode(_circle_mul(T, np.array(base_point), H), q))
     check_invariant(len(E) == orbit_len, "rotation orbit shorter than its order")
     return E
 
@@ -125,7 +142,7 @@ def null_basis(F: FieldSpec, d: int) -> list[Vector]:
         off = 4 * blk
         u, v = [0] * d, [0] * d
         u[off], u[off + 2], u[off + 3] = 1, a, b
-        v[off + 1], v[off + 2], v[off + 3] = 1, b, F.neg(a)
+        v[off + 1], v[off + 2], v[off + 3] = 1, b, int(T.neg[a])
         basis.extend([tuple(u), tuple(v)])
     return basis
 
@@ -191,16 +208,15 @@ def product_set(A: PointSet, B: PointSet) -> PointSet:
 
 
 def multiplicative_subgroup(F: FieldSpec, m: int) -> PointSet:
-    """The unique subgroup of F_q^* of order m, as a 1-dimensional set."""
+    """The unique subgroup of F_q^* of order m, as a 1-dimensional set: the
+    x with x^m = 1."""
     if m < 1 or (F.q - 1) % m != 0:
         raise ConfigError(f"m = {m} must divide q - 1 = {F.q - 1}")
-    g = F.primitive_element()
-    h = F.pow(g, (F.q - 1) // m)
-    elems, x = [], 1
-    for _ in range(m):
-        elems.append((x,))
-        x = F.mul(x, h)
-    return PointSet.build(F, 1, elems)
+    T = F.tables()
+    A = _torsion(np.arange(1, F.q)[:, None], m, lambda x, y: T.mul[x, y], (1,))
+    E = PointSet.from_codes(F, 1, A[:, 0])
+    check_invariant(len(E) == m, f"F_{F.q}^* has {len(E)} elements with x^{m} = 1, not {m}")
+    return E
 
 
 def subgroup_power(F: FieldSpec, m: int, d: int) -> PointSet:
@@ -283,7 +299,7 @@ def two_set_sharpness(F: FieldSpec, d: int) -> tuple[PointSet, PointSet]:
     if d % 2 != 0 or d < 4:
         raise ConfigError("d must be even and >= 4")
     span = isotropic_subspace(F, d - 2, (d - 2) // 2)
-    circle = PointSet.build(F, 2, unit_circle_points(F))
+    circle = sphere(F, 2, 1)
     E = product_set(span, circle)
     zero2 = PointSet.build(F, 2, [(0, 0)])
     G = product_set(span, zero2)

@@ -56,7 +56,7 @@ def distance_profile(E: PointSet, F: PointSet | None = None,
     X, Y = E.array, F.array
     counter = KeyCounter(K.q, len(E) * len(F), "distance profile")
     for rows in row_blocks(len(X), max(len(Y), K.q)):
-        t = 0
+        t = np.zeros((rows.stop - rows.start, len(Y)), dtype=np.int64)
         for i in range(E.d):  # row gathers: the table rows of X, then the columns of Y
             t = T.add[t, T.square[T.sub[X[rows, i]][:, Y[:, i]]]]
         counter.add(t)

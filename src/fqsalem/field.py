@@ -4,10 +4,11 @@ Elements are canonical integers in [0, q): the base-p digits of the value,
 little-endian, are the coefficients of the residue polynomial. For r = 1
 this degenerates to plain integers mod p.
 
-Two layers: scalar methods on FieldSpec (one element at a time; used by
-constructions and the oracles) and numpy lookup tables (`FieldSpec.tables`)
-that the counting kernels gather from, in the lookup-table GF(p^m) style of
-the galois package (https://github.com/mhostetter/galois).
+Two layers: scalar methods on FieldSpec (one element at a time; used by the
+oracles, the invariant checks and the table bootstrap) and numpy lookup
+tables (`FieldSpec.tables`) that the kernels and constructions gather from,
+in the lookup-table GF(p^m) style of the galois package
+(https://github.com/mhostetter/galois).
 """
 
 from __future__ import annotations
@@ -193,10 +194,11 @@ class FieldSpec:
         object.__setattr__(self, "q", self.p ** self.r)
 
     def tables(self, budget: int | None = None) -> FieldTables:
-        """The lookup tables, built on first use (field_create never pays)."""
+        """The lookup tables, built on first use (field_create never pays).
+        Every call charges their q^2 entries, whoever built them."""
+        check_budget(self.q * self.q, budget, f"F_{self.q} lookup tables")
         cached = self.__dict__.get("_tables")
         if cached is None:
-            check_budget(self.q * self.q, budget, f"F_{self.q} lookup tables")
             cached = FieldTables.build(self)
             self.__dict__["_tables"] = cached
         return cached

@@ -184,49 +184,11 @@ def paraboloid(F: FieldSpec, d: int, budget: int | None = None) -> PointSet:
     return lift_to_paraboloid(full_space(F, d - 1, budget))
 
 
-# --- rotations in the plane -------------------------------------------------
-
-Matrix2 = tuple[tuple[int, int], tuple[int, int]]
-
-
-def unit_circle_points(F: FieldSpec) -> list[tuple[int, int]]:
-    """All (a, b) with a^2 + b^2 = 1, in canonical order."""
-    T = F.tables()
-    return [tuple(ab) for ab in np.argwhere(T.add[T.square[:, None], T.square[None, :]] == 1).tolist()]
-
-
-def _rot_compose(F: FieldSpec, u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
-    # (a1 + i b1)(a2 + i b2) with i^2 = -1, through the field tables
-    T = F.tables()
-    a = T.sub[T.mul[u[0], v[0]], T.mul[u[1], v[1]]]
-    b = T.add[T.mul[u[0], v[1]], T.mul[u[1], v[0]]]
-    return int(a), int(b)
-
+# --- the unit circle -----------------------------------------------------------
 
 def rotation_group_order(F: FieldSpec) -> int:
+    """|S_1|, the order of the cyclic group of rotations (a, -b; b, a) with a^2 + b^2 = 1."""
     return F.q + 1 if F.q % 4 == 3 else F.q - 1
-
-
-def _rot_order(F: FieldSpec, g: tuple[int, int]) -> int:
-    n, cur = 1, g
-    while cur != (1, 0):
-        cur = _rot_compose(F, cur, g)
-        n += 1
-    return n
-
-
-def rotation_group_generator(F: FieldSpec) -> Matrix2:
-    """A generator of the cyclic group of rotations, as a 2x2 matrix (a,-b;b,a)."""
-    want = rotation_group_order(F)
-    for ab in unit_circle_points(F):
-        if _rot_order(F, ab) == want:
-            a, b = ab
-            return ((a, F.neg(b)), (b, a))
-    raise AssertionError("rotation group generator not found")  # unreachable
-
-
-def apply_matrix(F: FieldSpec, m: Matrix2, x: Vector) -> Vector:
-    return tuple(dot(F, row, x) for row in m)
 
 
 # --- hyperplane multisets -----------------------------------------------------

@@ -165,24 +165,20 @@ def _incidence_section(A: Analysis, config: dict) -> tuple[dict, dict]:
     return {"pairTotal": fam.total_pairs, "sumM2": fam.sum_m2, "lambda4": A.lam(2)}, {}
 
 
-def ranges_row(d: int, s: Fraction) -> dict:
-    """The threshold exponents at one (d, s)."""
-    val, branch = improved_threshold(d, s)
-    return {
-        "d": d, "s": s,
-        "conjecturedAlpha": conjectured_alpha(d, s),
-        "improved": val, "improvedBranch": branch,
-        "energyRoute": energy_threshold(d, s),
-        "sphere": sphere_threshold(d, s),
-    }
-
-
 def _ranges_section(A: Analysis | None, config: dict) -> tuple[dict, dict]:
     ds = config_value(config, "dims", [2, 3, 4, 5, 6], lambda v: [operator.index(d) for d in v])
     ss = config_value(config, "sValues", ["1/4", "3/8", "1/2"],
                       lambda v: [Fraction(str(x)) for x in v])
+    table = []
+    for d in ds:
+        for s in ss:
+            val, branch = improved_threshold(d, s)
+            table.append({"d": d, "s": s, "conjecturedAlpha": conjectured_alpha(d, s),
+                          "improved": val, "improvedBranch": branch,
+                          "energyRoute": energy_threshold(d, s),
+                          "sphere": sphere_threshold(d, s)})
     return {
-        "table": [ranges_row(d, s) for d in ds for s in ss],
+        "table": table,
         "crossoversExact": {str(d): all(crossover_identities(d).values())
                             for d in ds},
         "subgroupThreshold": {str(d): family_thresholds("subgroup", d)

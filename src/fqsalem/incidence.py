@@ -38,7 +38,7 @@ def count_incidences(P: PointSet, H: HyperplaneMultiset,
     X = P.array
     hits = np.zeros(len(A), dtype=np.int64)
     for rows in row_blocks(len(X), max(len(A), P.field.q)):
-        dots = 0
+        dots = np.zeros((rows.stop - rows.start, len(A)), dtype=np.int64)
         for i in range(P.d):  # row gathers: the table rows of X, then the columns of A
             dots = T.add[dots, T.mul[X[rows, i]][:, A[:, i]]]
         hits += np.count_nonzero(dots == b, axis=0)

@@ -14,8 +14,9 @@ from fqsalem.constructions import (ConstructionSpec, bernoulli_thin, conjecture_
 from fqsalem.distance import distance_set
 from fqsalem.energy import energy_bruteforce, energy_convolution
 from fqsalem.errors import BudgetExceeded, ConfigError
-from fqsalem.field import field_create
-from fqsalem.geometry import PointSet, dot, full_space, norm, write_pointset
+from fqsalem.field import FieldSpec, field_create
+from fqsalem.geometry import (PointSet, dot, full_space, norm, rotation_group_order,
+                               write_pointset)
 
 
 def test_rotation_orbit_q27():
@@ -167,6 +168,39 @@ def test_multiplicative_subgroup(f7):
     assert set(multiplicative_subgroup(f7, 6).points) == {(x,) for x in range(1, 7)}
     with pytest.raises(ConfigError):
         multiplicative_subgroup(f7, 4)
+
+
+@pytest.mark.parametrize("q", [7, 25, 27])
+def test_subgroups_match_scalar_walk(q):
+    # the powers of g^((q-1)/m) for a primitive g, by scalar multiplication
+    F = field_of_order(q)
+    g = F.primitive_element()
+    for m in (m for m in range(1, q) if (q - 1) % m == 0):
+        h, x, walk = F.pow(g, (q - 1) // m), 1, []
+        for _ in range(m):
+            walk.append((x,))
+            x = F.mul(x, h)
+        assert multiplicative_subgroup(F, m).points == tuple(sorted(walk))
+
+
+SCALAR_ARITHMETIC = ("add", "neg", "sub", "mul", "pow", "inv", "trace", "element_order",
+                     "primitive_element", "is_square", "sqrt", "two_square_decomposition")
+
+
+@pytest.mark.parametrize("p,r", [(7, 1), (5, 2), (3, 3)])
+def test_cyclic_constructions_run_on_tables(monkeypatch, p, r):
+    F = field_create(p, r)
+    F.tables()
+    for name in SCALAR_ARITHMETIC:
+        def refuse(*args, name=name):
+            pytest.fail(f"scalar FieldSpec.{name} ran")
+        monkeypatch.setattr(FieldSpec, name, refuse)
+    orbit = ConstructionSpec("orbit", {"p": p, "r": r}).build()
+    m = (F.q - 1) // 2
+    power = ConstructionSpec("subgroupPower", {"p": p, "r": r, "m": m, "d": 2}).build()
+    sub = p + 1 if F.q % 4 == 3 else p - 1
+    assert len(orbit) == rotation_group_order(F) // sub
+    assert len(power) == m * m
 
 
 def test_subgroup_power(f7):

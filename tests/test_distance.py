@@ -13,8 +13,7 @@ from fqsalem.distance import (cs_lower_bound, distance_profile, distance_set,
 from fqsalem.energy import energy_convolution
 from fqsalem.errors import ConfigError
 from fqsalem.field import field_create
-from fqsalem.geometry import (PointSet, apply_matrix, lift_to_paraboloid, norm,
-                               rotation_group_generator, sphere, vsub)
+from fqsalem.geometry import PointSet, lift_to_paraboloid, norm, sphere, vsub
 from fqsalem.harness import Analysis
 
 
@@ -102,8 +101,10 @@ def test_cs_equality_on_uniform_profile(f3):
 
 def test_isometry_invariance(f5):
     E = rand_set(f5, 2, 9, seed=7)
-    g = rotation_group_generator(f5)
-    rotated = PointSet.build(f5, 2, (apply_matrix(f5, g, x) for x in E.points))
+    a, b = 0, 1  # the rotation (a, -b; b, a) of order 4 in F_5^2
+    assert norm(f5, (a, b)) == 1
+    rotated = PointSet.build(f5, 2, ((f5.sub(f5.mul(a, x), f5.mul(b, y)),
+                                      f5.add(f5.mul(b, x), f5.mul(a, y))) for x, y in E.points))
     assert distance_profile(rotated).counts == distance_profile(E).counts
     assert distance_profile(E.translate((2, 3))).counts == distance_profile(E).counts
 

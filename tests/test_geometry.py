@@ -9,11 +9,10 @@ from conftest import full_space
 from fqsalem.constructions import rotation_orbit
 from fqsalem.errors import BudgetExceeded, ConfigError
 from fqsalem.field import field_create
-from fqsalem.geometry import (HyperplaneMultiset, PointSet, all_vectors, apply_matrix,
-                               decode, dot, encode, norm, paraboloid, read_hyperplanes,
-                               read_pointset, rotation_group_generator,
-                               rotation_group_order, sphere, unit_circle_points, vadd,
-                               vsub, write_hyperplanes, write_pointset)
+from fqsalem.geometry import (HyperplaneMultiset, PointSet, all_vectors, decode, dot,
+                               encode, norm, paraboloid, read_hyperplanes, read_pointset,
+                               rotation_group_order, sphere, vadd, vsub, write_hyperplanes,
+                               write_pointset)
 
 
 def test_encode_is_bijection(f5):
@@ -91,23 +90,7 @@ def test_rotation_group_orders():
 @pytest.mark.parametrize("p,r", [(3, 1), (5, 1), (7, 1), (3, 2), (3, 3)])
 def test_rotation_generator_order_and_norms(p, r):
     F = field_create(p, r)
-    g = rotation_group_generator(F)
-    order = rotation_group_order(F)
-    assert len(unit_circle_points(F)) == order
-    rng = random.Random(11)
-    # the generator's first column walks the whole unit circle
-    seen = set()
-    x = (1, 0)
-    for _ in range(order):
-        x = apply_matrix(F, g, x)
-        seen.add(x)
-    assert len(seen) == order and (1, 0) in seen
-    for _ in range(20):
-        v = (rng.randrange(F.q), rng.randrange(F.q))
-        y = v
-        for _ in range(order):
-            y = apply_matrix(F, g, y)
-            assert norm(F, y) == norm(F, v)
+    assert len(sphere(F, 2, 1)) == rotation_group_order(F)
 
 
 def _scalar_rot_compose(F, u, v):
@@ -117,11 +100,11 @@ def _scalar_rot_compose(F, u, v):
 
 @pytest.mark.parametrize("p,r", [(3, 1), (5, 2), (7, 2), (3, 3)])
 def test_rotations_match_scalar_path(p, r):
-    # the unit circle by scalar square roots, the generator and the orbit by
+    # the unit circle by scalar square roots, a generator and the orbits by
     # scalar field multiplication
     F = field_create(p, r)
     circle = sorted((a, b) for a in range(F.q) for b in F.sqrt(F.sub(1, F.mul(a, a))))
-    assert unit_circle_points(F) == circle
+    assert sphere(F, 2, 1).points == tuple(circle)
 
     def order(g):
         n, cur = 1, g
@@ -130,16 +113,16 @@ def test_rotations_match_scalar_path(p, r):
         return n
 
     gen = next(g for g in circle if order(g) == rotation_group_order(F))
-    assert rotation_group_generator(F) == ((gen[0], F.neg(gen[1])), (gen[1], gen[0]))
     sub = p + 1 if F.q % 4 == 3 else p - 1
     theta = gen
     for _ in range(sub - 1):
         theta = _scalar_rot_compose(F, theta, gen)
-    pts, x = [], F.two_square_decomposition(1)
-    for _ in range(rotation_group_order(F) // sub):
-        pts.append(x)
-        x = _scalar_rot_compose(F, theta, x)
-    assert rotation_orbit(p, r).points == tuple(sorted(pts))
+    for base in (None, circle[-1]):  # by default, the first point of the circle
+        pts, x = [], base or circle[0]
+        for _ in range(rotation_group_order(F) // sub):
+            pts.append(x)
+            x = _scalar_rot_compose(F, theta, x)
+        assert rotation_orbit(p, r, base).points == tuple(sorted(pts))
 
 
 def test_pointset_dedup_and_order(f5):

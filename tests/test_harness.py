@@ -332,11 +332,15 @@ def test_cli_bad_config_values_exit_3(tmp_path, capsys, config):
     ("analyze", {"analyses": ["ranges"], "sValues": ["abc"]}),
     ("analyze", {"analyses": ["ranges"], "dims": ["x"]}),
     ("sweep", {**ISO_CONFIG, "grid": {"size": 5}}),
-    ("analyze", {**ISO_CONFIG, "budget": True})])
+    ("analyze", {**ISO_CONFIG, "budget": True}),
+    # --seed and --budget are written into the config, which must be an object
+    ("analyze --seed 1", [1, 2]),
+    ("sweep --budget 5", [1, 2])])
 def test_cli_malformed_config_exit_3(tmp_path, capsys, command, config):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(config))
-    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    argv = [*command.split(), "--config", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 3
     assert capsys.readouterr().err.startswith("config error: ")
 
 
@@ -362,6 +366,19 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     tight = tmp_path / "tight.json"
     tight.write_text(json.dumps({**ISO_CONFIG, "budget": 2}))
     assert main(["verify", "--config", str(tight)]) == 4
+
+
+@pytest.mark.parametrize("construction", [
+    {"kind": "orbit", "p": 3, "r": 3},
+    {"kind": "subgroupPower", "p": 5, "r": 3, "m": 2, "d": 2}])
+def test_tables_charge_the_report_budget(tmp_path, capsys, construction):
+    # the construction builds the tables first; the report's budget is still
+    # charged q^2 for them (the pair pass needs only 49 and 16 units)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"construction": construction, "analyses": ["energy"],
+                                "budget": 700}))
+    assert main(["analyze", "--config", str(path)]) == 4
+    assert capsys.readouterr().err.startswith("budget exceeded: F_")
 
 
 def test_pair_pass_charges_n_squared(tmp_path, capsys):
@@ -405,6 +422,45 @@ def test_cli_ranges(capsys):
     assert main(["ranges", "--d", "2", "4", "--s", "1/4", "--json"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert len(rows) == 2 and all(r["crossoversExact"] for r in rows)
+
+
+RANGES_TEXT = """\
+  d      s     conj improved     branch energyRoute   sphere
+  2    1/4        1        2  incidence        2      3/2
+  2    3/8        1      8/5  incidence      4/3      6/5
+  2    1/2        1      4/3  incidence        1        1
+  3    1/4        2      5/2  incidence        3        2
+  3    3/8      4/3        2  incidence        2      8/5
+  3    1/2        1      5/3  incidence      3/2      4/3
+  4    1/4        2        3  incidence        4      5/2
+  4    3/8        2     12/5  incidence      8/3        2
+  4    1/2      3/2        2        tie        2      5/3
+  5    1/4        3      7/2  incidence        5        3
+  5    3/8        2     14/5  incidence     10/3     12/5
+  5    1/2      3/2      9/4     energy      5/2        2
+  6    1/4        3        4  incidence        6      7/2
+  6    3/8      8/3     16/5  incidence        4     14/5
+  6    1/2        2      5/2     energy        3      7/3
+"""
+
+
+def test_cli_ranges_output_pinned(capsys):
+    # the default table as text and as JSON, byte for byte
+    assert main(["ranges"]) == 0
+    assert capsys.readouterr().out == RANGES_TEXT
+    keys = ("d", "s", "conjectured", "improved", "branch", "energyRoute", "sphere")
+    rows = [{**dict(zip(keys, line.split())), "crossoversExact": True}
+            for line in RANGES_TEXT.splitlines()[1:]]
+    for row in rows:
+        row["d"] = int(row["d"])
+    assert main(["ranges", "--json"]) == 0
+    assert capsys.readouterr().out == json.dumps(rows, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("s", ["abc", "0/0"])
+def test_cli_ranges_bad_s_exit_3(capsys, s):
+    assert main(["ranges", "--d", "2", "--s", s]) == 3
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_cli_sweep(tmp_path, capsys):

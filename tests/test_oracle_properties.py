@@ -24,7 +24,7 @@ CHUNKS = [1, 7, kernels.CHUNK_ELEMS]
 @st.composite
 def spaces(draw):
     F = field_create(draw(st.sampled_from([3, 5, 7])), draw(st.integers(1, 3)))
-    return F, draw(st.integers(1, 3))
+    return F, draw(st.integers(0, 3))
 
 
 def point_sets(draw, F, d, max_size=12):
