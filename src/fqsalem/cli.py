@@ -1,12 +1,13 @@
 """Command-line interface.
 
-Exit codes: 0 all gates pass, 2 gate failure, 3 config error, 4 budget
-exceeded, 5 an internal invariant failed (a defect, never bad input).
+Exit codes: 0 all gates pass, 2 gate failure, 3 config or usage error, 4
+budget exceeded, 5 an internal invariant failed (a defect, never bad input).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -25,9 +26,9 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", type=Path, default=None)
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
 
 
+@functools.cache  # built once per process, on first use
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="fqsalem")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -52,6 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="grid sweep to CSV")
     _add_common(p)
+    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("oracle", help="brute-force reference computations")
     p.add_argument("kind", choices=["lambda4", "distances", "incidences"])
@@ -79,9 +81,10 @@ def _load_config(args) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return _dispatch(build_parser().parse_args(argv))
+    except SystemExit as exc:  # argparse's: 0 after --help, 2 on a usage error
+        return EXIT_CONFIG_ERROR if exc.code else EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -157,7 +160,7 @@ def _dispatch(args) -> int:
         else:
             if args.hyperplanes is None:
                 raise ConfigError("incidences oracle needs a hyperplane file")
-            H = read_hyperplanes(args.hyperplanes, allow_degenerate=True)
+            H = read_hyperplanes(args.hyperplanes)
             print(oracle_incidences(E, H, args.budget))
         return EXIT_OK
 

@@ -18,7 +18,7 @@ from .energy import PairCounts, pair_counts
 from .errors import check_budget, check_invariant, ConfigError
 from .field import FieldSpec
 from .geometry import PointSet, norms
-from .kernels import KeyCounter, merge, row_blocks, sum_squares
+from .kernels import KeyCounter, merge, sum_squares, table_sums
 
 if TYPE_CHECKING:
     from .harness import Analysis
@@ -53,12 +53,8 @@ def distance_profile(E: PointSet, F: PointSet | None = None,
     check_budget(len(E) * len(F), budget, "distance profile")
     K = E.field
     T = K.tables(budget)
-    X, Y = E.array, F.array
     counter = KeyCounter(K.q, len(E) * len(F), "distance profile")
-    for rows in row_blocks(len(X), max(len(Y), K.q)):
-        t = np.zeros((rows.stop - rows.start, len(Y)), dtype=np.int64)
-        for i in range(E.d):  # row gathers: the table rows of X, then the columns of Y
-            t = T.add[t, T.square[T.sub[X[rows, i]][:, Y[:, i]]]]
+    for t in table_sums(T.add, T.square[T.sub], E.array, F.array):
         counter.add(t)
     keys, counts = counter.result()
     return DistanceProfile(K, dict(zip(keys.tolist(), counts.tolist())), len(E), len(F))

@@ -5,13 +5,15 @@ its vectors, the index of x being sum_i x_i q^(d-1-i) (`encode`). Index
 order is the lexicographic order of the vectors, so every derived file or
 report is byte-reproducible. The (n, d) coordinate array the kernels
 gather from and the tuples that I/O and the scalar oracles iterate are
-lazy views of the codes. Single vectors are tuples of canonical field
-integers.
+lazy views of the codes. A hyperplane multiset is held the same way, as the
+codes of its rows (a, b) in F_q^{d+1} with their multiplicities. Single
+vectors are tuples of canonical field integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from pathlib import Path
 
@@ -19,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, check_budget
 from .field import FieldSpec, parse_header
-from .kernels import check_int64
+from .kernels import INT64_MAX, check_int64, merge
 
 Vector = tuple[int, ...]
 
@@ -33,18 +35,7 @@ class PointSet:
     @staticmethod
     def build(field: FieldSpec, d: int, points) -> "PointSet":
         """The set of the given coordinate sequences, validated as outside input."""
-        pts = [tuple(p) for p in points]
-        for p in pts:
-            if len(p) != d:
-                raise ConfigError(f"point {p} has dimension {len(p)}, expected {d}")
-        try:
-            X = np.array(pts, dtype=np.int64).reshape(len(pts), d)
-        except OverflowError as exc:
-            raise ConfigError("coordinate out of range: beyond int64") from exc
-        bad = np.flatnonzero(((X < 0) | (X >= field.q)).any(axis=1))
-        if len(bad):
-            raise ConfigError(f"coordinate out of range in {pts[bad[0]]}")
-        return PointSet.from_codes(field, d, encode(X, field.q))
+        return PointSet.from_codes(field, d, _validated_codes(field, d, points, "point"))
 
     @staticmethod
     def from_codes(field: FieldSpec, d: int, codes) -> "PointSet":
@@ -72,31 +63,33 @@ class PointSet:
             return False
         return bool((self.codes == encode(np.array([p]), self.field.q)[0]).any())
 
-    def _view(self, key, compute):
-        # the dataclass is frozen, so lazy views are kept in the instance __dict__
-        if key not in self.__dict__:
-            self.__dict__[key] = compute()
-        return self.__dict__[key]
-
-    @property
+    @cached_property
     def array(self) -> np.ndarray:
         """The points as a read-only (n, d) int64 array, in point order."""
-        def compute():
-            X = decode(self.codes, self.field.q, self.d)
-            X.flags.writeable = False
-            return X
-        return self._view("_array", compute)
+        X = decode(self.codes, self.field.q, self.d)
+        X.flags.writeable = False
+        return X
 
-    @property
+    @cached_property
     def points(self) -> tuple[Vector, ...]:
         """The points as sorted tuples of Python ints, for I/O and the scalar oracles."""
-        return self._view("_points", lambda: tuple(vectors(self.codes, self.field.q, self.d)))
+        return tuple(vectors(self.codes, self.field.q, self.d))
 
     def translate(self, v: Vector) -> "PointSet":
         """E + v, through the field's addition table."""
         T = self.field.tables()
         return PointSet.from_codes(self.field, self.d,
                                    encode(T.add[self.array, np.asarray(v)], self.field.q))
+
+
+def _validated_codes(field: FieldSpec, width: int, rows, what: str) -> np.ndarray:
+    """The flat indices of coordinate sequences given as outside input, each
+    of length `width` with every entry in [0, q)."""
+    rows = [tuple(r) for r in rows]
+    for r in rows:
+        if len(r) != width or not all(0 <= c < field.q for c in r):
+            raise ConfigError(f"{what} {r} is not in F_{field.q}^{width}")
+    return encode(np.array(rows, dtype=np.int64).reshape(len(rows), width), field.q)
 
 
 def encode(X: np.ndarray, q: int) -> np.ndarray:
@@ -193,43 +186,58 @@ def rotation_group_order(F: FieldSpec) -> int:
 
 # --- hyperplane multisets -----------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HyperplaneMultiset:
-    """Entries (a, b, mult) standing for mult copies of the pair a.x = b.
-
-    allow_degenerate permits a = 0 entries (needed by the second-moment
-    machinery, where difference vectors may vanish).
-    """
+    """mults[i] copies of the hyperplane a.x = b for the i-th row (a, b) of
+    F_q^{d+1}, held as its flat index (b the last digit). codes are sorted and
+    distinct, mults positive, and their total |P'| fits int64. Rows with a = 0
+    are allowed (the second-moment machinery needs them)."""
 
     field: FieldSpec
     d: int
-    entries: tuple[tuple[Vector, int, int], ...]
-    allow_degenerate: bool = False
+    codes: np.ndarray  # sorted distinct int64 flat indices of the rows (a, b), read-only
+    mults: np.ndarray  # positive int64 multiplicities, in code order, read-only
 
     @staticmethod
-    def build(field: FieldSpec, d: int, entries, allow_degenerate: bool = False) -> "HyperplaneMultiset":
-        merged: dict[tuple[Vector, int], int] = {}
-        for a, b, m in entries:
-            a = tuple(a)
-            if len(a) != d:
-                raise ConfigError(f"normal vector {a} has wrong dimension")
-            if not all(0 <= c < field.q for c in (*a, b)):
-                raise ConfigError(f"hyperplane {a}.x = {b} has an entry outside F_{field.q}")
-            if m <= 0:
-                raise ConfigError("multiplicity must be positive")
-            if not allow_degenerate and all(c == 0 for c in a):
-                raise ConfigError("zero normal vector in a non-degenerate multiset")
-            merged[(a, b)] = merged.get((a, b), 0) + m
-        ents = tuple(sorted((a, b, m) for (a, b), m in merged.items()))
-        return HyperplaneMultiset(field, d, ents, allow_degenerate)
+    def build(field: FieldSpec, d: int, entries) -> "HyperplaneMultiset":
+        """The multiset of the given (a, b, mult) entries, validated as outside input."""
+        entries = list(entries)
+        codes = _validated_codes(field, d + 1, [(*a, b) for a, b, _ in entries], "row (a, b) =")
+        return HyperplaneMultiset.from_codes(field, d, codes, [m for _, _, m in entries])
+
+    @staticmethod
+    def from_codes(field: FieldSpec, d: int, codes, mults) -> "HyperplaneMultiset":
+        """mults[i] copies of the row coded codes[i], in any order; repeated
+        rows merge, adding their multiplicities."""
+        check_int64(field.q ** (d + 1), f"flat index space of F_{field.q}^{d + 1}")
+        mults = np.asarray(mults)  # not int64 when some multiplicity is beyond int64
+        if (mults <= 0).any():
+            raise ConfigError("multiplicity must be positive")
+        if sum(mults.tolist()) > INT64_MAX:  # exact: Python ints
+            raise ConfigError("total multiplicity beyond the int64 range")
+        codes, mults = merge(np.asarray(codes, dtype=np.int64), mults.astype(np.int64))
+        codes.flags.writeable = mults.flags.writeable = False
+        return HyperplaneMultiset(field, d, codes, mults)
+
+    def __eq__(self, other):
+        return (isinstance(other, HyperplaneMultiset)
+                and (self.field, self.d) == (other.field, other.d)
+                and np.array_equal(self.codes, other.codes)
+                and np.array_equal(self.mults, other.mults))
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Vector, int, int], ...]:
+        """(a, b, mult) in row order, as Python ints: for I/O and the scalar oracle."""
+        rows = vectors(self.codes, self.field.q, self.d + 1)
+        return tuple((ab[:-1], ab[-1], m) for ab, m in zip(rows, self.mults.tolist()))
 
     @property
     def total(self) -> int:
         """|P'| = sum of multiplicities."""
-        return sum(m for _, _, m in self.entries)
+        return int(self.mults.sum())
 
     def has_zero_offset(self) -> bool:
-        return any(b == 0 for _, b, _ in self.entries)
+        return bool((self.codes % self.field.q == 0).any())
 
 
 # --- file I/O -------------------------------------------------------------------
@@ -273,7 +281,7 @@ def write_hyperplanes(H: HyperplaneMultiset, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_hyperplanes(path, allow_degenerate: bool = False) -> HyperplaneMultiset:
+def read_hyperplanes(path) -> HyperplaneMultiset:
     F, d, rows = _read_file(path)
     entries = []
     for toks in rows:
@@ -283,4 +291,4 @@ def read_hyperplanes(path, allow_degenerate: bool = False) -> HyperplaneMultiset
             raise ConfigError(f"malformed hyperplane line {' '.join(toks)!r} in {path}")
         entries.append((a, _parse_int(kv["b"], "offset b"),
                         _parse_int(kv.get("mult", "1"), "multiplicity")))
-    return HyperplaneMultiset.build(F, d, entries, allow_degenerate)
+    return HyperplaneMultiset.build(F, d, entries)

@@ -20,8 +20,8 @@ import numpy as np
 from .energy import PairCounts, pair_counts
 from .errors import check_budget, check_invariant, ConfigError
 from .field import FieldTables
-from .geometry import HyperplaneMultiset, PointSet, encode, norms
-from .kernels import group_sums, row_blocks, sum_squares
+from .geometry import HyperplaneMultiset, PointSet, decode, encode, norms
+from .kernels import check_int64, sum_squares, table_sums
 
 
 def count_incidences(P: PointSet, H: HyperplaneMultiset,
@@ -29,20 +29,14 @@ def count_incidences(P: PointSet, H: HyperplaneMultiset,
     """sum_(a, b, m) m * #{x in P : a.x = b}, as a chunked (points x hyperplanes) matrix."""
     if P.field != H.field or P.d != H.d:
         raise ConfigError("mismatched fields or dimensions")
-    check_budget(len(P) * max(len(H.entries), 1), budget, "incidence count")
-    if not H.entries:
-        return 0
-    T = P.field.tables(budget)
-    A = np.array([a for a, _, _ in H.entries], dtype=np.int64)
-    b = np.array([b for _, b, _ in H.entries], dtype=np.int64)
-    X = P.array
-    hits = np.zeros(len(A), dtype=np.int64)
-    for rows in row_blocks(len(X), max(len(A), P.field.q)):
-        dots = np.zeros((rows.stop - rows.start, len(A)), dtype=np.int64)
-        for i in range(P.d):  # row gathers: the table rows of X, then the columns of A
-            dots = T.add[dots, T.mul[X[rows, i]][:, A[:, i]]]
-        hits += np.count_nonzero(dots == b, axis=0)
-    return sum(m * h for (_, _, m), h in zip(H.entries, hits.tolist()))
+    check_budget(len(P) * max(len(H.codes), 1), budget, "incidence count")
+    check_int64(len(P) * H.total, "incidence count")
+    T, d = P.field.tables(budget), P.d
+    rows = decode(H.codes, P.field.q, d + 1)
+    hits = np.zeros(len(rows), dtype=np.int64)
+    for dots in table_sums(T.add, T.mul, P.array, rows[:, :d]):
+        hits += np.count_nonzero(dots == rows[:, d], axis=0)
+    return int(H.mults @ hits)
 
 
 def incidence_bounds(P: PointSet, H: HyperplaneMultiset, s: float,
@@ -60,7 +54,7 @@ def incidence_bounds(P: PointSet, H: HyperplaneMultiset, s: float,
     q, d, n = P.field.q, P.d, len(P)
     N = count_incidences(P, H, budget)
     total = H.total
-    mults = [m for _, _, m in H.entries]
+    mults = H.mults.tolist()
     main = Fraction(n * total, q)
     weak = H.has_zero_offset()
     n_s = n ** (1 - s)
@@ -86,10 +80,8 @@ def dilate_hyperplanes(H: HyperplaneMultiset) -> HyperplaneMultiset:
     if H.has_zero_offset():
         raise ConfigError("dilation requires all b != 0")
     F, d = H.field, H.d
-    rows = np.array([(*a, b) for a, b, _ in H.entries], dtype=np.int64).reshape(-1, d + 1)
-    dilates = _dilations(F.tables(), rows).tolist()
-    mults = [m for _, _, m in H.entries] * (F.q - 1)
-    return HyperplaneMultiset.build(F, d, ((ab[:d], ab[d], m) for ab, m in zip(dilates, mults)))
+    dilates = _dilations(F.tables(), decode(H.codes, F.q, d + 1))
+    return HyperplaneMultiset.from_codes(F, d, encode(dilates, F.q), np.tile(H.mults, F.q - 1))
 
 
 def incidence_via_dilation(P: PointSet, H: HyperplaneMultiset,
@@ -108,36 +100,27 @@ def sphere_incidence_setup(E: PointSet, budget: int | None = None
                            ) -> tuple[PointSet, HyperplaneMultiset]:
     """Dilated point set and zero-offset difference multiset for sets on a sphere.
 
-    Requires E on a single sphere of nonzero radius. The multiset holds each
-    u in E - E with multiplicity D(u), so its sum of squared multiplicities
-    is Lambda_4(E) (checked against the pair pass).
+    Requires E nonempty and on a single sphere of nonzero radius. The
+    multiset holds each u in E - E with multiplicity D(u), so its sum of
+    squared multiplicities is Lambda_4(E) (checked against the pair pass).
     """
     F, d, q = E.field, E.d, E.field.q
-    if len(E) == 0:
-        raise ConfigError("empty set")
     radii = set(norms(E, budget).tolist())
     if len(radii) != 1 or 0 in radii:
         raise ConfigError("E must lie on one sphere of nonzero radius")
     pairs = pair_counts(E, budget)
     P = PointSet.from_codes(F, d, encode(_dilations(F.tables(budget), E.array), q))
-    Pp = HyperplaneMultiset.build(
-        F, d, ((u, 0, m) for u, m in zip(pairs.differences.points, pairs.diff_counts.tolist())),
-        allow_degenerate=True)
-    check_invariant(sum_squares([m for _, _, m in Pp.entries], len(E) ** 4) == pairs.lam4,
+    Pp = HyperplaneMultiset.from_codes(F, d, pairs.differences.codes * q, pairs.diff_counts)
+    check_invariant(sum_squares(Pp.mults, len(E) ** 4) == pairs.lam4,
                     "sum of squared difference multiplicities differs from L_4(E)")
     return P, Pp
 
 
 @dataclass(frozen=True)
 class DifferenceFamily:
-    """Per-t difference multisets from the second-moment proof.
+    """Per-t difference multisets from the second-moment proof; m_t(u) itself
+    is PairCounts.counts at the key u q + t."""
 
-    keys are the sorted t q^d + u over the pairs with m_t(u) > 0, for the gap t
-    and the flat index u of the difference; counts are the m_t(u).
-    """
-
-    keys: np.ndarray
-    counts: np.ndarray
     x_sizes: dict[int, int]  # t -> |X_t|
     total_pairs: int         # sum_t |X_t|
     sum_m2: int              # sum_t sum_u m_t(u)^2
@@ -145,7 +128,7 @@ class DifferenceFamily:
 
 def difference_family(pairs: PairCounts) -> DifferenceFamily:
     """X_t = {(y,z) in E^2 : ||y|| - ||z|| = t} with difference multiplicities,
-    for E = pairs.E, remapped from its lifted pair counts.
+    for E = pairs.E, read from its lifted pair counts.
 
     Invariants (checked against pairs.lam4 = L_4(E), InvariantViolation
     otherwise): sum_t |X_t| = |E|^2 and sum_t sum_u m_t(u)^2 <= L_4(E), with
@@ -153,15 +136,12 @@ def difference_family(pairs: PairCounts) -> DifferenceFamily:
     with it Lambda_4(E') <= Lambda_4(E) for the paraboloid lift E': summed
     over u, sum_t m_t(u)^2 <= (sum_t m_t(u))^2 = D(u)^2.
     """
-    E = pairs.E
-    d, q, n = E.d, E.field.q, len(E)
-    gap, u = pairs.keys % q, pairs.keys // q
-    # keys are sorted by (u, t); a stable sort on the small gaps gives (t, u)
-    order = np.argsort(gap.astype(np.min_scalar_type(q - 1)), kind="stable")
-    keys, counts = (gap * q ** d + u)[order], pairs.counts[order]
-    gaps, sizes = group_sums(gap[order], counts)
-    fam = DifferenceFamily(keys, counts, dict(zip(gaps.tolist(), sizes.tolist())),
-                           int(counts.sum()), sum_squares(counts, n ** 4))
+    n, q = len(pairs.E), pairs.E.field.q
+    sizes = np.zeros(q, dtype=np.int64)
+    np.add.at(sizes, pairs.keys % q, pairs.counts)  # |X_t| = sum_u m_t(u), exactly
+    gaps = np.flatnonzero(sizes)
+    fam = DifferenceFamily(dict(zip(gaps.tolist(), sizes[gaps].tolist())),
+                           int(sizes.sum()), sum_squares(pairs.counts, n ** 4))
     check_invariant(fam.total_pairs == n ** 2, "sum_t |X_t| differs from |E|^2")
     check_invariant(fam.sum_m2 <= pairs.lam4, "sum_t sum_u m_t(u)^2 exceeds L_4(E)")
     if set(fam.x_sizes) == {0}:  # E on one sphere: every norm gap is 0

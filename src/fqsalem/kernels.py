@@ -18,18 +18,18 @@ from .errors import BudgetExceeded
 #: cap on the elements of one broadcast temporary, and on a dense count array
 CHUNK_ELEMS = 1 << 15
 
-_INT64_MAX = (1 << 63) - 1
+INT64_MAX = (1 << 63) - 1
 
 
 def check_int64(n: int, what: str) -> None:
     """Refuse a count or key that could leave the int64 range."""
-    if n > _INT64_MAX:
+    if n > INT64_MAX:
         raise BudgetExceeded(f"{what} reaches {n}, beyond the int64 count range")
 
 
 def row_blocks(n_rows: int, width: int):
     """Slices of range(n_rows) whose rows times width stay within CHUNK_ELEMS
-    (one row at the least); pair_codes blocks have width max(len(B), q)."""
+    (one row at the least); the kernels' blocks have width max(len(B), q)."""
     step = max(1, CHUNK_ELEMS // max(width, 1))
     for lo in range(0, n_rows, step):
         yield slice(lo, min(lo + step, n_rows))
@@ -59,6 +59,16 @@ def upper_pair_codes(table: np.ndarray, X: np.ndarray, q: int):
         lo = hi
 
 
+def table_sums(add: np.ndarray, table: np.ndarray, X: np.ndarray, Y: np.ndarray):
+    """For each row block of X, the (rows, len(Y)) array of sum_i table[x_i, y_i]
+    (summed through the addition table `add`) over its rows x and the rows y of Y."""
+    for rows in row_blocks(len(X), max(len(Y), len(table))):
+        S = np.zeros((rows.stop - rows.start, len(Y)), dtype=np.int64)
+        for i in range(X.shape[1]):  # row gathers: the table rows of X, then the columns of Y
+            S = add[S, table[X[rows, i]][:, Y[:, i]]]
+        yield S
+
+
 def group_sums(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct keys of the sorted `keys` with the int64 sum of their counts."""
     if len(keys) == 0:
@@ -76,7 +86,7 @@ def merge(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def sum_squares(counts, bound: int) -> int:
     """Exact sum of c^2 over integer counts: an int64 dot when `bound`, a bound
     on the sum, fits int64, so nothing wraps; a dot over Python ints otherwise."""
-    c = np.asarray(counts, dtype=np.int64 if bound <= _INT64_MAX else object)
+    c = np.asarray(counts, dtype=np.int64 if bound <= INT64_MAX else object)
     return int(c @ c)
 
 

@@ -46,14 +46,15 @@ def field_of_order(q):
 
 
 def difference_family_oracle(E):
-    """The difference family of E as sorted (t q^d + index(u), m_t(u)) pairs, by a
+    """The difference family of E as sorted (index(u) q + t, m_t(u)) pairs, by a
     scalar double loop: t = ||y|| - ||z||, u = y - z over (y, z) in E^2."""
     F = E.field
     counts = {}
     for y in E.points:
         for z in E.points:
-            key = F.sub(norm(F, y), norm(F, z))
+            key = 0
             for c in vsub(F, y, z):
                 key = key * F.q + c
+            key = key * F.q + F.sub(norm(F, y), norm(F, z))
             counts[key] = counts.get(key, 0) + 1
     return sorted(counts.items())

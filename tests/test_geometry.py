@@ -192,18 +192,30 @@ def test_hyperplane_multiset(f5):
     assert H.total == 4  # merged multiplicities
     assert len(H.entries) == 2
     assert not H.has_zero_offset()
-    with pytest.raises(ConfigError):
-        HyperplaneMultiset.build(f5, 2, [((0, 0), 1, 1)])
-    D = HyperplaneMultiset.build(f5, 2, [((0, 0), 0, 1)], allow_degenerate=True)
+    Z = HyperplaneMultiset.build(f5, 2, [((0, 0), 1, 1)])  # a = 0 is a valid row
+    assert Z.entries == (((0, 0), 1, 1),) and not Z.has_zero_offset()
+    D = HyperplaneMultiset.build(f5, 2, [((0, 0), 0, 1)])
     assert D.has_zero_offset()
+    for bad in [((1, 0), 1, 0), ((1, 0), 1, -2)]:
+        with pytest.raises(ConfigError):
+            HyperplaneMultiset.build(f5, 2, [bad])
+
+
+def test_hyperplane_multiplicities_never_wrap(f5):
+    # 2^62 + 2^62 is beyond int64: refused, not wrapped to a negative count
+    with pytest.raises(ConfigError):
+        HyperplaneMultiset.build(f5, 2, [((1, 0), 1, 2 ** 62), ((1, 0), 1, 2 ** 62)])
+    with pytest.raises(ConfigError):
+        HyperplaneMultiset.build(f5, 2, [((1, 0), 1, 2 ** 64)])
+    H = HyperplaneMultiset.build(f5, 2, [((1, 0), 1, 2 ** 62), ((0, 1), 1, 2 ** 62 - 1)])
+    assert H.total == 2 ** 63 - 1
 
 
 def test_hyperplane_io_roundtrip(tmp_path, f5):
-    H = HyperplaneMultiset.build(f5, 2, [((1, 2), 3, 4), ((0, 1), 0, 1)],
-                                 allow_degenerate=True)
+    H = HyperplaneMultiset.build(f5, 2, [((1, 2), 3, 4), ((0, 1), 0, 1), ((0, 0), 2, 3)])
     path = tmp_path / "planes.txt"
     write_hyperplanes(H, path)
-    assert read_hyperplanes(path, allow_degenerate=True) == H
+    assert read_hyperplanes(path) == H
 
 
 def test_hyperplane_entries_must_lie_in_the_field(f5):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_set
-from fqsalem.cli import main
+from fqsalem.cli import build_parser, main
 from fqsalem.distance import distance_profile
 from fqsalem.energy import energy_bruteforce, energy_convolution, pair_counts
 from fqsalem.errors import BudgetExceeded, ConfigError, InvariantViolation
@@ -288,16 +288,16 @@ def test_cli_construct_and_oracle(tmp_path, capsys):
 
 def test_cli_oracle_incidences(tmp_path, capsys, f5):
     E = rand_set(f5, 2, 6, seed=1)
-    H = HyperplaneMultiset.build(f5, 2, [((1, 2), 3, 1)])
+    H = HyperplaneMultiset.build(f5, 2, [((1, 2), 3, 1), ((0, 0), 0, 2)])  # a = 0 allowed
     ep, hp = tmp_path / "e.txt", tmp_path / "h.txt"
     write_pointset(E, ep)
     write_hyperplanes(H, hp)
     assert main(["oracle", "incidences", str(ep), str(hp)]) == 0
     assert int(capsys.readouterr().out) == count_incidences(E, H)
     assert main(["oracle", "incidences", str(ep)]) == 3  # missing hyperplane file
-    # the oracle charges |P| * |H| = 6 units
+    # the oracle charges |P| * |H| = 12 units
     with pytest.raises(BudgetExceeded):
-        oracle_incidences(E, H, budget=5)
+        oracle_incidences(E, H, budget=11)
     assert main(["oracle", "incidences", str(ep), str(hp), "--budget", "1"]) == 4
 
 
@@ -342,6 +342,20 @@ def test_cli_malformed_config_exit_3(tmp_path, capsys, command, config):
     argv = [*command.split(), "--config", str(path), "--out", str(tmp_path / "out")]
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    "verify --confg c.json", "field 5 x", "analyze --config c.json --jobs 4", ""])
+def test_cli_usage_error_exit_3(capsys, argv):
+    # argparse exits 2, the gate-failure code; a usage error is a config error
+    assert main(argv.split()) == 3
+    assert "usage: fqsalem" in capsys.readouterr().err
+
+
+def test_cli_help_exit_0(capsys):
+    assert main(["--help"]) == 0
+    assert "usage: fqsalem" in capsys.readouterr().out
+    assert build_parser() is build_parser()  # built once per process
 
 
 def test_cli_verify_exit_codes(tmp_path, capsys):

@@ -12,7 +12,7 @@ from fqsalem import incidence
 from fqsalem.energy import energy_bruteforce, pair_counts
 from fqsalem.errors import ConfigError, InvariantViolation
 from fqsalem.field import field_create
-from fqsalem.geometry import HyperplaneMultiset, PointSet, all_vectors, sphere
+from fqsalem.geometry import HyperplaneMultiset, PointSet, all_vectors, full_space, sphere
 from fqsalem.harness import oracle_incidences
 from fqsalem.incidence import (count_incidences, difference_family, dilate_hyperplanes,
                                 incidence_bounds, incidence_via_dilation,
@@ -108,7 +108,7 @@ def test_incidence_bound_empty(f5):
 
 def test_incidence_bound_weak_branch(f5):
     P = rand_set(f5, 2, 5, 0)
-    H = HyperplaneMultiset.build(f5, 2, [((1, 0), 0, 1)], allow_degenerate=True)
+    H = HyperplaneMultiset.build(f5, 2, [((1, 0), 0, 1)])
     strong = HyperplaneMultiset.build(f5, 2, [((1, 0), 1, 1)])
     weak = incidence_bounds(P, H, s=0.25)
     assert weak["weakBranch"]
@@ -131,8 +131,7 @@ def test_dilation(f5, f9):
     assert D.total == 4
     assert {b for _, b, _ in D.entries} == {1, 2, 3, 4}
     with pytest.raises(ConfigError):
-        dilate_hyperplanes(HyperplaneMultiset.build(
-            f5, 2, [((1, 0), 0, 1)], allow_degenerate=True))
+        dilate_hyperplanes(HyperplaneMultiset.build(f5, 2, [((1, 0), 0, 1)]))
     # two projectively equal entries of F_9^2 merge: each of their dilates has multiplicity 2 + 3
     lam = [f9.mul(4, c) for c in (1, 2, 3)]
     H = HyperplaneMultiset.build(f9, 2, [((1, 2), 3, 2), (lam[:2], lam[2], 3), ((0, 5), 7, 1)])
@@ -140,6 +139,14 @@ def test_dilation(f5, f9):
     assert D.total == 8 * H.total
     assert {(*a, b) for a, b, _ in D.entries} == dilation_oracle(f9, [(*a, b) for a, b, _ in H.entries])
     assert {m for a, _, m in D.entries if a[0]} == {5}
+    # a |P'| beyond int64 is refused, not wrapped
+    with pytest.raises(ConfigError):
+        dilate_hyperplanes(HyperplaneMultiset.build(f5, 2, [((1, 0), 1, 2 ** 62)]))
+    # a = 0 rows dilate like any other row; 0.x = 1 has no incidences
+    P = full_space(f5, 2)
+    for entries, expect in [([((0, 0), 1, 1)], 0), ([((0, 0), 1, 1), ((0, 1), 1, 2)], 10)]:
+        H = HyperplaneMultiset.build(f5, 2, entries)
+        assert incidence_via_dilation(P, H) == oracle_incidences(P, H) == expect
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
@@ -191,10 +198,11 @@ def test_distance_energy_family_random(q, d):
         assert fam.total_pairs == len(E) ** 2
         assert fam.sum_m2 <= energy_bruteforce(E, 2)
         brute = difference_family_oracle(E)
-        assert list(zip(fam.keys.tolist(), fam.counts.tolist())) == brute
+        pairs = pair_counts(E)
+        assert list(zip(pairs.keys.tolist(), pairs.counts.tolist())) == brute
         sizes = {}
         for key, m in brute:
-            sizes[key // q ** d] = sizes.get(key // q ** d, 0) + m
+            sizes[key % q] = sizes.get(key % q, 0) + m
         assert fam.x_sizes == sizes
         assert fam.sum_m2 == sum(m * m for _, m in brute)
 

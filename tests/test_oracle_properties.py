@@ -15,7 +15,7 @@ from fqsalem.energy import energy_bruteforce, energy_convolution  # noqa: E402
 from fqsalem.field import field_create  # noqa: E402
 from fqsalem.geometry import HyperplaneMultiset, PointSet, norm, vsub  # noqa: E402
 from fqsalem.harness import oracle_incidences  # noqa: E402
-from fqsalem.incidence import count_incidences  # noqa: E402
+from fqsalem.incidence import count_incidences, incidence_via_dilation  # noqa: E402
 
 # CHUNK_ELEMS = 1 walks one row per block and counts every key by sorting
 CHUNKS = [1, 7, kernels.CHUNK_ELEMS]
@@ -44,7 +44,7 @@ def sets_and_hyperplanes(draw):
     element = st.integers(0, F.q - 1)
     entries = draw(st.lists(st.tuples(st.lists(element, min_size=d, max_size=d), element,
                                       st.integers(1, 3)), max_size=10))
-    H = HyperplaneMultiset.build(F, d, entries, allow_degenerate=True)
+    H = HyperplaneMultiset.build(F, d, entries)
     return point_sets(draw, F, d), H, draw(st.sampled_from(CHUNKS))
 
 
@@ -68,6 +68,18 @@ def test_incidences_match_oracle(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "CHUNK_ELEMS", chunk)
         count = count_incidences(P, H)
+    assert count == oracle_incidences(P, H)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sets_and_hyperplanes())
+def test_dilation_matches_oracle(case):
+    # rows with a = 0 included: dilation needs only b != 0
+    P, H, chunk = case
+    H = HyperplaneMultiset.build(H.field, H.d, [e for e in H.entries if e[1]])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "CHUNK_ELEMS", chunk)
+        count = incidence_via_dilation(P, H)
     assert count == oracle_incidences(P, H)
 
 

@@ -35,7 +35,7 @@ def test_pair_pass_matches_oracles(case):
     assert dict(zip(A.pairs.differences.points, A.pairs.diff_counts.tolist())) == diffs
     assert A.profile.counts == oracle_distances(E)
     family = A.difference_family
-    assert list(zip(family.keys.tolist(), family.counts.tolist())) == difference_family_oracle(E)
+    assert list(zip(A.pairs.keys.tolist(), A.pairs.counts.tolist())) == difference_family_oracle(E)
     # Lambda_4(E') <= Lambda_4(E) for the paraboloid lift E'
     assert family.sum_m2 == energy_bruteforce(lift_to_paraboloid(E), 2) <= lam4
     moved = Analysis(E.translate(shift))
