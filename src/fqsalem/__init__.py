@@ -5,8 +5,7 @@ from .geometry import (HyperplaneMultiset, PointSet, dot, lift_to_paraboloid, no
                        paraboloid, read_pointset, sphere, write_pointset)
 from .energy import (energy_bruteforce, energy_convolution, difference_set,
                      salem_parameter)
-from .spectral import (Spectrum, energy_identity_residual, fourier_fast as fourier,
-                       lp_norm)
+from .spectral import energy_identity_residual
 from .distance import (DistanceProfile, cs_lower_bound, distance_profile,
                        distance_set, second_moment)
 from .incidence import (count_incidences, dilate_hyperplanes, difference_family,

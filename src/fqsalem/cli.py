@@ -18,7 +18,8 @@ from .field import field_create
 from .geometry import read_hyperplanes, read_pointset, write_pointset
 from .harness import (EXIT_BUDGET, EXIT_CONFIG_ERROR, EXIT_GATE_FAILURE,
                       EXIT_INVARIANT, EXIT_OK, _ranges_section, build_set,
-                      oracle_distances, oracle_incidences, render_report, run, sweep)
+                      oracle_distances, oracle_incidences, render_report, run, sweep,
+                      validate_config)
 
 
 def _add_common(p):
@@ -105,7 +106,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "construct":
-        E = build_set(_load_config(args))
+        E = build_set(validate_config(_load_config(args)))
         out = args.out or Path("pointset.txt")
         write_pointset(E, out)
         print(f"wrote {len(E)} points to {out}")

@@ -313,7 +313,8 @@ class ConstructionSpec:
     kind: str
     params: dict
 
-    def build(self):
+    def build(self, budget: int | None = None):
+        """The set; the full-space scans and the random sample charge `budget`."""
         get = partial(config_value, self.params)
         F = field_create(get("p"), get("r", 1))
         k = self.kind
@@ -324,13 +325,13 @@ class ConstructionSpec:
         if k == "subgroupPower":
             return subgroup_power(F, get("m"), get("d"))
         if k == "sphere":
-            return sphere(F, get("d"), get("j", 1))
+            return sphere(F, get("d"), get("j", 1), budget)
         if k == "paraboloid":
-            return paraboloid(F, get("d"))
+            return paraboloid(F, get("d"), budget)
         if k == "fullSpace":
-            return full_space(F, get("d"))
+            return full_space(F, get("d"), budget)
         if k == "random":
-            return random_pointset(F, get("d"), get("size"), get("seed", 0))
+            return random_pointset(F, get("d"), get("size"), get("seed", 0), budget)
         if k == "conjectureWitness":
             s = get("s", convert=lambda v: Fraction(str(v)))
             return conjecture_witness(get("d"), s, F.p, F.r, get("seed", 0)).pointset

@@ -38,11 +38,15 @@ if TYPE_CHECKING:
     from .harness import Analysis
 
 
+def _check_order(k: int) -> None:
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+
+
 def _representation(E: PointSet, k: int, budget: int | None
                     ) -> tuple[np.ndarray, np.ndarray]:
     """r_k as (sorted flat indices of its support, counts)."""
-    if k < 1:
-        raise ConfigError("k must be >= 1")
+    _check_order(k)
     F, d, n = E.field, E.d, len(E)
     q = F.q
     keys, counts = E.codes, np.ones(n, dtype=np.int64)
@@ -67,6 +71,7 @@ def representation_function(E: PointSet, k: int, budget: int | None = None) -> d
 
 def energy_convolution(E: PointSet, k: int, budget: int | None = None) -> int:
     """L_{2k}(E) = sum_v r_k(v)^2, exact."""
+    _check_order(k)
     if len(E) == 0:
         return 0
     if k == 2:
@@ -76,6 +81,7 @@ def energy_convolution(E: PointSet, k: int, budget: int | None = None) -> int:
 
 def energy_bruteforce(E: PointSet, k: int, budget: int | None = None) -> int:
     """Oracle: enumerate (2k-1)-tuples and complete the last slot by membership."""
+    _check_order(k)
     n = len(E)
     if n == 0:
         return 0

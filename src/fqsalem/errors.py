@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the checks that raise them."""
+
+import numpy as np
 
 
 class FqsalemError(Exception):
@@ -17,8 +19,22 @@ class InvariantViolation(FqsalemError):
     """An identity the computation relies on failed: a defect, never bad input."""
 
 
-def config_value(config: dict, key: str, default=None, convert=int):
-    """convert(config.get(key, default)); ConfigError if the value is missing or ill-typed."""
+def is_int(value) -> bool:
+    """An int or np.integer, and not a bool: a float, string or bool never
+    stands for an integer in a config, point or multiplicity."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def as_int(value) -> int:
+    """value as an int; TypeError unless is_int(value)."""
+    if not is_int(value):
+        raise TypeError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def config_value(config: dict, key: str, default=None, convert=as_int):
+    """convert(config.get(key, default)), by default the integer itself;
+    ConfigError if the value is missing or ill-typed."""
     value = config.get(key, default)
     try:
         return convert(value)

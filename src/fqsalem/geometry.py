@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, check_budget
+from .errors import ConfigError, check_budget, is_int
 from .field import FieldSpec, parse_header
 from .kernels import INT64_MAX, check_int64, merge
 
@@ -84,10 +84,10 @@ class PointSet:
 
 def _validated_codes(field: FieldSpec, width: int, rows, what: str) -> np.ndarray:
     """The flat indices of coordinate sequences given as outside input, each
-    of length `width` with every entry in [0, q)."""
+    of length `width` with every entry an integer (errors.is_int) in [0, q)."""
     rows = [tuple(r) for r in rows]
     for r in rows:
-        if len(r) != width or not all(0 <= c < field.q for c in r):
+        if len(r) != width or not all(is_int(c) and 0 <= c < field.q for c in r):
             raise ConfigError(f"{what} {r} is not in F_{field.q}^{width}")
     return encode(np.array(rows, dtype=np.int64).reshape(len(rows), width), field.q)
 
@@ -203,7 +203,10 @@ class HyperplaneMultiset:
         """The multiset of the given (a, b, mult) entries, validated as outside input."""
         entries = list(entries)
         codes = _validated_codes(field, d + 1, [(*a, b) for a, b, _ in entries], "row (a, b) =")
-        return HyperplaneMultiset.from_codes(field, d, codes, [m for _, _, m in entries])
+        mults = [m for _, _, m in entries]
+        if not all(map(is_int, mults)):
+            raise ConfigError("multiplicity must be an integer")
+        return HyperplaneMultiset.from_codes(field, d, codes, mults)
 
     @staticmethod
     def from_codes(field: FieldSpec, d: int, codes, mults) -> "HyperplaneMultiset":

@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import math
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import product
@@ -23,7 +22,7 @@ import numpy as np
 from . import distance, energy, incidence, spectral
 from .constructions import ConstructionSpec
 from .errors import (BudgetExceeded, ConfigError, DEFAULT_BUDGET, check_budget,
-                     config_value)
+                     as_int, config_value, is_int)
 from .geometry import PointSet
 from .ranges import (conjectured_alpha, family_thresholds, crossover_identities,
                      energy_threshold, sphere_threshold, improved_threshold)
@@ -95,15 +94,9 @@ class Analysis:
 
     @property
     def power(self) -> tuple[np.ndarray, np.ndarray]:
-        """(P, w): |E_hat|^2 on the Hermitian half (spectral.half_power) and its
-        column weights w = (1, 2, ..., 2), so that the sum of g(|E_hat(m)|^2)
-        over every frequency m is the sum of w * g(P). P[0, 0] is m = 0."""
-        def compute():
-            P = spectral.half_power(self.E, self.budget)
-            w = np.full(P.shape[1], 2.0)
-            w[0] = 1.0
-            return P, w
-        return self._once("power", compute)
+        """(P, w) of spectral.half_power: |E_hat|^2 on the Hermitian half and its
+        column weights. P[0, 0] is m = 0."""
+        return self._once("power", lambda: spectral.half_power(self.E, self.budget))
 
     def fourier_moment(self, k: int) -> float:
         """||E_hat||_{2k}^{2k} = q^{-d} sum_{m != 0} |E_hat(m)|^{2k}."""
@@ -166,7 +159,7 @@ def _incidence_section(A: Analysis, config: dict) -> tuple[dict, dict]:
 
 
 def _ranges_section(A: Analysis | None, config: dict) -> tuple[dict, dict]:
-    ds = config_value(config, "dims", [2, 3, 4, 5, 6], lambda v: [operator.index(d) for d in v])
+    ds = config_value(config, "dims", [2, 3, 4, 5, 6], lambda v: list(map(as_int, v)))
     ss = config_value(config, "sValues", ["1/4", "3/8", "1/2"],
                       lambda v: [Fraction(str(x)) for x in v])
     table = []
@@ -217,8 +210,10 @@ def validate_config(config: dict) -> dict:
         if isinstance(t, bool) or not (isinstance(t, (int, float)) and t > 0):
             raise ConfigError(f"tolerance {name} must be positive")
     budget = config.get("budget", DEFAULT_BUDGET)
-    if isinstance(budget, bool) or not (isinstance(budget, int) and budget > 0):
+    if not (is_int(budget) and budget > 0):
         raise ConfigError("budget must be a positive integer")
+    if not is_int(config.get("seed", 0)):
+        raise ConfigError("seed must be an integer")
     grid = config.get("grid", {})
     if not (isinstance(grid, dict) and all(isinstance(v, list) for v in grid.values())):
         raise ConfigError("grid must map construction parameters to lists of values")
@@ -233,7 +228,7 @@ def build_set(config: dict) -> PointSet:
     kind = params.pop("kind", None)
     if "seed" not in params and "seed" in config:
         params["seed"] = config["seed"]
-    return ConstructionSpec(kind, params).build()
+    return ConstructionSpec(kind, params).build(config.get("budget", DEFAULT_BUDGET))
 
 
 def run(config: dict) -> dict:

@@ -4,7 +4,7 @@ The transform is E_hat(m) = q^{-d} sum_{y in E} chi(-m.y) with
 chi(x) = exp(2*pi*i*Tr(x)/p). Two evaluation paths are kept:
 
 * direct summation, O(|E| * q^d), the oracle (`fourier_direct`);
-* the pruned transform (`_pruned_transform`), through the additive-group
+* the pruned transform in `half_power`, through the additive-group
   isomorphism F_q^d ~ (Z_p)^{rd}.
   The kernel Tr(m_i * y_i) is bilinear in the base-p digit vectors with
   Gram matrix B[j][k] = Tr(x^{j+k}). B is symmetric, so Tr(m_i * y_i) is
@@ -24,8 +24,6 @@ outputs of the FFT), so every later pass carries (p+1)/(2p) of the columns.
 Column 0 holds each of its frequencies once; every other column also stands
 for the negated frequencies, so a sum over all m of a function of
 |E_hat(m)|^2 is the sum over the half with column weights (1, 2, ..., 2).
-`fourier_fast` is the same kernel over every f, for callers that want the
-values themselves.
 
 Counting quantities are never taken from the spectrum; identities against
 exact integers are checked through the energy module.
@@ -33,14 +31,12 @@ exact integers are checked through the energy module.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, check_budget
+from .errors import check_budget
 from .field import FieldSpec
 from .geometry import PointSet, all_vectors, dot, encode
 
@@ -48,30 +44,14 @@ if TYPE_CHECKING:
     from .harness import Analysis
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    field: FieldSpec
-    d: int
-    values: np.ndarray  # complex, length q^d, indexed by flat index (geometry.encode)
-    set_size: int
-
-    def at(self, m: tuple[int, ...]) -> complex:
-        return complex(self.values[encode(np.array([m]), self.field.q)[0]])
-
-    def export_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("m,re,im\n")
-            for i, v in enumerate(self.values):
-                fh.write(f"{i},{v.real:.17g},{v.imag:.17g}\n")
-
-
 def _char_table(F: FieldSpec) -> np.ndarray:
     tr = np.array([F.trace(t) for t in range(F.q)])
     return np.exp(-2j * np.pi * tr / F.p)  # chi(-t)
 
 
-def fourier_direct(E: PointSet, budget: int | None = None) -> Spectrum:
-    """Direct summation over all q^d frequencies (the oracle path)."""
+def fourier_direct(E: PointSet, budget: int | None = None) -> np.ndarray:
+    """E_hat at all q^d frequencies, in flat-index order, by direct summation
+    (the oracle path)."""
     F, d, q = E.field, E.d, E.field.q
     check_budget(q ** d * max(len(E), 1), budget, "direct Fourier transform")
     chi_neg = _char_table(F)
@@ -81,7 +61,7 @@ def fourier_direct(E: PointSet, budget: int | None = None) -> Spectrum:
         for y in E.points:
             acc += chi_neg[dot(F, m, y)]
         vals[i] = acc / q ** d
-    return Spectrum(F, d, vals, len(E))
+    return vals
 
 
 def _trace_gram(F: FieldSpec) -> list[list[int]]:
@@ -148,66 +128,40 @@ def _axis_pass(p: int, c: int, heads: np.ndarray, X: np.ndarray):
     return up[first], np.matmul(W, Y).reshape(n, -1)
 
 
-def _pruned_transform(E: PointSet, half: bool) -> np.ndarray:
-    """Unnormalised sum_{y in E} chi(-m.y), as a (q^d/p, c) array: row m // p,
-    column the trailing base-p digit of m. c is p, or (p+1)/2 with `half`,
-    which keeps the trailing digits 0..(p-1)/2 only. For d = 0 the one
-    frequency m = 0 has no digit, and the array is (1, 1).
+def half_power(E: PointSet, budget: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(P, w): |E_hat(m)|^2 on the Hermitian half and its column weights
+    w = (1, 2, ..., 2), so that the sum of g(|E_hat(m)|^2) over every frequency
+    m is the sum of w * g(P). P is (q^d/p, (p+1)/2): row m // p, column the
+    trailing base-p digit of m, kept in 0..(p-1)/2; P[0, 0] is m = 0. For
+    d = 0 the one frequency m = 0 has no digit, and P is (1, 1).
 
     One pass per digit axis of the twisted points, trailing axis first, each
     a DFT under the digit prefixes the points occupy.
     """
     F, d, q, p = E.field, E.d, E.field.q, E.field.p
-    if d == 0:
-        return np.full((1, 1), len(E), dtype=complex)
-    c = (p + 1) // 2 if half else p
-    if len(E) == 0:
-        return np.zeros((q ** d // p, c), dtype=complex)
-    # the flat index is C-order over the (q,)*d grid; each axis splits into r
-    # digit axes (big-endian), under which a canonical value is its C-order index
-    heads = E.codes if F.r == 1 else np.sort(encode(_digit_permutation(F)[E.array], q))
-    # heads: the sorted occupied prefixes over the axes not yet transformed;
-    # X[i, f]: the transform at frequency f over the axes already transformed
-    # of the points under heads[i]
-    X = np.ones((len(heads), 1), dtype=complex)
-    heads, X = _axis_pass(p, c, heads, X)  # the trailing digit of m: 0..c-1
-    for _ in range(F.r * d - 1):
-        heads, X = _axis_pass(p, p, heads, X)
-    return X.reshape(-1, c)
-
-
-def fourier_fast(E: PointSet, budget: int | None = None) -> Spectrum:
-    """The transform at every frequency (fourier_direct is its oracle)."""
-    F, d = E.field, E.d
-    check_budget(F.q ** d, budget, "fast Fourier transform")
-    values = _pruned_transform(E, half=False).reshape(-1)
-    values /= F.q ** d
-    return Spectrum(F, d, values, len(E))
-
-
-def half_power(E: PointSet, budget: int | None = None) -> np.ndarray:
-    """|E_hat(m)|^2 on the Hermitian half: the (q^d/p, (p+1)/2) array of
-    _pruned_transform(E, half=True), or (1, 1) for d = 0. Column 0 holds each
-    of its frequencies once, every other column also stands for the negated
-    frequencies."""
-    F, d = E.field, E.d
-    check_budget(F.q ** d, budget, "fast Fourier transform")
-    v = _pruned_transform(E, half=True).view(np.float64)  # re, im interleaved
+    check_budget(q ** d, budget, "fast Fourier transform")
+    c = (p + 1) // 2 if d else 1
+    if d == 0 or len(E) == 0:  # no axis to transform: E_hat(0) = |E|, or all zero
+        X = np.full((max(q ** d // p, 1), c), len(E), dtype=complex)
+    else:
+        # the flat index is C-order over the (q,)*d grid; each axis splits into
+        # r digit axes (big-endian), under which a canonical value is its
+        # C-order index
+        heads = E.codes if F.r == 1 else np.sort(encode(_digit_permutation(F)[E.array], q))
+        # heads: the sorted occupied prefixes over the axes not yet transformed;
+        # X[i, f]: the transform at frequency f over the axes already
+        # transformed of the points under heads[i]
+        X = np.ones((len(heads), 1), dtype=complex)
+        heads, X = _axis_pass(p, c, heads, X)  # the trailing digit of m: 0..c-1
+        for _ in range(F.r * d - 1):
+            heads, X = _axis_pass(p, p, heads, X)
+    v = X.reshape(-1, c).view(np.float64)  # re, im interleaved
     np.square(v, out=v)
-    power = np.add(v[:, 0::2], v[:, 1::2])
-    power /= float(F.q ** d) ** 2
-    return power
-
-
-def lp_norm(S: Spectrum, u: float) -> float:
-    """The zero-frequency-excluding norm with the q^{-d} prefactor (finite u)."""
-    if u < 1:
-        raise ConfigError(f"u must be >= 1, got {u}")
-    q_d = S.field.q ** S.d
-    nonzero = np.abs(S.values[1:])  # index 0 is the zero frequency
-    if math.isinf(u):
-        return float(nonzero.max(initial=0.0))
-    return float((np.sum(nonzero ** u) / q_d) ** (1.0 / u))
+    P = np.add(v[:, 0::2], v[:, 1::2])
+    P /= float(q ** d) ** 2
+    w = np.full(c, 2.0)
+    w[0] = 1.0
+    return P, w
 
 
 def energy_identity_residual(A: Analysis, k: int) -> float:

@@ -1,10 +1,12 @@
 """Shared fixtures and small helpers for the test suite."""
 
+import numpy as np
 import pytest
 
 from fqsalem.constructions import random_pointset
 from fqsalem.field import field_create, prime_factors
 from fqsalem.geometry import full_space, norm, vsub
+from fqsalem.spectral import fourier_direct
 
 
 @pytest.fixture(scope="session")
@@ -58,3 +60,16 @@ def difference_family_oracle(E):
             key = key * F.q + F.sub(norm(F, y), norm(F, z))
             counts[key] = counts.get(key, 0) + 1
     return sorted(counts.items())
+
+
+def folded_power(E):
+    """The oracle's |E_hat|^2 laid out as spectral.half_power's P: row m // p,
+    column the trailing digit of m in 0..(p-1)/2; (1, 1) for d = 0."""
+    p = E.field.p if E.d else 1
+    return np.abs(fourier_direct(E).reshape(-1, p)[:, :(p + 1) // 2]) ** 2
+
+
+def oracle_moment(E, k, direct=None):
+    """q^{-d} sum_{m != 0} |E_hat(m)|^{2k} from the oracle's values."""
+    direct = fourier_direct(E) if direct is None else direct
+    return float(np.sum(np.abs(direct[1:]) ** (2 * k)) / E.field.q ** E.d)

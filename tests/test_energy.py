@@ -91,8 +91,12 @@ def test_energy_budget(f5):
 
 
 def test_invalid_k(f5):
-    with pytest.raises(ConfigError):
-        energy_convolution(rand_set(f5, 2, 3, 0), 0)
+    # refused before the empty set's shortcut, by the kernel and the oracle alike
+    for E in (rand_set(f5, 2, 3, 0), PointSet.build(f5, 2, [])):
+        for k in (0, -1):
+            for energy in (energy_convolution, energy_bruteforce):
+                with pytest.raises(ConfigError, match="k must be >= 1"):
+                    energy(E, k)
 
 
 def test_difference_set(f5, f9, f27):

@@ -146,6 +146,12 @@ def test_pointset_validation(f5):
         PointSet.build(f5, 2, [(1, 2, 3)])
     with pytest.raises(ConfigError):
         PointSet.build(f5, 2, [(1, 9)])
+    # a coordinate is an int or np.integer: never truncated from a float, a
+    # string or a bool
+    for bad in [1.5, 1.0, "1", True, np.float64(2.0)]:
+        with pytest.raises(ConfigError):
+            PointSet.build(f5, 1, [(bad,)])
+    assert PointSet.build(f5, 1, [(np.int64(1),)]) == PointSet.build(f5, 1, [(1,)])
 
 
 def test_translate(f5):
@@ -196,9 +202,11 @@ def test_hyperplane_multiset(f5):
     assert Z.entries == (((0, 0), 1, 1),) and not Z.has_zero_offset()
     D = HyperplaneMultiset.build(f5, 2, [((0, 0), 0, 1)])
     assert D.has_zero_offset()
-    for bad in [((1, 0), 1, 0), ((1, 0), 1, -2)]:
+    for bad in [((1, 0), 1, 0), ((1, 0), 1, -2), ((1, 0), 1, 1.5), ((1, 0), 1, 2.0),
+                ((1, 0), 1, True), ((1, 0), 1, "2"), ((1, 0), 1.0, 1), ((1.5, 0), 1, 1)]:
         with pytest.raises(ConfigError):
             HyperplaneMultiset.build(f5, 2, [bad])
+    assert HyperplaneMultiset.build(f5, 2, [((1, 0), 1, np.int64(2))]).total == 2
 
 
 def test_hyperplane_multiplicities_never_wrap(f5):

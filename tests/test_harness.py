@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import rand_set
+from conftest import folded_power, rand_set
 from fqsalem.cli import build_parser, main
 from fqsalem.distance import distance_profile
 from fqsalem.energy import energy_bruteforce, energy_convolution, pair_counts
@@ -19,7 +19,7 @@ from fqsalem.geometry import (HyperplaneMultiset, PointSet, write_hyperplanes,
 from fqsalem.harness import (oracle_distances, oracle_incidences, render_report, run,
                               sweep, validate_config)
 from fqsalem.incidence import count_incidences
-from fqsalem.spectral import _pruned_transform, fourier_direct, fourier_fast
+from fqsalem.spectral import half_power
 
 ISO_CONFIG = {
     "construction": {"kind": "isotropic", "p": 5, "r": 1, "d": 4, "m": 2},
@@ -114,15 +114,12 @@ def test_run_computes_each_quantity_once(monkeypatch, p, r):
     # pass; energy_convolution and distance_profile would each be another.
     # The spectrum is transformed once, on the Hermitian half only
     calls = {fn.__name__: count_calls(monkeypatch, fn)
-             for fn in (pair_counts, energy_convolution, distance_profile, fourier_fast,
-                        _pruned_transform)}
+             for fn in (pair_counts, energy_convolution, distance_profile, half_power)}
     rep = run({"construction": {"kind": "random", "p": p, "r": r, "d": 3, "size": 40},
                "analyses": ALL_SET_ANALYSES, "k": 2, "seed": 3})
     assert rep["allGatesPass"]
     assert {name: len(c) for name, c in calls.items()} == {
-        "pair_counts": 1, "energy_convolution": 0, "distance_profile": 0, "fourier_fast": 0,
-        "_pruned_transform": 1}
-    assert calls["_pruned_transform"][0]["half"] is True
+        "pair_counts": 1, "energy_convolution": 0, "distance_profile": 0, "half_power": 1}
 
 
 def test_report_rendering_is_deterministic():
@@ -259,7 +256,7 @@ def test_oracles_match_kernels_on_degenerate_sets(f5, d, codes):
     # the one point of F_5^0, and empty sets
     E = PointSet.from_codes(f5, d, codes)
     assert len(E.points) == len(E)
-    assert np.array_equal(fourier_direct(E).values, fourier_fast(E).values)
+    assert np.array_equal(half_power(E)[0], folded_power(E))
     assert oracle_distances(E) == distance_profile(E).counts
     for k in (2, 3):
         assert energy_bruteforce(E, k) == energy_convolution(E, k)
@@ -317,7 +314,18 @@ def test_cli_oracle_incidences_bad_hyperplane_file(tmp_path, capsys, f5, body):
      "analyses": ["energy"], "k": "two"},
     {"construction": {"kind": "conjectureWitness", "p": 3, "d": 4, "s": "1/0"},
      "analyses": ["energy"]},
-    {"construction": {"kind": "random", "p": 3, "d": 2, "size": -2}, "analyses": ["energy"]}])
+    {"construction": {"kind": "random", "p": 3, "d": 2, "size": -2}, "analyses": ["energy"]},
+    # integer values are JSON integers: never truncated or parsed
+    {"construction": {"kind": "random", "p": 7.9, "d": 2, "size": 3}, "analyses": ["energy"]},
+    {"construction": {"kind": "random", "p": 5, "d": 2, "size": 3.7}, "analyses": ["energy"]},
+    {"construction": {"kind": "random", "p": 5, "d": 2, "size": 3},
+     "analyses": ["energy"], "k": 2.9},
+    {"construction": {"kind": "random", "p": "7", "d": 2, "size": 3}, "analyses": ["energy"]},
+    {"construction": {"kind": "fullSpace", "p": 5, "d": True}, "analyses": ["energy"]},
+    {"analyses": ["ranges"], "dims": [True]},
+    # k < 1 is refused on the empty set too
+    {"construction": {"kind": "random", "p": 5, "d": 2, "size": 0},
+     "analyses": ["energy"], "k": 0}])
 def test_cli_bad_config_values_exit_3(tmp_path, capsys, config):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(config))
@@ -335,7 +343,14 @@ def test_cli_bad_config_values_exit_3(tmp_path, capsys, config):
     ("analyze", {**ISO_CONFIG, "budget": True}),
     # --seed and --budget are written into the config, which must be an object
     ("analyze --seed 1", [1, 2]),
-    ("sweep --budget 5", [1, 2])])
+    ("sweep --budget 5", [1, 2]),
+    # a seed is an integer, for run and sweep alike
+    ("analyze", {**ISO_CONFIG, "seed": "x"}),
+    ("analyze", {**ISO_CONFIG, "seed": None}),
+    ("analyze", {**ISO_CONFIG, "seed": 1.5}),
+    ("sweep", {**ISO_CONFIG, "grid": {"m": [2]}, "seed": "x"}),
+    ("sweep", {**ISO_CONFIG, "grid": {"m": [2]}, "seed": None}),
+    ("sweep", {**ISO_CONFIG, "grid": {"m": [2]}, "seed": 1.5})])
 def test_cli_malformed_config_exit_3(tmp_path, capsys, command, config):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(config))
@@ -393,6 +408,20 @@ def test_tables_charge_the_report_budget(tmp_path, capsys, construction):
                                 "budget": 700}))
     assert main(["analyze", "--config", str(path)]) == 4
     assert capsys.readouterr().err.startswith("budget exceeded: F_")
+
+
+@pytest.mark.parametrize("construction,scan", [
+    ({"kind": "sphere", "p": 5, "d": 7, "j": 1}, "full scan of F_5^7 needs 78125 units"),
+    ({"kind": "fullSpace", "p": 3, "d": 5}, "full scan of F_3^5 needs 243 units"),
+    ({"kind": "paraboloid", "p": 5, "d": 5}, "paraboloid enumeration needs 625 units"),
+    ({"kind": "random", "p": 5, "d": 4, "size": 3}, "random sample from F_5^4 needs 625 units")])
+def test_constructions_charge_the_config_budget(tmp_path, capsys, construction, scan):
+    # the scan is refused before it runs, with no analysis asked for
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"construction": construction, "analyses": [], "budget": 100}))
+    for command in ("analyze", "construct"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err == f"budget exceeded: {scan}, budget is 100\n"
 
 
 def test_pair_pass_charges_n_squared(tmp_path, capsys):

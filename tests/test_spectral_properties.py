@@ -1,5 +1,5 @@
-"""Property tests of the pruned FFT and the half spectrum against the direct
-transform (needs hypothesis)."""
+"""Property tests of the half spectrum against the direct transform (needs
+hypothesis)."""
 
 import math
 
@@ -10,10 +10,11 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from conftest import folded_power  # noqa: E402
 from fqsalem.field import field_create  # noqa: E402
 from fqsalem.geometry import PointSet  # noqa: E402
 from fqsalem.harness import Analysis, _fourier_section  # noqa: E402
-from fqsalem.spectral import fourier_direct, fourier_fast, half_power  # noqa: E402
+from fqsalem.spectral import fourier_direct, half_power  # noqa: E402
 
 # (p, r, largest d with q^d <= 243): the direct transform stays cheap
 SMALL_SPACES = [(3, 1, 5), (5, 1, 3), (7, 1, 2), (3, 2, 2), (5, 2, 1), (3, 3, 1)]
@@ -31,9 +32,8 @@ def small_sets(draw):
 @settings(max_examples=40, deadline=None)
 @given(small_sets())
 def test_pruned_fft_matches_direct(E):
-    fast = fourier_fast(E)
-    assert np.max(np.abs(fast.values - fourier_direct(E).values)) <= 1e-12
     P, w = Analysis(E).power
+    assert np.max(np.abs(P - folded_power(E))) <= 1e-12
     assert abs(np.sum(P @ w) - len(E) / E.field.q ** E.d) <= 1e-12
 
 
@@ -52,14 +52,14 @@ def half_spectrum_sets(draw):
 @given(half_spectrum_sets())
 def test_half_spectrum_matches_direct(E):
     p, q_d = E.field.p, E.field.q ** E.d
-    full = np.abs(fourier_direct(E).values) ** 2  # index order; [0] is m = 0
-    # half_power is |E_hat|^2 at the trailing frequency digits 0..(p-1)/2
-    half = half_power(E)
-    assert half.shape == (q_d // p, (p + 1) // 2)
-    assert np.max(np.abs(half - full.reshape(-1, p)[:, :(p + 1) // 2])) <= 1e-12
+    full = np.abs(fourier_direct(E)) ** 2  # index order; [0] is m = 0
+    # P is |E_hat|^2 at the trailing frequency digits 0..(p-1)/2
+    P, w = half_power(E)
+    assert P.shape == (q_d // p, (p + 1) // 2)
+    assert np.max(np.abs(P - full.reshape(-1, p)[:, :(p + 1) // 2])) <= 1e-12
     # the weighted half stands for every frequency
     A = Analysis(E)
-    P, w = A.power
+    assert all(np.array_equal(a, b) for a, b in zip(A.power, (P, w)))
     assert list(w) == [1.0] + [2.0] * ((p - 1) // 2)
     assert abs(np.sum(P @ w) - len(E) / q_d) <= 1e-12
     for k in (2, 3):
