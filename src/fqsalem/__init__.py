@@ -3,11 +3,9 @@
 from .field import FieldSpec, field_create
 from .geometry import (HyperplaneMultiset, PointSet, dot, lift_to_paraboloid, norm,
                        paraboloid, read_pointset, sphere, write_pointset)
-from .energy import (energy_bruteforce, energy_convolution, difference_set,
-                     salem_parameter)
+from .energy import energy_bruteforce, energy_convolution, salem_parameter
 from .spectral import energy_identity_residual
-from .distance import (DistanceProfile, cs_lower_bound, distance_profile,
-                       distance_set, second_moment)
+from .distance import DistanceProfile, cs_lower_bound, distance_profile, second_moment
 from .incidence import (count_incidences, dilate_hyperplanes, difference_family,
                         incidence_bounds, sphere_incidence_setup)
 from .constructions import (bernoulli_thin, conjecture_witness,

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .energy import energy_bruteforce
-from .errors import BudgetExceeded, ConfigError, InvariantViolation
+from .errors import DEFAULT_BUDGET, BudgetExceeded, ConfigError, InvariantViolation
 from .field import field_create
 from .geometry import read_hyperplanes, read_pointset, write_pointset
 from .harness import (EXIT_BUDGET, EXIT_CONFIG_ERROR, EXIT_GATE_FAILURE,
@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["lambda4", "distances", "incidences"])
     p.add_argument("pointset", type=Path)
     p.add_argument("hyperplanes", type=Path, nargs="?")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     return ap
 
@@ -153,6 +153,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "oracle":
+        validate_config({"budget": args.budget})  # a config's rule: a positive integer
         E = read_pointset(args.pointset)
         if args.kind == "lambda4":
             print(energy_bruteforce(E, 2, args.budget))

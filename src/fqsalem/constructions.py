@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import product
 
 import numpy as np
 
@@ -80,13 +79,13 @@ def _circle_mul(T, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.stack([T.sub[T.mul[a, c], T.mul[b, d]], T.add[T.mul[a, d], T.mul[b, c]]], axis=-1)
 
 
-def rotation_orbit(p: int, r: int, base_point: tuple[int, int] | None = None) -> PointSet:
-    """Orbit of a unit-circle point under a rotation of order
+def rotation_orbit(p: int, r: int, budget: int | None = None) -> PointSet:
+    """Orbit of the unit-circle point (0, 1) under a rotation of order
     (q+1)/(p+1) when q = 3 mod 4, or (q-1)/(p-1) when q = 1 mod 4.
 
     The rotations (a, -b; b, a) are the unit circle S_1 under
     (a, b)(c, d) = (ac - bd, ad + bc), a cyclic group; so the orbit is
-    base_point * H for H = {x in S_1 : x^n = 1}, n the rotation's order.
+    (0, 1) * H for H = {x in S_1 : x^n = 1}, n the rotation's order.
     """
     F = field_create(p, r)
     q = F.q
@@ -96,21 +95,17 @@ def rotation_orbit(p: int, r: int, base_point: tuple[int, int] | None = None) ->
         raise ConfigError(
             f"order {group_order} of the rotation group is not divisible by {sub}")
     orbit_len = group_order // sub
-    circle = sphere(F, 2, 1)
-    if base_point is None:
-        base_point = (0, 1)  # the first unit-circle point in canonical order
-    if base_point not in circle:
-        raise ConfigError(f"base point {base_point} is not on the unit circle")
-    T = F.tables()
+    T = F.tables(budget)
+    circle = sphere(F, 2, 1, budget)
     H = _torsion(circle.array, orbit_len, partial(_circle_mul, T), (1, 0))
-    E = PointSet.from_codes(F, 2, encode(_circle_mul(T, np.array(base_point), H), q))
+    E = PointSet.from_codes(F, 2, encode(_circle_mul(T, np.array((0, 1)), H), q))
     check_invariant(len(E) == orbit_len, "rotation orbit shorter than its order")
     return E
 
 
 # --- isotropic subspaces ------------------------------------------------------------
 
-def null_basis(F: FieldSpec, d: int) -> list[Vector]:
+def null_basis(F: FieldSpec, d: int, budget: int | None = None) -> list[Vector]:
     """d/2 mutually orthogonal null vectors in F_q^d.
 
     Exists iff d = 0 mod 4, or d = 2 mod 4 with q = 1 mod 4. For
@@ -122,7 +117,7 @@ def null_basis(F: FieldSpec, d: int) -> list[Vector]:
     if F.q % 4 != 1 and d % 4 != 0:
         raise ConfigError(
             f"d = {d} (2 mod 4) needs q = 1 mod 4, got q = {F.q}")
-    T = F.tables()
+    T = F.tables(budget)
     minus_one = T.neg[1]
     if F.q % 4 == 1:
         i = int(np.flatnonzero(T.square == minus_one)[0])  # the smaller root of -1
@@ -147,18 +142,20 @@ def null_basis(F: FieldSpec, d: int) -> list[Vector]:
     return basis
 
 
-def isotropic_subspace(F: FieldSpec, d: int, m: int) -> PointSet:
-    """Span of m explicitly constructed null, mutually orthogonal vectors."""
+def isotropic_subspace(F: FieldSpec, d: int, m: int, budget: int | None = None) -> PointSet:
+    """Span of m explicitly constructed null, mutually orthogonal vectors.
+    Charges its q^m points."""
     if m < 1 or 2 * m > d:
         raise ConfigError(f"need 1 <= m <= d/2, got m={m}, d={d}")
-    basis = null_basis(F, d)[:m]
+    check_budget(F.q ** m, budget, f"isotropic span in F_{F.q}^{d}")
+    basis = null_basis(F, d, budget)[:m]
     for v in basis:
         check_invariant(norm(F, v) == 0, f"basis vector {v} is not null")
     for i_, u in enumerate(basis):
         for w in basis[i_ + 1:]:
             check_invariant(dot(F, u, w) == 0, f"basis vectors {u}, {w} are not orthogonal")
     # the span as all sums of c v over the basis, through the field tables
-    T, X = F.tables(), np.zeros((1, d), dtype=np.int64)
+    T, X = F.tables(budget), np.zeros((1, d), dtype=np.int64)
     for v in basis:
         X = T.add[X[:, None], T.mul[np.arange(F.q)[:, None], np.array(v)]].reshape(-1, d)
     E = PointSet.from_codes(F, d, encode(X, F.q))
@@ -166,65 +163,36 @@ def isotropic_subspace(F: FieldSpec, d: int, m: int) -> PointSet:
     return E
 
 
-def exhaustive_null_basis(F: FieldSpec, d: int, m: int) -> list[Vector]:
-    """Greedy exhaustive search fallback for cross-checking at tiny q."""
-    basis: list[Vector] = []
-    for v in product(range(F.q), repeat=d):
-        if all(c == 0 for c in v):
-            continue
-        if norm(F, v) != 0:
-            continue
-        if any(dot(F, v, u) != 0 for u in basis):
-            continue
-        if _in_span(F, v, basis):
-            continue
-        basis.append(v)
-        if len(basis) == m:
-            return basis
-    raise ConfigError(f"no {m} mutually orthogonal null vectors in F_{F.q}^{d}")
-
-
-def _in_span(F: FieldSpec, v: Vector, basis: list[Vector]) -> bool:
-    if not basis:
-        return all(c == 0 for c in v)
-    for coeffs in product(range(F.q), repeat=len(basis)):
-        acc = [0] * len(v)
-        for c, u in zip(coeffs, basis):
-            for idx in range(len(v)):
-                acc[idx] = F.add(acc[idx], F.mul(c, u[idx]))
-        if tuple(acc) == v:
-            return True
-    return False
-
-
 # --- products and subgroup powers ------------------------------------------------------
 
-def product_set(A: PointSet, B: PointSet) -> PointSet:
+def product_set(A: PointSet, B: PointSet, budget: int | None = None) -> PointSet:
+    """A x B; charges its |A| |B| points."""
     if A.field != B.field:
         raise ConfigError("product factors must share one field")
+    check_budget(len(A) * len(B), budget, "product set")
     # the index of (a, b) is index(a) q^{dim B} + index(b)
     codes = A.codes[:, None] * A.field.q ** B.d + B.codes[None, :]
     return PointSet.from_codes(A.field, A.d + B.d, codes.ravel())
 
 
-def multiplicative_subgroup(F: FieldSpec, m: int) -> PointSet:
+def multiplicative_subgroup(F: FieldSpec, m: int, budget: int | None = None) -> PointSet:
     """The unique subgroup of F_q^* of order m, as a 1-dimensional set: the
     x with x^m = 1."""
     if m < 1 or (F.q - 1) % m != 0:
         raise ConfigError(f"m = {m} must divide q - 1 = {F.q - 1}")
-    T = F.tables()
+    T = F.tables(budget)
     A = _torsion(np.arange(1, F.q)[:, None], m, lambda x, y: T.mul[x, y], (1,))
     E = PointSet.from_codes(F, 1, A[:, 0])
     check_invariant(len(E) == m, f"F_{F.q}^* has {len(E)} elements with x^{m} = 1, not {m}")
     return E
 
 
-def subgroup_power(F: FieldSpec, m: int, d: int) -> PointSet:
+def subgroup_power(F: FieldSpec, m: int, d: int, budget: int | None = None) -> PointSet:
     """E = A^d for the multiplicative subgroup A of order m."""
-    A = multiplicative_subgroup(F, m)
+    A = multiplicative_subgroup(F, m, budget)
     E = A
     for _ in range(d - 1):
-        E = product_set(E, A)
+        E = product_set(E, A, budget)
     return E
 
 
@@ -240,7 +208,7 @@ class ConstructionResult:
 
 
 def conjecture_witness(d: int, s: Fraction | float, p: int, r: int,
-                       seed: int = 0) -> ConstructionResult:
+                       seed: int = 0, budget: int | None = None) -> ConstructionResult:
     """Few-distance Salem set targeting the conjectured threshold exponent.
 
     Branches: even d with s below (d+2)/(4d) is the plain product of a
@@ -257,11 +225,11 @@ def conjecture_witness(d: int, s: Fraction | float, p: int, r: int,
     if d % 2 == 0:
         if d < 4:
             raise ConfigError("even-dimension witnesses need d >= 4")
-        A = rotation_orbit(p, r)
-        X = isotropic_subspace(F, d - 2, (d - 2) // 2)
+        A = rotation_orbit(p, r, budget)
+        X = isotropic_subspace(F, d - 2, (d - 2) // 2, budget)
         breakpoint_s = Fraction(d + 2, 4 * d)
         if s < breakpoint_s:
-            E = product_set(A, X)
+            E = product_set(A, X, budget)
             return ConstructionResult(E, "productOrbitSpan", d / 2, 1.0,
                                       {"sizeA": len(A), "sizeX": len(X)})
         alpha = math.log(len(A)) / math.log(q)
@@ -272,19 +240,19 @@ def conjecture_witness(d: int, s: Fraction | float, p: int, r: int,
                 f"thinning exponent {expo:.4f} > 0: s too small for this orbit size")
         theta = q ** expo
         B = bernoulli_thin(X, theta, seed)
-        E = product_set(A, B)
+        E = product_set(A, B, budget)
         return ConstructionResult(E, "thinnedEvenProduct",
                                   (d + 2) / (8 * float(s)), theta,
                                   {"sizeA": len(A), "sizeX": len(X), "sizeB": len(B)})
     # odd d: full line factor (alpha = 1 in the limit construction)
     if d < 3:
         raise ConfigError("odd-dimension witnesses need d >= 3")
-    A = full_space(F, 1)
-    X = isotropic_subspace(F, d - 1, (d - 1) // 2)
+    A = full_space(F, 1, budget)
+    X = isotropic_subspace(F, d - 1, (d - 1) // 2, budget)
     expo = (d + 1) * (1 - 4 * float(s)) / (8 * float(s))
     theta = min(1.0, q ** expo)
     B = bernoulli_thin(X, theta, seed)
-    E = product_set(A, B)
+    E = product_set(A, B, budget)
     return ConstructionResult(E, "thinnedOddProduct",
                               (d + 1) / (8 * float(s)), theta,
                               {"sizeA": len(A), "sizeX": len(X), "sizeB": len(B)})
@@ -292,17 +260,17 @@ def conjecture_witness(d: int, s: Fraction | float, p: int, r: int,
 
 # --- two-set sharpness pair ------------------------------------------------------------
 
-def two_set_sharpness(F: FieldSpec, d: int) -> tuple[PointSet, PointSet]:
+def two_set_sharpness(F: FieldSpec, d: int,
+                      budget: int | None = None) -> tuple[PointSet, PointSet]:
     """(E, F) with Delta(E, F) = {1}: null span times the unit circle vs
     the null span alone. Needs d = 2 mod 4, or d = 0 mod 4 with q = 1 mod 4.
     """
     if d % 2 != 0 or d < 4:
         raise ConfigError("d must be even and >= 4")
-    span = isotropic_subspace(F, d - 2, (d - 2) // 2)
-    circle = sphere(F, 2, 1)
-    E = product_set(span, circle)
-    zero2 = PointSet.build(F, 2, [(0, 0)])
-    G = product_set(span, zero2)
+    span = isotropic_subspace(F, d - 2, (d - 2) // 2, budget)
+    circle = sphere(F, 2, 1, budget)
+    E = product_set(span, circle, budget)
+    G = product_set(span, PointSet.build(F, 2, [(0, 0)]), budget)
     return E, G
 
 
@@ -314,16 +282,17 @@ class ConstructionSpec:
     params: dict
 
     def build(self, budget: int | None = None):
-        """The set; the full-space scans and the random sample charge `budget`."""
+        """The set; every construction charges `budget` for its scans, spans,
+        products and field tables before it builds them."""
         get = partial(config_value, self.params)
         F = field_create(get("p"), get("r", 1))
         k = self.kind
         if k == "orbit":
-            return rotation_orbit(F.p, F.r)
+            return rotation_orbit(F.p, F.r, budget)
         if k == "isotropic":
-            return isotropic_subspace(F, get("d"), get("m"))
+            return isotropic_subspace(F, get("d"), get("m"), budget)
         if k == "subgroupPower":
-            return subgroup_power(F, get("m"), get("d"))
+            return subgroup_power(F, get("m"), get("d"), budget)
         if k == "sphere":
             return sphere(F, get("d"), get("j", 1), budget)
         if k == "paraboloid":
@@ -334,9 +303,9 @@ class ConstructionSpec:
             return random_pointset(F, get("d"), get("size"), get("seed", 0), budget)
         if k == "conjectureWitness":
             s = get("s", convert=lambda v: Fraction(str(v)))
-            return conjecture_witness(get("d"), s, F.p, F.r, get("seed", 0)).pointset
+            return conjecture_witness(get("d"), s, F.p, F.r, get("seed", 0), budget).pointset
         if k == "twoSetPair":
-            return two_set_sharpness(F, get("d"))[0]
+            return two_set_sharpness(F, get("d"), budget)[0]
         raise ConfigError(f"unknown construction kind {k!r}")
 
 

@@ -1,4 +1,4 @@
-"""Distance profiles, distance sets, second moments and bound verifiers.
+"""Distance profiles, second moments and bound verifiers.
 
 nu(t) counts ordered pairs (x, y) in E x F with ||x - y|| = t, diagonal
 included, so nu(0) >= |E| when F = E. All counts are exact integers;
@@ -67,11 +67,6 @@ def pair_profile(pairs: PairCounts) -> DistanceProfile:
     return DistanceProfile(E.field, dict(zip(keys.tolist(), counts.tolist())), len(E), len(E))
 
 
-def distance_set(E: PointSet, F: PointSet | None = None,
-                 budget: int | None = None) -> frozenset[int]:
-    return distance_profile(E, F, budget).support
-
-
 def second_moment(P: DistanceProfile) -> int:
     return sum_squares(np.fromiter(P.counts.values(), np.int64, len(P.counts)), P.total ** 2)
 
@@ -126,7 +121,7 @@ def verify_two_set(E: PointSet, F: PointSet, s_e: float, s_f: float,
                    budget: int | None = None) -> dict:
     """|Delta(E,F)| against the two two-set lower-bound expressions."""
     q, d = E.field.q, E.d
-    delta = distance_set(E, F, budget=budget)
+    delta = distance_profile(E, F, budget).support
     expr_pair = len(E) ** s_e * len(F) ** s_f / q ** (d / 4)
     expr_single = len(E) ** (2 * s_e) * len(F) ** 0.5 / q ** (d / 2)
     return {

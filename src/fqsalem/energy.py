@@ -11,9 +11,12 @@ Two independent evaluation paths:
 * energy_bruteforce — tuple enumeration with a membership completion over
   the scalar field methods, O(|E|^{2k-1}); the oracle.
 * energy_convolution — L = sum_v r_k(v)^2 for the representation function
-  r_k(v) = #{k-tuples of E summing to v}: for k = 2, sum_v D(v)^2 over the
-  difference counts D(v) = #{(x, y) in E^2 : x - y = v} of `pair_counts`;
-  for k >= 3, an iterated exact convolution of chunked numpy pair sums.
+  r_k(v) = #{k-tuples of E summing to v}, an iterated exact convolution of
+  chunked numpy pair sums.
+
+Reports read L_4 from the difference side instead: sum_u D(u)^2 over the
+difference counts D(u) = #{(x, y) in E^2 : x - y = u} of `pair_counts`, a
+pass that shares no counting with the sum side.
 
 Counts are int64 with the range checked from |E|^k; sums of squares are exact.
 """
@@ -29,8 +32,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import check_budget, ConfigError
-from .geometry import (PointSet, Vector, decode, encode, lift_to_paraboloid, vadd,
-                       vectors, vsub)
+from .geometry import PointSet, decode, encode, lift_to_paraboloid, vadd, vsub
 from .kernels import (KeyCounter, group_sums, pair_codes, row_blocks,
                       sum_squares, upper_pair_codes)
 
@@ -63,19 +65,8 @@ def _representation(E: PointSet, k: int, budget: int | None
     return keys, counts
 
 
-def representation_function(E: PointSet, k: int, budget: int | None = None) -> dict[Vector, int]:
-    """r_k(v) = number of ordered k-tuples from E summing to v."""
-    keys, counts = _representation(E, k, budget)
-    return dict(zip(vectors(keys, E.field.q, E.d), counts.tolist()))
-
-
 def energy_convolution(E: PointSet, k: int, budget: int | None = None) -> int:
     """L_{2k}(E) = sum_v r_k(v)^2, exact."""
-    _check_order(k)
-    if len(E) == 0:
-        return 0
-    if k == 2:
-        return pair_counts(E, budget).lam4
     return sum_squares(_representation(E, k, budget)[1], len(E) ** (2 * k))
 
 
@@ -141,12 +132,8 @@ def pair_counts(E: PointSet, budget: int | None = None) -> PairCounts:
                       sum_squares(diff_counts, n ** 4))
 
 
-def difference_set(E: PointSet, budget: int | None = None) -> PointSet:
-    return pair_counts(E, budget).differences
-
-
-def salem_parameter(A: Analysis, C: float = 1.0) -> float:
-    """Largest s in [1/4, 1/2] with L_4(E) <= C(|E|^4/q^d + |E|^{4-4s}), for E = A.E.
+def salem_parameter(A: Analysis) -> float:
+    """Largest s in [1/4, 1/2] with L_4(E) <= |E|^4/q^d + |E|^{4-4s}, for E = A.E.
 
     |E| = 1 returns 1/2 by convention (the exponent is vacuous) with a warning.
     """
@@ -158,20 +145,16 @@ def salem_parameter(A: Analysis, C: float = 1.0) -> float:
         warnings.warn("singleton set: Salem parameter defaults to 1/2", stacklevel=2)
         return 0.5
     q_d = E.field.q ** E.d
-    residual = max(A.lam(2) / C - n ** 4 / q_d, 1.0)
+    residual = max(A.lam(2) - n ** 4 / q_d, 1.0)
     s = 0.25 * (4.0 - math.log(residual) / math.log(n))
     return min(0.5, max(0.25, s))
 
 
-def energy_report(A: Analysis, k: int, C: float = 1.0) -> dict:
+def energy_report(A: Analysis, k: int) -> dict:
     """The energy section: Lambda_{2k}(E) as a decimal string, and for k = 2
-    the Salem parameter s at constant C (None for other k or an empty set)."""
+    the Salem parameter s at the constant C = 1 (None for other k or an empty set)."""
     E = A.E
     n = len(E)
-    s = None
-    if k == 2 and n >= 1:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            s = salem_parameter(A, C)
+    s = A.salem_s if k == 2 and n >= 1 else None
     return {"k": k, "lambda": str(A.lam(k)), "size": n, "q": E.field.q, "d": E.d,
-            "salemS": s, "C": C}
+            "salemS": s, "C": 1.0}

@@ -13,8 +13,6 @@ in the lookup-table GF(p^m) style of the galois package
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
@@ -241,10 +239,11 @@ class FieldSpec:
         return self.from_digits(prod + [0] * (self.r - len(prod)))
 
     def pow(self, a: int, e: int) -> int:
-        if self.r == 1:
-            return pow(a, e, self.p) if e >= 0 else pow(self.inv(a), -e, self.p)
+        """a^e for e >= 0."""
         if e < 0:
-            return self.pow(self.inv(a), -e)
+            raise ValueError(f"negative exponent {e}")
+        if self.r == 1:
+            return pow(a, e, self.p)
         result, base = 1, a
         while e:
             if e & 1:
@@ -253,12 +252,7 @@ class FieldSpec:
             e >>= 1
         return result
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return self.pow(a, self.q - 2)
-
-    # --- trace and characters ----------------------------------------------
+    # --- trace --------------------------------------------------------------
 
     def trace(self, x: int) -> int:
         """F_p-linear trace onto the prime field, as an integer in [0, p)."""
@@ -272,20 +266,7 @@ class FieldSpec:
         check_invariant(all(d == 0 for d in ds[1:]), "trace left the prime field")
         return ds[0]
 
-    def additive_character(self, x: int) -> complex:
-        """chi(x) = exp(2*pi*i*Tr(x)/p)."""
-        return cmath.exp(2j * math.pi * self.trace(x) / self.p)
-
     # --- multiplicative structure -------------------------------------------
-
-    def element_order(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("0 has no multiplicative order")
-        order = self.q - 1
-        for ell in prime_factors(self.q - 1):
-            while order % ell == 0 and self.pow(a, order // ell) == 1:
-                order //= ell
-        return order
 
     def primitive_element(self) -> int:
         ells = prime_factors(self.q - 1)
@@ -293,50 +274,6 @@ class FieldSpec:
             if all(self.pow(g, (self.q - 1) // ell) != 1 for ell in ells):
                 return g
         raise AssertionError("no primitive element found")  # unreachable
-
-    def is_square(self, c: int) -> bool:
-        if c == 0:
-            return True
-        return self.pow(c, (self.q - 1) // 2) == 1
-
-    def sqrt(self, c: int) -> tuple[int, ...]:
-        """All y with y*y == c: () , (0,) or a sorted pair (y, -y)."""
-        if c == 0:
-            return (0,)
-        if not self.is_square(c):
-            return ()
-        if self.q % 4 == 3:
-            y = self.pow(c, (self.q + 1) // 4)
-        else:
-            y = self._tonelli_shanks(c)
-        return tuple(sorted({y, self.neg(y)}))
-
-    def _tonelli_shanks(self, c: int) -> int:
-        q1, s = self.q - 1, 0
-        while q1 % 2 == 0:
-            q1 //= 2
-            s += 1
-        z = next(n for n in range(2, self.q) if not self.is_square(n))
-        m, cc = s, self.pow(z, q1)
-        t, rr = self.pow(c, q1), self.pow(c, (q1 + 1) // 2)
-        while t != 1:
-            i, t2 = 0, t
-            while t2 != 1:
-                t2 = self.mul(t2, t2)
-                i += 1
-            b = self.pow(cc, 1 << (m - i - 1))
-            m, cc = i, self.mul(b, b)
-            t, rr = self.mul(t, cc), self.mul(rr, b)
-        return rr
-
-    def two_square_decomposition(self, c: int) -> tuple[int, int]:
-        """Smallest a (canonical order) with c - a^2 a square; b the smaller root."""
-        for a in range(self.q):
-            rest = self.sub(c, self.mul(a, a))
-            roots = self.sqrt(rest)
-            if roots:
-                return a, roots[0]
-        raise AssertionError("every element of F_q, q odd, is a sum of two squares")
 
     # --- serialization --------------------------------------------------------
 
@@ -377,12 +314,12 @@ def parse_header(line: str) -> FieldSpec:
     try:
         p_str, r_str = parts[0][2:].split("^")
         p, r = int(p_str), int(r_str)
+        mods = [tuple(int(c) for c in part[len("modulus="):].split(","))
+                for part in parts[1:] if part.startswith("modulus=")]
     except ValueError as exc:
         raise ConfigError(f"malformed field header: {line!r}") from exc
     spec = field_create(p, r)
-    for part in parts[1:]:
-        if part.startswith("modulus="):
-            mod = tuple(int(c) for c in part[len("modulus="):].split(","))
-            if mod != spec.modulus:
-                raise ConfigError(f"modulus {mod} does not match canonical {spec.modulus}")
+    for mod in mods:
+        if mod != spec.modulus:
+            raise ConfigError(f"modulus {mod} does not match canonical {spec.modulus}")
     return spec

@@ -75,12 +75,6 @@ class PointSet:
         """The points as sorted tuples of Python ints, for I/O and the scalar oracles."""
         return tuple(vectors(self.codes, self.field.q, self.d))
 
-    def translate(self, v: Vector) -> "PointSet":
-        """E + v, through the field's addition table."""
-        T = self.field.tables()
-        return PointSet.from_codes(self.field, self.d,
-                                   encode(T.add[self.array, np.asarray(v)], self.field.q))
-
 
 def _validated_codes(field: FieldSpec, width: int, rows, what: str) -> np.ndarray:
     """The flat indices of coordinate sequences given as outside input, each
@@ -254,8 +248,11 @@ def write_pointset(E: PointSet, path) -> None:
 def _read_file(path) -> tuple[FieldSpec, int, list[list[str]]]:
     """The field, the dimension and the tokens of each body line of a point-set
     or hyperplane file."""
-    lines = [ln for ln in Path(path).read_text().splitlines()
-             if ln.strip() and not ln.startswith("#")]
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if len(lines) < 2 or not lines[1].startswith("d="):
         raise ConfigError(f"malformed header in {path}")
     F = parse_header(lines[0])

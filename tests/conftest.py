@@ -1,11 +1,14 @@
 """Shared fixtures and small helpers for the test suite."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
 from fqsalem.constructions import random_pointset
+from fqsalem.errors import ConfigError
 from fqsalem.field import field_create, prime_factors
-from fqsalem.geometry import full_space, norm, vsub
+from fqsalem.geometry import PointSet, dot, encode, full_space, norm, vsub
 from fqsalem.spectral import fourier_direct
 
 
@@ -45,6 +48,44 @@ def field_of_order(q):
     while p ** r < q:
         r += 1
     return field_create(p, r)
+
+
+def translate(E, v):
+    """E + v, through the field's addition table."""
+    moved = E.field.tables().add[E.array, np.asarray(v, dtype=np.int64)]
+    return PointSet.from_codes(E.field, E.d, encode(moved, E.field.q))
+
+
+def exhaustive_null_basis(F, d, m):
+    """Oracle for constructions.null_basis: the first m mutually orthogonal,
+    independent null vectors of F_q^d in index order, by a greedy scalar scan."""
+    basis = []
+    for v in product(range(F.q), repeat=d):
+        if all(c == 0 for c in v):
+            continue
+        if norm(F, v) != 0:
+            continue
+        if any(dot(F, v, u) != 0 for u in basis):
+            continue
+        if _in_span(F, v, basis):
+            continue
+        basis.append(v)
+        if len(basis) == m:
+            return basis
+    raise ConfigError(f"no {m} mutually orthogonal null vectors in F_{F.q}^{d}")
+
+
+def _in_span(F, v, basis):
+    if not basis:
+        return all(c == 0 for c in v)
+    for coeffs in product(range(F.q), repeat=len(basis)):
+        acc = [0] * len(v)
+        for c, u in zip(coeffs, basis):
+            for idx in range(len(v)):
+                acc[idx] = F.add(acc[idx], F.mul(c, u[idx]))
+        if tuple(acc) == v:
+            return True
+    return False
 
 
 def difference_family_oracle(E):

@@ -28,7 +28,7 @@ import pytest
 from fqsalem.constructions import (isotropic_subspace, multiplicative_subgroup,
                                     product_set, random_pointset, rotation_orbit,
                                     subgroup_power, two_set_sharpness)
-from fqsalem.distance import distance_set, verify_secondmoment_bounds
+from fqsalem.distance import distance_profile, verify_secondmoment_bounds
 from fqsalem.energy import energy_bruteforce, energy_convolution, pair_counts
 from fqsalem.field import field_create
 from fqsalem.geometry import (HyperplaneMultiset, PointSet, all_vectors, norm, sphere)
@@ -102,11 +102,11 @@ def test_03_isotropic_witnesses():
     t0 = time.perf_counter()
     E5 = isotropic_subspace(field_create(5, 1), 4, 2)
     assert len(E5) == 25
-    assert distance_set(E5) == frozenset({0})
+    assert distance_profile(E5).support == frozenset({0})
     assert energy_convolution(E5, 2) == 15625
     E3 = isotropic_subspace(field_create(3, 1), 4, 2)
     assert len(E3) == 9
-    assert distance_set(E3) == frozenset({0})
+    assert distance_profile(E3).support == frozenset({0})
     assert energy_convolution(E3, 2) == 729
     elapsed = time.perf_counter() - t0
     assert elapsed <= 5
@@ -120,7 +120,7 @@ def test_04_rotation_orbit_witness():
     F = E.field
     assert len(E) == 7
     assert all(norm(F, x) == 1 for x in E.points)
-    assert len(distance_set(E)) >= 3
+    assert len(distance_profile(E).support) >= 3
     ratio = energy_bruteforce(E, 2) / len(E) ** 2
     assert 2 - 1 / 7 <= ratio <= 4
     elapsed = time.perf_counter() - t0
@@ -247,7 +247,7 @@ def test_11_two_set_witness():
     F = field_create(3, 1)
     d = 6
     E, G = two_set_sharpness(F, d)
-    assert distance_set(E, G) == frozenset({1})
+    assert distance_profile(E, G).support == frozenset({1})
     s = 0.25 + 1 / (2 * d)
     expr = len(E) ** (2 * s) * len(G) ** 0.5 / 3 ** (d / 2)
     assert 0.5 <= expr <= 2

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import full_space, rand_set
+from conftest import full_space, rand_set, translate
 from fqsalem.constructions import isotropic_subspace, rotation_orbit, two_set_sharpness
-from fqsalem.distance import (cs_lower_bound, distance_profile, distance_set,
+from fqsalem.distance import (cs_lower_bound, distance_profile,
                                second_moment, verify_difference_bounds, verify_secondmoment_bounds,
                                verify_two_set)
 from fqsalem.energy import energy_convolution
@@ -44,7 +44,7 @@ def test_isotropic_distances(f5):
 
 def test_full_space_distances(f3):
     E = full_space(f3, 2)
-    assert distance_set(E) == frozenset(range(3))
+    assert distance_profile(E).support == frozenset(range(3))
 
 
 def test_profile_matches_bruteforce(f7, f9, f27):
@@ -106,7 +106,7 @@ def test_isometry_invariance(f5):
     rotated = PointSet.build(f5, 2, ((f5.sub(f5.mul(a, x), f5.mul(b, y)),
                                       f5.add(f5.mul(b, x), f5.mul(a, y))) for x, y in E.points))
     assert distance_profile(rotated).counts == distance_profile(E).counts
-    assert distance_profile(E.translate((2, 3))).counts == distance_profile(E).counts
+    assert distance_profile(translate(E, (2, 3))).counts == distance_profile(E).counts
 
 
 def test_lift_to_paraboloid(f5):

@@ -12,7 +12,7 @@ import pytest
 from conftest import folded_power, rand_set
 from fqsalem.cli import build_parser, main
 from fqsalem.distance import distance_profile
-from fqsalem.energy import energy_bruteforce, energy_convolution, pair_counts
+from fqsalem.energy import energy_bruteforce, energy_convolution, pair_counts, salem_parameter
 from fqsalem.errors import BudgetExceeded, ConfigError, InvariantViolation
 from fqsalem.geometry import (HyperplaneMultiset, PointSet, write_hyperplanes,
                                write_pointset)
@@ -112,14 +112,17 @@ def test_run_never_reads_point_tuples(monkeypatch, construction):
 def test_run_computes_each_quantity_once(monkeypatch, p, r):
     # Lambda_4, nu, E - E and the difference family are read from one pair
     # pass; energy_convolution and distance_profile would each be another.
-    # The spectrum is transformed once, on the Hermitian half only
+    # The spectrum is transformed once, on the Hermitian half only, and the
+    # energy, salem and distance sections share one Salem parameter
     calls = {fn.__name__: count_calls(monkeypatch, fn)
-             for fn in (pair_counts, energy_convolution, distance_profile, half_power)}
+             for fn in (pair_counts, energy_convolution, distance_profile, half_power,
+                        salem_parameter)}
     rep = run({"construction": {"kind": "random", "p": p, "r": r, "d": 3, "size": 40},
                "analyses": ALL_SET_ANALYSES, "k": 2, "seed": 3})
     assert rep["allGatesPass"]
     assert {name: len(c) for name, c in calls.items()} == {
-        "pair_counts": 1, "energy_convolution": 0, "distance_profile": 0, "half_power": 1}
+        "pair_counts": 1, "energy_convolution": 0, "distance_profile": 0, "half_power": 1,
+        "salem_parameter": 1}
 
 
 def test_report_rendering_is_deterministic():
@@ -298,6 +301,33 @@ def test_cli_oracle_incidences(tmp_path, capsys, f5):
     assert main(["oracle", "incidences", str(ep), str(hp), "--budget", "1"]) == 4
 
 
+@pytest.mark.parametrize("kind", ["lambda4", "incidences"])
+@pytest.mark.parametrize("content", [
+    None, b"\xff\xfe not text\n", b"q=3^2 modulus=x,0,1\nd=1\n1\n", b"q=5^1 modulus=\nd=1\n1\n"],
+    ids=["missing", "not-text", "bad-modulus", "empty-modulus"])
+def test_cli_oracle_unreadable_files_exit_3(tmp_path, capsys, f5, kind, content):
+    # a missing file, one that is not text, and a malformed modulus: one line
+    # on stderr and exit 3, as the point-set file and as the hyperplane file
+    bad, good = tmp_path / "bad.txt", tmp_path / "good.txt"
+    if content is not None:
+        bad.write_bytes(content)
+    write_pointset(rand_set(f5, 2, 6, seed=1), good)
+    files = [[bad]] if kind == "lambda4" else [[bad, good], [good, bad]]
+    for paths in files:
+        assert main(["oracle", kind, *map(str, paths)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("budget", ["-5", "0"])
+def test_cli_oracle_budget_must_be_positive(tmp_path, capsys, f5, budget):
+    # the rule a config's budget follows: a positive integer, else exit 3
+    path = tmp_path / "e.txt"
+    write_pointset(rand_set(f5, 2, 6, seed=1), path)
+    assert main(["oracle", "lambda4", str(path), "--budget", budget]) == 3
+    assert capsys.readouterr().err == "config error: budget must be a positive integer\n"
+
+
 @pytest.mark.parametrize("body", ["1 2 mult=2", "9 2 b=1"])
 def test_cli_oracle_incidences_bad_hyperplane_file(tmp_path, capsys, f5, body):
     # a line without an offset, and a normal vector outside F_5: both exit 3
@@ -414,7 +444,11 @@ def test_tables_charge_the_report_budget(tmp_path, capsys, construction):
     ({"kind": "sphere", "p": 5, "d": 7, "j": 1}, "full scan of F_5^7 needs 78125 units"),
     ({"kind": "fullSpace", "p": 3, "d": 5}, "full scan of F_3^5 needs 243 units"),
     ({"kind": "paraboloid", "p": 5, "d": 5}, "paraboloid enumeration needs 625 units"),
-    ({"kind": "random", "p": 5, "d": 4, "size": 3}, "random sample from F_5^4 needs 625 units")])
+    ({"kind": "random", "p": 5, "d": 4, "size": 3}, "random sample from F_5^4 needs 625 units"),
+    ({"kind": "subgroupPower", "p": 7, "m": 6, "d": 7}, "product set needs 216 units"),
+    ({"kind": "isotropic", "p": 5, "d": 16, "m": 8},
+     "isotropic span in F_5^16 needs 390625 units"),
+    ({"kind": "orbit", "p": 3, "r": 3}, "F_27 lookup tables needs 729 units")])
 def test_constructions_charge_the_config_budget(tmp_path, capsys, construction, scan):
     # the scan is refused before it runs, with no analysis asked for
     path = tmp_path / "c.json"

@@ -8,7 +8,7 @@ import pytest
 from conftest import difference_family_oracle, field_of_order, rand_set
 from fqsalem import energy, kernels
 from fqsalem.distance import distance_profile
-from fqsalem.energy import difference_set, energy_bruteforce, energy_convolution, pair_counts
+from fqsalem.energy import energy_bruteforce, energy_convolution, pair_counts
 from fqsalem.errors import BudgetExceeded
 from fqsalem.geometry import HyperplaneMultiset, PointSet, vsub
 from fqsalem.harness import oracle_distances, oracle_incidences
@@ -42,7 +42,7 @@ def test_small_chunk_cap_matches_oracles(q, d, chunk, monkeypatch):
     assert distance_profile(E).counts == oracle_distances(E)
     assert energy_convolution(E, 2) == energy_bruteforce(E, 2)
     assert energy_convolution(E, 3) == energy_bruteforce(E, 3)
-    assert set(difference_set(E).points) == {vsub(F, x, y) for x in E.points for y in E.points}
+    assert set(pair_counts(E).differences.points) == {vsub(F, x, y) for x in E.points for y in E.points}
     assert count_incidences(E, H) == oracle_incidences(E, H)
     pairs = pair_counts(E)
     difference_family(pairs)  # its invariants hold

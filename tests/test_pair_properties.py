@@ -6,10 +6,10 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from conftest import difference_family_oracle  # noqa: E402
-from fqsalem.energy import energy_bruteforce  # noqa: E402
+from conftest import difference_family_oracle, translate  # noqa: E402
+from fqsalem.energy import energy_bruteforce, energy_convolution  # noqa: E402
 from fqsalem.field import field_create  # noqa: E402
 from fqsalem.geometry import PointSet, lift_to_paraboloid, vsub  # noqa: E402
 from fqsalem.harness import Analysis, oracle_distances  # noqa: E402
@@ -18,7 +18,7 @@ from fqsalem.harness import Analysis, oracle_distances  # noqa: E402
 @st.composite
 def small_sets(draw):
     F = field_create(draw(st.sampled_from([3, 5, 7])), draw(st.integers(1, 3)))
-    d = draw(st.integers(1, 3))
+    d = draw(st.integers(0, 3))
     codes = draw(st.lists(st.integers(0, F.q ** d - 1), max_size=12))
     shift = tuple(draw(st.lists(st.integers(0, F.q - 1), min_size=d, max_size=d)))
     return PointSet.from_codes(F, d, codes), shift
@@ -26,11 +26,15 @@ def small_sets(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(small_sets())
+@example((PointSet.from_codes(field_create(3, 2), 0, [0]), ()))
+@example((PointSet.from_codes(field_create(3, 3), 2, []), (1, 2)))
 def test_pair_pass_matches_oracles(case):
     E, shift = case
     F, A = E.field, Analysis(E)
     lam4 = A.lam(2)
     assert lam4 == energy_bruteforce(E, 2)
+    # the sum side shares no counting with the pair pass: sum_v r_2(v)^2
+    assert energy_convolution(E, 2) == lam4
     diffs = Counter(vsub(F, x, y) for x in E.points for y in E.points)
     assert dict(zip(A.pairs.differences.points, A.pairs.diff_counts.tolist())) == diffs
     assert A.profile.counts == oracle_distances(E)
@@ -38,7 +42,8 @@ def test_pair_pass_matches_oracles(case):
     assert list(zip(A.pairs.keys.tolist(), A.pairs.counts.tolist())) == difference_family_oracle(E)
     # Lambda_4(E') <= Lambda_4(E) for the paraboloid lift E'
     assert family.sum_m2 == energy_bruteforce(lift_to_paraboloid(E), 2) <= lam4
-    moved = Analysis(E.translate(shift))
+    moved = Analysis(translate(E, shift))
     assert moved.lam(2) == lam4
     assert moved.profile.counts == A.profile.counts
     assert moved.pairs.differences == A.pairs.differences
+

@@ -6,11 +6,12 @@ oracle's values (conftest.oracle_moment, fourier_direct)."""
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import folded_power, full_space, oracle_moment, rand_set
+from conftest import folded_power, full_space, oracle_moment, rand_set, translate
 from fqsalem import spectral
 from fqsalem.constructions import product_set
 from fqsalem.field import field_create
@@ -96,7 +97,7 @@ def test_translation_invariance(f5):
     E = rand_set(f5, 2, 8, seed=2)
     A = Analysis(E)
     for v in [(1, 0), (2, 3)]:
-        moved = E.translate(v)
+        moved = translate(E, v)
         for k in (1, 2, 3):
             assert Analysis(moved).fourier_moment(k) == pytest.approx(
                 A.fourier_moment(k), abs=1e-10)
@@ -261,9 +262,14 @@ def test_zero_dimension(codes, f5):
     assert np.array_equal(P, folded_power(E))
     construction = ({"kind": "fullSpace", "p": 5, "d": 0} if codes
                     else {"kind": "random", "p": 5, "d": 0, "size": 0})
-    rep = run({"construction": construction, "analyses": ["fourier", "energy"], "seed": 0})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = run({"construction": construction, "analyses": ["fourier", "energy"], "seed": 0})
     assert rep["allGatesPass"]
     assert set(rep["results"]["fourier"].values()) == {0.0}
+    # the one-point set warns once, when the energy section reads its Salem parameter
+    warned = [str(w.message) for w in caught]
+    assert warned == ["singleton set: Salem parameter defaults to 1/2"] * len(codes)
 
 
 def test_report_makes_at_most_rd_passes(monkeypatch):
