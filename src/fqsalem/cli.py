@@ -81,6 +81,15 @@ def _load_config(args) -> dict:
     return config
 
 
+def _write(path: Path, write) -> None:
+    """write(path) once path's parent directories exist; an OSError is a config error."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def main(argv=None) -> int:
     try:
         return _dispatch(build_parser().parse_args(argv))
@@ -108,7 +117,7 @@ def _dispatch(args) -> int:
     if args.command == "construct":
         E = build_set(validate_config(_load_config(args)))
         out = args.out or Path("pointset.txt")
-        write_pointset(E, out)
+        _write(out, lambda path: write_pointset(E, path))
         print(f"wrote {len(E)} points to {out}")
         return EXIT_OK
 
@@ -117,8 +126,7 @@ def _dispatch(args) -> int:
         report = run(config)
         text = render_report(report)
         if args.out:
-            args.out.parent.mkdir(parents=True, exist_ok=True)
-            args.out.write_text(text)
+            _write(args.out, lambda path: path.write_text(text))
         else:
             print(text, end="")
         if args.command == "verify" and not report["allGatesPass"]:

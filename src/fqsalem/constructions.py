@@ -26,15 +26,9 @@ from .geometry import (PointSet, Vector, encode, full_space, norm, dot, parabolo
 _MASK = (1 << 64) - 1
 
 
-def _splitmix64(x: int) -> int:
-    x = (x + 0x9E3779B97F4A7C15) & _MASK
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
-    return x ^ (x >> 31)
-
-
 def _splitmix64_array(x: np.ndarray) -> np.ndarray:
-    """_splitmix64 on a uint64 array (numpy's uint64 arithmetic wraps mod 2^64)."""
+    """splitmix64 of each element of a uint64 array (numpy's uint64 arithmetic
+    on arrays wraps mod 2^64; on a scalar it warns)."""
     x = x + np.uint64(0x9E3779B97F4A7C15)
     x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)

@@ -299,8 +299,9 @@ def field_create(p: int, r: int) -> FieldSpec:
         raise ConfigError(f"p^r = {p**r} exceeds supported magnitude")
     if r == 1:
         return FieldSpec(p, 1, (0, 1))
-    for lower in product(range(p), repeat=r):
-        coeffs = tuple(lower) + (1,)
+    # c_0 = 0 makes x a factor, so the scan starts at c_0 = 1
+    for lower in product(range(1, p), *[range(p)] * (r - 1)):
+        coeffs = lower + (1,)
         if _is_irreducible(coeffs, p):
             return FieldSpec(p, r, coeffs)
     raise AssertionError("no irreducible polynomial found")  # unreachable

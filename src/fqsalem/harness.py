@@ -20,12 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from . import distance, energy, incidence, spectral
-from .constructions import ConstructionSpec
+from .constructions import _MASK, ConstructionSpec, _splitmix64_array
 from .errors import (BudgetExceeded, ConfigError, DEFAULT_BUDGET, check_budget,
                      as_int, config_value, is_int)
 from .geometry import PointSet
-from .ranges import (conjectured_alpha, family_thresholds, crossover_identities,
-                     energy_threshold, sphere_threshold, improved_threshold)
+from .ranges import (conjectured_alpha, crossover_identities, energy_threshold,
+                     improved_threshold, sphere_threshold, subgroup_threshold)
 
 EXIT_OK = 0
 EXIT_GATE_FAILURE = 2
@@ -174,8 +174,7 @@ def _ranges_section(A: Analysis | None, config: dict) -> tuple[dict, dict]:
         "table": table,
         "crossoversExact": {str(d): all(crossover_identities(d).values())
                             for d in ds},
-        "subgroupThreshold": {str(d): family_thresholds("subgroup", d)
-                              for d in ds if d >= 2},
+        "subgroupThreshold": {str(d): subgroup_threshold(d) for d in ds},
     }, {}
 
 
@@ -253,8 +252,8 @@ def run(config: dict) -> dict:
 # --- sweep --------------------------------------------------------------------
 
 def _child_seed(master: int, cell_index: int) -> int:
-    from .constructions import _splitmix64
-    return _splitmix64((master << 32) ^ cell_index)
+    x = np.array([((master << 32) ^ cell_index) & _MASK], dtype=np.uint64)
+    return int(_splitmix64_array(x)[0])
 
 
 def sweep(config: dict, out_dir, jobs: int = 1) -> Path:
@@ -267,7 +266,10 @@ def sweep(config: dict, out_dir, jobs: int = 1) -> Path:
     keys = sorted(grid)
     cells = list(product(*(grid[k] for k in keys)))
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create {out_dir}: {exc}") from exc
     ledger_path = out_dir / "sweep.ledger"
     stamp_path = out_dir / "sweep.stamp"
     csv_path = out_dir / "sweep.csv"
@@ -358,6 +360,8 @@ def oracle_distances(E: PointSet, budget: int | None = None) -> dict[int, int]:
 
 def oracle_incidences(P: PointSet, H, budget: int | None = None) -> int:
     """Plain double loop, kept separate from incidence.count_incidences."""
+    if P.field != H.field or P.d != H.d:
+        raise ConfigError("mismatched fields or dimensions")
     check_budget(len(P) * max(len(H.entries), 1), budget, "incidence oracle")
     F = P.field
     total = 0

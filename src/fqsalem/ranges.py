@@ -8,9 +8,8 @@ data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import ConfigError
 
@@ -25,11 +24,16 @@ def _check_s(s: Fraction) -> Fraction:
     return s
 
 
-def conjectured_alpha(d: int, s) -> Fraction:
-    """The conjectured smallest size exponent forcing a full distance set."""
-    s = _check_s(s)
+def _check_d(d: int) -> int:
+    """The formulas below that divide by d or d - 1 need d >= 2."""
     if d < 2:
         raise ConfigError("d must be >= 2")
+    return d
+
+
+def conjectured_alpha(d: int, s) -> Fraction:
+    """The conjectured smallest size exponent forcing a full distance set."""
+    s, d = _check_s(s), _check_d(d)
     if d == 2:
         return Fraction(1)
     if d % 2 == 0:
@@ -84,32 +88,16 @@ class SizeWindow:
     hi: Fraction   # exponent of q, upper end
 
 
-@dataclass(frozen=True)
-class SRange:
-    geometry: str
-    s: Fraction
-    windows: tuple[SizeWindow, ...]
-    notes: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class ThresholdQuery:
-    d: int
-    s: Fraction
-    geometry: str = "sphereEven"  # sphereEven | sphereOddPrimitive | sphereOdd | paraboloid | varietyParams | subgroup
-    epsilon: Optional[Fraction] = None
-    n: Optional[int] = None       # variety dimension
-    ell: Optional[Fraction] = None  # coset-content exponent
-    alpha: Optional[Fraction] = None  # set-size exponent
-
-
-def _even_style_windows(d: int, s: Fraction, numer: int | Fraction) -> list[SizeWindow]:
-    """Case lists shared by the even-sphere/paraboloid family (numer = d-2),
-    the odd-sphere family (numer = d-1) and the epsilon-improved odd family
-    (numer = d-2-eps); upper bulk exponent is (numer + 2)/2 and the sup size
-    is d-1."""
-    if d < 2:
-        raise ConfigError("d must be >= 2")
+def sphere_windows(d: int, s, numer: int | Fraction) -> list[SizeWindow]:
+    """The size windows (cases i-iv) in which a set of Salem parameter s has
+    many distances, for a family with L_4 <= |E|^3/q + q^{numer/2}|E|^2:
+    numer = d-2 for even spheres, paraboloids and odd primitive-radius
+    spheres, d-1 for odd spheres, and d-2-eps (0 < eps < d) for the
+    epsilon-improved odd primitive-radius spheres. The upper bulk exponent
+    is (numer + 2)/2 and the sup size is d-1."""
+    s, d = _check_s(s), _check_d(d)
+    if numer <= -2:
+        raise ConfigError(f"numer must exceed -2 (eps < d), got {numer}")
     bulk = Fraction(numer + 2, 2)
     windows = []
     if s <= QUARTER + Fraction(1, 2 * (numer + 2)):
@@ -128,61 +116,45 @@ def _even_style_windows(d: int, s: Fraction, numer: int | Fraction) -> list[Size
     return windows
 
 
-def salem_s_ranges(query: ThresholdQuery) -> SRange:
-    d, s = query.d, _check_s(query.s)
-    geo = query.geometry
-    if geo in ("sphereEven", "paraboloid", "sphereOddPrimitive"):
-        # all three carry the L_4 <= |E|^3/q + q^{(d-2)/2}|E|^2 energy bound
-        return SRange(geo, s, tuple(_even_style_windows(d, s, d - 2)))
-    if geo == "sphereOdd":
-        return SRange(geo, s, tuple(_even_style_windows(d, s, d - 1)))
-    if geo == "sphereOddPrimitiveEps":
-        eps = query.epsilon
-        if eps is None or not 0 < eps < d:
-            raise ConfigError("0 < epsilon < d is required for the epsilon-improved ranges")
-        return SRange(geo, s, tuple(_even_style_windows(d, s, d - 2 - eps)), {"epsilon": eps})
-    if geo == "subgroup":
-        # powers of a multiplicative subgroup with |A| <= p^{3/5}
-        ok = s < Fraction(7, 18)
-        return SRange(geo, s, tuple(), {"sMax": Fraction(7, 18), "valid": ok,
-                                        "sizeCondition": "base subgroup at most p^(3/5)"})
-    if geo == "varietyParams":
-        n, ell, alpha = query.n, query.ell, query.alpha
-        if n is None or ell is None or alpha is None:
-            raise ConfigError("variety queries need n, ell, alpha")
-        ell, alpha = Fraction(ell), Fraction(alpha)
-        if not (alpha > ell >= 0):
-            raise ConfigError("need alpha > ell >= 0")
-        g = gamma(n)
-        s_max = (1 + g) / 4 - g * ell / (4 * alpha)
-        nontrivial = g * (1 - ell / alpha) >= Fraction(2, d + 1)
-        return SRange(geo, s, tuple(), {
-            "sMax": s_max, "valid": s <= s_max, "gamma": g,
-            "nontrivial": nontrivial,
-        })
-    raise ConfigError(f"unknown geometry tag {geo!r}")
+# powers of a multiplicative subgroup A with |A| <= p^{3/5} are Salem sets for
+# every s below this
+SUBGROUP_S_MAX = Fraction(7, 18)
 
 
-def family_thresholds(kind: str, d: int, n: int | None = None,
-                         ell=None) -> Fraction:
-    """Size-exponent thresholds for specific structured set families."""
-    if kind == "multigroup":
-        # sets with L_4 <= |E|^2 (s = 1/2 in the main bound)
-        return Fraction(d, 4) + 1
-    if kind == "subgroup":
-        return Fraction(9 * d + 36, 28 * d)
-    if kind == "variety":
-        if n is None or ell is None:
-            raise ConfigError("variety family needs n and ell")
-        g = gamma(n)
-        ell = Fraction(ell)
-        return min((d + 2 + g * ell) / (2 + g),
-                   (d + 4 + 2 * g * ell) / (2 + 2 * g))
-    raise ConfigError(f"unknown family kind {kind!r}")
+def variety_s_max(d: int, n: int, ell, alpha) -> tuple[Fraction, bool]:
+    """(s_max, nontrivial) for a set of size q^alpha on an n-dimensional
+    variety with coset-content exponent ell: it is a Salem set for every
+    s <= s_max, and the bound is nontrivial when gamma(n)(1 - ell/alpha) >=
+    2/(d+1)."""
+    ell, alpha = Fraction(ell), Fraction(alpha)
+    if not (alpha > ell >= 0):
+        raise ConfigError("need alpha > ell >= 0")
+    g = gamma(n)
+    s_max = (1 + g) / 4 - g * ell / (4 * alpha)
+    return s_max, g * (1 - ell / alpha) >= Fraction(2, d + 1)
+
+
+def multigroup_threshold(d: int) -> Fraction:
+    """Size exponent for sets with L_4 <= |E|^2 (s = 1/2 in the main bound)."""
+    return Fraction(d, 4) + 1
+
+
+def subgroup_threshold(d: int) -> Fraction:
+    """(9d + 36)/(28d), the size exponent for powers of a multiplicative subgroup."""
+    return Fraction(9 * d + 36, 28 * _check_d(d))
+
+
+def variety_threshold(d: int, n: int, ell) -> Fraction:
+    """Size exponent for sets on an n-dimensional variety with coset-content
+    exponent ell."""
+    g, ell = gamma(n), Fraction(ell)
+    return min((d + 2 + g * ell) / (2 + g),
+               (d + 4 + 2 * g * ell) / (2 + 2 * g))
 
 
 def crossover_identities(d: int) -> dict[str, bool]:
     """The three exact crossover identities; each must be an equality."""
+    _check_d(d)
     s1 = Fraction(d + 2, 4 * d)
     sphere_eq = sphere_threshold(d, s1) == Fraction(d, 2) == Fraction(d + 2) / (8 * s1)
     s2 = QUARTER + Fraction(1, d)

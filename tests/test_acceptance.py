@@ -35,7 +35,7 @@ from fqsalem.geometry import (HyperplaneMultiset, PointSet, all_vectors, norm, s
 from fqsalem.harness import Analysis, oracle_incidences, render_report, run, sweep
 from fqsalem.incidence import (count_incidences, difference_family, incidence_bounds,
                                 incidence_via_dilation)
-from fqsalem.ranges import family_thresholds, crossover_identities
+from fqsalem.ranges import crossover_identities, subgroup_threshold
 from fqsalem.spectral import energy_identity_residual, fourier_direct, half_power
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -238,7 +238,7 @@ def test_10_threshold_algebra():
         assert all(ids.values()), (d, ids)
     from fractions import Fraction
     for d in range(8, 65):
-        assert family_thresholds("subgroup", d) < Fraction(1, 2)
+        assert subgroup_threshold(d) < Fraction(1, 2)
     print("PASS: all three crossover identities exact for d in 2..64 and the "
           "subgroup threshold (9d+36)/(28d) < 1/2 for d in 8..64")
 

@@ -2,6 +2,7 @@
 
 import math
 import statistics
+import warnings
 
 import pytest
 
@@ -16,6 +17,7 @@ from fqsalem.errors import BudgetExceeded, ConfigError
 from fqsalem.field import FieldSpec, field_create
 from fqsalem.geometry import (PointSet, dot, full_space, norm, rotation_group_order,
                                write_pointset)
+from fqsalem.harness import _child_seed
 
 
 def test_rotation_orbit_q27():
@@ -304,6 +306,17 @@ def test_random_pointset_matches_scalar_reference(p, r, d, size, seed):
     order = sorted(range(q ** d), key=lambda i: (_splitmix64_reference((seed << 20) ^ i), i))
     expect = sorted(tuple(i // q ** (d - 1 - j) % q for j in range(d)) for i in order[:size])
     assert random_pointset(F, d, size, seed).points == tuple(expect)
+
+
+@pytest.mark.parametrize("master", [0, 1, -1, -7, 12345, 1 << 40, -(1 << 40), (1 << 64) - 1])
+def test_child_seed_matches_scalar_reference(master):
+    # a sweep cell's seed; numpy warns on a uint64 scalar that wraps, so error on any warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cell in (0, 1, 11):
+            seed = _child_seed(master, cell)
+            assert type(seed) is int
+            assert seed == _splitmix64_reference((master << 32) ^ cell)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 12345, (1 << 64) - 1, -7])

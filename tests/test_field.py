@@ -14,6 +14,19 @@ def test_create_sizes():
     assert field_create(7, 2).q == 49
 
 
+def test_create_skips_moduli_divisible_by_x(monkeypatch):
+    # a candidate with c_0 = 0 has the factor x; trying all 3^11 of them
+    # first made field_create(3, 12) test 177 176 moduli
+    import fqsalem.field as field
+    tried, real = [], field._is_irreducible
+    monkeypatch.setattr(field, "_is_irreducible",
+                        lambda coeffs, p: tried.append(coeffs) or real(coeffs, p))
+    F = field_create.__wrapped__(3, 12)  # past the cache
+    assert len(tried) == 29 and all(c[0] != 0 for c in tried)
+    assert F.modulus == tried[-1] and F.modulus[0] != 0
+    assert field_create.__wrapped__(3, 20).q == 3 ** 20
+
+
 def test_create_rejects_bad_p():
     with pytest.raises(ConfigError):
         field_create(2, 1)

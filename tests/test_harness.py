@@ -14,8 +14,9 @@ from fqsalem.cli import build_parser, main
 from fqsalem.distance import distance_profile
 from fqsalem.energy import energy_bruteforce, energy_convolution, pair_counts, salem_parameter
 from fqsalem.errors import BudgetExceeded, ConfigError, InvariantViolation
-from fqsalem.geometry import (HyperplaneMultiset, PointSet, write_hyperplanes,
-                               write_pointset)
+from fqsalem.field import field_create
+from fqsalem.geometry import (HyperplaneMultiset, PointSet, read_pointset,
+                               write_hyperplanes, write_pointset)
 from fqsalem.harness import (oracle_distances, oracle_incidences, render_report, run,
                               sweep, validate_config)
 from fqsalem.incidence import count_incidences
@@ -301,6 +302,21 @@ def test_cli_oracle_incidences(tmp_path, capsys, f5):
     assert main(["oracle", "incidences", str(ep), str(hp), "--budget", "1"]) == 4
 
 
+@pytest.mark.parametrize("p,d", [(5, 3), (7, 2)], ids=["dimension", "field"])
+def test_cli_oracle_incidences_mismatch_exit_3(tmp_path, capsys, f5, p, d):
+    # points of F_p^d against hyperplanes of F_5^2, which count_incidences refuses
+    E = rand_set(field_create(p, 1), d, 6, seed=1)
+    H = HyperplaneMultiset.build(f5, 2, [((1, 2), 3, 1)])
+    for count in (oracle_incidences, count_incidences):
+        with pytest.raises(ConfigError):
+            count(E, H)
+    ep, hp = tmp_path / "e.txt", tmp_path / "h.txt"
+    write_pointset(E, ep)
+    write_hyperplanes(H, hp)
+    assert main(["oracle", "incidences", str(ep), str(hp)]) == 3
+    assert capsys.readouterr().err == "config error: mismatched fields or dimensions\n"
+
+
 @pytest.mark.parametrize("kind", ["lambda4", "incidences"])
 @pytest.mark.parametrize("content", [
     None, b"\xff\xfe not text\n", b"q=3^2 modulus=x,0,1\nd=1\n1\n", b"q=5^1 modulus=\nd=1\n1\n"],
@@ -355,7 +371,9 @@ def test_cli_oracle_incidences_bad_hyperplane_file(tmp_path, capsys, f5, body):
     {"analyses": ["ranges"], "dims": [True]},
     # k < 1 is refused on the empty set too
     {"construction": {"kind": "random", "p": 5, "d": 2, "size": 0},
-     "analyses": ["energy"], "k": 0}])
+     "analyses": ["energy"], "k": 0},
+    # the threshold formulas need d >= 2; d = 0 divided by zero
+    {"analyses": ["ranges"], "dims": [0], "sValues": []}])
 def test_cli_bad_config_values_exit_3(tmp_path, capsys, config):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(config))
@@ -493,6 +511,30 @@ def test_cli_analyze_writes_report(tmp_path, capsys):
     assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
     assert rep["allGatesPass"] is True
+
+
+SWEEP_CONFIG = {"construction": {"kind": "random", "p": 3, "d": 2, "size": 5},
+                "analyses": ["energy"], "grid": {"p": [3]}}
+
+
+def test_cli_construct_creates_parent_directories(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(SWEEP_CONFIG))
+    out = tmp_path / "a" / "b" / "set.txt"
+    assert main(["construct", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(read_pointset(out)) == 5
+
+
+@pytest.mark.parametrize("command", ["construct", "analyze", "sweep"])
+def test_cli_output_path_that_cannot_be_created_exit_3(tmp_path, capsys, command):
+    # the output, or its parent directory, is an existing file
+    cfg, blocker = tmp_path / "c.json", tmp_path / "file"
+    cfg.write_text(json.dumps(SWEEP_CONFIG))
+    blocker.write_text("")
+    out = blocker if command == "sweep" else blocker / "out.txt"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot ") and err.count("\n") == 1
 
 
 def test_cli_ranges(capsys):

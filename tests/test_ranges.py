@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 
 from fqsalem.errors import ConfigError
-from fqsalem.ranges import (ThresholdQuery, conjectured_alpha, family_thresholds,
-                             crossover_identities, energy_threshold, gamma,
-                             conditional_sphere_exponents, salem_s_ranges, sphere_threshold,
-                             improved_threshold)
+from fqsalem.ranges import (SUBGROUP_S_MAX, conditional_sphere_exponents,
+                             conjectured_alpha, crossover_identities, energy_threshold,
+                             gamma, improved_threshold, multigroup_threshold,
+                             sphere_threshold, sphere_windows, subgroup_threshold,
+                             variety_s_max, variety_threshold)
 
 F = Fraction
 
@@ -67,21 +68,29 @@ def test_crossover_identities_all_d():
         assert all(crossover_identities(d).values())
 
 
+@pytest.mark.parametrize("d", [-1, 0, 1])
+def test_formulas_dividing_by_d_need_d_at_least_2(d):
+    # crossover_identities and subgroup_threshold divided by zero at d = 0
+    for formula in (crossover_identities, subgroup_threshold,
+                    lambda d: conjectured_alpha(d, F(1, 4)),
+                    lambda d: sphere_windows(d, F(1, 4), d - 2)):
+        with pytest.raises(ConfigError):
+            formula(d)
+
+
 def test_subgroup_threshold_below_half():
     for d in range(8, 65):
-        assert family_thresholds("subgroup", d) < F(1, 2)
-    assert family_thresholds("subgroup", 8) == F(108, 224)
-    assert family_thresholds("subgroup", 7) >= F(1, 2)
+        assert subgroup_threshold(d) < F(1, 2)
+    assert subgroup_threshold(8) == F(108, 224)
+    assert subgroup_threshold(7) >= F(1, 2)
 
 
 def test_multigroup_and_variety_thresholds():
-    assert family_thresholds("multigroup", 4) == 2
-    v = family_thresholds("variety", 5, n=2, ell=0)
+    assert multigroup_threshold(4) == 2
+    v = variety_threshold(5, n=2, ell=0)
     assert v == min(F(7) / F(9, 4), F(9) / F(5, 2))
     with pytest.raises(ConfigError):
-        family_thresholds("variety", 5)
-    with pytest.raises(ConfigError):
-        family_thresholds("nope", 5)
+        variety_threshold(5, n=1, ell=0)
 
 
 def test_gamma():
@@ -98,79 +107,62 @@ def test_conditional_sphere_exponents_labeled():
     assert rep["with_energy_estimate"] == F(5, 2) - F(1, 2)
 
 
+def _windows(d, s, numer):
+    return {w.case: w for w in sphere_windows(d, s, numer)}
+
+
 def test_sphere_even_windows():
+    # even spheres, paraboloids and odd primitive-radius spheres: numer = d - 2
     d = 6
-    r = salem_s_ranges(ThresholdQuery(d=d, s=F(1, 4), geometry="sphereEven"))
-    cases = {w.case: w for w in r.windows}
+    cases = _windows(d, F(1, 4), d - 2)
     assert cases["i"].s_hi == F(1, 4) + F(1, 2 * d)
     assert cases["i"].lo == F(d - 2) / F(4 * (1 - 2 * F(1, 4)))
     assert cases["ii"].s_hi == F(1, 4) + F(1, 4 * (d - 1))
     assert cases["iv"].lo == cases["iv"].hi == d - 1
-    # paraboloid shares the same table
-    r2 = salem_s_ranges(ThresholdQuery(d=d, s=F(1, 4), geometry="paraboloid"))
-    assert r2.windows == r.windows
 
 
 def test_sphere_odd_windows_crossover():
+    # odd spheres: numer = d - 1
     d = 5
     s = F(1, 4) + F(1, 4 * d)
-    r = salem_s_ranges(ThresholdQuery(d=d, s=s, geometry="sphereOdd"))
-    cases = {w.case: w for w in r.windows}
+    cases = _windows(d, s, d - 1)
     assert cases["i"].lo == F(d - 1) / (4 * (1 - 2 * s)) == F(d, 2)
     assert F(d + 1) / (8 * s) == F(d, 2)
 
 
-def test_epsilon_ranges_require_positive_epsilon():
-    q = ThresholdQuery(d=5, s=F(1, 4), geometry="sphereOddPrimitiveEps")
-    with pytest.raises(ConfigError):
-        salem_s_ranges(q)
-    r = salem_s_ranges(ThresholdQuery(d=5, s=F(1, 4), geometry="sphereOddPrimitiveEps",
-                                      epsilon=F(1, 10)))
-    assert r.notes["epsilon"] == F(1, 10)
-    assert r.windows
-
-
 def test_epsilon_windows_pinned():
-    # minted before the epsilon branch shared _even_style_windows
-    r = salem_s_ranges(ThresholdQuery(d=5, s=F(1, 4), geometry="sphereOddPrimitiveEps",
-                                      epsilon=F(1, 10)))
-    assert [(w.case, w.s_lo, w.s_hi, w.lo, w.hi) for w in r.windows] == [
+    # the epsilon family, numer = d - 2 - eps; minted before it shared the
+    # window code of the other families
+    windows = sphere_windows(5, F(1, 4), 5 - 2 - F(1, 10))
+    assert [(w.case, w.s_lo, w.s_hi, w.lo, w.hi) for w in windows] == [
         ("i", F(1, 4), F(69, 196), F(29, 20), F(49, 20)),
         ("ii", F(1, 4), F(5, 16), F(49, 20), F(4)),
         ("iv", F(1, 4), F(1, 2), F(4), F(4))]
 
 
 @pytest.mark.parametrize("query", [
-    ThresholdQuery(d=2, s=F(1, 2), geometry="sphereEven"),
-    ThresholdQuery(d=2, s=F(1, 2), geometry="paraboloid"),
-    ThresholdQuery(d=2, s=F(1, 2), geometry="sphereOddPrimitive"),
-    ThresholdQuery(d=3, s=F(1, 2), geometry="sphereOddPrimitiveEps", epsilon=F(1)),
-    ThresholdQuery(d=3, s=F(1, 4), geometry="sphereOddPrimitiveEps", epsilon=F(3)),
-    ThresholdQuery(d=1, s=F(1, 4), geometry="sphereOdd")])
+    (2, F(1, 2), 0),             # numer = d - 2 at d = 2, s = 1/2
+    (3, F(1, 2), F(-1, 2)),      # eps = 3/2 at s = 1/2
+    (4, F(1, 4), -3),            # eps = 5 > d
+    (3, F(1, 2), 3 - 2 - 1),     # eps = 1 at s = 1/2
+    (3, F(1, 4), 3 - 2 - 3),     # eps = d
+    (1, F(1, 4), 1 - 1)])        # numer = d - 1 at d = 1
 def test_undefined_windows_are_config_errors(query):
     # each of these divided by zero before
     with pytest.raises(ConfigError):
-        salem_s_ranges(query)
+        sphere_windows(*query)
 
 
 def test_subgroup_range():
-    r = salem_s_ranges(ThresholdQuery(d=4, s=F(1, 3), geometry="subgroup"))
-    assert r.notes["valid"] and r.notes["sMax"] == F(7, 18)
-    r2 = salem_s_ranges(ThresholdQuery(d=4, s=F(2, 5), geometry="subgroup"))
-    assert not r2.notes["valid"]
+    # powers of a subgroup of size at most p^(3/5) are Salem for s < 7/18
+    assert SUBGROUP_S_MAX == F(7, 18)
+    assert F(1, 3) < SUBGROUP_S_MAX
+    assert not F(2, 5) < SUBGROUP_S_MAX
 
 
 def test_variety_range():
-    r = salem_s_ranges(ThresholdQuery(d=9, s=F(5, 16), geometry="varietyParams",
-                                      n=2, ell=F(0), alpha=F(1)))
-    assert r.notes["sMax"] == F(5, 16)
-    assert r.notes["valid"]
-    assert r.notes["nontrivial"] == (F(1, 4) >= F(2, 10))
+    s_max, nontrivial = variety_s_max(9, n=2, ell=F(0), alpha=F(1))
+    assert s_max == F(5, 16)
+    assert nontrivial == (F(1, 4) >= F(2, 10))
     with pytest.raises(ConfigError):
-        salem_s_ranges(ThresholdQuery(d=9, s=F(5, 16), geometry="varietyParams",
-                                      n=2, ell=F(2), alpha=F(1)))
-
-
-def test_unknown_geometry():
-    with pytest.raises(ConfigError):
-        salem_s_ranges(ThresholdQuery(d=4, s=F(1, 4), geometry="torus"))
+        variety_s_max(9, n=2, ell=F(2), alpha=F(1))
