@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import check_budget, ConfigError
-from .geometry import PointSet, decode, encode, lift_to_paraboloid, vadd, vsub
+from .geometry import PointSet, decode, lift_to_paraboloid, vadd, vsub
 from .kernels import (KeyCounter, group_sums, pair_codes, row_blocks,
                       sum_squares, upper_pair_codes)
 
@@ -114,7 +114,8 @@ def pair_counts(E: PointSet, budget: int | None = None) -> PairCounts:
     """One pass over the pairs i < j of the lifted points; the rest by symmetry.
 
     The pair (j, i) has the lifted difference of (i, j) negated digit by
-    digit, and the n diagonal pairs have difference 0. Charges |E|^2 units.
+    digit (KeyCounter.add_negated), and the n diagonal pairs have difference 0.
+    Charges |E|^2 units.
     """
     F, d, n = E.field, E.d, len(E)
     q = F.q
@@ -123,9 +124,8 @@ def pair_counts(E: PointSet, budget: int | None = None) -> PairCounts:
     counter = KeyCounter(q ** (d + 1), n * n, "pair counts")
     for codes in upper_pair_codes(T.sub, lift_to_paraboloid(E).array, q):
         counter.add(codes)
-    half, counts = counter.result()
-    counter.add(encode(T.neg[decode(half, q, d + 1)], q), counts)
-    counter.add(np.zeros(min(n, 1), dtype=np.int64), n)  # no key 0 for the empty set
+    counter.add_negated(F.p, F.r * (d + 1))
+    counter.add(np.zeros(n, dtype=np.int64))
     keys, counts = counter.result()
     diff_codes, diff_counts = group_sums(keys // q, counts)  # D(u) = sum_t m_t(u)
     return PairCounts(E, keys, counts, PointSet.from_codes(F, d, diff_codes), diff_counts,

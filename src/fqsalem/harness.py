@@ -256,20 +256,27 @@ def _child_seed(master: int, cell_index: int) -> int:
     return int(_splitmix64_array(x)[0])
 
 
+def _sweep_file(verb: str, path: Path, op):
+    """op() on a file or directory of the sweep, with an OSError as a config error."""
+    try:
+        return op()
+    except OSError as exc:
+        raise ConfigError(f"cannot {verb} {path}: {exc}") from exc
+
+
 def sweep(config: dict, out_dir, jobs: int = 1) -> Path:
     """Cartesian product over the grid; one CSV row per cell; resumable."""
     import hashlib  # here, not at module load: it loads OpenSSL, which only sweeps need
     validate_config(config)
+    if not (is_int(jobs) and jobs >= 1):
+        raise ConfigError(f"jobs must be a positive integer, got {jobs!r}")
     grid = config.get("grid")
     if not grid:
         raise ConfigError("sweep needs a 'grid' mapping")
     keys = sorted(grid)
     cells = list(product(*(grid[k] for k in keys)))
     out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create {out_dir}: {exc}") from exc
+    _sweep_file("create", out_dir, lambda: out_dir.mkdir(parents=True, exist_ok=True))
     ledger_path = out_dir / "sweep.ledger"
     stamp_path = out_dir / "sweep.stamp"
     csv_path = out_dir / "sweep.csv"
@@ -277,8 +284,10 @@ def sweep(config: dict, out_dir, jobs: int = 1) -> Path:
     # seed included) that wrote them; otherwise it is rewritten from scratch
     stamp = hashlib.sha256(json.dumps(config, sort_keys=True, default=str).encode()).hexdigest() + "\n"
     done: dict[int, str] = {}
-    if ledger_path.exists() and stamp_path.exists() and stamp_path.read_text() == stamp:
-        for line in ledger_path.read_text().splitlines(keepends=True):
+    if _sweep_file("read", stamp_path, lambda: stamp_path.exists() and stamp_path.read_text()) == stamp:
+        ledger = _sweep_file("read", ledger_path,
+                             lambda: ledger_path.read_text() if ledger_path.exists() else "")
+        for line in ledger.splitlines(keepends=True):
             idx, _, row = line.partition("\t")
             if row.endswith("\n"):  # a line cut short by a crash is redone
                 done[int(idx)] = row
@@ -297,20 +306,23 @@ def sweep(config: dict, out_dir, jobs: int = 1) -> Path:
             construction[k] = v
         sub["construction"] = construction
         try:
-            return _csv_row(i, "ok", _cell_detail(cell, run(sub)))
+            rep = run(sub)
         except BudgetExceeded as exc:
             return _csv_row(i, "error", f"budget:{exc}")
         except ConfigError as exc:
             return _csv_row(i, "error", f"config:{exc}")
+        return _csv_row(i, "ok" if rep["allGatesPass"] else "gate", _cell_detail(cell, rep))
 
     # each finished row is appended and flushed in cell order, so an
     # interrupted or failed sweep resumes from every row before the failure;
     # on a failure the cells not yet started are dropped, not run
     rows = []
-    with open(ledger_path, "w") as ledger, ThreadPoolExecutor(max_workers=max(jobs, 1)) as ex:
+    ledger = _sweep_file("write", ledger_path, lambda: open(ledger_path, "w"))
+    with ledger, ThreadPoolExecutor(max_workers=jobs) as ex:
         ledger.write("".join(f"{i}\t{row}" for i, row in sorted(done.items())))
         ledger.flush()
-        stamp_path.write_text(stamp)  # after the rows of any other config are gone
+        # after the rows of any other config are gone
+        _sweep_file("write", stamp_path, lambda: stamp_path.write_text(stamp))
         try:
             for i, row in enumerate(ex.map(run_cell, range(len(cells)))):
                 if i not in done:
@@ -319,7 +331,8 @@ def sweep(config: dict, out_dir, jobs: int = 1) -> Path:
                 rows.append(row)
         finally:
             ex.shutdown(cancel_futures=True)
-    csv_path.write_text(_csv_row("cell", "status", "detail") + "".join(rows))
+    text = _csv_row("cell", "status", "detail") + "".join(rows)
+    _sweep_file("write", csv_path, lambda: csv_path.write_text(text))
     return csv_path
 
 
@@ -337,6 +350,9 @@ def _cell_detail(cell: dict, rep: dict) -> str:
     extra = f"size={size}"
     if s != "":
         extra += f";salemS={format(s, '.12g')}"
+    failed = "+".join(name for name, ok in rep["gates"].items() if not ok)
+    if failed:
+        extra += f";failedGates={failed}"
     return f"{detail};{extra}"
 
 

@@ -5,11 +5,17 @@ field-table entries per coordinate, and count the resulting integer keys.
 Memory is bounded by CHUNK_ELEMS: every gather temporary has at most that
 many elements (one row at the least), and a key space of at most that many
 keys is counted densely with np.bincount, a larger one by merging sorted
-np.unique chunks. Counts are int64; the largest count a kernel can reach is
-checked against the int64 range before counting starts, so nothing wraps.
+np.unique chunks. pair_codes builds its keys in int32 where every key of
+the space fits, in int64 above that. The reversed half of a pass over the pairs i < j is added by
+KeyCounter.add_negated: one gather through a cached digit-wise negation index
+on the dense path, negated and merged keys on the sorted one. Counts are
+int64; the largest count a kernel can reach is checked against the int64
+range before counting starts, so nothing wraps.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,6 +24,7 @@ from .errors import BudgetExceeded
 #: cap on the elements of one broadcast temporary, and on a dense count array
 CHUNK_ELEMS = 1 << 15
 
+INT32_MAX = (1 << 31) - 1
 INT64_MAX = (1 << 63) - 1
 
 
@@ -36,15 +43,25 @@ def row_blocks(n_rows: int, width: int):
 
 
 def pair_codes(table: np.ndarray, A: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:
-    """Flat index of the vector (table[a_i, b_i])_i for every row pair (a, b) of A x B."""
-    if A.shape[1] == 0:
-        return np.zeros((len(A), len(B)), dtype=np.int64)
-    # per digit, the table rows of the a_i and then their b_i columns: two
-    # 2-D gathers, several times cheaper than one broadcast fancy index
-    code = table[A[:, 0]][:, B[:, 0]].astype(np.int64)
-    for i in range(1, A.shape[1]):
-        code *= q
-        code += table[A[:, i]][:, B[:, i]]
+    """Flat index of the vector (table[a_i, b_i])_i for every row pair (a, b) of
+    A x B: int32 while q^width <= 2^31 - 1, int64 above that."""
+    width = A.shape[1]
+    dtype = np.int32 if q ** width <= INT32_MAX else np.int64
+
+    def digit(i: int) -> np.ndarray:
+        # the table rows of the a_i scaled by the digit's place value (astype
+        # first: NumPy 1.x would promote the small table dtype by value), then
+        # their b_i columns: two 2-D gathers, several times cheaper than one
+        # broadcast fancy index
+        rows = table[A[:, i]].astype(dtype)
+        rows *= q ** (width - 1 - i)
+        return rows[:, B[:, i]]
+
+    if width == 0:
+        return np.zeros((len(A), len(B)), dtype=dtype)
+    code = digit(0)
+    for i in range(1, width):
+        code += digit(i)
     return code
 
 
@@ -90,6 +107,32 @@ def sum_squares(counts, bound: int) -> int:
     return int(c @ c)
 
 
+@lru_cache(maxsize=None)
+def negation_index(p: int, width: int) -> np.ndarray:
+    """neg[x] = x with every base-p digit negated mod p, for x in [0, p^width);
+    built digit by digit as outer sums, read-only, once per (p, width)."""
+    neg = np.zeros(1, dtype=np.int64)
+    for k in range(width):  # x = top p^k + low
+        neg = ((-np.arange(p) % p * p ** k)[:, None] + neg).ravel()
+    neg.flags.writeable = False
+    return neg
+
+
+def negate(keys: np.ndarray, p: int, width: int) -> np.ndarray:
+    """Digit-wise negation mod p of int64 keys of `width` base-p digits: a
+    block of digits at a time, through a negation_index within CHUNK_ELEMS."""
+    step = 1
+    while p ** (step + 1) <= CHUNK_ELEMS:
+        step += 1
+    out, place = np.zeros(len(keys), dtype=np.int64), 1
+    for lo in range(0, width, step):
+        w = min(step, width - lo)
+        keys, low = np.divmod(keys, p ** w)
+        out += negation_index(p, w)[low] * place
+        place *= p ** w
+    return out
+
+
 class KeyCounter:
     """Exact multiplicities of keys in [0, space), fed in chunks.
 
@@ -109,7 +152,7 @@ class KeyCounter:
 
     def add(self, keys: np.ndarray, weights: np.ndarray | None = None) -> None:
         """Count each key once, or `weights` times (int64, broadcast to keys)."""
-        keys = np.asarray(keys, dtype=np.int64)
+        keys = np.asarray(keys)
         if weights is not None:
             weights = np.broadcast_to(np.asarray(weights, dtype=np.int64), keys.shape).ravel()
         keys = keys.ravel()
@@ -128,6 +171,16 @@ class KeyCounter:
         # merge geometrically: each key is re-sorted O(log) times overall
         if self._n_pending >= max(len(self._keys), CHUNK_ELEMS):
             self._flush()
+
+    def add_negated(self, p: int, width: int) -> None:
+        """Add to each key's count that of its digit-wise negation, for keys of
+        `width` base-p digits (space = p^width): the reversed pairs of a pass
+        over the pairs i < j, since x - y = -(y - x) digit by digit."""
+        if self._dense is not None:
+            self._dense += self._dense[negation_index(p, width)]
+            return
+        keys, counts = self.result()
+        self.add(negate(keys, p, width), counts)
 
     def _flush(self) -> None:
         if self._pending:

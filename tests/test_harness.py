@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import folded_power, rand_set
+from fqsalem import spectral
 from fqsalem.cli import build_parser, main
 from fqsalem.distance import distance_profile
 from fqsalem.energy import energy_bruteforce, energy_convolution, pair_counts, salem_parameter
@@ -238,6 +239,24 @@ def test_sweep_records_bad_config_value(tmp_path):
     assert rows[1][:2] == ["0", "ok"]
     assert rows[2] == ["1", "error",
                        "config:config value 'size' is missing or ill-typed: 'four'"]
+
+
+def test_sweep_marks_cells_with_failing_gates(tmp_path, monkeypatch):
+    # the p = 5 cell's energy identity is off: its row says which gate failed
+    residual = spectral.energy_identity_residual
+    monkeypatch.setattr(spectral, "energy_identity_residual",
+                        lambda A, k: 1.0 if A.E.field.q == 5 else residual(A, k))
+    cfg = {"construction": {"kind": "random", "d": 2, "size": 5}, "analyses": ["fourier"],
+           "grid": {"p": [3, 5]}, "seed": 0}
+    rows = sweep(cfg, tmp_path / "s").read_text().splitlines()
+    assert rows[1:] == ["0,ok,p=3;size=5", "1,gate,p=5;size=5;failedGates=energyIdentity"]
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_sweep_jobs_must_be_positive(tmp_path, jobs):
+    with pytest.raises(ConfigError, match="jobs must be a positive integer"):
+        sweep(SWEEP_CONFIG, tmp_path / "s", jobs=jobs)
+    assert not (tmp_path / "s").exists()
 
 
 def test_sweep_requires_grid(tmp_path):
@@ -535,6 +554,25 @@ def test_cli_output_path_that_cannot_be_created_exit_3(tmp_path, capsys, command
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["sweep.ledger", "sweep.stamp", "sweep.csv"])
+def test_cli_sweep_output_file_that_is_a_directory_exit_3(tmp_path, capsys, name):
+    cfg, out = tmp_path / "c.json", tmp_path / "out"
+    cfg.write_text(json.dumps(SWEEP_CONFIG))
+    (out / name).mkdir(parents=True)
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot ") and name in err and err.count("\n") == 1
+
+
+def test_cli_sweep_jobs_0_exit_3(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(SWEEP_CONFIG))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", "0"]) == 3
+    assert capsys.readouterr().err == "config error: jobs must be a positive integer, got 0\n"
+    assert not out.exists()
 
 
 def test_cli_ranges(capsys):

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from conftest import difference_family_oracle, field_of_order, rand_set
@@ -58,3 +59,19 @@ def test_counts_beyond_int64_are_refused(f3):
     assert energy_convolution(E, 39) == 3 ** 77
     with pytest.raises(BudgetExceeded):
         energy_convolution(E, 40)
+
+
+@pytest.mark.parametrize("width,dtype", [(19, np.int32), (20, np.int64)])
+def test_pair_codes_dtype_at_the_int32_boundary(f3, width, dtype):
+    # 3^19 - 1 is the largest code below 2^31 - 1, 3^20 - 1 is above it
+    rng = np.random.default_rng(width)
+    A, B = rng.integers(0, 3, (4, width)), rng.integers(0, 3, (5, width))
+    A[0], B[0] = 2, 0  # the code 3^width - 1: every digit 2 - 0 = 2
+    table = f3.tables().sub
+    codes = kernels.pair_codes(table, A, B, 3)
+    expect = np.zeros((4, 5), dtype=np.int64)
+    for i in range(width):
+        expect = expect * 3 + table[A[:, i]][:, B[:, i]]
+    assert codes.dtype == dtype
+    assert codes[0, 0] == 3 ** width - 1
+    assert np.array_equal(codes, expect)
