@@ -270,6 +270,15 @@ def two_set_sharpness(F: FieldSpec, d: int,
 
 # --- config-driven dispatch ---------------------------------------------------------------
 
+#: the parameters each kind reads besides the field's p and r; every kind
+#: also accepts the `seed` a config injects
+_PARAMS = {
+    "orbit": (), "isotropic": ("d", "m"), "subgroupPower": ("m", "d"),
+    "sphere": ("d", "j"), "paraboloid": ("d",), "fullSpace": ("d",),
+    "random": ("d", "size"), "conjectureWitness": ("d", "s"), "twoSetPair": ("d",),
+}
+
+
 @dataclass(frozen=True)
 class ConstructionSpec:
     kind: str
@@ -278,9 +287,15 @@ class ConstructionSpec:
     def build(self, budget: int | None = None):
         """The set; every construction charges `budget` for its scans, spans,
         products and field tables before it builds them."""
+        k = self.kind
+        if not (isinstance(k, str) and k in _PARAMS):
+            raise ConfigError(f"unknown construction kind {k!r}")
+        unread = sorted(set(self.params) - {"p", "r", "seed"} - set(_PARAMS[k]), key=str)
+        if unread:
+            raise ConfigError(f"construction {k!r} takes no parameter "
+                              + ", ".join(map(repr, unread)))
         get = partial(config_value, self.params)
         F = field_create(get("p"), get("r", 1))
-        k = self.kind
         if k == "orbit":
             return rotation_orbit(F.p, F.r, budget)
         if k == "isotropic":
@@ -298,9 +313,7 @@ class ConstructionSpec:
         if k == "conjectureWitness":
             s = get("s", convert=lambda v: Fraction(str(v)))
             return conjecture_witness(get("d"), s, F.p, F.r, get("seed", 0), budget).pointset
-        if k == "twoSetPair":
-            return two_set_sharpness(F, get("d"), budget)[0]
-        raise ConfigError(f"unknown construction kind {k!r}")
+        return two_set_sharpness(F, get("d"), budget)[0]  # k == "twoSetPair"
 
 
 def random_pointset(F: FieldSpec, d: int, size: int, seed: int,

@@ -12,7 +12,9 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -60,7 +62,7 @@ class Analysis:
     """The exact quantities of one point set that a report reads.
 
     Each is computed on first use and kept for the lifetime of the object,
-    which `run()` creates once per report, so a report computes Lambda_{2k},
+    which `report()` creates once per report, so a report computes Lambda_{2k},
     nu and |E_hat|^2 once each however many sections read them. Lambda_4, nu,
     E - E and the difference family all come from one pass over the pairs
     of E (`pairs`).
@@ -233,11 +235,15 @@ def build_set(config: dict) -> PointSet:
 def run(config: dict) -> dict:
     """Execute the requested analyses; returns the report dict."""
     validate_config(config)
+    return report(config, build_set(config) if "construction" in config else None)
+
+
+def report(config: dict, E: PointSet | None) -> dict:
+    """The report of a validated config on its set E (None without a construction)."""
     results: dict = {}
     gates: dict[str, bool] = {}
     A = None
-    if "construction" in config:
-        E = build_set(config)
+    if E is not None:
         A = Analysis(E, config.get("budget", DEFAULT_BUDGET))
         results["set"] = {"size": len(E), "q": E.field.q, "d": E.d}
     for name in config.get("analyses", []):
@@ -265,7 +271,15 @@ def _sweep_file(verb: str, path: Path, op):
 
 
 def sweep(config: dict, out_dir, jobs: int = 1) -> Path:
-    """Cartesian product over the grid; one CSV row per cell; resumable."""
+    """Cartesian product over the grid; one CSV row per cell; resumable.
+
+    Each cell's set is built in the calling thread, and so is its report,
+    unless jobs > 1 and its pair pass sorts a full block
+    (energy.pair_pass_sorts): such a report goes to a pool of `jobs` threads,
+    started at the first such cell. A report is a chain of short numpy calls,
+    and two threads making those hand the GIL back and forth on every call;
+    only long sorts run in parallel.
+    """
     import hashlib  # here, not at module load: it loads OpenSSL, which only sweeps need
     validate_config(config)
     if not (is_int(jobs) and jobs >= 1):
@@ -285,55 +299,94 @@ def sweep(config: dict, out_dir, jobs: int = 1) -> Path:
     stamp = hashlib.sha256(json.dumps(config, sort_keys=True, default=str).encode()).hexdigest() + "\n"
     done: dict[int, str] = {}
     if _sweep_file("read", stamp_path, lambda: stamp_path.exists() and stamp_path.read_text()) == stamp:
-        ledger = _sweep_file("read", ledger_path,
-                             lambda: ledger_path.read_text() if ledger_path.exists() else "")
-        for line in ledger.splitlines(keepends=True):
+        data = _sweep_file("read", ledger_path,
+                           lambda: ledger_path.read_bytes() if ledger_path.exists() else b"")
+        try:  # what follows the last newline is a line cut short
+            lines = data.decode("utf-8").split("\n")[:-1]
+        except UnicodeDecodeError:  # not a ledger a sweep wrote
+            lines = []
+        # a line is "<cell index>\t<row>\n"; any other is dropped and its cell redone
+        index = {str(i): i for i in range(len(cells))}
+        for line in lines:
             idx, _, row = line.partition("\t")
-            if row.endswith("\n"):  # a line cut short by a crash is redone
-                done[int(idx)] = row
+            if idx in index and row.startswith(f"{idx},"):
+                done[index[idx]] = row + "\n"
 
     master = int(config.get("seed", 0))
+    pool = None
+    room = threading.Semaphore(jobs)  # built sets sent to the pool and not yet reported
 
-    def run_cell(i: int) -> str:
-        if i in done:
-            return done[i]
+    def start(i: int):
+        """Cell i's row, or for a report sent to the pool the future of its row."""
+        nonlocal pool
         cell = dict(zip(keys, cells[i]))
         sub = dict(config)
         sub.pop("grid", None)
         sub["seed"] = _child_seed(master, i)
-        construction = dict(sub.get("construction", {}))
-        for k, v in cell.items():
-            construction[k] = v
-        sub["construction"] = construction
+        sub["construction"] = {**sub.get("construction", {}), **cell}
         try:
-            rep = run(sub)
-        except BudgetExceeded as exc:
-            return _csv_row(i, "error", f"budget:{exc}")
-        except ConfigError as exc:
-            return _csv_row(i, "error", f"config:{exc}")
+            E = build_set(sub)
+        except (BudgetExceeded, ConfigError) as exc:
+            return _error_row(i, exc)
+        if jobs == 1 or not energy.pair_pass_sorts(E):
+            return finish(i, cell, sub, E)
+        pool = pool or ThreadPoolExecutor(max_workers=jobs)
+        room.acquire()
+        future = pool.submit(finish, i, cell, sub, E)
+        future.add_done_callback(lambda _: room.release())
+        return future
+
+    def finish(i: int, cell: dict, sub: dict, E: PointSet) -> str:
+        try:
+            rep = report(sub, E)
+        except (BudgetExceeded, ConfigError) as exc:
+            return _error_row(i, exc)
         return _csv_row(i, "ok" if rep["allGatesPass"] else "gate", _cell_detail(cell, rep))
 
     # each finished row is appended and flushed in cell order, so an
     # interrupted or failed sweep resumes from every row before the failure;
-    # on a failure the cells not yet started are dropped, not run
-    rows = []
-    ledger = _sweep_file("write", ledger_path, lambda: open(ledger_path, "w"))
-    with ledger, ThreadPoolExecutor(max_workers=jobs) as ex:
-        ledger.write("".join(f"{i}\t{row}" for i, row in sorted(done.items())))
-        ledger.flush()
-        # after the rows of any other config are gone
-        _sweep_file("write", stamp_path, lambda: stamp_path.write_text(stamp))
-        try:
-            for i, row in enumerate(ex.map(run_cell, range(len(cells)))):
-                if i not in done:
-                    ledger.write(f"{i}\t{row}")
-                    ledger.flush()
-                rows.append(row)
-        finally:
-            ex.shutdown(cancel_futures=True)
+    # on a failure the cells after it are dropped
+    rows: list[str] = []
+    pending: deque = deque()  # rows and futures of the cells not yet written
+
+    def write(wait: bool = False) -> None:
+        """Write the finished rows at the head of `pending`; with `wait`, all of
+        them. A failed cell's exception is raised, and its future stays at the
+        head, so no later row is written."""
+        while pending and (wait or not isinstance(pending[0], Future) or pending[0].done()):
+            row = pending[0].result() if isinstance(pending[0], Future) else pending[0]
+            pending.popleft()
+            if len(rows) not in done:
+                ledger.write(f"{len(rows)}\t{row}")
+                ledger.flush()
+            rows.append(row)
+
+    ledger = _sweep_file("write", ledger_path, lambda: open(ledger_path, "w", encoding="utf-8"))
+    try:
+        with ledger:
+            ledger.write("".join(f"{i}\t{row}" for i, row in sorted(done.items())))
+            ledger.flush()
+            # after the rows of any other config are gone
+            _sweep_file("write", stamp_path, lambda: stamp_path.write_text(stamp))
+            for i in range(len(cells)):
+                try:
+                    pending.append(done[i] if i in done else start(i))
+                except BaseException:
+                    write(wait=True)  # the rows before it, of cells on the pool too
+                    raise
+                write()
+            write(wait=True)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     text = _csv_row("cell", "status", "detail") + "".join(rows)
     _sweep_file("write", csv_path, lambda: csv_path.write_text(text))
     return csv_path
+
+
+def _error_row(i: int, exc: BudgetExceeded | ConfigError) -> str:
+    kind = "budget" if isinstance(exc, BudgetExceeded) else "config"
+    return _csv_row(i, "error", f"{kind}:{exc}")
 
 
 def _csv_row(*fields) -> str:

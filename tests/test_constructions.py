@@ -264,6 +264,18 @@ def test_construction_spec_dispatch(f5):
     assert len(ConstructionSpec("random", {"p": 5, "d": 2, "size": 7, "seed": 1}).build()) == 7
     with pytest.raises(ConfigError):
         ConstructionSpec("nonsense", {"p": 5}).build()
+    with pytest.raises(ConfigError, match="unknown construction kind"):
+        ConstructionSpec(["random"], {"p": 5}).build()
+
+
+def test_construction_spec_refuses_parameters_it_never_reads():
+    # a misspelt parameter would otherwise leave the set as it was; the seed
+    # a config injects is accepted by every kind
+    assert len(ConstructionSpec("orbit", {"p": 3, "r": 3, "seed": 4}).build()) == 7
+    with pytest.raises(ConfigError, match="construction 'random' takes no parameter 'sizee'"):
+        ConstructionSpec("random", {"p": 5, "d": 2, "size": 3, "sizee": 4}).build()
+    with pytest.raises(ConfigError, match="'orbit' takes no parameter 'd', 'm'"):
+        ConstructionSpec("orbit", {"p": 3, "r": 3, "m": 1, "d": 2}).build()
 
 
 def test_construction_files_deterministic(tmp_path):
