@@ -55,8 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="grid sweep to CSV")
     _add_common(p)
     p.add_argument("--jobs", type=int, default=1,
-                   help="threads for the reports of cells whose pair pass sorts a full "
-                        "block; every other cell runs in the calling thread (default 1)")
+                   help="a positive integer; every cell runs in the calling thread, since "
+                        "threads slowed sweeps down under the GIL (default 1)")
 
     p = sub.add_parser("oracle", help="brute-force reference computations")
     p.add_argument("kind", choices=["lambda4", "distances", "incidences"])

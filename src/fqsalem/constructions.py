@@ -270,12 +270,23 @@ def two_set_sharpness(F: FieldSpec, d: int,
 
 # --- config-driven dispatch ---------------------------------------------------------------
 
-#: the parameters each kind reads besides the field's p and r; every kind
-#: also accepts the `seed` a config injects
-_PARAMS = {
-    "orbit": (), "isotropic": ("d", "m"), "subgroupPower": ("m", "d"),
-    "sphere": ("d", "j"), "paraboloid": ("d",), "fullSpace": ("d",),
-    "random": ("d", "size"), "conjectureWitness": ("d", "s"), "twoSetPair": ("d",),
+#: each kind's builder and the parameters it reads besides the field's p and
+#: r; every kind also accepts the `seed` a config injects
+_KINDS = {
+    "orbit": ((), lambda F, get, budget: rotation_orbit(F.p, F.r, budget)),
+    "isotropic": (("d", "m"),
+                  lambda F, get, budget: isotropic_subspace(F, get("d"), get("m"), budget)),
+    "subgroupPower": (("m", "d"),
+                      lambda F, get, budget: subgroup_power(F, get("m"), get("d"), budget)),
+    "sphere": (("d", "j"), lambda F, get, budget: sphere(F, get("d"), get("j", 1), budget)),
+    "paraboloid": (("d",), lambda F, get, budget: paraboloid(F, get("d"), budget)),
+    "fullSpace": (("d",), lambda F, get, budget: full_space(F, get("d"), budget)),
+    "random": (("d", "size"), lambda F, get, budget: random_pointset(
+        F, get("d"), get("size"), get("seed", 0), budget)),
+    "conjectureWitness": (("d", "s"), lambda F, get, budget: conjecture_witness(
+        s=get("s", convert=lambda v: Fraction(str(v))), d=get("d"), p=F.p, r=F.r,
+        seed=get("seed", 0), budget=budget).pointset),
+    "twoSetPair": (("d",), lambda F, get, budget: two_set_sharpness(F, get("d"), budget)[0]),
 }
 
 
@@ -288,32 +299,15 @@ class ConstructionSpec:
         """The set; every construction charges `budget` for its scans, spans,
         products and field tables before it builds them."""
         k = self.kind
-        if not (isinstance(k, str) and k in _PARAMS):
+        if not (isinstance(k, str) and k in _KINDS):
             raise ConfigError(f"unknown construction kind {k!r}")
-        unread = sorted(set(self.params) - {"p", "r", "seed"} - set(_PARAMS[k]), key=str)
+        reads, builder = _KINDS[k]
+        unread = sorted(set(self.params) - {"p", "r", "seed"} - set(reads), key=str)
         if unread:
             raise ConfigError(f"construction {k!r} takes no parameter "
                               + ", ".join(map(repr, unread)))
         get = partial(config_value, self.params)
-        F = field_create(get("p"), get("r", 1))
-        if k == "orbit":
-            return rotation_orbit(F.p, F.r, budget)
-        if k == "isotropic":
-            return isotropic_subspace(F, get("d"), get("m"), budget)
-        if k == "subgroupPower":
-            return subgroup_power(F, get("m"), get("d"), budget)
-        if k == "sphere":
-            return sphere(F, get("d"), get("j", 1), budget)
-        if k == "paraboloid":
-            return paraboloid(F, get("d"), budget)
-        if k == "fullSpace":
-            return full_space(F, get("d"), budget)
-        if k == "random":
-            return random_pointset(F, get("d"), get("size"), get("seed", 0), budget)
-        if k == "conjectureWitness":
-            s = get("s", convert=lambda v: Fraction(str(v)))
-            return conjecture_witness(get("d"), s, F.p, F.r, get("seed", 0), budget).pointset
-        return two_set_sharpness(F, get("d"), budget)[0]  # k == "twoSetPair"
+        return builder(field_create(get("p"), get("r", 1)), get, budget)
 
 
 def random_pointset(F: FieldSpec, d: int, size: int, seed: int,

@@ -33,8 +33,8 @@ import numpy as np
 
 from .errors import check_budget, ConfigError
 from .geometry import PointSet, decode, lift_to_paraboloid, vadd, vsub
-from .kernels import (CHUNK_ELEMS, KeyCounter, counts_densely, group_sums, pair_codes,
-                      row_blocks, sum_squares, upper_pair_codes)
+from .kernels import (KeyCounter, group_sums, pair_codes, row_blocks,
+                      sum_squares, upper_pair_codes)
 
 if TYPE_CHECKING:
     from .harness import Analysis
@@ -130,15 +130,6 @@ def pair_counts(E: PointSet, budget: int | None = None) -> PairCounts:
     diff_codes, diff_counts = group_sums(keys // q, counts)  # D(u) = sum_t m_t(u)
     return PairCounts(E, keys, counts, PointSet.from_codes(F, d, diff_codes), diff_counts,
                       sum_squares(diff_counts, n ** 4))
-
-
-def pair_pass_sorts(E: PointSet) -> bool:
-    """Whether pair_counts(E) counts by sorting at least one full block: its
-    lifted key space q^{d+1} takes KeyCounter's sorted path, and E has at
-    least CHUNK_ELEMS pairs i < j. Sorts are the one part of a report that
-    runs long enough outside the GIL for threads to overlap (harness.sweep)."""
-    n = len(E)
-    return not counts_densely(E.field.q ** (E.d + 1)) and n * (n - 1) // 2 >= CHUNK_ELEMS
 
 
 def salem_parameter(A: Analysis) -> float:

@@ -12,9 +12,6 @@ import csv
 import io
 import json
 import math
-import threading
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -201,9 +198,7 @@ def validate_config(config: dict) -> dict:
         if a not in KNOWN_ANALYSES:
             raise ConfigError(f"unknown analysis {a!r}; known: {KNOWN_ANALYSES}")
     if "construction" in config:
-        c = config["construction"]
-        if not (isinstance(c, dict) and "kind" in c):
-            raise ConfigError("construction must be an object with a 'kind'")
+        _construction(config)
     tol = config.get("tolerances", {})
     if not isinstance(tol, dict):
         raise ConfigError("tolerances must be an object")
@@ -221,12 +216,19 @@ def validate_config(config: dict) -> dict:
     return config
 
 
+def _construction(config: dict) -> dict:
+    c = config["construction"]
+    if not (isinstance(c, dict) and "kind" in c):
+        raise ConfigError("construction must be an object with a 'kind'")
+    return c
+
+
 def build_set(config: dict) -> PointSet:
     """The config's construction; it takes the config's seed unless it sets its own."""
     if "construction" not in config:
         raise ConfigError("config needs a 'construction'")
-    params = dict(config["construction"])
-    kind = params.pop("kind", None)
+    params = dict(_construction(config))
+    kind = params.pop("kind")
     if "seed" not in params and "seed" in config:
         params["seed"] = config["seed"]
     return ConstructionSpec(kind, params).build(config.get("budget", DEFAULT_BUDGET))
@@ -273,12 +275,10 @@ def _sweep_file(verb: str, path: Path, op):
 def sweep(config: dict, out_dir, jobs: int = 1) -> Path:
     """Cartesian product over the grid; one CSV row per cell; resumable.
 
-    Each cell's set is built in the calling thread, and so is its report,
-    unless jobs > 1 and its pair pass sorts a full block
-    (energy.pair_pass_sorts): such a report goes to a pool of `jobs` threads,
-    started at the first such cell. A report is a chain of short numpy calls,
-    and two threads making those hand the GIL back and forth on every call;
-    only long sorts run in parallel.
+    Every cell runs in the calling thread, whatever `jobs` (a positive
+    integer). A report is a chain of short numpy calls, and two threads making
+    those hand the GIL back and forth on every call, so a thread pool made the
+    sweeps slower.
     """
     import hashlib  # here, not at module load: it loads OpenSSL, which only sweeps need
     validate_config(config)
@@ -313,80 +313,38 @@ def sweep(config: dict, out_dir, jobs: int = 1) -> Path:
                 done[index[idx]] = row + "\n"
 
     master = int(config.get("seed", 0))
-    pool = None
-    room = threading.Semaphore(jobs)  # built sets sent to the pool and not yet reported
 
-    def start(i: int):
-        """Cell i's row, or for a report sent to the pool the future of its row."""
-        nonlocal pool
+    def run_cell(i: int) -> str:
         cell = dict(zip(keys, cells[i]))
         sub = dict(config)
         sub.pop("grid", None)
         sub["seed"] = _child_seed(master, i)
         sub["construction"] = {**sub.get("construction", {}), **cell}
         try:
-            E = build_set(sub)
-        except (BudgetExceeded, ConfigError) as exc:
-            return _error_row(i, exc)
-        if jobs == 1 or not energy.pair_pass_sorts(E):
-            return finish(i, cell, sub, E)
-        pool = pool or ThreadPoolExecutor(max_workers=jobs)
-        room.acquire()
-        future = pool.submit(finish, i, cell, sub, E)
-        future.add_done_callback(lambda _: room.release())
-        return future
-
-    def finish(i: int, cell: dict, sub: dict, E: PointSet) -> str:
-        try:
-            rep = report(sub, E)
-        except (BudgetExceeded, ConfigError) as exc:
-            return _error_row(i, exc)
+            rep = report(sub, build_set(sub))
+        except BudgetExceeded as exc:
+            return _csv_row(i, "error", f"budget:{exc}")
+        except ConfigError as exc:
+            return _csv_row(i, "error", f"config:{exc}")
         return _csv_row(i, "ok" if rep["allGatesPass"] else "gate", _cell_detail(cell, rep))
 
     # each finished row is appended and flushed in cell order, so an
     # interrupted or failed sweep resumes from every row before the failure;
-    # on a failure the cells after it are dropped
-    rows: list[str] = []
-    pending: deque = deque()  # rows and futures of the cells not yet written
-
-    def write(wait: bool = False) -> None:
-        """Write the finished rows at the head of `pending`; with `wait`, all of
-        them. A failed cell's exception is raised, and its future stays at the
-        head, so no later row is written."""
-        while pending and (wait or not isinstance(pending[0], Future) or pending[0].done()):
-            row = pending[0].result() if isinstance(pending[0], Future) else pending[0]
-            pending.popleft()
-            if len(rows) not in done:
-                ledger.write(f"{len(rows)}\t{row}")
-                ledger.flush()
-            rows.append(row)
-
+    # on a failure the cells after it are not run
     ledger = _sweep_file("write", ledger_path, lambda: open(ledger_path, "w", encoding="utf-8"))
-    try:
-        with ledger:
-            ledger.write("".join(f"{i}\t{row}" for i, row in sorted(done.items())))
-            ledger.flush()
-            # after the rows of any other config are gone
-            _sweep_file("write", stamp_path, lambda: stamp_path.write_text(stamp))
-            for i in range(len(cells)):
-                try:
-                    pending.append(done[i] if i in done else start(i))
-                except BaseException:
-                    write(wait=True)  # the rows before it, of cells on the pool too
-                    raise
-                write()
-            write(wait=True)
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-    text = _csv_row("cell", "status", "detail") + "".join(rows)
+    with ledger:
+        ledger.write("".join(f"{i}\t{row}" for i, row in sorted(done.items())))
+        ledger.flush()
+        # after the rows of any other config are gone
+        _sweep_file("write", stamp_path, lambda: stamp_path.write_text(stamp))
+        for i in range(len(cells)):
+            if i not in done:
+                done[i] = run_cell(i)
+                ledger.write(f"{i}\t{done[i]}")
+                ledger.flush()
+    text = _csv_row("cell", "status", "detail") + "".join(done[i] for i in range(len(cells)))
     _sweep_file("write", csv_path, lambda: csv_path.write_text(text))
     return csv_path
-
-
-def _error_row(i: int, exc: BudgetExceeded | ConfigError) -> str:
-    kind = "budget" if isinstance(exc, BudgetExceeded) else "config"
-    return _csv_row(i, "error", f"{kind}:{exc}")
 
 
 def _csv_row(*fields) -> str:

@@ -28,12 +28,6 @@ INT32_MAX = (1 << 31) - 1
 INT64_MAX = (1 << 63) - 1
 
 
-def counts_densely(space: int) -> bool:
-    """Whether a KeyCounter over `space` keys counts in a dense array (else by
-    merging sorted chunks)."""
-    return space <= CHUNK_ELEMS
-
-
 def check_int64(n: int, what: str) -> None:
     """Refuse a count or key that could leave the int64 range."""
     if n > INT64_MAX:
@@ -150,7 +144,7 @@ class KeyCounter:
         check_int64(space, f"{what} key space")
         check_int64(max_count, f"{what} counts")
         self.space = space
-        self._dense = np.zeros(space, dtype=np.int64) if counts_densely(space) else None
+        self._dense = np.zeros(space, dtype=np.int64) if space <= CHUNK_ELEMS else None
         self._keys = np.empty(0, dtype=np.int64)
         self._counts = np.empty(0, dtype=np.int64)
         self._pending: list[tuple[np.ndarray, np.ndarray]] = []

@@ -6,7 +6,6 @@ import inspect
 import json
 import sys
 import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +15,7 @@ from conftest import folded_power, rand_set
 from fqsalem import harness, spectral
 from fqsalem.cli import build_parser, main
 from fqsalem.distance import distance_profile
-from fqsalem.energy import (energy_bruteforce, energy_convolution, pair_counts, pair_pass_sorts,
-                            salem_parameter)
+from fqsalem.energy import energy_bruteforce, energy_convolution, pair_counts, salem_parameter
 from fqsalem.errors import BudgetExceeded, ConfigError, InvariantViolation
 from fqsalem.field import field_create
 from fqsalem.geometry import (HyperplaneMultiset, PointSet, read_pointset,
@@ -216,86 +214,49 @@ def test_sweep_jobs_independent(tmp_path):
     assert a == b
 
 
-# F_25^3: its lifted key space 25^4 takes the sorted path, and the 260-point
-# cell has 33 670 pairs i < j, so its report goes to the pool at --jobs > 1
-MIXED_CONFIG = {"construction": {"kind": "random", "p": 5, "r": 2, "d": 3},
-                "analyses": ["energy", "distance"],
-                "grid": {"size": [10, 260, 20, 30]}, "seed": 3}
-
-
-def test_heavy_cells_sort_a_full_block_of_pairs():
-    def first(F, d, n):
-        return PointSet.from_codes(F, d, np.arange(n))
-
-    f25 = field_create(5, 2)
-    assert not pair_pass_sorts(first(f25, 3, 256))  # 32 640 pairs
-    assert pair_pass_sorts(first(f25, 3, 257))  # 32 896 pairs
-    assert not pair_pass_sorts(first(field_create(7, 1), 4, 2000))  # 7^5 keys: dense
-
-
-def test_sweep_mixed_grid_rows_independent_of_jobs(tmp_path):
-    expected = sweep(MIXED_CONFIG, tmp_path / "1", jobs=1).read_bytes()
-    for jobs in (2, 3):
-        assert sweep(MIXED_CONFIG, tmp_path / str(jobs), jobs=jobs).read_bytes() == expected
-
-
-def test_sweep_more_heavy_cells_than_threads(tmp_path):
-    # five heavy cells wait for room on two and on four threads, with threads
-    # switching every 10 microseconds
-    cfg = {**MIXED_CONFIG, "grid": {"size": [257, 10, 300, 260, 20, 280, 270]}}
-    expected = sweep(cfg, tmp_path / "1", jobs=1).read_bytes()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for jobs in (2, 4):
-            assert sweep(cfg, tmp_path / str(jobs), jobs=jobs).read_bytes() == expected
-    finally:
-        sys.setswitchinterval(interval)
-
-
-@pytest.mark.parametrize("jobs, pooled", [(1, []), (2, [260]), (3, [260])])
-def test_sweep_reports_only_heavy_cells_off_the_calling_thread(tmp_path, monkeypatch,
-                                                               jobs, pooled):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_runs_every_cell_in_the_calling_thread(tmp_path, monkeypatch, jobs):
     caller, before = threading.current_thread(), set(threading.enumerate())
-    threads, extra = {}, []
+    seen = []
     real = harness.report
 
     def recorded(config, E):
-        threads[len(E)] = threading.current_thread()
-        extra.append(set(threading.enumerate()) - before)
+        seen.append((threading.current_thread(), set(threading.enumerate()) - before))
         return real(config, E)
 
     monkeypatch.setattr(harness, "report", recorded)
-    sweep(MIXED_CONFIG, tmp_path / "s", jobs=jobs)
-    assert sorted(threads) == [10, 20, 30, 260]
-    assert [n for n, t in threads.items() if t is not caller] == pooled
-    if jobs == 1:  # no pool and no thread
-        assert extra == [set()] * 4
+    cfg = {"construction": {"kind": "random", "p": 5, "r": 2, "d": 3},
+           "analyses": ["energy"], "grid": {"size": [10, 20]}, "seed": 3}
+    sweep(cfg, tmp_path / "s", jobs=jobs)
+    assert seen == [(caller, set())] * 2
 
 
-def test_sweep_writes_pool_cells_before_a_failing_cell(tmp_path, capsys, monkeypatch):
-    # the heavy cell 0 is still on the pool when the light cell 1 fails
+def test_sweep_cli_stops_at_a_failing_cell(tmp_path, capsys, monkeypatch):
     real = harness.report
 
     def faulty(config, E):
-        if len(E) == 10:
+        if len(E) == 20:
             raise InvariantViolation("cell 1")
-        time.sleep(0.2)
         return real(config, E)
 
     monkeypatch.setattr(harness, "report", faulty)
-    cfg = {**MIXED_CONFIG, "grid": {"size": [260, 10, 20]}}
-    out = tmp_path / "s"
-    with pytest.raises(InvariantViolation):
-        sweep(cfg, out, jobs=2)
-    lines = (out / "sweep.ledger").read_text().splitlines()
-    assert lines == ["0\t0,ok,size=260;size=260"]
-    assert not (out / "sweep.csv").exists()
+    cfg = {"construction": {"kind": "random", "p": 5, "d": 2},
+           "analyses": ["energy"], "grid": {"size": [10, 20, 15]}, "seed": 3}
     path = tmp_path / "c.json"
     path.write_text(json.dumps(cfg))
-    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "cli"),
-                 "--jobs", "2"]) == 5
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", str(path), "--out", str(out), "--jobs", "2"]) == 5
     assert capsys.readouterr().err == "invariant violated: cell 1\n"
+    assert (out / "sweep.ledger").read_text() == "0\t0,ok,size=10;size=10\n"
+    assert not (out / "sweep.csv").exists()
+
+
+def test_sweep_grid_without_construction(tmp_path):
+    # each cell's construction holds only the grid's keys, so it has no kind
+    cfg = {"analyses": ["ranges"], "grid": {"p": [5, 7]}}
+    rows = sweep(cfg, tmp_path / "s").read_text().splitlines()
+    assert rows[1:] == [f"{i},error,config:construction must be an object with a 'kind'"
+                        for i in (0, 1)]
 
 
 SWEEP_RANDOM = json.loads(
