@@ -125,7 +125,7 @@ def pair_counts(E: PointSet, budget: int | None = None) -> PairCounts:
     for codes in upper_pair_codes(T.sub, lift_to_paraboloid(E).array, q):
         counter.add(codes)
     counter.add_negated(F.p, F.r * (d + 1))
-    counter.add(np.zeros(n, dtype=np.int64))
+    counter.add_zero(n)  # the diagonal pairs (x, x): lifted difference 0
     keys, counts = counter.result()
     diff_codes, diff_counts = group_sums(keys // q, counts)  # D(u) = sum_t m_t(u)
     return PairCounts(E, keys, counts, PointSet.from_codes(F, d, diff_codes), diff_counts,

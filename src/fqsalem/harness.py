@@ -71,8 +71,7 @@ class Analysis:
         self._values: dict = {}
 
     def _once(self, key, compute):
-        # not functools.cached_property: before Python 3.12 its lock is shared
-        # by all instances, which would serialize the cells of a threaded sweep
+        # one dict for every value, the keyed ones such as ("lam", k) included
         if key not in self._values:
             self._values[key] = compute()
         return self._values[key]
@@ -98,12 +97,17 @@ class Analysis:
         return self._once("power", lambda: spectral.half_power(self.E, self.budget))
 
     def fourier_moment(self, k: int) -> float:
-        """||E_hat||_{2k}^{2k} = q^{-d} sum_{m != 0} |E_hat(m)|^{2k}."""
+        """||E_hat||_{2k}^{2k} = q^{-d} sum_{m != 0} |E_hat(m)|^{2k}: over the half,
+        twice the sum over every entry but [0, 0] (m = 0, left out by slicing, so
+        no large term cancels) less the sum over column 0, whose weight is 1."""
         def compute():
-            P, w = self.power
-            Pk = P ** k
-            Pk[0, 0] = 0.0  # m = 0
-            return float(np.sum(Pk @ w) / self.E.field.q ** self.E.d)
+            P, _ = self.power
+            flat, col = P.ravel()[1:], P[1:, 0]
+            if k == 2:  # two dots, no temporary
+                total = 2.0 * float(flat @ flat) - float(col @ col)
+            else:
+                total = 2.0 * float(np.sum(flat ** k)) - float(np.sum(col ** k))
+            return total / self.E.field.q ** self.E.d
         return self._once(("moment", k), compute)
 
     @property
@@ -120,8 +124,9 @@ class Analysis:
 
 def _fourier_section(A: Analysis, config: dict) -> tuple[dict, dict]:
     tol = config.get("tolerances", {})
-    E, (P, w) = A.E, A.power
-    parseval = abs(float(np.sum(P @ w)) - len(E) / E.field.q ** E.d)
+    E, (P, _) = A.E, A.power
+    # the weighted sum of the half: column 0 has weight 1, every other 2
+    parseval = abs(2.0 * float(P.sum()) - float(P[:, 0].sum()) - len(E) / E.field.q ** E.d)
     resid = spectral.energy_identity_residual(A, 2)
     results = {
         "parsevalResidual": parseval,
@@ -305,12 +310,20 @@ def sweep(config: dict, out_dir, jobs: int = 1) -> Path:
             lines = data.decode("utf-8").split("\n")[:-1]
         except UnicodeDecodeError:  # not a ledger a sweep wrote
             lines = []
-        # a line is "<cell index>\t<row>\n"; any other is dropped and its cell redone
+        # a line is "<cell index>\t<row as a JSON string>\n", so a row whose
+        # detail holds a newline stays on one line; any other line is dropped
+        # and its cell redone
         index = {str(i): i for i in range(len(cells))}
         for line in lines:
-            idx, _, row = line.partition("\t")
-            if idx in index and row.startswith(f"{idx},"):
-                done[index[idx]] = row + "\n"
+            idx, _, text = line.partition("\t")
+            if idx not in index or not text.startswith('"'):
+                continue
+            try:
+                row = json.loads(text)
+            except ValueError:
+                continue
+            if row.startswith(f"{idx},") and row.endswith("\n"):
+                done[index[idx]] = row
 
     master = int(config.get("seed", 0))
 
@@ -333,18 +346,22 @@ def sweep(config: dict, out_dir, jobs: int = 1) -> Path:
     # on a failure the cells after it are not run
     ledger = _sweep_file("write", ledger_path, lambda: open(ledger_path, "w", encoding="utf-8"))
     with ledger:
-        ledger.write("".join(f"{i}\t{row}" for i, row in sorted(done.items())))
+        ledger.write("".join(_ledger_line(i, row) for i, row in sorted(done.items())))
         ledger.flush()
         # after the rows of any other config are gone
         _sweep_file("write", stamp_path, lambda: stamp_path.write_text(stamp))
         for i in range(len(cells)):
             if i not in done:
                 done[i] = run_cell(i)
-                ledger.write(f"{i}\t{done[i]}")
+                ledger.write(_ledger_line(i, done[i]))
                 ledger.flush()
     text = _csv_row("cell", "status", "detail") + "".join(done[i] for i in range(len(cells)))
     _sweep_file("write", csv_path, lambda: csv_path.write_text(text))
     return csv_path
+
+
+def _ledger_line(i: int, row: str) -> str:
+    return f"{i}\t{json.dumps(row)}\n"
 
 
 def _csv_row(*fields) -> str:

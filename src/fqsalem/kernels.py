@@ -8,7 +8,9 @@ keys is counted densely with np.bincount, a larger one by merging sorted
 np.unique chunks. pair_codes builds its keys in int32 where every key of
 the space fits, in int64 above that. The reversed half of a pass over the pairs i < j is added by
 KeyCounter.add_negated: one gather through a cached digit-wise negation index
-on the dense path, negated and merged keys on the sorted one. Counts are
+on the dense path; on the sorted one, the negated keys go into the same
+merge as the pending chunks. The diagonal pairs add to key 0, the least key,
+in place (KeyCounter.add_zero). Counts are
 int64; the largest count a kernel can reach is checked against the int64
 range before counting starts, so nothing wraps.
 """
@@ -65,14 +67,26 @@ def pair_codes(table: np.ndarray, A: np.ndarray, B: np.ndarray, q: int) -> np.nd
     return code
 
 
+@lru_cache(maxsize=None)
+def _strict_upper(h: int) -> np.ndarray:
+    """mask[i, j] = j > i on the h x h square, read-only, once per h."""
+    mask = np.triu(np.ones((h, h), dtype=bool), 1)
+    mask.flags.writeable = False
+    return mask
+
+
 def upper_pair_codes(table: np.ndarray, X: np.ndarray, q: int):
     """pair_codes(table, X, X, q) at the row pairs i < j only, in triangular
-    blocks: rows [lo, hi) against columns [lo, n), keeping the columns j > i."""
+    blocks: rows [lo, hi) against columns [lo, n). Only the square of columns
+    [lo, hi) is masked; the columns from hi on are kept whole."""
     n, lo = len(X), 0
     while lo < n:
+        # h (n - lo) <= CHUNK_ELEMS and h <= n - lo, so h^2 <= CHUNK_ELEMS: at
+        # most 181 masks are ever cached, each of at most CHUNK_ELEMS bytes
         hi = min(n, lo + max(1, CHUNK_ELEMS // max(n - lo, q)))
+        h = hi - lo
         codes = pair_codes(table, X[lo:hi], X[lo:], q)
-        yield codes[np.arange(n - lo) > np.arange(hi - lo)[:, None]]  # j > i
+        yield np.concatenate((codes[:, :h][_strict_upper(h)], codes[:, h:]), axis=None)
         lo = hi
 
 
@@ -175,18 +189,36 @@ class KeyCounter:
     def add_negated(self, p: int, width: int) -> None:
         """Add to each key's count that of its digit-wise negation, for keys of
         `width` base-p digits (space = p^width): the reversed pairs of a pass
-        over the pairs i < j, since x - y = -(y - x) digit by digit."""
+        over the pairs i < j, since x - y = -(y - x) digit by digit. On the
+        sorted path the negated keys join the pending ones in a single merge."""
         if self._dense is not None:
             self._dense += self._dense[negation_index(p, width)]
             return
-        keys, counts = self.result()
-        self.add(negate(keys, p, width), counts)
+        self._flush(lambda keys: negate(keys, p, width))
 
-    def _flush(self) -> None:
-        if self._pending:
-            self._keys, self._counts = merge(
-                np.concatenate([self._keys] + [k for k, _ in self._pending]),
-                np.concatenate([self._counts] + [c for _, c in self._pending]))
+    def add_zero(self, count: int) -> None:
+        """Add `count` to key 0, the least key, with no merge; a zero count adds
+        no key."""
+        if count == 0:
+            return
+        if self._dense is not None:
+            self._dense[0] += count
+        elif len(self._keys) and self._keys[0] == 0:
+            self._counts[0] += count
+        else:  # still sorted; a pending key 0 joins it at the next merge
+            self._keys = np.concatenate((np.zeros(1, dtype=np.int64), self._keys))
+            self._counts = np.concatenate((np.array([count], dtype=np.int64), self._counts))
+
+    def _flush(self, image=None) -> None:
+        """Merge the pending chunks into the sorted keys. With `image`, a function
+        from key arrays to key arrays, each key's image gets its count too, in
+        the same merge."""
+        if self._pending or image is not None:
+            keys = np.concatenate([self._keys] + [k for k, _ in self._pending])
+            counts = np.concatenate([self._counts] + [c for _, c in self._pending])
+            if image is not None:
+                keys, counts = np.concatenate((keys, image(keys))), np.concatenate((counts, counts))
+            self._keys, self._counts = merge(keys, counts)
             self._pending, self._n_pending = [], 0
 
     def result(self) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,8 @@ chi(x) = exp(2*pi*i*Tr(x)/p). Two evaluation paths are kept:
   nondegenerate, so the twist is a bijection. Each axis is transformed only
   under the digit prefixes that the twisted points occupy. For p up to
   _DFT_MATRIX_MAX_P each pass is a product with the p x p DFT matrix
-  W[f, j] = exp(-2*pi*i*f*j/p); above it, np.fft.fft along the axis.
+  W[f, j] = exp(-2*pi*i*f*j/p), an outer product with one column of W when
+  every prefix holds one digit; above it, np.fft.fft along the axis.
 
 1_E is real, so E_hat(-m) = conj E_hat(m): |E_hat|^2 is even. Negating m
 negates each base-p digit, so the trailing frequency digit f pairs with
@@ -23,7 +24,9 @@ p - f (p is odd). `half_power` keeps f in 0..(p-1)/2 only, a
 outputs of the FFT), so every later pass carries (p+1)/(2p) of the columns.
 Column 0 holds each of its frequencies once; every other column also stands
 for the negated frequencies, so a sum over all m of a function of
-|E_hat(m)|^2 is the sum over the half with column weights (1, 2, ..., 2).
+|E_hat(m)|^2 is the sum over the half with column weights (1, 2, ..., 2),
+or twice the sum over every entry less the sum over column 0. The points
+enter the first pass at q^{-d}, so the squared half needs no division.
 
 Counting quantities are never taken from the spectrum; identities against
 exact integers are checked through the energy module.
@@ -113,6 +116,8 @@ def _axis_pass(p: int, c: int, heads: np.ndarray, X: np.ndarray):
     W = _dft_matrix(p)[:c] if p <= _DFT_MATRIX_MAX_P else None
     if n * p == len(heads):  # heads are distinct: every prefix has all p digits
         Y = X.reshape(n, p, cols)
+    elif W is not None and n == len(heads):  # one digit per prefix: an outer product
+        return up, (W.T[heads % p][:, :, None] * X[:, None, :]).reshape(n, -1)
     elif W is not None and p * cols >= _PREFIX_PRODUCT_MIN:  # one product per prefix
         starts = np.flatnonzero(first).tolist() + [len(heads)]
         digits = heads % p
@@ -141,8 +146,9 @@ def half_power(E: PointSet, budget: int | None = None) -> tuple[np.ndarray, np.n
     F, d, q, p = E.field, E.d, E.field.q, E.field.p
     check_budget(q ** d, budget, "fast Fourier transform")
     c = (p + 1) // 2 if d else 1
+    scale = 1.0 / q ** d  # the factor q^{-d} of E_hat, in X from the start
     if d == 0 or len(E) == 0:  # no axis to transform: E_hat(0) = |E|, or all zero
-        X = np.full((max(q ** d // p, 1), c), len(E), dtype=complex)
+        X = np.full((max(q ** d // p, 1), c), len(E) * scale, dtype=complex)
     else:
         # the flat index is C-order over the (q,)*d grid; each axis splits into
         # r digit axes (big-endian), under which a canonical value is its
@@ -151,14 +157,13 @@ def half_power(E: PointSet, budget: int | None = None) -> tuple[np.ndarray, np.n
         # heads: the sorted occupied prefixes over the axes not yet transformed;
         # X[i, f]: the transform at frequency f over the axes already
         # transformed of the points under heads[i]
-        X = np.ones((len(heads), 1), dtype=complex)
+        X = np.full((len(heads), 1), scale, dtype=complex)
         heads, X = _axis_pass(p, c, heads, X)  # the trailing digit of m: 0..c-1
         for _ in range(F.r * d - 1):
             heads, X = _axis_pass(p, p, heads, X)
     v = X.reshape(-1, c).view(np.float64)  # re, im interleaved
     np.square(v, out=v)
     P = np.add(v[:, 0::2], v[:, 1::2])
-    P /= float(q ** d) ** 2
     w = np.full(c, 2.0)
     w[0] = 1.0
     return P, w
@@ -168,7 +173,8 @@ def energy_identity_residual(A: Analysis, k: int) -> float:
     """Relative residual of ||E_hat||_{2k}^{2k} = q^{-2kd} L_{2k} - q^{-(2k+1)d} |E|^{2k}."""
     E = A.E
     q_d = E.field.q ** E.d
-    lam = A.lam(k)
     lhs = A.fourier_moment(k)
-    rhs = lam / q_d ** (2 * k) - len(E) ** (2 * k) / q_d ** (2 * k + 1)
+    # one correctly rounded quotient of exact integers: the difference of the
+    # two terms as floats cancels on a dense set
+    rhs = (A.lam(k) * q_d - len(E) ** (2 * k)) / q_d ** (2 * k + 1)
     return abs(lhs - rhs) / max(abs(rhs), q_d ** -(2 * k + 1))

@@ -158,7 +158,7 @@ def test_sweep_grid_and_resume(tmp_path):
     # resume: a ledger row is trusted verbatim, so finished cells are not redone
     ledger = out / "sweep.ledger"
     lines = ledger.read_text().splitlines()
-    lines[0] = "0\t0,ok,resumed-marker"
+    lines[0] = '0\t"0,ok,resumed-marker\\n"'
     ledger.write_text("\n".join(lines) + "\n")
     sweep(cfg, out, jobs=1)
     assert "resumed-marker" in csv_path.read_text()
@@ -198,7 +198,7 @@ def test_sweep_keeps_finished_rows_when_a_cell_fails(tmp_path, monkeypatch):
     assert not (out / "sweep.csv").exists()
     # without the fault, cell 0 is resumed from the ledger and cell 1 computed
     monkeypatch.undo()
-    ledger.write_text("0\t0,ok,resumed-marker\n")
+    ledger.write_text('0\t"0,ok,resumed-marker\\n"\n')
     rows = sweep(cfg, out, jobs=1).read_text().splitlines()
     assert rows[1] == "0,ok,resumed-marker"
     assert rows[2].startswith("1,ok,")
@@ -247,7 +247,7 @@ def test_sweep_cli_stops_at_a_failing_cell(tmp_path, capsys, monkeypatch):
     out = tmp_path / "s"
     assert main(["sweep", "--config", str(path), "--out", str(out), "--jobs", "2"]) == 5
     assert capsys.readouterr().err == "invariant violated: cell 1\n"
-    assert (out / "sweep.ledger").read_text() == "0\t0,ok,size=10;size=10\n"
+    assert (out / "sweep.ledger").read_text() == '0\t"0,ok,size=10;size=10\\n"\n'
     assert not (out / "sweep.csv").exists()
 
 
@@ -264,12 +264,15 @@ SWEEP_RANDOM = json.loads(
 
 
 @pytest.mark.parametrize("tamper", [
-    lambda ledger: b"x\t0,ok,bad\n" + ledger.split(b"\n", 1)[1],  # no cell index
-    lambda ledger: ledger + b"\xff0\t0,ok,bad\n",  # not UTF-8
-    lambda ledger: ledger + b"99\t99,ok,stray\n",  # no cell of this grid
-], ids=["index", "utf8", "stray"])
+    lambda ledger: b'x\t"0,ok,bad\\n"\n' + ledger.split(b"\n", 1)[1],  # no cell index
+    lambda ledger: ledger + b'\xff0\t"0,ok,bad\\n"\n',  # not UTF-8
+    lambda ledger: ledger + b'99\t"99,ok,stray\\n"\n',  # no cell of this grid
+    lambda ledger: b"0\t0,ok,bad\n" + ledger.split(b"\n", 1)[1],  # a bare row, not JSON
+    lambda ledger: b'0\t"0,ok,bad"\n' + ledger.split(b"\n", 1)[1],  # no row end
+], ids=["index", "utf8", "stray", "bare", "unended"])
 def test_sweep_redoes_malformed_ledger_lines(tmp_path, tamper):
-    # a line that is not "<cell index>\t<row>\n" is redone and not written back
+    # a line that is not "<cell index>\t<row as a JSON string>\n" is redone
+    # and not written back
     out = tmp_path / "s"
     expected = sweep(SWEEP_RANDOM, out).read_bytes()
     ledger = out / "sweep.ledger"
@@ -277,6 +280,25 @@ def test_sweep_redoes_malformed_ledger_lines(tmp_path, tamper):
     ledger.write_bytes(tamper(clean))
     assert sweep(SWEEP_RANDOM, out).read_bytes() == expected
     assert sorted(ledger.read_bytes().splitlines()) == sorted(clean.splitlines())
+
+
+def test_sweep_resumes_rows_that_hold_a_newline(tmp_path, monkeypatch):
+    # Fraction strips the newline of "1/4\n", so the cell runs, and its detail
+    # keeps the newline: the CSV quotes it across two lines, the ledger keeps
+    # the row on one
+    cfg = {"construction": {"kind": "conjectureWitness", "p": 5, "d": 4},
+           "analyses": ["energy"], "grid": {"s": ["1/4\n", "1/3"]}, "seed": 0}
+    out = tmp_path / "s"
+    first = sweep(cfg, out).read_bytes()
+    assert first.splitlines()[1:3] == [b'0,ok,"s=1/4', b';size=5"']
+    assert len((out / "sweep.ledger").read_bytes().splitlines()) == 2
+
+    def no_report(config, E):
+        raise AssertionError("a finished cell was run again")
+
+    # the rerun replays both rows whole and runs no cell
+    monkeypatch.setattr(harness, "report", no_report)
+    assert sweep(cfg, out).read_bytes() == first
 
 
 def test_sweep_records_grid_keys_the_construction_never_reads(tmp_path):

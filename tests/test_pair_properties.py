@@ -110,3 +110,27 @@ def test_add_negated_dense_and_sorted_agree(case):
         assert got_keys.dtype == got_counts.dtype == np.int64
         assert dict(zip(got_keys.tolist(), got_counts.tolist())) == expect
         assert got_keys.tolist() == sorted(expect)
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_keys(), st.integers(0, 3))
+@example((3, 2, [0, 4], [1, 2]), 2)  # key 0 already counted
+@example((3, 2, [], []), 0)  # nothing counted: no key with count 0
+def test_add_zero_dense_and_sorted_agree(case, zeros):
+    p, width, keys, weights = case
+    expect = Counter()
+    for key, w in zip(keys, weights):
+        expect[key] += w
+    if zeros:
+        expect[0] += zeros
+    # 7: the sorted path with the keys still pending when key 0 is added
+    for chunk in (kernels.CHUNK_ELEMS, 1, 7):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "CHUNK_ELEMS", chunk)
+            counter = KeyCounter(p ** width, sum(weights) + zeros, "test")
+            counter.add(np.array(keys, dtype=np.int32), np.array(weights, dtype=np.int64))
+            counter.add_zero(zeros)
+            got_keys, got_counts = counter.result()
+        assert got_keys.dtype == got_counts.dtype == np.int64
+        assert got_keys.tolist() == sorted(expect)
+        assert dict(zip(got_keys.tolist(), got_counts.tolist())) == expect

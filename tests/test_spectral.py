@@ -135,6 +135,23 @@ def test_energy_identity_full_space(f3):
         assert energy_identity_residual(Analysis(E), k) <= 1e-9
 
 
+@pytest.mark.parametrize("p,r,d", [(5, 1, 3), (3, 2, 2), (7, 1, 2)])
+def test_moments_of_full_space_minus_a_point(p, r, d):
+    # |E_hat(m)| = q^{-d} at every m != 0, while |E_hat(0)|^2 = (1 - q^{-d})^2
+    # is near 1: a moment that subtracted the m = 0 term from the full sum
+    # would cancel to about 1e-16, far above q^{-2kd}
+    F = field_create(p, r)
+    q_d = F.q ** d
+    E = PointSet.from_codes(F, d, np.arange(1, q_d))
+    A = Analysis(E)
+    direct = fourier_direct(E)
+    for k in (1, 2, 3):
+        expect = (q_d - 1) / q_d ** (2 * k + 1)
+        assert A.fourier_moment(k) == pytest.approx(expect, rel=1e-9)
+        assert A.fourier_moment(k) == pytest.approx(oracle_moment(E, k, direct), rel=1e-9)
+        assert energy_identity_residual(A, k) <= 1e-9
+
+
 def test_energy_identity_random(f5):
     for seed in range(5):
         E = rand_set(f5, 2, 6 + 3 * seed, seed)
@@ -144,13 +161,18 @@ def test_energy_identity_random(f5):
 
 def record_passes(monkeypatch) -> list:
     """Patch the kernel to record, per digit-axis pass, its matrix products and
-    the scratch arrays it allocates (np.zeros, np.empty). The reshape path
-    makes one product and allocates no scratch."""
+    the scratch arrays it allocates (np.zeros, np.empty). Each route of a pass
+    with p <= 127 leaves its own record:
+
+    * reshape (every prefix holds all p digits): one product, no scratch;
+    * outer product (every prefix holds one digit): no product, no scratch;
+    * one product per prefix: a product per prefix into one np.empty;
+    * zero-fill: one product on one np.zeros."""
     passes, current = [], []
     axis_pass = spectral._axis_pass
 
     def recorded(*args):
-        passes.append({"products": 0, "scratch": 0})
+        passes.append({"products": 0, "zeros": 0, "empty": 0})
         current.append(passes[-1])
         try:
             return axis_pass(*args)
@@ -166,9 +188,14 @@ def record_passes(monkeypatch) -> list:
 
     monkeypatch.setattr(spectral, "_axis_pass", recorded)
     monkeypatch.setattr(np, "matmul", counting(np.matmul, "products"))
-    monkeypatch.setattr(np, "zeros", counting(np.zeros, "scratch"))
-    monkeypatch.setattr(np, "empty", counting(np.empty, "scratch"))
+    monkeypatch.setattr(np, "zeros", counting(np.zeros, "zeros"))
+    monkeypatch.setattr(np, "empty", counting(np.empty, "empty"))
     return passes
+
+
+RESHAPE = {"products": 1, "zeros": 0, "empty": 0}
+OUTER = {"products": 0, "zeros": 0, "empty": 0}
+ZERO_FILL = {"products": 1, "zeros": 1, "empty": 0}
 
 
 def test_pruned_fft_empty_set(f9):
@@ -191,25 +218,54 @@ def test_pruned_fft_full_space_takes_reshape_path(monkeypatch, p, r, d):
     passes = record_passes(monkeypatch)
     P, _ = half_power(full_space(F, d))
     # every prefix holds all p digits: one product per pass, no scratch array
-    assert passes == [{"products": 1, "scratch": 0}] * (r * d)
+    assert passes == [RESHAPE] * (r * d)
     assert P[0, 0] == pytest.approx(1)
     assert np.max(P.ravel()[1:]) < 1e-24
 
 
-def test_pruned_fft_collapsed_prefixes(monkeypatch, f9):
-    # a full line times one point: after the two trailing digit axes of each
-    # fixed coordinate, every point falls under one prefix
-    E = product_set(full_space(f9, 1), PointSet.build(f9, 2, [(4, 7)]))
+def two_points_times_one(F):
+    """(0, 4, 5) and (1, 4, 5) in F^3: the two points keep apart under the two
+    trailing axes, then fall under one prefix holding 2 of its p digits."""
+    return product_set(PointSet.build(F, 1, [(0,), (1,)]), PointSet.build(F, 2, [(4, 5)]))
+
+
+def test_pruned_fft_collapsed_prefixes(monkeypatch, f7):
+    E = two_points_times_one(f7)
     passes = record_passes(monkeypatch)
     P, _ = half_power(E)
-    assert len(passes) == 6 and any(rec["scratch"] for rec in passes)
+    # the last pass carries 7 x 16 < 2^10 entries per prefix: it zero-fills
+    assert passes == [OUTER, OUTER, ZERO_FILL]
+    assert np.max(np.abs(P - folded_power(E))) <= 1e-12
+
+
+def test_pruned_fft_one_product_per_prefix(monkeypatch, f7):
+    # with no entry floor, the collapsed prefix of the last pass takes its own
+    # product with the 2 columns of W of its digits, into one np.empty
+    monkeypatch.setattr(spectral, "_PREFIX_PRODUCT_MIN", 1)
+    E = two_points_times_one(f7)
+    passes = record_passes(monkeypatch)
+    P, _ = half_power(E)
+    assert passes == [OUTER, OUTER, {"products": 1, "zeros": 0, "empty": 1}]
+    assert np.max(np.abs(P - folded_power(E))) <= 1e-12
+
+
+def test_pruned_fft_one_digit_prefixes_take_outer_products(monkeypatch, f9):
+    # the points (x, 4, x): under each of the four trailing digit axes every
+    # point has its own prefix, so those passes are outer products (the first
+    # two with a different digit per point); then the nine points fill the
+    # three prefixes of the leading coordinate's two digit axes
+    E = PointSet.build(f9, 3, [(x, 4, x) for x in range(9)])
+    passes = record_passes(monkeypatch)
+    P, _ = half_power(E)
+    assert passes == [OUTER] * 4 + [RESHAPE] * 2
     assert np.max(np.abs(P - folded_power(E))) <= 1e-12
 
 
 @pytest.mark.parametrize("prefix_min", [1, 1 << 30])
 @pytest.mark.parametrize("p,r,d", [(3, 2, 2), (5, 1, 3), (7, 1, 2)])
 def test_sparse_passes_agree(monkeypatch, prefix_min, p, r, d):
-    # 1: every sparse pass takes one product per prefix; 2^30: every one scatters
+    # 1: every sparse pass with a prefix of 2 to p - 1 digits takes one product
+    # per prefix; 2^30: every one scatters
     monkeypatch.setattr(spectral, "_PREFIX_PRODUCT_MIN", prefix_min)
     F = field_create(p, r)
     for seed in range(3):

@@ -66,3 +66,26 @@ def test_half_spectrum_matches_direct(E):
         assert abs(A.fourier_moment(k) - np.sum(full[1:] ** k) / q_d) <= 1e-12
     results, _ = _fourier_section(A, {})
     assert abs(results["lInfNorm"] - math.sqrt(full[1:].max(initial=0.0))) <= 1e-12
+
+
+@st.composite
+def one_digit_prefix_sets(draw):
+    # points with distinct leading d - 1 coordinates: under the first pass each
+    # prefix holds one point, whatever the digit twist, so that pass is an outer
+    # product; p in {3, 5, 7}, r in {1, 2, 3}, q^d <= 729
+    p = draw(st.sampled_from([3, 5, 7]))
+    r = draw(st.integers(1, 3))
+    F = field_create(p, r)
+    d = draw(st.integers(1, max(1, int(math.log(729, F.q) + 1e-9))))
+    leads = draw(st.lists(st.integers(0, F.q ** (d - 1) - 1), max_size=12, unique=True))
+    lasts = draw(st.lists(st.integers(0, F.q - 1), min_size=len(leads), max_size=len(leads)))
+    return PointSet.from_codes(F, d, [a * F.q + b for a, b in zip(leads, lasts)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(one_digit_prefix_sets())
+def test_one_digit_prefixes_match_direct(E):
+    P, w = half_power(E)
+    assert P.shape == folded_power(E).shape
+    assert np.max(np.abs(P - folded_power(E))) <= 1e-12
+    assert abs(np.sum(P @ w) - len(E) / E.field.q ** E.d) <= 1e-12
