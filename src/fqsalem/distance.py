@@ -9,6 +9,7 @@ asserting hidden constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -18,7 +19,7 @@ from .energy import PairCounts, pair_counts
 from .errors import check_budget, check_invariant, ConfigError
 from .field import FieldSpec
 from .geometry import PointSet, norms
-from .kernels import KeyCounter, merge, sum_squares, table_sums
+from .kernels import KeyCounter, sum_squares, table_sums
 
 if TYPE_CHECKING:
     from .harness import Analysis
@@ -26,18 +27,26 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class DistanceProfile:
+    """nu(t) as counts[t] for the t with nu(t) > 0; derived values are kept on first use."""
+
     field: FieldSpec
     counts: dict[int, int]
     size_e: int
     size_f: int
 
-    @property
+    @cached_property
     def support(self) -> frozenset[int]:
         return frozenset(t for t, c in self.counts.items() if c > 0)
 
-    @property
+    @cached_property
     def total(self) -> int:
         return sum(self.counts.values())
+
+    @cached_property
+    def second_moment(self) -> int:
+        """sum_t nu(t)^2, exact."""
+        return sum_squares(np.fromiter(self.counts.values(), np.int64, len(self.counts)),
+                           self.total ** 2)
 
     def nu(self, t: int) -> int:
         return self.counts.get(t, 0)
@@ -61,21 +70,20 @@ def distance_profile(E: PointSet, F: PointSet | None = None,
 
 
 def pair_profile(pairs: PairCounts) -> DistanceProfile:
-    """nu(t) = sum of D(u) over the differences u in E - E with ||u|| = t."""
+    """nu(t) = sum of D(u) over the differences u in E - E with ||u|| = t: each
+    D(u) added into the bucket of its norm, one of q (exact int64: the sum is |E|^2)."""
     E = pairs.E
-    keys, counts = merge(norms(pairs.differences), pairs.diff_counts)
-    return DistanceProfile(E.field, dict(zip(keys.tolist(), counts.tolist())), len(E), len(E))
-
-
-def second_moment(P: DistanceProfile) -> int:
-    return sum_squares(np.fromiter(P.counts.values(), np.int64, len(P.counts)), P.total ** 2)
+    nu = np.zeros(E.field.q, dtype=np.int64)
+    np.add.at(nu, norms(pairs.differences), pairs.diff_counts)
+    t = np.flatnonzero(nu)
+    return DistanceProfile(E.field, dict(zip(t.tolist(), nu[t].tolist())), len(E), len(E))
 
 
 def cs_lower_bound(P: DistanceProfile) -> Fraction:
     """(|E||F|)^2 / sum nu^2; always <= |support| by Cauchy-Schwarz."""
     if P.total == 0:
         raise ConfigError("empty profile")
-    bound = Fraction((P.size_e * P.size_f) ** 2, second_moment(P))
+    bound = Fraction((P.size_e * P.size_f) ** 2, P.second_moment)
     check_invariant(bound <= len(P.support), "Cauchy-Schwarz bound exceeds |support|")
     return bound
 
@@ -90,7 +98,7 @@ def verify_secondmoment_bounds(A: Analysis, s: float) -> dict:
     """
     E, lam4 = A.E, A.lam(2)
     q, d, n = E.field.q, E.d, len(E)
-    sm = second_moment(A.profile)
+    sm = A.profile.second_moment
     rhs1 = n ** 4 / q + n ** 3 + q ** (d / 4) * n ** (3 - s) * lam4 ** 0.25
     rhs2 = n ** 4 / q + q ** (d / 2) * n ** 1.5 * lam4 ** 0.5
     return {

@@ -3,17 +3,19 @@
 A point set is held as the sorted, distinct int64 flat indices (codes) of
 its vectors, the index of x being sum_i x_i q^(d-1-i) (`encode`). Index
 order is the lexicographic order of the vectors, so every derived file or
-report is byte-reproducible. The (n, d) coordinate array the kernels
-gather from and the tuples that I/O and the scalar oracles iterate are
-lazy views of the codes. A hyperplane multiset is held the same way, as the
-codes of its rows (a, b) in F_q^{d+1} with their multiplicities. Single
-vectors are tuples of canonical field integers.
+report is byte-reproducible. The (n, d) coordinate array the kernels gather
+from and the tuples that I/O and the scalar oracles iterate are lazy views
+of the codes; norms are read from the codes with no decode, a run of c
+coordinates (q^c <= CHUNK_ELEMS) at a time from a cached table of ||x|| over
+F_q^c. A hyperplane multiset is held the same way, as the codes of its rows
+(a, b) in F_q^{d+1} with their multiplicities. Single vectors are tuples of
+canonical field integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from pathlib import Path
 
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, check_budget, is_int
 from .field import FieldSpec, parse_header
-from .kernels import INT64_MAX, check_int64, merge
+from .kernels import INT64_MAX, check_int64, chunk_width, merge
 
 Vector = tuple[int, ...]
 
@@ -109,12 +111,30 @@ def vectors(codes: np.ndarray, q: int, d: int):
     return map(tuple, decode(codes, q, d).tolist())
 
 
+@lru_cache(maxsize=None)
+def _norm_table(F: FieldSpec, c: int) -> np.ndarray:
+    """||x|| for every x in F_q^c, in flat-index order: read-only, once per (F, c)."""
+    T = F.tables(F.q * F.q)  # charged by the caller, norms, against its budget
+    table = np.zeros(1, dtype=T.add.dtype)
+    for _ in range(c):  # x = prefix q + last digit
+        table = T.add[table[:, None], T.square].ravel()
+    table.flags.writeable = False
+    return table
+
+
 def norms(E: "PointSet", budget: int | None = None) -> np.ndarray:
-    """||x|| for every point of E, in point order."""
-    T = E.field.tables(budget)
-    acc = np.zeros(len(E), dtype=np.int64)
-    for i in range(E.d):
-        acc = T.add[acc, T.square[E.array[:, i]]]
+    """||x|| for every point of E, in point order, read from its code: one gather
+    of _norm_table per run of c = chunk_width(q) coordinates (a shorter top run
+    lacks only leading zeros), the runs' norms summed through the addition table."""
+    q, c = E.field.q, chunk_width(E.field.q)
+    T, table = E.field.tables(budget), _norm_table(E.field, c)
+    codes, runs = E.codes, []
+    for _ in range(c, E.d, c):  # split off every run below the top one
+        codes, low = np.divmod(codes, q ** c)
+        runs.append(low)
+    acc = table[codes]  # the top run: codes < q^c remain
+    for low in runs:
+        acc = T.add[acc, table[low]]
     return acc
 
 

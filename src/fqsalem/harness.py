@@ -150,7 +150,7 @@ def _distance_section(A: Analysis, config: dict) -> tuple[dict, dict]:
     prof = A.profile
     return {
         "support": sorted(prof.support),
-        "secondMoment": distance.second_moment(prof),
+        "secondMoment": prof.second_moment,
         "csLowerBound": distance.cs_lower_bound(prof),
         "energyRoute": distance.verify_difference_bounds(A, A.salem_s),
         "secondMomentRatios": distance.verify_secondmoment_bounds(A, A.salem_s),

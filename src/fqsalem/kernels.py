@@ -36,6 +36,14 @@ def check_int64(n: int, what: str) -> None:
         raise BudgetExceeded(f"{what} reaches {n}, beyond the int64 count range")
 
 
+def chunk_width(base: int) -> int:
+    """The largest w >= 1 with base^w <= CHUNK_ELEMS: digits one table within it can index."""
+    w = 1
+    while base ** (w + 1) <= CHUNK_ELEMS:
+        w += 1
+    return w
+
+
 def row_blocks(n_rows: int, width: int):
     """Slices of range(n_rows) whose rows times width stay within CHUNK_ELEMS
     (one row at the least); the kernels' blocks have width max(len(B), q)."""
@@ -135,9 +143,7 @@ def negation_index(p: int, width: int) -> np.ndarray:
 def negate(keys: np.ndarray, p: int, width: int) -> np.ndarray:
     """Digit-wise negation mod p of int64 keys of `width` base-p digits: a
     block of digits at a time, through a negation_index within CHUNK_ELEMS."""
-    step = 1
-    while p ** (step + 1) <= CHUNK_ELEMS:
-        step += 1
+    step = chunk_width(p)
     out, place = np.zeros(len(keys), dtype=np.int64), 1
     for lo in range(0, width, step):
         w = min(step, width - lo)

@@ -7,9 +7,8 @@ import pytest
 
 from conftest import full_space, rand_set, translate
 from fqsalem.constructions import isotropic_subspace, rotation_orbit, two_set_sharpness
-from fqsalem.distance import (cs_lower_bound, distance_profile,
-                               second_moment, verify_difference_bounds, verify_secondmoment_bounds,
-                               verify_two_set)
+from fqsalem.distance import (cs_lower_bound, distance_profile, verify_difference_bounds,
+                               verify_secondmoment_bounds, verify_two_set)
 from fqsalem.energy import energy_convolution
 from fqsalem.errors import ConfigError
 from fqsalem.field import field_create
@@ -30,7 +29,7 @@ def brute_profile(E):
 def test_singleton_profile(f5):
     P = distance_profile(PointSet.build(f5, 2, [(1, 4)]))
     assert P.support == {0} and P.nu(0) == 1 and P.total == 1
-    assert second_moment(P) == 1
+    assert P.second_moment == 1
     assert cs_lower_bound(P) == 1
 
 
@@ -39,7 +38,7 @@ def test_isotropic_distances(f5):
     P = distance_profile(E)
     assert P.support == {0}
     assert P.nu(0) == len(E) ** 2
-    assert second_moment(P) == len(E) ** 4  # all mass at 0
+    assert P.second_moment == len(E) ** 4  # all mass at 0
 
 
 def test_full_space_distances(f3):
@@ -76,7 +75,7 @@ def test_second_moment_matches_quadruple_count(f5):
         quad = sum(1 for x in E.points for y in E.points
                    for z in E.points for w in E.points
                    if norm(F, vsub(F, x, y)) == norm(F, vsub(F, z, w)))
-        assert second_moment(distance_profile(E)) == quad
+        assert distance_profile(E).second_moment == quad
 
 
 def test_cs_lower_bound(f5):
@@ -135,7 +134,7 @@ def test_secondmoment_verifier_singleton(f5):
 def test_secondmoment_verifier_full_space(f3):
     rep = verify_secondmoment_bounds(Analysis(full_space(f3, 2)), s=0.5)
     assert rep["ratioGeneral"] <= 1.1
-    assert int(rep["secondMoment"]) == second_moment(distance_profile(full_space(f3, 2)))
+    assert int(rep["secondMoment"]) == distance_profile(full_space(f3, 2)).second_moment
 
 
 def test_difference_bounds_verifier(f5):

@@ -1,18 +1,20 @@
 """Vectors, quadratic form, spheres, rotations, point-set I/O."""
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import full_space, translate
+from fqsalem import errors, kernels
 from fqsalem.constructions import rotation_orbit
 from fqsalem.errors import BudgetExceeded, ConfigError
 from fqsalem.field import field_create
-from fqsalem.geometry import (HyperplaneMultiset, PointSet, all_vectors, decode, dot,
-                               encode, norm, paraboloid, read_hyperplanes, read_pointset,
-                               rotation_group_order, sphere, vadd, vsub, write_hyperplanes,
-                               write_pointset)
+from fqsalem.geometry import (HyperplaneMultiset, PointSet, _norm_table, all_vectors, decode,
+                               dot, encode, norm, norms, paraboloid, read_hyperplanes,
+                               read_pointset, rotation_group_order, sphere, vadd, vsub,
+                               write_hyperplanes, write_pointset)
 
 
 def test_encode_is_bijection(f5):
@@ -65,6 +67,36 @@ def test_spheres_partition(q, d):
         assert seen.isdisjoint(S.points)
         seen.update(S.points)
     assert len(seen) == q ** d
+
+
+# CHUNK_ELEMS = 81 splits F_9^3 into runs of 2 + 1 coordinates, F_3^5 into 4 + 1
+@pytest.mark.parametrize("p,r,d,chunk", [(3, 1, 5, 81), (3, 2, 3, 81), (3, 2, 3, 1 << 15),
+                                         (5, 1, 3, 1 << 15), (3, 3, 2, 1), (7, 1, 0, 1 << 15)])
+def test_sphere_sizes_match_scalar_scan(p, r, d, chunk):
+    F = field_create(p, r)
+    sizes = Counter(norm(F, x) for x in all_vectors(F, d))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "CHUNK_ELEMS", chunk)
+        assert [len(sphere(F, d, j)) for j in range(F.q)] == [sizes[j] for j in range(F.q)]
+
+
+def test_norm_table_is_cached_and_read_only(f27):
+    table = _norm_table(f27, 3)
+    assert _norm_table(f27, 3) is table and len(table) == 27 ** 3
+    assert table[[0, 1, 27 + 2, 27 ** 3 - 1]].tolist() == [
+        norm(f27, x) for x in [(0, 0, 0), (0, 0, 1), (0, 1, 2), (26, 26, 26)]]
+    with pytest.raises(ValueError):
+        table[0] = 1
+
+
+def test_norms_charge_the_tables_to_the_callers_budget(monkeypatch):
+    F = field_create(11, 1)
+    E = full_space(F, 3)
+    _norm_table.cache_clear()
+    monkeypatch.setattr(errors, "DEFAULT_BUDGET", 1)  # no table may fall back to it
+    assert norms(E, budget=121).tolist() == [norm(F, x) for x in E.points]
+    with pytest.raises(BudgetExceeded):
+        norms(E, budget=120)
 
 
 @pytest.mark.parametrize("q,d", [(3, 1), (3, 2), (5, 2), (3, 3)])

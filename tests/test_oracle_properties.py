@@ -1,5 +1,5 @@
-"""Property tests of the two-set kernels and Lambda_6 against their scalar
-oracles (needs hypothesis)."""
+"""Property tests of the two-set kernels, the norm kernel and Lambda_6 against
+their scalar oracles (needs hypothesis)."""
 
 from collections import Counter
 
@@ -7,13 +7,13 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from fqsalem import kernels  # noqa: E402
 from fqsalem.distance import distance_profile  # noqa: E402
 from fqsalem.energy import energy_bruteforce, energy_convolution  # noqa: E402
 from fqsalem.field import field_create  # noqa: E402
-from fqsalem.geometry import HyperplaneMultiset, PointSet, norm, vsub  # noqa: E402
+from fqsalem.geometry import HyperplaneMultiset, PointSet, norm, norms, vsub  # noqa: E402
 from fqsalem.harness import oracle_incidences  # noqa: E402
 from fqsalem.incidence import count_incidences, incidence_via_dilation  # noqa: E402
 
@@ -93,3 +93,31 @@ def small_sets(draw):
 @given(small_sets())
 def test_lambda6_matches_bruteforce(E):
     assert energy_convolution(E, 3) == energy_bruteforce(E, 3)
+
+
+@st.composite
+def norm_cases(draw):
+    """Sets in F_q^d, q = p^r, with d up to 10 while q^d fits int64, so the
+    code splits into one run or several of chunk_width(q) coordinates."""
+    F = field_create(draw(st.sampled_from([3, 5, 7])), draw(st.integers(1, 3)))
+    d = draw(st.integers(0, max(d for d in range(11) if F.q ** d < 2 ** 62)))
+    return point_sets(draw, F, d), draw(st.sampled_from(CHUNKS))
+
+
+def _norms_case(F, d, codes):
+    return PointSet.from_codes(F, d, codes), kernels.CHUNK_ELEMS
+
+
+@settings(max_examples=60, deadline=None)
+@given(norm_cases())
+@example(_norms_case(field_create(3, 2), 0, [0]))
+@example(_norms_case(field_create(5, 1), 3, []))
+@example(_norms_case(field_create(3, 3), 4, [0, 1, 26 * 27 ** 3 + 5, 27 ** 4 - 1]))  # runs 3 + 1
+@example(_norms_case(field_create(7, 2), 3, [0, 48, 49 ** 2 + 7, 49 ** 3 - 1]))  # runs 2 + 1
+@example(_norms_case(field_create(3, 1), 10, [0, 2, 3 ** 9, 3 ** 10 - 1]))  # runs 9 + 1
+def test_norms_match_scalar_norm(case):
+    E, chunk = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "CHUNK_ELEMS", chunk)
+        got = norms(E)
+    assert got.tolist() == [norm(E.field, x) for x in E.points]

@@ -11,6 +11,8 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from conftest import difference_family_oracle, translate  # noqa: E402
 from fqsalem import kernels  # noqa: E402
+from fqsalem.constructions import random_pointset  # noqa: E402
+from fqsalem.distance import pair_profile  # noqa: E402
 from fqsalem.energy import energy_bruteforce, energy_convolution, pair_counts  # noqa: E402
 from fqsalem.field import field_create  # noqa: E402
 from fqsalem.kernels import KeyCounter  # noqa: E402
@@ -49,6 +51,13 @@ def test_pair_pass_matches_oracles(case):
     assert moved.lam(2) == lam4
     assert moved.profile.counts == A.profile.counts
     assert moved.pairs.differences == A.pairs.differences
+
+
+# the differences of F_27^4 split into norm runs of 3 + 1 coordinates, of F_49^3 into 2 + 1
+@pytest.mark.parametrize("p,r,d,n", [(3, 3, 4, 40), (7, 2, 3, 20), (7, 1, 4, 1)])
+def test_pair_profile_across_norm_runs(p, r, d, n):
+    E = random_pointset(field_create(p, r), d, n, seed=3)
+    assert pair_profile(pair_counts(E)).counts == oracle_distances(E)
 
 
 @settings(max_examples=40, deadline=None)
