@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .energy import energy_bruteforce
-from .errors import DEFAULT_BUDGET, BudgetExceeded, ConfigError, InvariantViolation
+from .errors import DEFAULT_BUDGET, BudgetExceeded, ConfigError, InvariantViolation, budget_scope
 from .field import field_create
 from .geometry import read_hyperplanes, read_pointset, write_pointset
 from .harness import (EXIT_BUDGET, EXIT_CONFIG_ERROR, EXIT_GATE_FAILURE,
@@ -165,15 +165,15 @@ def _dispatch(args) -> int:
     if args.command == "oracle":
         validate_config({"budget": args.budget})  # a config's rule: a positive integer
         E = read_pointset(args.pointset)
-        if args.kind == "lambda4":
-            print(energy_bruteforce(E, 2, args.budget))
-        elif args.kind == "distances":
-            print(json.dumps(oracle_distances(E, args.budget)))
-        else:
-            if args.hyperplanes is None:
-                raise ConfigError("incidences oracle needs a hyperplane file")
-            H = read_hyperplanes(args.hyperplanes)
-            print(oracle_incidences(E, H, args.budget))
+        with budget_scope(args.budget):
+            if args.kind == "lambda4":
+                print(energy_bruteforce(E, 2))
+            elif args.kind == "distances":
+                print(json.dumps(oracle_distances(E)))
+            else:
+                if args.hyperplanes is None:
+                    raise ConfigError("incidences oracle needs a hyperplane file")
+                print(oracle_incidences(E, read_hyperplanes(args.hyperplanes)))
         return EXIT_OK
 
     raise ConfigError(f"unknown command {args.command}")

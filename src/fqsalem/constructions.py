@@ -73,7 +73,7 @@ def _circle_mul(T, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.stack([T.sub[T.mul[a, c], T.mul[b, d]], T.add[T.mul[a, d], T.mul[b, c]]], axis=-1)
 
 
-def rotation_orbit(p: int, r: int, budget: int | None = None) -> PointSet:
+def rotation_orbit(p: int, r: int) -> PointSet:
     """Orbit of the unit-circle point (0, 1) under a rotation of order
     (q+1)/(p+1) when q = 3 mod 4, or (q-1)/(p-1) when q = 1 mod 4.
 
@@ -89,8 +89,8 @@ def rotation_orbit(p: int, r: int, budget: int | None = None) -> PointSet:
         raise ConfigError(
             f"order {group_order} of the rotation group is not divisible by {sub}")
     orbit_len = group_order // sub
-    T = F.tables(budget)
-    circle = sphere(F, 2, 1, budget)
+    T = F.tables()
+    circle = sphere(F, 2, 1)
     H = _torsion(circle.array, orbit_len, partial(_circle_mul, T), (1, 0))
     E = PointSet.from_codes(F, 2, encode(_circle_mul(T, np.array((0, 1)), H), q))
     check_invariant(len(E) == orbit_len, "rotation orbit shorter than its order")
@@ -99,7 +99,7 @@ def rotation_orbit(p: int, r: int, budget: int | None = None) -> PointSet:
 
 # --- isotropic subspaces ------------------------------------------------------------
 
-def null_basis(F: FieldSpec, d: int, budget: int | None = None) -> list[Vector]:
+def null_basis(F: FieldSpec, d: int) -> list[Vector]:
     """d/2 mutually orthogonal null vectors in F_q^d.
 
     Exists iff d = 0 mod 4, or d = 2 mod 4 with q = 1 mod 4. For
@@ -111,7 +111,7 @@ def null_basis(F: FieldSpec, d: int, budget: int | None = None) -> list[Vector]:
     if F.q % 4 != 1 and d % 4 != 0:
         raise ConfigError(
             f"d = {d} (2 mod 4) needs q = 1 mod 4, got q = {F.q}")
-    T = F.tables(budget)
+    T = F.tables()
     minus_one = T.neg[1]
     if F.q % 4 == 1:
         i = int(np.flatnonzero(T.square == minus_one)[0])  # the smaller root of -1
@@ -136,20 +136,20 @@ def null_basis(F: FieldSpec, d: int, budget: int | None = None) -> list[Vector]:
     return basis
 
 
-def isotropic_subspace(F: FieldSpec, d: int, m: int, budget: int | None = None) -> PointSet:
+def isotropic_subspace(F: FieldSpec, d: int, m: int) -> PointSet:
     """Span of m explicitly constructed null, mutually orthogonal vectors.
     Charges its q^m points."""
     if m < 1 or 2 * m > d:
         raise ConfigError(f"need 1 <= m <= d/2, got m={m}, d={d}")
-    check_budget(F.q ** m, budget, f"isotropic span in F_{F.q}^{d}")
-    basis = null_basis(F, d, budget)[:m]
+    check_budget(F.q ** m, f"isotropic span in F_{F.q}^{d}")
+    basis = null_basis(F, d)[:m]
     for v in basis:
         check_invariant(norm(F, v) == 0, f"basis vector {v} is not null")
     for i_, u in enumerate(basis):
         for w in basis[i_ + 1:]:
             check_invariant(dot(F, u, w) == 0, f"basis vectors {u}, {w} are not orthogonal")
     # the span as all sums of c v over the basis, through the field tables
-    T, X = F.tables(budget), np.zeros((1, d), dtype=np.int64)
+    T, X = F.tables(), np.zeros((1, d), dtype=np.int64)
     for v in basis:
         X = T.add[X[:, None], T.mul[np.arange(F.q)[:, None], np.array(v)]].reshape(-1, d)
     E = PointSet.from_codes(F, d, encode(X, F.q))
@@ -159,34 +159,35 @@ def isotropic_subspace(F: FieldSpec, d: int, m: int, budget: int | None = None) 
 
 # --- products and subgroup powers ------------------------------------------------------
 
-def product_set(A: PointSet, B: PointSet, budget: int | None = None) -> PointSet:
+def product_set(A: PointSet, B: PointSet) -> PointSet:
     """A x B; charges its |A| |B| points."""
     if A.field != B.field:
         raise ConfigError("product factors must share one field")
-    check_budget(len(A) * len(B), budget, "product set")
+    check_budget(len(A) * len(B), "product set")
     # the index of (a, b) is index(a) q^{dim B} + index(b)
     codes = A.codes[:, None] * A.field.q ** B.d + B.codes[None, :]
     return PointSet.from_codes(A.field, A.d + B.d, codes.ravel())
 
 
-def multiplicative_subgroup(F: FieldSpec, m: int, budget: int | None = None) -> PointSet:
+def multiplicative_subgroup(F: FieldSpec, m: int) -> PointSet:
     """The unique subgroup of F_q^* of order m, as a 1-dimensional set: the
     x with x^m = 1."""
     if m < 1 or (F.q - 1) % m != 0:
         raise ConfigError(f"m = {m} must divide q - 1 = {F.q - 1}")
-    T = F.tables(budget)
+    T = F.tables()
     A = _torsion(np.arange(1, F.q)[:, None], m, lambda x, y: T.mul[x, y], (1,))
     E = PointSet.from_codes(F, 1, A[:, 0])
     check_invariant(len(E) == m, f"F_{F.q}^* has {len(E)} elements with x^{m} = 1, not {m}")
     return E
 
 
-def subgroup_power(F: FieldSpec, m: int, d: int, budget: int | None = None) -> PointSet:
-    """E = A^d for the multiplicative subgroup A of order m."""
-    A = multiplicative_subgroup(F, m, budget)
-    E = A
+def subgroup_power(F: FieldSpec, m: int, d: int) -> PointSet:
+    """E = A^d for the multiplicative subgroup A of order m, d >= 1."""
+    if d < 1:
+        raise ConfigError(f"a subgroup power needs d >= 1, got {d}")
+    E = A = multiplicative_subgroup(F, m)
     for _ in range(d - 1):
-        E = product_set(E, A, budget)
+        E = product_set(E, A)
     return E
 
 
@@ -202,7 +203,7 @@ class ConstructionResult:
 
 
 def conjecture_witness(d: int, s: Fraction | float, p: int, r: int,
-                       seed: int = 0, budget: int | None = None) -> ConstructionResult:
+                       seed: int = 0) -> ConstructionResult:
     """Few-distance Salem set targeting the conjectured threshold exponent.
 
     Branches: even d with s below (d+2)/(4d) is the plain product of a
@@ -219,11 +220,11 @@ def conjecture_witness(d: int, s: Fraction | float, p: int, r: int,
     if d % 2 == 0:
         if d < 4:
             raise ConfigError("even-dimension witnesses need d >= 4")
-        A = rotation_orbit(p, r, budget)
-        X = isotropic_subspace(F, d - 2, (d - 2) // 2, budget)
+        A = rotation_orbit(p, r)
+        X = isotropic_subspace(F, d - 2, (d - 2) // 2)
         breakpoint_s = Fraction(d + 2, 4 * d)
         if s < breakpoint_s:
-            E = product_set(A, X, budget)
+            E = product_set(A, X)
             return ConstructionResult(E, "productOrbitSpan", d / 2, 1.0,
                                       {"sizeA": len(A), "sizeX": len(X)})
         alpha = math.log(len(A)) / math.log(q)
@@ -234,19 +235,19 @@ def conjecture_witness(d: int, s: Fraction | float, p: int, r: int,
                 f"thinning exponent {expo:.4f} > 0: s too small for this orbit size")
         theta = q ** expo
         B = bernoulli_thin(X, theta, seed)
-        E = product_set(A, B, budget)
+        E = product_set(A, B)
         return ConstructionResult(E, "thinnedEvenProduct",
                                   (d + 2) / (8 * float(s)), theta,
                                   {"sizeA": len(A), "sizeX": len(X), "sizeB": len(B)})
     # odd d: full line factor (alpha = 1 in the limit construction)
     if d < 3:
         raise ConfigError("odd-dimension witnesses need d >= 3")
-    A = full_space(F, 1, budget)
-    X = isotropic_subspace(F, d - 1, (d - 1) // 2, budget)
+    A = full_space(F, 1)
+    X = isotropic_subspace(F, d - 1, (d - 1) // 2)
     expo = (d + 1) * (1 - 4 * float(s)) / (8 * float(s))
     theta = min(1.0, q ** expo)
     B = bernoulli_thin(X, theta, seed)
-    E = product_set(A, B, budget)
+    E = product_set(A, B)
     return ConstructionResult(E, "thinnedOddProduct",
                               (d + 1) / (8 * float(s)), theta,
                               {"sizeA": len(A), "sizeX": len(X), "sizeB": len(B)})
@@ -254,17 +255,16 @@ def conjecture_witness(d: int, s: Fraction | float, p: int, r: int,
 
 # --- two-set sharpness pair ------------------------------------------------------------
 
-def two_set_sharpness(F: FieldSpec, d: int,
-                      budget: int | None = None) -> tuple[PointSet, PointSet]:
+def two_set_sharpness(F: FieldSpec, d: int) -> tuple[PointSet, PointSet]:
     """(E, F) with Delta(E, F) = {1}: null span times the unit circle vs
     the null span alone. Needs d = 2 mod 4, or d = 0 mod 4 with q = 1 mod 4.
     """
     if d % 2 != 0 or d < 4:
         raise ConfigError("d must be even and >= 4")
-    span = isotropic_subspace(F, d - 2, (d - 2) // 2, budget)
-    circle = sphere(F, 2, 1, budget)
-    E = product_set(span, circle, budget)
-    G = product_set(span, PointSet.build(F, 2, [(0, 0)]), budget)
+    span = isotropic_subspace(F, d - 2, (d - 2) // 2)
+    circle = sphere(F, 2, 1)
+    E = product_set(span, circle)
+    G = product_set(span, PointSet.build(F, 2, [(0, 0)]))
     return E, G
 
 
@@ -273,20 +273,17 @@ def two_set_sharpness(F: FieldSpec, d: int,
 #: each kind's builder and the parameters it reads besides the field's p and
 #: r; every kind also accepts the `seed` a config injects
 _KINDS = {
-    "orbit": ((), lambda F, get, budget: rotation_orbit(F.p, F.r, budget)),
-    "isotropic": (("d", "m"),
-                  lambda F, get, budget: isotropic_subspace(F, get("d"), get("m"), budget)),
-    "subgroupPower": (("m", "d"),
-                      lambda F, get, budget: subgroup_power(F, get("m"), get("d"), budget)),
-    "sphere": (("d", "j"), lambda F, get, budget: sphere(F, get("d"), get("j", 1), budget)),
-    "paraboloid": (("d",), lambda F, get, budget: paraboloid(F, get("d"), budget)),
-    "fullSpace": (("d",), lambda F, get, budget: full_space(F, get("d"), budget)),
-    "random": (("d", "size"), lambda F, get, budget: random_pointset(
-        F, get("d"), get("size"), get("seed", 0), budget)),
-    "conjectureWitness": (("d", "s"), lambda F, get, budget: conjecture_witness(
-        s=get("s", convert=lambda v: Fraction(str(v))), d=get("d"), p=F.p, r=F.r,
-        seed=get("seed", 0), budget=budget).pointset),
-    "twoSetPair": (("d",), lambda F, get, budget: two_set_sharpness(F, get("d"), budget)[0]),
+    "orbit": ((), lambda F, get: rotation_orbit(F.p, F.r)),
+    "isotropic": (("d", "m"), lambda F, get: isotropic_subspace(F, get("d"), get("m"))),
+    "subgroupPower": (("m", "d"), lambda F, get: subgroup_power(F, get("m"), get("d"))),
+    "sphere": (("d", "j"), lambda F, get: sphere(F, get("d"), get("j", 1))),
+    "paraboloid": (("d",), lambda F, get: paraboloid(F, get("d"))),
+    "fullSpace": (("d",), lambda F, get: full_space(F, get("d"))),
+    "random": (("d", "size"),
+               lambda F, get: random_pointset(F, get("d"), get("size"), get("seed", 0))),
+    "conjectureWitness": (("d", "s"), lambda F, get: conjecture_witness(
+        get("d"), get("s", convert=lambda v: Fraction(str(v))), F.p, F.r, get("seed", 0)).pointset),
+    "twoSetPair": (("d",), lambda F, get: two_set_sharpness(F, get("d"))[0]),
 }
 
 
@@ -295,9 +292,9 @@ class ConstructionSpec:
     kind: str
     params: dict
 
-    def build(self, budget: int | None = None):
-        """The set; every construction charges `budget` for its scans, spans,
-        products and field tables before it builds them."""
+    def build(self):
+        """The set; every construction charges its budget scope for its scans,
+        spans, products and field tables before it builds them."""
         k = self.kind
         if not (isinstance(k, str) and k in _KINDS):
             raise ConfigError(f"unknown construction kind {k!r}")
@@ -307,21 +304,22 @@ class ConstructionSpec:
             raise ConfigError(f"construction {k!r} takes no parameter "
                               + ", ".join(map(repr, unread)))
         get = partial(config_value, self.params)
-        return builder(field_create(get("p"), get("r", 1)), get, budget)
+        return builder(field_create(get("p"), get("r", 1)), get)
 
 
-def random_pointset(F: FieldSpec, d: int, size: int, seed: int,
-                    budget: int | None = None) -> PointSet:
+def random_pointset(F: FieldSpec, d: int, size: int, seed: int) -> PointSet:
     """Deterministic pseudo-random subset of F_q^d of the given size.
 
     The flat indices i with the smallest splitmix64(((seed << 20) mod 2^64) ^ i)
     are chosen; these scores are distinct (splitmix64 and xor are bijections
     of uint64), so a partial sort picks them.
     """
+    if d < 0:
+        raise ConfigError(f"dimension must be >= 0, got {d}")
     space = F.q ** d
     if not 0 <= size <= space:
         raise ConfigError(f"cannot pick {size} points from {space}")
-    check_budget(space, budget, f"random sample from F_{F.q}^{d}")
+    check_budget(space, f"random sample from F_{F.q}^{d}")
     key = np.uint64((seed << 20) & _MASK)
     scores = _splitmix64_array(np.arange(space, dtype=np.uint64) ^ key)
     return PointSet.from_codes(F, d, np.argpartition(scores, max(size - 1, 0))[:size])

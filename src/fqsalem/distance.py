@@ -52,16 +52,15 @@ class DistanceProfile:
         return self.counts.get(t, 0)
 
 
-def distance_profile(E: PointSet, F: PointSet | None = None,
-                     budget: int | None = None) -> DistanceProfile:
+def distance_profile(E: PointSet, F: PointSet | None = None) -> DistanceProfile:
     """nu over E x F, or over E x E from the pair counts when F is omitted."""
     if F is None:
-        return pair_profile(pair_counts(E, budget))
+        return pair_profile(pair_counts(E))
     if F.field != E.field or F.d != E.d:
         raise ConfigError("mismatched fields or dimensions")
-    check_budget(len(E) * len(F), budget, "distance profile")
+    check_budget(len(E) * len(F), "distance profile")
     K = E.field
-    T = K.tables(budget)
+    T = K.tables()
     counter = KeyCounter(K.q, len(E) * len(F), "distance profile")
     for t in table_sums(T.add, T.square[T.sub], E.array, F.array):
         counter.add(t)
@@ -125,11 +124,10 @@ def verify_difference_bounds(A: Analysis, s: float) -> dict:
     }
 
 
-def verify_two_set(E: PointSet, F: PointSet, s_e: float, s_f: float,
-                   budget: int | None = None) -> dict:
+def verify_two_set(E: PointSet, F: PointSet, s_e: float, s_f: float) -> dict:
     """|Delta(E,F)| against the two two-set lower-bound expressions."""
     q, d = E.field.q, E.d
-    delta = distance_profile(E, F, budget).support
+    delta = distance_profile(E, F).support
     expr_pair = len(E) ** s_e * len(F) ** s_f / q ** (d / 4)
     expr_single = len(E) ** (2 * s_e) * len(F) ** 0.5 / q ** (d / 2)
     return {

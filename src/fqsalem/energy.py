@@ -45,8 +45,7 @@ def _check_order(k: int) -> None:
         raise ConfigError(f"k must be >= 1, got {k}")
 
 
-def _representation(E: PointSet, k: int, budget: int | None
-                    ) -> tuple[np.ndarray, np.ndarray]:
+def _representation(E: PointSet, k: int) -> tuple[np.ndarray, np.ndarray]:
     """r_k as (sorted flat indices of its support, counts)."""
     _check_order(k)
     F, d, n = E.field, E.d, len(E)
@@ -54,8 +53,8 @@ def _representation(E: PointSet, k: int, budget: int | None
     keys, counts = E.codes, np.ones(n, dtype=np.int64)
     X = E.array
     for step in range(k - 1):
-        check_budget(len(keys) * max(n, 1), budget, "energy convolution")
-        T = F.tables(budget)
+        check_budget(len(keys) * max(n, 1), "energy convolution")
+        T = F.tables()
         V = decode(keys, q, d)
         counter = KeyCounter(q ** d, n ** (step + 2), "energy convolution")
         for rows in row_blocks(len(V), max(n, q)):
@@ -65,18 +64,18 @@ def _representation(E: PointSet, k: int, budget: int | None
     return keys, counts
 
 
-def energy_convolution(E: PointSet, k: int, budget: int | None = None) -> int:
+def energy_convolution(E: PointSet, k: int) -> int:
     """L_{2k}(E) = sum_v r_k(v)^2, exact."""
-    return sum_squares(_representation(E, k, budget)[1], len(E) ** (2 * k))
+    return sum_squares(_representation(E, k)[1], len(E) ** (2 * k))
 
 
-def energy_bruteforce(E: PointSet, k: int, budget: int | None = None) -> int:
+def energy_bruteforce(E: PointSet, k: int) -> int:
     """Oracle: enumerate (2k-1)-tuples and complete the last slot by membership."""
     _check_order(k)
     n = len(E)
     if n == 0:
         return 0
-    check_budget(n ** (2 * k - 1), budget, "brute-force energy")
+    check_budget(n ** (2 * k - 1), "brute-force energy")
     F = E.field
     members = set(E.points)
     count = 0
@@ -110,7 +109,7 @@ class PairCounts:
     lam4: int                # sum_u D(u)^2 = Lambda_4(E)
 
 
-def pair_counts(E: PointSet, budget: int | None = None) -> PairCounts:
+def pair_counts(E: PointSet) -> PairCounts:
     """One pass over the pairs i < j of the lifted points; the rest by symmetry.
 
     The pair (j, i) has the lifted difference of (i, j) negated digit by
@@ -119,8 +118,8 @@ def pair_counts(E: PointSet, budget: int | None = None) -> PairCounts:
     """
     F, d, n = E.field, E.d, len(E)
     q = F.q
-    check_budget(n ** 2, budget, "pair counts")
-    T = F.tables(budget)
+    check_budget(n ** 2, "pair counts")
+    T = F.tables()
     counter = KeyCounter(q ** (d + 1), n * n, "pair counts")
     for codes in upper_pair_codes(T.sub, lift_to_paraboloid(E).array, q):
         counter.add(codes)

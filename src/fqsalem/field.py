@@ -191,10 +191,10 @@ class FieldSpec:
     def __post_init__(self):
         object.__setattr__(self, "q", self.p ** self.r)
 
-    def tables(self, budget: int | None = None) -> FieldTables:
-        """The lookup tables, built on first use (field_create never pays).
-        Every call charges their q^2 entries, whoever built them."""
-        check_budget(self.q * self.q, budget, f"F_{self.q} lookup tables")
+    def tables(self) -> FieldTables:
+        """The lookup tables, built on first use (field_create never pays). Every
+        call charges their q^2 entries to its budget scope, whoever built them."""
+        check_budget(self.q * self.q, f"F_{self.q} lookup tables")
         cached = self.__dict__.get("_tables")
         if cached is None:
             cached = FieldTables.build(self)

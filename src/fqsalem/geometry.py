@@ -114,7 +114,7 @@ def vectors(codes: np.ndarray, q: int, d: int):
 @lru_cache(maxsize=None)
 def _norm_table(F: FieldSpec, c: int) -> np.ndarray:
     """||x|| for every x in F_q^c, in flat-index order: read-only, once per (F, c)."""
-    T = F.tables(F.q * F.q)  # charged by the caller, norms, against its budget
+    T = F.tables()
     table = np.zeros(1, dtype=T.add.dtype)
     for _ in range(c):  # x = prefix q + last digit
         table = T.add[table[:, None], T.square].ravel()
@@ -122,12 +122,12 @@ def _norm_table(F: FieldSpec, c: int) -> np.ndarray:
     return table
 
 
-def norms(E: "PointSet", budget: int | None = None) -> np.ndarray:
+def norms(E: "PointSet") -> np.ndarray:
     """||x|| for every point of E, in point order, read from its code: one gather
     of _norm_table per run of c = chunk_width(q) coordinates (a shorter top run
     lacks only leading zeros), the runs' norms summed through the addition table."""
     q, c = E.field.q, chunk_width(E.field.q)
-    T, table = E.field.tables(budget), _norm_table(E.field, c)
+    T, table = E.field.tables(), _norm_table(E.field, c)
     codes, runs = E.codes, []
     for _ in range(c, E.d, c):  # split off every run below the top one
         codes, low = np.divmod(codes, q ** c)
@@ -162,22 +162,26 @@ def vadd(F: FieldSpec, x: Vector, y: Vector) -> Vector:
     return tuple(F.add(a, b) for a, b in zip(x, y))
 
 
-def all_vectors(F: FieldSpec, d: int, budget: int | None = None):
+def all_vectors(F: FieldSpec, d: int):
     """Every vector of F_q^d as a tuple, in index order (for the scalar oracles)."""
-    check_budget(F.q ** d, budget, f"full scan of F_{F.q}^{d}")
+    check_budget(F.q ** d, f"full scan of F_{F.q}^{d}")
     return product(range(F.q), repeat=d)
 
 
-def full_space(F: FieldSpec, d: int, budget: int | None = None) -> PointSet:
+def full_space(F: FieldSpec, d: int) -> PointSet:
     """All of F_q^d."""
-    check_budget(F.q ** d, budget, f"full scan of F_{F.q}^{d}")
+    if d < 0:
+        raise ConfigError(f"dimension must be >= 0, got {d}")
+    check_budget(F.q ** d, f"full scan of F_{F.q}^{d}")
     return PointSet.from_codes(F, d, np.arange(F.q ** d))
 
 
-def sphere(F: FieldSpec, d: int, j: int, budget: int | None = None) -> PointSet:
+def sphere(F: FieldSpec, d: int, j: int) -> PointSet:
     """S_j: all x with ||x|| = j, by a scan of the full space."""
-    X = full_space(F, d, budget)
-    return PointSet.from_codes(F, d, X.codes[norms(X, budget) == j])
+    if not 0 <= j < F.q:
+        raise ConfigError(f"radius {j} is not in F_{F.q}")
+    X = full_space(F, d)
+    return PointSet.from_codes(F, d, X.codes[norms(X) == j])
 
 
 def lift_to_paraboloid(E: PointSet) -> PointSet:
@@ -185,10 +189,12 @@ def lift_to_paraboloid(E: PointSet) -> PointSet:
     return PointSet.from_codes(E.field, E.d + 1, E.codes * E.field.q + norms(E))
 
 
-def paraboloid(F: FieldSpec, d: int, budget: int | None = None) -> PointSet:
+def paraboloid(F: FieldSpec, d: int) -> PointSet:
     """Graph x_d = x_1^2 + ... + x_{d-1}^2."""
-    check_budget(F.q ** (d - 1), budget, "paraboloid enumeration")
-    return lift_to_paraboloid(full_space(F, d - 1, budget))
+    if d < 1:
+        raise ConfigError(f"a paraboloid needs d >= 1, got {d}")
+    check_budget(F.q ** (d - 1), "paraboloid enumeration")
+    return lift_to_paraboloid(full_space(F, d - 1))
 
 
 # --- the unit circle -----------------------------------------------------------

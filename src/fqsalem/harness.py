@@ -20,7 +20,7 @@ import numpy as np
 
 from . import distance, energy, incidence, spectral
 from .constructions import _MASK, ConstructionSpec, _splitmix64_array
-from .errors import (BudgetExceeded, ConfigError, DEFAULT_BUDGET, check_budget,
+from .errors import (BudgetExceeded, ConfigError, DEFAULT_BUDGET, budget_scope, check_budget,
                      as_int, config_value, is_int)
 from .geometry import PointSet
 from .ranges import (conjectured_alpha, crossover_identities, energy_threshold,
@@ -37,9 +37,7 @@ def _fmt(value):
     """Canonical JSON-ready form: ints/Fractions as strings, floats to 12 sig digits."""
     if isinstance(value, bool) or value is None:
         return value
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
+    if isinstance(value, (int, Fraction)):
         return str(value)
     if isinstance(value, float):
         return format(value, ".12g")
@@ -62,12 +60,11 @@ class Analysis:
     which `report()` creates once per report, so a report computes Lambda_{2k},
     nu and |E_hat|^2 once each however many sections read them. Lambda_4, nu,
     E - E and the difference family all come from one pass over the pairs
-    of E (`pairs`).
+    of E (`pairs`). A value is charged to the budget scope of its first read.
     """
 
-    def __init__(self, E: PointSet, budget: int | None = None):
+    def __init__(self, E: PointSet):
         self.E = E
-        self.budget = budget
         self._values: dict = {}
 
     def _once(self, key, compute):
@@ -78,13 +75,13 @@ class Analysis:
 
     @property
     def pairs(self) -> energy.PairCounts:
-        return self._once("pairs", lambda: energy.pair_counts(self.E, self.budget))
+        return self._once("pairs", lambda: energy.pair_counts(self.E))
 
     def lam(self, k: int) -> int:
         """Lambda_{2k}(E)."""
         if k == 2:
             return self.pairs.lam4
-        return self._once(("lam", k), lambda: energy.energy_convolution(self.E, k, self.budget))
+        return self._once(("lam", k), lambda: energy.energy_convolution(self.E, k))
 
     @property
     def profile(self) -> distance.DistanceProfile:
@@ -94,7 +91,7 @@ class Analysis:
     def power(self) -> tuple[np.ndarray, np.ndarray]:
         """(P, w) of spectral.half_power: |E_hat|^2 on the Hermitian half and its
         column weights. P[0, 0] is m = 0."""
-        return self._once("power", lambda: spectral.half_power(self.E, self.budget))
+        return self._once("power", lambda: spectral.half_power(self.E))
 
     def fourier_moment(self, k: int) -> float:
         """||E_hat||_{2k}^{2k} = q^{-d} sum_{m != 0} |E_hat(m)|^{2k}: over the half,
@@ -229,14 +226,15 @@ def _construction(config: dict) -> dict:
 
 
 def build_set(config: dict) -> PointSet:
-    """The config's construction; it takes the config's seed unless it sets its own."""
+    """The config's construction under its budget; it takes the config's seed unless it has one."""
     if "construction" not in config:
         raise ConfigError("config needs a 'construction'")
     params = dict(_construction(config))
     kind = params.pop("kind")
     if "seed" not in params and "seed" in config:
         params["seed"] = config["seed"]
-    return ConstructionSpec(kind, params).build(config.get("budget", DEFAULT_BUDGET))
+    with budget_scope(config.get("budget", DEFAULT_BUDGET)):
+        return ConstructionSpec(kind, params).build()
 
 
 def run(config: dict) -> dict:
@@ -246,18 +244,19 @@ def run(config: dict) -> dict:
 
 
 def report(config: dict, E: PointSet | None) -> dict:
-    """The report of a validated config on its set E (None without a construction)."""
+    """A validated config's report on its set E (None without a construction), under its budget."""
     results: dict = {}
     gates: dict[str, bool] = {}
     A = None
     if E is not None:
-        A = Analysis(E, config.get("budget", DEFAULT_BUDGET))
+        A = Analysis(E)
         results["set"] = {"size": len(E), "q": E.field.q, "d": E.d}
-    for name in config.get("analyses", []):
-        if A is None and name != "ranges":
-            raise ConfigError(f"analysis {name!r} needs a construction")
-        results[name], section_gates = SECTIONS[name](A, config)
-        gates.update(section_gates)
+    with budget_scope(config.get("budget", DEFAULT_BUDGET)):
+        for name in config.get("analyses", []):
+            if A is None and name != "ranges":
+                raise ConfigError(f"analysis {name!r} needs a construction")
+            results[name], section_gates = SECTIONS[name](A, config)
+            gates.update(section_gates)
     return {"config": config, "results": results, "gates": gates,
             "allGatesPass": all(gates.values())}
 
@@ -386,10 +385,10 @@ def _cell_detail(cell: dict, rep: dict) -> str:
 
 # --- oracles --------------------------------------------------------------------
 
-def oracle_distances(E: PointSet, budget: int | None = None) -> dict[int, int]:
+def oracle_distances(E: PointSet) -> dict[int, int]:
     """Plain double loop over the scalar field methods, kept separate from
     distance.distance_profile."""
-    check_budget(len(E) ** 2, budget, "distance oracle")
+    check_budget(len(E) ** 2, "distance oracle")
     F = E.field
     counts: dict[int, int] = {}
     for x in E.points:
@@ -402,11 +401,11 @@ def oracle_distances(E: PointSet, budget: int | None = None) -> dict[int, int]:
     return dict(sorted(counts.items()))
 
 
-def oracle_incidences(P: PointSet, H, budget: int | None = None) -> int:
+def oracle_incidences(P: PointSet, H) -> int:
     """Plain double loop, kept separate from incidence.count_incidences."""
     if P.field != H.field or P.d != H.d:
         raise ConfigError("mismatched fields or dimensions")
-    check_budget(len(P) * max(len(H.entries), 1), budget, "incidence oracle")
+    check_budget(len(P) * max(len(H.codes), 1), "incidence oracle")  # before .entries builds
     F = P.field
     total = 0
     for a, b, m in H.entries:

@@ -24,14 +24,13 @@ from .geometry import HyperplaneMultiset, PointSet, decode, encode, norms
 from .kernels import check_int64, sum_squares, table_sums
 
 
-def count_incidences(P: PointSet, H: HyperplaneMultiset,
-                     budget: int | None = None) -> int:
+def count_incidences(P: PointSet, H: HyperplaneMultiset) -> int:
     """sum_(a, b, m) m * #{x in P : a.x = b}, as a chunked (points x hyperplanes) matrix."""
     if P.field != H.field or P.d != H.d:
         raise ConfigError("mismatched fields or dimensions")
-    check_budget(len(P) * max(len(H.codes), 1), budget, "incidence count")
+    check_budget(len(P) * max(len(H.codes), 1), "incidence count")
     check_int64(len(P) * H.total, "incidence count")
-    T, d = P.field.tables(budget), P.d
+    T, d = P.field.tables(), P.d
     rows = decode(H.codes, P.field.q, d + 1)
     hits = np.zeros(len(rows), dtype=np.int64)
     for dots in table_sums(T.add, T.mul, P.array, rows[:, :d]):
@@ -39,8 +38,7 @@ def count_incidences(P: PointSet, H: HyperplaneMultiset,
     return int(H.mults @ hits)
 
 
-def incidence_bounds(P: PointSet, H: HyperplaneMultiset, s: float,
-                     budget: int | None = None) -> dict:
+def incidence_bounds(P: PointSet, H: HyperplaneMultiset, s: float) -> dict:
     """N = N(P, P') against main term |P||P'|/q plus each bound's error term.
 
     rhs and ratios (N / rhs) have one key per bound:
@@ -52,7 +50,7 @@ def incidence_bounds(P: PointSet, H: HyperplaneMultiset, s: float,
     A ratio is nan when its rhs is 0 (no hyperplanes or no points).
     """
     q, d, n = P.field.q, P.d, len(P)
-    N = count_incidences(P, H, budget)
+    N = count_incidences(P, H)
     total = H.total
     mults = H.mults.tolist()
     main = Fraction(n * total, q)
@@ -84,20 +82,18 @@ def dilate_hyperplanes(H: HyperplaneMultiset) -> HyperplaneMultiset:
     return HyperplaneMultiset.from_codes(F, d, encode(dilates, F.q), np.tile(H.mults, F.q - 1))
 
 
-def incidence_via_dilation(P: PointSet, H: HyperplaneMultiset,
-                           budget: int | None = None) -> int:
+def incidence_via_dilation(P: PointSet, H: HyperplaneMultiset) -> int:
     """I(P, H) recovered as N(P, dilate(H)) / (q - 1); checked exact."""
-    N = count_incidences(P, dilate_hyperplanes(H), budget)
+    N = count_incidences(P, dilate_hyperplanes(H))
     q = P.field.q
     check_invariant(N % (q - 1) == 0, "dilated incidence count not divisible by q - 1")
     I = N // (q - 1)
-    check_invariant(I == count_incidences(P, H, budget),
+    check_invariant(I == count_incidences(P, H),
                     "dilation identity N(P, dilate(H)) = (q - 1) I(P, H) failed")
     return I
 
 
-def sphere_incidence_setup(E: PointSet, budget: int | None = None
-                           ) -> tuple[PointSet, HyperplaneMultiset]:
+def sphere_incidence_setup(E: PointSet) -> tuple[PointSet, HyperplaneMultiset]:
     """Dilated point set and zero-offset difference multiset for sets on a sphere.
 
     Requires E nonempty and on a single sphere of nonzero radius. The
@@ -105,11 +101,11 @@ def sphere_incidence_setup(E: PointSet, budget: int | None = None
     squared multiplicities is Lambda_4(E) (checked against the pair pass).
     """
     F, d, q = E.field, E.d, E.field.q
-    radii = set(norms(E, budget).tolist())
+    radii = set(norms(E).tolist())
     if len(radii) != 1 or 0 in radii:
         raise ConfigError("E must lie on one sphere of nonzero radius")
-    pairs = pair_counts(E, budget)
-    P = PointSet.from_codes(F, d, encode(_dilations(F.tables(budget), E.array), q))
+    pairs = pair_counts(E)
+    P = PointSet.from_codes(F, d, encode(_dilations(F.tables(), E.array), q))
     Pp = HyperplaneMultiset.from_codes(F, d, pairs.differences.codes * q, pairs.diff_counts)
     check_invariant(sum_squares(Pp.mults, len(E) ** 4) == pairs.lam4,
                     "sum of squared difference multiplicities differs from L_4(E)")

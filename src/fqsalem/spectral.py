@@ -52,14 +52,14 @@ def _char_table(F: FieldSpec) -> np.ndarray:
     return np.exp(-2j * np.pi * tr / F.p)  # chi(-t)
 
 
-def fourier_direct(E: PointSet, budget: int | None = None) -> np.ndarray:
+def fourier_direct(E: PointSet) -> np.ndarray:
     """E_hat at all q^d frequencies, in flat-index order, by direct summation
     (the oracle path)."""
     F, d, q = E.field, E.d, E.field.q
-    check_budget(q ** d * max(len(E), 1), budget, "direct Fourier transform")
+    check_budget(q ** d * max(len(E), 1), "direct Fourier transform")
     chi_neg = _char_table(F)
     vals = np.zeros(q ** d, dtype=complex)
-    for i, m in enumerate(all_vectors(F, d, budget)):  # index order
+    for i, m in enumerate(all_vectors(F, d)):  # index order
         acc = 0j
         for y in E.points:
             acc += chi_neg[dot(F, m, y)]
@@ -133,7 +133,7 @@ def _axis_pass(p: int, c: int, heads: np.ndarray, X: np.ndarray):
     return up[first], np.matmul(W, Y).reshape(n, -1)
 
 
-def half_power(E: PointSet, budget: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def half_power(E: PointSet) -> tuple[np.ndarray, np.ndarray]:
     """(P, w): |E_hat(m)|^2 on the Hermitian half and its column weights
     w = (1, 2, ..., 2), so that the sum of g(|E_hat(m)|^2) over every frequency
     m is the sum of w * g(P). P is (q^d/p, (p+1)/2): row m // p, column the
@@ -144,7 +144,7 @@ def half_power(E: PointSet, budget: int | None = None) -> tuple[np.ndarray, np.n
     a DFT under the digit prefixes the points occupy.
     """
     F, d, q, p = E.field, E.d, E.field.q, E.field.p
-    check_budget(q ** d, budget, "fast Fourier transform")
+    check_budget(q ** d, "fast Fourier transform")
     c = (p + 1) // 2 if d else 1
     scale = 1.0 / q ** d  # the factor q^{-d} of E_hat, in X from the start
     if d == 0 or len(E) == 0:  # no axis to transform: E_hat(0) = |E|, or all zero

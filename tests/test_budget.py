@@ -1,0 +1,92 @@
+"""The budget scope: every kernel charges the limit of the scope it runs in,
+and leaving a scope, by an exception too, restores the limit around it."""
+
+import json
+import threading
+
+import pytest
+
+from conftest import rand_set
+from fqsalem import errors
+from fqsalem.cli import main
+from fqsalem.energy import energy_bruteforce, pair_counts
+from fqsalem.errors import BudgetExceeded, budget_scope, check_budget
+from fqsalem.geometry import HyperplaneMultiset, norm, paraboloid, sphere
+from fqsalem.incidence import count_incidences, incidence_via_dilation, sphere_incidence_setup
+
+
+@pytest.fixture
+def low_default(monkeypatch):
+    """A default budget of 48, one unit below F_7's 49 table entries: a kernel
+    that fell back to the default instead of its scope's limit would be refused."""
+    monkeypatch.setattr(errors, "DEFAULT_BUDGET", 48)
+
+
+def _pair_counts(F):
+    E = rand_set(F, 2, 10, seed=1)
+    assert pair_counts(E).lam4 == energy_bruteforce(E, 2)
+
+
+def _paraboloid(F):
+    assert all(x[2] == norm(F, x[:2]) for x in paraboloid(F, 3).points)
+
+
+def _sphere_incidence_setup(F):
+    E = sphere(F, 2, 1)
+    assert sphere_incidence_setup(E)[1].total == len(E) ** 2  # sum_u D(u)
+
+
+def _incidence_via_dilation(F):
+    P, H = sphere(F, 2, 1), HyperplaneMultiset.build(F, 2, [((1, 2), 3, 1), ((0, 1), 5, 2)])
+    assert incidence_via_dilation(P, H) == count_incidences(P, H)
+
+
+@pytest.mark.parametrize("call", [_pair_counts, _paraboloid, _sphere_incidence_setup,
+                                  _incidence_via_dilation])
+def test_kernels_charge_the_scope_not_the_default(low_default, f7, call):
+    with pytest.raises(BudgetExceeded, match="budget is 48"):
+        call(f7)
+    with budget_scope(10 ** 6):
+        call(f7)
+
+
+def test_a_report_runs_under_its_config_budget(low_default, tmp_path):
+    # the pair pass's paraboloid lift reads the norm tables of F_7 under it too
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({
+        "construction": {"kind": "random", "p": 7, "d": 2, "size": 10},
+        "analyses": ["energy", "distance", "incidence"], "budget": 10 ** 6, "seed": 1}))
+    assert main(["verify", "--config", str(path)]) == 0
+    with pytest.raises(BudgetExceeded, match="budget is 48"):  # the report's scope has ended
+        check_budget(49, "after the report")
+
+
+def test_leaving_a_scope_restores_the_outer_limit(low_default):
+    with budget_scope(100):
+        with pytest.raises(BudgetExceeded, match="inner needs 6 units, budget is 5"):
+            with budget_scope(5):
+                check_budget(6, "inner")
+        check_budget(100, "outer")  # refused by the inner scope only
+        with budget_scope(1000):
+            check_budget(1000, "nested")
+        with pytest.raises(BudgetExceeded, match="outer needs 101 units, budget is 100"):
+            check_budget(101, "outer")
+    with pytest.raises(BudgetExceeded, match="default needs 49 units, budget is 48"):
+        check_budget(49, "default")
+
+
+def test_a_scope_holds_on_its_own_thread_only(low_default):
+    refused = []
+
+    def other_thread():
+        try:
+            check_budget(49, "other thread")
+        except BudgetExceeded as exc:
+            refused.append(str(exc))
+
+    with budget_scope(10 ** 6):
+        check_budget(49, "this thread")
+        thread = threading.Thread(target=other_thread)
+        thread.start()
+        thread.join()
+    assert refused == ["other thread needs 49 units, budget is 48"]

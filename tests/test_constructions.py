@@ -13,7 +13,7 @@ from fqsalem.constructions import (ConstructionSpec, bernoulli_thin, conjecture_
                                     subgroup_power, two_set_sharpness)
 from fqsalem.distance import distance_profile
 from fqsalem.energy import energy_bruteforce, energy_convolution
-from fqsalem.errors import BudgetExceeded, ConfigError
+from fqsalem.errors import BudgetExceeded, ConfigError, budget_scope
 from fqsalem.field import FieldSpec, field_create
 from fqsalem.geometry import (PointSet, dot, full_space, norm, rotation_group_order,
                                write_pointset)
@@ -297,8 +297,8 @@ def test_random_pointset(f5):
     assert random_pointset(f5, 2, 25, seed=3) == full_space(f5, 2)
     with pytest.raises(ConfigError):
         random_pointset(f5, 2, -1, seed=0)
-    with pytest.raises(BudgetExceeded):
-        random_pointset(f5, 4, 3, seed=0, budget=600)
+    with budget_scope(600), pytest.raises(BudgetExceeded):
+        random_pointset(f5, 4, 3, seed=0)
 
 
 def _splitmix64_reference(x):

@@ -8,7 +8,7 @@ from conftest import field_of_order, full_space, rand_set, translate
 from fqsalem.constructions import isotropic_subspace, product_set, subgroup_power
 from fqsalem.energy import (_representation, energy_bruteforce, energy_convolution,
                              energy_report, pair_counts, salem_parameter)
-from fqsalem.errors import BudgetExceeded, ConfigError
+from fqsalem.errors import BudgetExceeded, ConfigError, budget_scope
 from fqsalem.field import field_create
 from fqsalem.geometry import PointSet
 from fqsalem.harness import Analysis
@@ -50,10 +50,10 @@ def test_vector_space_cubed_law(f3):
 def test_representation_function_totals(f5):
     E = rand_set(f5, 2, 9, seed=3)
     for k in (1, 2, 3):
-        keys, counts = _representation(E, k, None)
+        keys, counts = _representation(E, k)
         assert counts.sum() == len(E) ** k
         assert (counts > 0).all() and (keys[1:] > keys[:-1]).all()
-    keys, counts = _representation(E, 1, None)
+    keys, counts = _representation(E, 1)
     assert (keys == E.codes).all() and (counts == 1).all()
 
 
@@ -86,8 +86,8 @@ def test_translation_invariance(f5):
 
 def test_energy_budget(f5):
     E = rand_set(f5, 2, 20, seed=1)
-    with pytest.raises(BudgetExceeded):
-        energy_bruteforce(E, 2, budget=10)
+    with budget_scope(10), pytest.raises(BudgetExceeded):
+        energy_bruteforce(E, 2)
 
 
 def test_invalid_k(f5):

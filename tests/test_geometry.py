@@ -9,7 +9,7 @@ import pytest
 from conftest import full_space, translate
 from fqsalem import errors, kernels
 from fqsalem.constructions import rotation_orbit
-from fqsalem.errors import BudgetExceeded, ConfigError
+from fqsalem.errors import BudgetExceeded, ConfigError, budget_scope
 from fqsalem.field import field_create
 from fqsalem.geometry import (HyperplaneMultiset, PointSet, _norm_table, all_vectors, decode,
                                dot, encode, norm, norms, paraboloid, read_hyperplanes,
@@ -94,9 +94,10 @@ def test_norms_charge_the_tables_to_the_callers_budget(monkeypatch):
     E = full_space(F, 3)
     _norm_table.cache_clear()
     monkeypatch.setattr(errors, "DEFAULT_BUDGET", 1)  # no table may fall back to it
-    assert norms(E, budget=121).tolist() == [norm(F, x) for x in E.points]
-    with pytest.raises(BudgetExceeded):
-        norms(E, budget=120)
+    with budget_scope(121):
+        assert norms(E).tolist() == [norm(F, x) for x in E.points]
+    with budget_scope(120), pytest.raises(BudgetExceeded):
+        norms(E)
 
 
 @pytest.mark.parametrize("q,d", [(3, 1), (3, 2), (5, 2), (3, 3)])
@@ -190,8 +191,8 @@ def test_translate(f5):
 
 
 def test_all_vectors_budget(f5):
-    with pytest.raises(Exception):
-        list(all_vectors(f5, 2, budget=3))
+    with budget_scope(3), pytest.raises(Exception):
+        list(all_vectors(f5, 2))
 
 
 def test_pointset_io_roundtrip(tmp_path, f9):

@@ -16,7 +16,7 @@ from fqsalem import harness, spectral
 from fqsalem.cli import build_parser, main
 from fqsalem.distance import distance_profile
 from fqsalem.energy import energy_bruteforce, energy_convolution, pair_counts, salem_parameter
-from fqsalem.errors import BudgetExceeded, ConfigError, InvariantViolation
+from fqsalem.errors import BudgetExceeded, ConfigError, InvariantViolation, budget_scope
 from fqsalem.field import field_create
 from fqsalem.geometry import (HyperplaneMultiset, PointSet, read_pointset,
                                write_hyperplanes, write_pointset)
@@ -42,8 +42,8 @@ def patch_everywhere(monkeypatch, fn, replacement):
 
 def lam4_off_by(offset):
     """pair_counts with Lambda_4 moved by offset(E)."""
-    def faulty(E, budget=None):
-        pairs = pair_counts(E, budget)
+    def faulty(E):
+        pairs = pair_counts(E)
         return dataclasses.replace(pairs, lam4=pairs.lam4 + offset(E))
     return faulty
 
@@ -338,6 +338,28 @@ def test_sweep_records_bad_config_value(tmp_path):
                        "config:config value 'size' is missing or ill-typed: 'four'"]
 
 
+@pytest.mark.parametrize("construction,message", [
+    ({"kind": "fullSpace", "d": -1}, "dimension must be >= 0, got -1"),
+    ({"kind": "random", "d": -1, "size": 0}, "dimension must be >= 0, got -1"),
+    ({"kind": "paraboloid", "d": 0}, "a paraboloid needs d >= 1, got 0"),
+    ({"kind": "paraboloid", "d": -1}, "a paraboloid needs d >= 1, got -1"),
+    ({"kind": "sphere", "d": -2, "j": 1}, "dimension must be >= 0, got -2"),
+    ({"kind": "sphere", "d": 2, "j": 7}, "radius 7 is not in F_5"),
+    ({"kind": "sphere", "d": 2, "j": -1}, "radius -1 is not in F_5"),
+    ({"kind": "subgroupPower", "m": 2, "d": 0}, "a subgroup power needs d >= 1, got 0")])
+def test_out_of_range_dimensions_and_radii_are_config_errors(tmp_path, capsys,
+                                                             construction, message):
+    # never a set in F_q^{-1}, a TypeError, A itself for A^0 or an empty sphere
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"construction": {**construction, "p": 5},
+                                "analyses": ["energy"]}))
+    assert main(["analyze", "--config", str(path)]) == 3
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    cfg = {"construction": construction, "analyses": ["energy"], "grid": {"p": [5]}, "seed": 0}
+    with open(sweep(cfg, tmp_path / "s"), newline="") as fh:
+        assert list(csv.reader(fh))[1] == ["0", "error", f"config:{message}"]
+
+
 def test_sweep_marks_cells_with_failing_gates(tmp_path, monkeypatch):
     # the p = 5 cell's energy identity is off: its row says which gate failed
     residual = spectral.energy_identity_residual
@@ -413,8 +435,8 @@ def test_cli_oracle_incidences(tmp_path, capsys, f5):
     assert int(capsys.readouterr().out) == count_incidences(E, H)
     assert main(["oracle", "incidences", str(ep)]) == 3  # missing hyperplane file
     # the oracle charges |P| * |H| = 12 units
-    with pytest.raises(BudgetExceeded):
-        oracle_incidences(E, H, budget=11)
+    with budget_scope(11), pytest.raises(BudgetExceeded):
+        oracle_incidences(E, H)
     assert main(["oracle", "incidences", str(ep), str(hp), "--budget", "1"]) == 4
 
 
@@ -449,6 +471,19 @@ def test_cli_oracle_unreadable_files_exit_3(tmp_path, capsys, f5, kind, content)
         assert main(["oracle", kind, *map(str, paths)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_oracle_incidences_charges_before_it_builds_the_tuples(f5):
+    # the charge counts the coded rows; the (a, b, mult) tuple view is built
+    # only for a call within the budget
+    E = rand_set(f5, 2, 6, seed=1)
+    H = HyperplaneMultiset.build(f5, 2, [((1, 2), 3, 1), ((0, 0), 0, 2)])
+    with budget_scope(11), pytest.raises(BudgetExceeded, match="oracle needs 12 units"):
+        oracle_incidences(E, H)
+    assert "entries" not in H.__dict__
+    with budget_scope(12):
+        N = oracle_incidences(E, H)
+    assert "entries" in H.__dict__ and N == count_incidences(E, H)
 
 
 @pytest.mark.parametrize("budget", ["-5", "0"])

@@ -221,6 +221,6 @@ def test_invariant_violation_is_typed(f5, monkeypatch):
     faulty = dataclasses.replace(pair_counts(E), lam4=energy_bruteforce(E, 2) - 1)
     with pytest.raises(InvariantViolation):
         difference_family(faulty)
-    monkeypatch.setattr(incidence, "pair_counts", lambda E, budget=None: faulty)
+    monkeypatch.setattr(incidence, "pair_counts", lambda E: faulty)
     with pytest.raises(InvariantViolation):
         sphere_incidence_setup(E)

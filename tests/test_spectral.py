@@ -335,9 +335,9 @@ def test_report_makes_at_most_rd_passes(monkeypatch):
     transforms = []
     kernel = spectral.half_power
 
-    def recorded(E, budget=None):
+    def recorded(E):
         transforms.append(E)
-        return kernel(E, budget)
+        return kernel(E)
 
     passes = record_passes(monkeypatch)
     monkeypatch.setattr(spectral, "half_power", recorded)
