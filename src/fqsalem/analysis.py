@@ -1,0 +1,276 @@
+"""How a report is computed: the cached `Analysis` of one set, the section
+registry `SECTIONS`, `report` and `render_report`.
+
+A report reads a few exact quantities of one set E (Lambda_{2k}, nu, |E_hat|^2,
+the Salem parameter s, E - E and the difference family) from one `Analysis`,
+which computes each on first use. Every formula that reads an `Analysis`
+lives here: the energy identity's residual, s, and the bound checks of the
+distance section. The kernel modules take point sets or pair counts, never
+an `Analysis`.
+
+Reports are deterministic byte-for-byte given a config: exact integers
+serialize as decimal strings, floats are formatted to 12 significant
+digits, and keys are sorted.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import warnings
+from fractions import Fraction
+
+import numpy as np
+
+from . import distance, energy, incidence, spectral
+from .errors import ConfigError, DEFAULT_BUDGET, as_int, budget_scope, config_value
+from .geometry import PointSet
+from .ranges import (conjectured_alpha, crossover_identities, energy_threshold,
+                     improved_threshold, sphere_threshold, subgroup_threshold)
+
+
+def _fmt(value):
+    """Canonical JSON-ready form: ints/Fractions as strings, floats to 12 sig digits."""
+    if isinstance(value, bool) or value is None:
+        return value
+    if isinstance(value, (int, Fraction)):
+        return str(value)
+    if isinstance(value, float):
+        return format(value, ".12g")
+    if isinstance(value, dict):
+        return {k: _fmt(v) for k, v in sorted(value.items())}
+    if isinstance(value, (list, tuple, frozenset, set)):
+        items = sorted(value) if isinstance(value, (set, frozenset)) else value
+        return [_fmt(v) for v in items]
+    return value
+
+
+def render_report(report: dict) -> str:
+    return json.dumps(_fmt(report), sort_keys=True, indent=2) + "\n"
+
+
+class Analysis:
+    """The exact quantities of one point set that a report reads.
+
+    Each is computed on first use and kept for the lifetime of the object,
+    which `report()` creates once per report, so a report computes Lambda_{2k},
+    nu and |E_hat|^2 once each however many sections read them. Lambda_4, nu,
+    E - E and the difference family all come from one pass over the pairs
+    of E (`pairs`). A value is charged to the budget scope of its first read.
+    """
+
+    def __init__(self, E: PointSet):
+        self.E = E
+        self._values: dict = {}
+
+    def _once(self, key, compute):
+        # one dict for every value, the keyed ones such as ("lam", k) included
+        if key not in self._values:
+            self._values[key] = compute()
+        return self._values[key]
+
+    @property
+    def pairs(self) -> energy.PairCounts:
+        return self._once("pairs", lambda: energy.pair_counts(self.E))
+
+    def lam(self, k: int) -> int:
+        """Lambda_{2k}(E)."""
+        if k == 2:
+            return self.pairs.lam4
+        return self._once(("lam", k), lambda: energy.energy_convolution(self.E, k))
+
+    @property
+    def profile(self) -> distance.DistanceProfile:
+        return self._once("profile", lambda: distance.pair_profile(self.pairs))
+
+    @property
+    def power(self) -> tuple[np.ndarray, np.ndarray]:
+        """(P, w) of spectral.half_power: |E_hat|^2 on the Hermitian half and its
+        column weights. P[0, 0] is m = 0."""
+        return self._once("power", lambda: spectral.half_power(self.E))
+
+    def fourier_moment(self, k: int) -> float:
+        """||E_hat||_{2k}^{2k} = q^{-d} sum_{m != 0} |E_hat(m)|^{2k}: over the half,
+        twice the sum over every entry but [0, 0] (m = 0, left out by slicing, so
+        no large term cancels) less the sum over column 0, whose weight is 1."""
+        def compute():
+            P, _ = self.power
+            flat, col = P.ravel()[1:], P[1:, 0]
+            if k == 2:  # two dots, no temporary
+                total = 2.0 * float(flat @ flat) - float(col @ col)
+            else:
+                total = 2.0 * float(np.sum(flat ** k)) - float(np.sum(col ** k))
+            return total / self.E.field.q ** self.E.d
+        return self._once(("moment", k), compute)
+
+    def identity_residual(self, k: int) -> float:
+        """Relative residual of ||E_hat||_{2k}^{2k} = q^{-2kd} L_{2k} - q^{-(2k+1)d} |E|^{2k}."""
+        E = self.E
+        q_d = E.field.q ** E.d
+        lhs = self.fourier_moment(k)
+        # one correctly rounded quotient of exact integers: the difference of the
+        # two terms as floats cancels on a dense set
+        rhs = (self.lam(k) * q_d - len(E) ** (2 * k)) / q_d ** (2 * k + 1)
+        return abs(lhs - rhs) / max(abs(rhs), q_d ** -(2 * k + 1))
+
+    @property
+    def salem_s(self) -> float:
+        """Largest s in [1/4, 1/2] with L_4(E) <= |E|^4/q^d + |E|^{4-4s}.
+
+        |E| = 1 gives 1/2 by convention (the exponent is vacuous) with a warning.
+        """
+        def compute():
+            n = len(self.E)
+            if n == 0:
+                raise ConfigError("the Salem parameter needs a nonempty set")
+            if n == 1:
+                warnings.warn("singleton set: Salem parameter defaults to 1/2")
+                return 0.5
+            residual = max(self.lam(2) - n ** 4 / self.E.field.q ** self.E.d, 1.0)
+            s = 0.25 * (4.0 - math.log(residual) / math.log(n))
+            return min(0.5, max(0.25, s))
+        return self._once("salem_s", compute)
+
+    @property
+    def difference_family(self) -> incidence.DifferenceFamily:
+        return self._once("difference_family",
+                          lambda: incidence.difference_family(self.pairs))
+
+
+# --- bound checks (ratios, never pass/fail against hidden constants) -----------
+
+def verify_secondmoment_bounds(A: Analysis, s: float) -> dict:
+    """Ratios of sum nu^2 against the two incidence-derived upper bounds:
+
+    RHS1 = |E|^4/q + |E|^3 + q^{d/4} |E|^{3-s} L_4^{1/4}   (Salem route)
+    RHS2 = |E|^4/q + q^{d/2} |E|^{3/2} L_4^{1/2}           (arbitrary-set route)
+    """
+    E, lam4 = A.E, A.lam(2)
+    q, d, n = E.field.q, E.d, len(E)
+    sm = A.profile.second_moment
+    rhs1 = n ** 4 / q + n ** 3 + q ** (d / 4) * n ** (3 - s) * lam4 ** 0.25
+    rhs2 = n ** 4 / q + q ** (d / 2) * n ** 1.5 * lam4 ** 0.5
+    return {
+        "sizeE": n, "q": q, "d": d, "s": s, "lambda4": str(lam4),
+        "secondMoment": str(sm),
+        "rhsSalem": rhs1, "rhsGeneral": rhs2,
+        "ratioSalem": sm / rhs1, "ratioGeneral": sm / rhs2,
+    }
+
+
+def verify_difference_bounds(A: Analysis, s: float) -> dict:
+    """|Delta(E)| and |E - E| against min{q, q^{1-d}|E|^{4s}} and min{q^d, |E|^{4s}}."""
+    E = A.E
+    q, d, n = E.field.q, E.d, len(E)
+    size_delta, size_diff = len(A.profile.support), len(A.pairs.differences)
+    bound_delta = min(q, q ** (1 - d) * n ** (4 * s))
+    bound_diff = min(q ** d, n ** (4 * s))
+    return {
+        "sizeE": n, "q": q, "d": d, "s": s,
+        "sizeDelta": size_delta, "sizeDiff": size_diff,
+        "boundDelta": bound_delta, "boundDiff": bound_diff,
+        "ratioDelta": size_delta / bound_delta,
+        "ratioDiff": size_diff / bound_diff,
+    }
+
+
+# --- report sections: name -> section(A, config) -> (results, gates) ------------
+
+#: the fourier section's gates and their default tolerances
+TOLERANCES = {"parseval": 1e-10, "energyIdentity": 1e-9}
+
+
+def _fourier_section(A: Analysis, config: dict) -> tuple[dict, dict]:
+    tol = {**TOLERANCES, **config.get("tolerances", {})}
+    E, (P, _) = A.E, A.power
+    # the weighted sum of the half: column 0 has weight 1, every other 2
+    parseval = abs(2.0 * float(P.sum()) - float(P[:, 0].sum()) - len(E) / E.field.q ** E.d)
+    resid = A.identity_residual(2)
+    results = {
+        "parsevalResidual": parseval,
+        "energyIdentityResidual": resid,
+        "lInfNorm": math.sqrt(P.ravel()[1:].max(initial=0.0)),  # [0, 0]: m = 0
+        "l4Norm": A.fourier_moment(2) ** 0.25,
+    }
+    return results, {"parseval": parseval <= tol["parseval"],
+                     "energyIdentity": resid <= tol["energyIdentity"]}
+
+
+def _energy_section(A: Analysis, config: dict) -> tuple[dict, dict]:
+    """Lambda_{2k}(E) as a decimal string, and for k = 2 the Salem parameter s
+    at the constant C = 1 (None for other k or an empty set)."""
+    k, E = config_value(config, "k", 2), A.E
+    n = len(E)
+    s = A.salem_s if k == 2 and n >= 1 else None
+    return {"k": k, "lambda": str(A.lam(k)), "size": n, "q": E.field.q, "d": E.d,
+            "salemS": s, "C": 1.0}, {}
+
+
+def _salem_section(A: Analysis, config: dict) -> tuple[dict, dict]:
+    return {"s": A.salem_s}, {}
+
+
+def _distance_section(A: Analysis, config: dict) -> tuple[dict, dict]:
+    prof = A.profile
+    return {
+        "support": sorted(prof.support),
+        "secondMoment": prof.second_moment,
+        "csLowerBound": distance.cs_lower_bound(prof),
+        "energyRoute": verify_difference_bounds(A, A.salem_s),
+        "secondMomentRatios": verify_secondmoment_bounds(A, A.salem_s),
+    }, {}
+
+
+def _incidence_section(A: Analysis, config: dict) -> tuple[dict, dict]:
+    fam = A.difference_family
+    return {"pairTotal": fam.total_pairs, "sumM2": fam.sum_m2, "lambda4": A.lam(2)}, {}
+
+
+def _ranges_section(A: Analysis | None, config: dict) -> tuple[dict, dict]:
+    ds = config_value(config, "dims", [2, 3, 4, 5, 6], lambda v: list(map(as_int, v)))
+    ss = config_value(config, "sValues", ["1/4", "3/8", "1/2"],
+                      lambda v: [Fraction(str(x)) for x in v])
+    table = []
+    for d in ds:
+        for s in ss:
+            val, branch = improved_threshold(d, s)
+            table.append({"d": d, "s": s, "conjecturedAlpha": conjectured_alpha(d, s),
+                          "improved": val, "improvedBranch": branch,
+                          "energyRoute": energy_threshold(d, s),
+                          "sphere": sphere_threshold(d, s)})
+    return {
+        "table": table,
+        "crossoversExact": {str(d): all(crossover_identities(d).values())
+                            for d in ds},
+        "subgroupThreshold": {str(d): subgroup_threshold(d) for d in ds},
+    }, {}
+
+
+SECTIONS = {
+    "fourier": _fourier_section,
+    "energy": _energy_section,
+    "salem": _salem_section,
+    "distance": _distance_section,
+    "incidence": _incidence_section,
+    "ranges": _ranges_section,
+}
+#: the config keys that `report` and the sections read
+CONFIG_KEYS = frozenset({"analyses", "budget", "tolerances", "k", "dims", "sValues"})
+
+
+def report(config: dict, E: PointSet | None) -> dict:
+    """A validated config's report on its set E (None without a construction), under its budget."""
+    results: dict = {}
+    gates: dict[str, bool] = {}
+    A = None
+    if E is not None:
+        A = Analysis(E)
+        results["set"] = {"size": len(E), "q": E.field.q, "d": E.d}
+    with budget_scope(config.get("budget", DEFAULT_BUDGET)):
+        for name in config.get("analyses", []):
+            if A is None and name != "ranges":
+                raise ConfigError(f"analysis {name!r} needs a construction")
+            results[name], section_gates = SECTIONS[name](A, config)
+            gates.update(section_gates)
+    return {"config": config, "results": results, "gates": gates,
+            "allGatesPass": all(gates.values())}

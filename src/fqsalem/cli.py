@@ -12,14 +12,14 @@ import json
 import sys
 from pathlib import Path
 
+from .analysis import _ranges_section, render_report
 from .energy import energy_bruteforce
 from .errors import DEFAULT_BUDGET, BudgetExceeded, ConfigError, InvariantViolation, budget_scope
 from .field import field_create
 from .geometry import read_hyperplanes, read_pointset, write_pointset
 from .harness import (EXIT_BUDGET, EXIT_CONFIG_ERROR, EXIT_GATE_FAILURE,
-                      EXIT_INVARIANT, EXIT_OK, _ranges_section, build_set,
-                      oracle_distances, oracle_incidences, render_report, run, sweep,
-                      validate_config)
+                      EXIT_INVARIANT, EXIT_OK, build_set, oracle_distances,
+                      oracle_incidences, run, sweep, validate_config)
 
 
 def _add_common(p):
@@ -156,9 +156,11 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "sweep":
+        if args.jobs < 1:  # checked before --out is created
+            raise ConfigError(f"jobs must be a positive integer, got {args.jobs}")
         config = _load_config(args)
         out = args.out or Path("sweep-out")
-        csv_path = sweep(config, out, jobs=args.jobs)
+        csv_path = sweep(config, out)
         print(f"wrote {csv_path}")
         return EXIT_OK
 

@@ -1,8 +1,8 @@
-"""Distance profiles, second moments and bound verifiers.
+"""Distance profiles, second moments and the two-set bound.
 
 nu(t) counts ordered pairs (x, y) in E x F with ||x - y|| = t, diagonal
 included, so nu(0) >= |E| when F = E. All counts are exact integers;
-verifiers report ratios against the asymptotic bounds rather than
+`verify_two_set` reports ratios against the asymptotic bounds rather than
 asserting hidden constants.
 """
 
@@ -11,18 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .energy import PairCounts, pair_counts
+from .energy import PairCounts
 from .errors import check_budget, check_invariant, ConfigError
 from .field import FieldSpec
 from .geometry import PointSet, norms
 from .kernels import KeyCounter, sum_squares, table_sums
-
-if TYPE_CHECKING:
-    from .harness import Analysis
 
 
 @dataclass(frozen=True)
@@ -52,10 +48,8 @@ class DistanceProfile:
         return self.counts.get(t, 0)
 
 
-def distance_profile(E: PointSet, F: PointSet | None = None) -> DistanceProfile:
-    """nu over E x F, or over E x E from the pair counts when F is omitted."""
-    if F is None:
-        return pair_profile(pair_counts(E))
+def distance_profile(E: PointSet, F: PointSet) -> DistanceProfile:
+    """nu over E x F; over E x E a report reads `pair_profile` of its pair counts."""
     if F.field != E.field or F.d != E.d:
         raise ConfigError("mismatched fields or dimensions")
     check_budget(len(E) * len(F), "distance profile")
@@ -85,43 +79,6 @@ def cs_lower_bound(P: DistanceProfile) -> Fraction:
     bound = Fraction((P.size_e * P.size_f) ** 2, P.second_moment)
     check_invariant(bound <= len(P.support), "Cauchy-Schwarz bound exceeds |support|")
     return bound
-
-
-# --- verifiers (ratios, never pass/fail against hidden constants) ---------------
-
-def verify_secondmoment_bounds(A: Analysis, s: float) -> dict:
-    """Ratios of sum nu^2 against the two incidence-derived upper bounds:
-
-    RHS1 = |E|^4/q + |E|^3 + q^{d/4} |E|^{3-s} L_4^{1/4}   (Salem route)
-    RHS2 = |E|^4/q + q^{d/2} |E|^{3/2} L_4^{1/2}           (arbitrary-set route)
-    """
-    E, lam4 = A.E, A.lam(2)
-    q, d, n = E.field.q, E.d, len(E)
-    sm = A.profile.second_moment
-    rhs1 = n ** 4 / q + n ** 3 + q ** (d / 4) * n ** (3 - s) * lam4 ** 0.25
-    rhs2 = n ** 4 / q + q ** (d / 2) * n ** 1.5 * lam4 ** 0.5
-    return {
-        "sizeE": n, "q": q, "d": d, "s": s, "lambda4": str(lam4),
-        "secondMoment": str(sm),
-        "rhsSalem": rhs1, "rhsGeneral": rhs2,
-        "ratioSalem": sm / rhs1, "ratioGeneral": sm / rhs2,
-    }
-
-
-def verify_difference_bounds(A: Analysis, s: float) -> dict:
-    """|Delta(E)| and |E - E| against min{q, q^{1-d}|E|^{4s}} and min{q^d, |E|^{4s}}."""
-    E = A.E
-    q, d, n = E.field.q, E.d, len(E)
-    size_delta, size_diff = len(A.profile.support), len(A.pairs.differences)
-    bound_delta = min(q, q ** (1 - d) * n ** (4 * s))
-    bound_diff = min(q ** d, n ** (4 * s))
-    return {
-        "sizeE": n, "q": q, "d": d, "s": s,
-        "sizeDelta": size_delta, "sizeDiff": size_diff,
-        "boundDelta": bound_delta, "boundDiff": bound_diff,
-        "ratioDelta": size_delta / bound_delta,
-        "ratioDiff": size_diff / bound_diff,
-    }
 
 
 def verify_two_set(E: PointSet, F: PointSet, s_e: float, s_f: float) -> dict:

@@ -1,10 +1,10 @@
-"""Exact additive energies and the Salem-parameter estimator.
+"""Exact additive energies and the one pass over the pairs of a set.
 
 L_{2k}(E) counts 2k-tuples (y_1..y_2k) in E^{2k} with
 y_1 + ... + y_k = y_{k+1} + ... + y_2k. Conventions for this tuple count
 vary; we adopt this one because it is the unique definition under which
-the character-orthogonality identity checked in `spectral` is an exact
-equality (see README).
+the character-orthogonality identity that `analysis` checks against the
+spectrum is an exact equality (see README).
 
 Two independent evaluation paths:
 
@@ -23,11 +23,8 @@ Counts are int64 with the range checked from |E|^k; sums of squares are exact.
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
 from itertools import product
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,9 +32,6 @@ from .errors import check_budget, ConfigError
 from .geometry import PointSet, decode, lift_to_paraboloid, vadd, vsub
 from .kernels import (KeyCounter, group_sums, pair_codes, row_blocks,
                       sum_squares, upper_pair_codes)
-
-if TYPE_CHECKING:
-    from .harness import Analysis
 
 
 def _check_order(k: int) -> None:
@@ -129,31 +123,3 @@ def pair_counts(E: PointSet) -> PairCounts:
     diff_codes, diff_counts = group_sums(keys // q, counts)  # D(u) = sum_t m_t(u)
     return PairCounts(E, keys, counts, PointSet.from_codes(F, d, diff_codes), diff_counts,
                       sum_squares(diff_counts, n ** 4))
-
-
-def salem_parameter(A: Analysis) -> float:
-    """Largest s in [1/4, 1/2] with L_4(E) <= |E|^4/q^d + |E|^{4-4s}, for E = A.E.
-
-    |E| = 1 returns 1/2 by convention (the exponent is vacuous) with a warning.
-    """
-    E = A.E
-    n = len(E)
-    if n == 0:
-        raise ConfigError("salem_parameter needs a nonempty set")
-    if n == 1:
-        warnings.warn("singleton set: Salem parameter defaults to 1/2", stacklevel=2)
-        return 0.5
-    q_d = E.field.q ** E.d
-    residual = max(A.lam(2) - n ** 4 / q_d, 1.0)
-    s = 0.25 * (4.0 - math.log(residual) / math.log(n))
-    return min(0.5, max(0.25, s))
-
-
-def energy_report(A: Analysis, k: int) -> dict:
-    """The energy section: Lambda_{2k}(E) as a decimal string, and for k = 2
-    the Salem parameter s at the constant C = 1 (None for other k or an empty set)."""
-    E = A.E
-    n = len(E)
-    s = A.salem_s if k == 2 and n >= 1 else None
-    return {"k": k, "lambda": str(A.lam(k)), "size": n, "q": E.field.q, "d": E.d,
-            "salemS": s, "C": 1.0}

@@ -152,30 +152,31 @@ class FieldTables:
     def build(F: "FieldSpec") -> "FieldTables":
         """Digit-wise add and neg; mul through log/exp of a primitive element.
 
-        Only the q - 1 powers of the primitive element use scalar calls.
+        Only the q - 1 powers of the primitive element use scalar calls. The
+        arithmetic runs in the smallest type holding 2(q - 1), which every digit
+        sum and log sum fits, so no (q, q) temporary is wider than that.
         """
         p, q = F.p, F.q
-        v = np.arange(q, dtype=np.int64)
-        add = np.zeros((q, q), dtype=np.int64)
-        neg = np.zeros(q, dtype=np.int64)
+        dtype, work = np.min_scalar_type(q - 1), np.min_scalar_type(2 * (q - 1))
+        v = np.arange(q, dtype=work)
+        add = np.zeros((q, q), dtype=dtype)
+        neg = np.zeros(q, dtype=dtype)
         for i in range(F.r):
-            digit = (v // p ** i) % p
-            add += (digit[:, None] + digit[None, :]) % p * p ** i
-            neg += (-digit) % p * p ** i
-        exp = np.empty(q - 1, dtype=np.int64)
+            digit = v // p ** i % p
+            add += (digit[:, None] + digit) % p * p ** i
+            neg += (p - digit) % p * p ** i
+        exp = np.empty(q - 1, dtype=dtype)
         g, x = F.primitive_element(), 1
         for k in range(q - 1):
             exp[k] = x
             x = F.mul(x, g)
-        log = np.zeros(q, dtype=np.int64)
+        log = np.zeros(q, dtype=work)
         log[exp] = np.arange(q - 1)
-        mul = np.zeros((q, q), dtype=np.int64)
-        mul[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % (q - 1)]
-        tables = []
-        for t in (add, add[:, neg], mul, neg, mul[v, v]):
-            t = t.astype(np.min_scalar_type(q - 1))
+        mul = np.zeros((q, q), dtype=dtype)
+        mul[1:, 1:] = exp[(log[1:, None] + log[1:]) % (q - 1)]
+        tables = (add, add[:, neg], mul, neg, mul[v, v])
+        for t in tables:
             t.flags.writeable = False
-            tables.append(t)
         return FieldTables(*tables)
 
 

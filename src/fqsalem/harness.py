@@ -1,9 +1,8 @@
-"""Experiment harness: configs, reports, sweeps, brute-force oracles.
+"""Experiment harness: configs, sweeps and the brute-force oracles.
 
-Reports are deterministic byte-for-byte given a config: exact integers
-serialize as decimal strings, floats are formatted to 12 significant
-digits, keys are sorted, and sweep cells derive their seeds from
-(masterSeed, cellIndex) so results are independent of worker count.
+`run` validates a config, builds its set and hands both to `analysis.report`,
+which a sweep cell calls too. Sweep cells derive their seeds from
+(masterSeed, cellIndex), so a sweep's rows depend on its config only.
 """
 
 from __future__ import annotations
@@ -11,20 +10,15 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
-from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
-from . import distance, energy, incidence, spectral
+from . import analysis
 from .constructions import _MASK, ConstructionSpec, _splitmix64_array
-from .errors import (BudgetExceeded, ConfigError, DEFAULT_BUDGET, budget_scope, check_budget,
-                     as_int, config_value, is_int)
+from .errors import BudgetExceeded, ConfigError, DEFAULT_BUDGET, budget_scope, check_budget, is_int
 from .geometry import PointSet
-from .ranges import (conjectured_alpha, crossover_identities, energy_threshold,
-                     improved_threshold, sphere_threshold, subgroup_threshold)
 
 EXIT_OK = 0
 EXIT_GATE_FAILURE = 2
@@ -32,179 +26,30 @@ EXIT_CONFIG_ERROR = 3
 EXIT_BUDGET = 4
 EXIT_INVARIANT = 5
 
-
-def _fmt(value):
-    """Canonical JSON-ready form: ints/Fractions as strings, floats to 12 sig digits."""
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, (int, Fraction)):
-        return str(value)
-    if isinstance(value, float):
-        return format(value, ".12g")
-    if isinstance(value, dict):
-        return {k: _fmt(v) for k, v in sorted(value.items())}
-    if isinstance(value, (list, tuple, frozenset, set)):
-        items = sorted(value) if isinstance(value, (set, frozenset)) else value
-        return [_fmt(v) for v in items]
-    return value
-
-
-def render_report(report: dict) -> str:
-    return json.dumps(_fmt(report), sort_keys=True, indent=2) + "\n"
-
-
-class Analysis:
-    """The exact quantities of one point set that a report reads.
-
-    Each is computed on first use and kept for the lifetime of the object,
-    which `report()` creates once per report, so a report computes Lambda_{2k},
-    nu and |E_hat|^2 once each however many sections read them. Lambda_4, nu,
-    E - E and the difference family all come from one pass over the pairs
-    of E (`pairs`). A value is charged to the budget scope of its first read.
-    """
-
-    def __init__(self, E: PointSet):
-        self.E = E
-        self._values: dict = {}
-
-    def _once(self, key, compute):
-        # one dict for every value, the keyed ones such as ("lam", k) included
-        if key not in self._values:
-            self._values[key] = compute()
-        return self._values[key]
-
-    @property
-    def pairs(self) -> energy.PairCounts:
-        return self._once("pairs", lambda: energy.pair_counts(self.E))
-
-    def lam(self, k: int) -> int:
-        """Lambda_{2k}(E)."""
-        if k == 2:
-            return self.pairs.lam4
-        return self._once(("lam", k), lambda: energy.energy_convolution(self.E, k))
-
-    @property
-    def profile(self) -> distance.DistanceProfile:
-        return self._once("profile", lambda: distance.pair_profile(self.pairs))
-
-    @property
-    def power(self) -> tuple[np.ndarray, np.ndarray]:
-        """(P, w) of spectral.half_power: |E_hat|^2 on the Hermitian half and its
-        column weights. P[0, 0] is m = 0."""
-        return self._once("power", lambda: spectral.half_power(self.E))
-
-    def fourier_moment(self, k: int) -> float:
-        """||E_hat||_{2k}^{2k} = q^{-d} sum_{m != 0} |E_hat(m)|^{2k}: over the half,
-        twice the sum over every entry but [0, 0] (m = 0, left out by slicing, so
-        no large term cancels) less the sum over column 0, whose weight is 1."""
-        def compute():
-            P, _ = self.power
-            flat, col = P.ravel()[1:], P[1:, 0]
-            if k == 2:  # two dots, no temporary
-                total = 2.0 * float(flat @ flat) - float(col @ col)
-            else:
-                total = 2.0 * float(np.sum(flat ** k)) - float(np.sum(col ** k))
-            return total / self.E.field.q ** self.E.d
-        return self._once(("moment", k), compute)
-
-    @property
-    def salem_s(self) -> float:
-        return self._once("salem_s", lambda: energy.salem_parameter(self))
-
-    @property
-    def difference_family(self) -> incidence.DifferenceFamily:
-        return self._once("difference_family",
-                          lambda: incidence.difference_family(self.pairs))
-
-
-# --- report sections: name -> section(A, config) -> (results, gates) ------------
-
-def _fourier_section(A: Analysis, config: dict) -> tuple[dict, dict]:
-    tol = config.get("tolerances", {})
-    E, (P, _) = A.E, A.power
-    # the weighted sum of the half: column 0 has weight 1, every other 2
-    parseval = abs(2.0 * float(P.sum()) - float(P[:, 0].sum()) - len(E) / E.field.q ** E.d)
-    resid = spectral.energy_identity_residual(A, 2)
-    results = {
-        "parsevalResidual": parseval,
-        "energyIdentityResidual": resid,
-        "lInfNorm": math.sqrt(P.ravel()[1:].max(initial=0.0)),  # [0, 0]: m = 0
-        "l4Norm": A.fourier_moment(2) ** 0.25,
-    }
-    return results, {"parseval": parseval <= tol.get("parseval", 1e-10),
-                     "energyIdentity": resid <= tol.get("energyIdentity", 1e-9)}
-
-
-def _energy_section(A: Analysis, config: dict) -> tuple[dict, dict]:
-    return energy.energy_report(A, config_value(config, "k", 2)), {}
-
-
-def _salem_section(A: Analysis, config: dict) -> tuple[dict, dict]:
-    return {"s": A.salem_s}, {}
-
-
-def _distance_section(A: Analysis, config: dict) -> tuple[dict, dict]:
-    prof = A.profile
-    return {
-        "support": sorted(prof.support),
-        "secondMoment": prof.second_moment,
-        "csLowerBound": distance.cs_lower_bound(prof),
-        "energyRoute": distance.verify_difference_bounds(A, A.salem_s),
-        "secondMomentRatios": distance.verify_secondmoment_bounds(A, A.salem_s),
-    }, {}
-
-
-def _incidence_section(A: Analysis, config: dict) -> tuple[dict, dict]:
-    fam = A.difference_family
-    return {"pairTotal": fam.total_pairs, "sumM2": fam.sum_m2, "lambda4": A.lam(2)}, {}
-
-
-def _ranges_section(A: Analysis | None, config: dict) -> tuple[dict, dict]:
-    ds = config_value(config, "dims", [2, 3, 4, 5, 6], lambda v: list(map(as_int, v)))
-    ss = config_value(config, "sValues", ["1/4", "3/8", "1/2"],
-                      lambda v: [Fraction(str(x)) for x in v])
-    table = []
-    for d in ds:
-        for s in ss:
-            val, branch = improved_threshold(d, s)
-            table.append({"d": d, "s": s, "conjecturedAlpha": conjectured_alpha(d, s),
-                          "improved": val, "improvedBranch": branch,
-                          "energyRoute": energy_threshold(d, s),
-                          "sphere": sphere_threshold(d, s)})
-    return {
-        "table": table,
-        "crossoversExact": {str(d): all(crossover_identities(d).values())
-                            for d in ds},
-        "subgroupThreshold": {str(d): subgroup_threshold(d) for d in ds},
-    }, {}
-
-
-SECTIONS = {
-    "fourier": _fourier_section,
-    "energy": _energy_section,
-    "salem": _salem_section,
-    "distance": _distance_section,
-    "incidence": _incidence_section,
-    "ranges": _ranges_section,
-}
-KNOWN_ANALYSES = tuple(SECTIONS)
+#: every key a config may have: the ones the harness reads, and the report's
+CONFIG_KEYS = analysis.CONFIG_KEYS | {"construction", "seed", "grid"}
 
 
 def validate_config(config: dict) -> dict:
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
+    for key in config:
+        if key not in CONFIG_KEYS:  # a misspelt key would be ignored
+            raise ConfigError(f"unknown config key {key!r}; known: {sorted(CONFIG_KEYS)}")
     analyses = config.get("analyses", [])
     if not isinstance(analyses, list):
         raise ConfigError("analyses must be a list")
     for a in analyses:
-        if a not in KNOWN_ANALYSES:
-            raise ConfigError(f"unknown analysis {a!r}; known: {KNOWN_ANALYSES}")
+        if a not in analysis.SECTIONS:
+            raise ConfigError(f"unknown analysis {a!r}; known: {tuple(analysis.SECTIONS)}")
     if "construction" in config:
         _construction(config)
     tol = config.get("tolerances", {})
     if not isinstance(tol, dict):
         raise ConfigError("tolerances must be an object")
     for name, t in tol.items():
+        if name not in analysis.TOLERANCES:
+            raise ConfigError(f"unknown tolerance {name!r}; known: {sorted(analysis.TOLERANCES)}")
         if isinstance(t, bool) or not (isinstance(t, (int, float)) and t > 0):
             raise ConfigError(f"tolerance {name} must be positive")
     budget = config.get("budget", DEFAULT_BUDGET)
@@ -240,25 +85,7 @@ def build_set(config: dict) -> PointSet:
 def run(config: dict) -> dict:
     """Execute the requested analyses; returns the report dict."""
     validate_config(config)
-    return report(config, build_set(config) if "construction" in config else None)
-
-
-def report(config: dict, E: PointSet | None) -> dict:
-    """A validated config's report on its set E (None without a construction), under its budget."""
-    results: dict = {}
-    gates: dict[str, bool] = {}
-    A = None
-    if E is not None:
-        A = Analysis(E)
-        results["set"] = {"size": len(E), "q": E.field.q, "d": E.d}
-    with budget_scope(config.get("budget", DEFAULT_BUDGET)):
-        for name in config.get("analyses", []):
-            if A is None and name != "ranges":
-                raise ConfigError(f"analysis {name!r} needs a construction")
-            results[name], section_gates = SECTIONS[name](A, config)
-            gates.update(section_gates)
-    return {"config": config, "results": results, "gates": gates,
-            "allGatesPass": all(gates.values())}
+    return analysis.report(config, build_set(config) if "construction" in config else None)
 
 
 # --- sweep --------------------------------------------------------------------
@@ -276,18 +103,15 @@ def _sweep_file(verb: str, path: Path, op):
         raise ConfigError(f"cannot {verb} {path}: {exc}") from exc
 
 
-def sweep(config: dict, out_dir, jobs: int = 1) -> Path:
+def sweep(config: dict, out_dir) -> Path:
     """Cartesian product over the grid; one CSV row per cell; resumable.
 
-    Every cell runs in the calling thread, whatever `jobs` (a positive
-    integer). A report is a chain of short numpy calls, and two threads making
-    those hand the GIL back and forth on every call, so a thread pool made the
-    sweeps slower.
+    Every cell runs in the calling thread. A report is a chain of short numpy
+    calls, and two threads making those hand the GIL back and forth on every
+    call, so a thread pool made the sweeps slower.
     """
     import hashlib  # here, not at module load: it loads OpenSSL, which only sweeps need
     validate_config(config)
-    if not (is_int(jobs) and jobs >= 1):
-        raise ConfigError(f"jobs must be a positive integer, got {jobs!r}")
     grid = config.get("grid")
     if not grid:
         raise ConfigError("sweep needs a 'grid' mapping")
@@ -333,7 +157,7 @@ def sweep(config: dict, out_dir, jobs: int = 1) -> Path:
         sub["seed"] = _child_seed(master, i)
         sub["construction"] = {**sub.get("construction", {}), **cell}
         try:
-            rep = report(sub, build_set(sub))
+            rep = analysis.report(sub, build_set(sub))
         except BudgetExceeded as exc:
             return _csv_row(i, "error", f"budget:{exc}")
         except ConfigError as exc:

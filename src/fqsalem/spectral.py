@@ -28,23 +28,19 @@ for the negated frequencies, so a sum over all m of a function of
 or twice the sum over every entry less the sum over column 0. The points
 enter the first pass at q^{-d}, so the squared half needs no division.
 
-Counting quantities are never taken from the spectrum; identities against
-exact integers are checked through the energy module.
+Counting quantities are never taken from the spectrum; `analysis` checks
+the energy identity against the exact Lambda_{2k} of the energy module.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import check_budget
 from .field import FieldSpec
 from .geometry import PointSet, all_vectors, dot, encode
-
-if TYPE_CHECKING:
-    from .harness import Analysis
 
 
 def _char_table(F: FieldSpec) -> np.ndarray:
@@ -167,14 +163,3 @@ def half_power(E: PointSet) -> tuple[np.ndarray, np.ndarray]:
     w = np.full(c, 2.0)
     w[0] = 1.0
     return P, w
-
-
-def energy_identity_residual(A: Analysis, k: int) -> float:
-    """Relative residual of ||E_hat||_{2k}^{2k} = q^{-2kd} L_{2k} - q^{-(2k+1)d} |E|^{2k}."""
-    E = A.E
-    q_d = E.field.q ** E.d
-    lhs = A.fourier_moment(k)
-    # one correctly rounded quotient of exact integers: the difference of the
-    # two terms as floats cancels on a dense set
-    rhs = (A.lam(k) * q_d - len(E) ** (2 * k)) / q_d ** (2 * k + 1)
-    return abs(lhs - rhs) / max(abs(rhs), q_d ** -(2 * k + 1))

@@ -7,8 +7,7 @@ brute-force oracles, e.g.:
     from fqsalem.field import field_create
     from fqsalem.geometry import PointSet, all_vectors
     from fqsalem.constructions import isotropic_subspace
-    from fqsalem.distance import verify_secondmoment_bounds
-    from fqsalem.harness import Analysis
+    from fqsalem.analysis import Analysis, verify_secondmoment_bounds
     for q, d in [(3,2),(5,2),(3,3),(5,3)]:
         F = field_create(q, 1)
         E = PointSet.build(F, d, all_vectors(F, d))
@@ -28,15 +27,17 @@ import pytest
 from fqsalem.constructions import (isotropic_subspace, multiplicative_subgroup,
                                     product_set, random_pointset, rotation_orbit,
                                     subgroup_power, two_set_sharpness)
-from fqsalem.distance import distance_profile, verify_secondmoment_bounds
+from fqsalem.analysis import Analysis, render_report, verify_secondmoment_bounds
+from fqsalem.distance import distance_profile, pair_profile
 from fqsalem.energy import energy_bruteforce, energy_convolution, pair_counts
 from fqsalem.field import field_create
 from fqsalem.geometry import (HyperplaneMultiset, PointSet, all_vectors, norm, sphere)
-from fqsalem.harness import Analysis, oracle_incidences, render_report, run, sweep
+from fqsalem.cli import main
+from fqsalem.harness import oracle_incidences, run
 from fqsalem.incidence import (count_incidences, difference_family, incidence_bounds,
                                 incidence_via_dilation)
 from fqsalem.ranges import crossover_identities, subgroup_threshold
-from fqsalem.spectral import energy_identity_residual, fourier_direct, half_power
+from fqsalem.spectral import fourier_direct, half_power
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -62,7 +63,7 @@ def test_01_fourier_energy_identity():
             size = 2 + (seed * 7) % (F.q ** d - 2)
             E = random_pointset(F, d, size, seed)
             for k in (1, 2, 3):
-                assert energy_identity_residual(Analysis(E), k) <= 1e-9
+                assert Analysis(E).identity_residual(k) <= 1e-9
     elapsed = time.perf_counter() - t0
     assert elapsed <= 30
     print(f"PASS: Fourier-energy identity, residual <= 1e-9 on 60 sets x k in 1..3 "
@@ -102,11 +103,11 @@ def test_03_isotropic_witnesses():
     t0 = time.perf_counter()
     E5 = isotropic_subspace(field_create(5, 1), 4, 2)
     assert len(E5) == 25
-    assert distance_profile(E5).support == frozenset({0})
+    assert pair_profile(pair_counts(E5)).support == frozenset({0})
     assert energy_convolution(E5, 2) == 15625
     E3 = isotropic_subspace(field_create(3, 1), 4, 2)
     assert len(E3) == 9
-    assert distance_profile(E3).support == frozenset({0})
+    assert pair_profile(pair_counts(E3)).support == frozenset({0})
     assert energy_convolution(E3, 2) == 729
     elapsed = time.perf_counter() - t0
     assert elapsed <= 5
@@ -120,7 +121,7 @@ def test_04_rotation_orbit_witness():
     F = E.field
     assert len(E) == 7
     assert all(norm(F, x) == 1 for x in E.points)
-    assert len(distance_profile(E).support) >= 3
+    assert len(pair_profile(pair_counts(E)).support) >= 3
     ratio = energy_bruteforce(E, 2) / len(E) ** 2
     assert 2 - 1 / 7 <= ratio <= 4
     elapsed = time.perf_counter() - t0
@@ -259,11 +260,13 @@ def test_12_report_determinism(tmp_path):
     for cfg_path in sorted(CONFIG_DIR.glob("*.json")):
         config = json.loads(cfg_path.read_text())
         if "grid" in config:
-            a = sweep(dict(config), tmp_path / (cfg_path.stem + "-j1"), jobs=1)
-            b = sweep(dict(config), tmp_path / (cfg_path.stem + "-j8"), jobs=8)
-            assert a.read_bytes() == b.read_bytes()
-            c = sweep(dict(config), tmp_path / (cfg_path.stem + "-j1b"), jobs=1)
-            assert a.read_bytes() == c.read_bytes()
+            rows = []
+            for run_name, jobs in (("j1", "1"), ("j8", "8"), ("j1b", "1")):
+                out = tmp_path / f"{cfg_path.stem}-{run_name}"
+                assert main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                             "--jobs", jobs]) == 0
+                rows.append((out / "sweep.csv").read_bytes())
+            assert rows[0] == rows[1] == rows[2]
         else:
             first = render_report(run(json.loads(cfg_path.read_text())))
             second = render_report(run(json.loads(cfg_path.read_text())))

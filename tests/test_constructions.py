@@ -11,8 +11,8 @@ from fqsalem.constructions import (ConstructionSpec, bernoulli_thin, conjecture_
                                     isotropic_subspace, multiplicative_subgroup, null_basis,
                                     product_set, random_pointset, rotation_orbit,
                                     subgroup_power, two_set_sharpness)
-from fqsalem.distance import distance_profile
-from fqsalem.energy import energy_bruteforce, energy_convolution
+from fqsalem.distance import distance_profile, pair_profile
+from fqsalem.energy import energy_bruteforce, energy_convolution, pair_counts
 from fqsalem.errors import BudgetExceeded, ConfigError, budget_scope
 from fqsalem.field import FieldSpec, field_create
 from fqsalem.geometry import (PointSet, dot, full_space, norm, rotation_group_order,
@@ -88,7 +88,7 @@ def test_isotropic_subspace_f5():
     F = field_create(5, 1)
     E = isotropic_subspace(F, 4, 2)
     assert len(E) == 25
-    assert distance_profile(E).support == frozenset({0})
+    assert pair_profile(pair_counts(E)).support == frozenset({0})
     assert energy_convolution(E, 2) == 15625
 
 
@@ -96,7 +96,7 @@ def test_isotropic_subspace_f3():
     F = field_create(3, 1)
     E = isotropic_subspace(F, 4, 2)
     assert len(E) == 9
-    assert distance_profile(E).support == frozenset({0})
+    assert pair_profile(pair_counts(E)).support == frozenset({0})
     assert energy_convolution(E, 2) == 729
 
 
@@ -106,7 +106,7 @@ def test_isotropic_parameter_checks(f3):
     with pytest.raises(ConfigError):
         isotropic_subspace(f3, 6, 3)  # d = 2 mod 4 needs q = 1 mod 4
     E = isotropic_subspace(field_create(5, 1), 6, 3)
-    assert len(E) == 125 and distance_profile(E).support == frozenset({0})
+    assert len(E) == 125 and pair_profile(pair_counts(E)).support == frozenset({0})
 
 
 def test_product_set(f5):
@@ -125,7 +125,7 @@ def test_product_distance_set_with_null_factor(f5):
     A = PointSet.build(f5, 2, [(0, 1), (1, 0), (2, 2)])
     B = isotropic_subspace(f5, 4, 2)
     E = product_set(A, B)
-    assert distance_profile(E).support == distance_profile(A).support
+    assert pair_profile(pair_counts(E)).support == pair_profile(pair_counts(A)).support
 
 
 def test_bernoulli_thin_extremes(f5):

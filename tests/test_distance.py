@@ -1,4 +1,4 @@
-"""Distance profiles, second moments, lifts, and the ratio verifiers."""
+"""Distance profiles, second moments, lifts, and the ratio checks."""
 
 import random
 from fractions import Fraction
@@ -7,13 +7,12 @@ import pytest
 
 from conftest import full_space, rand_set, translate
 from fqsalem.constructions import isotropic_subspace, rotation_orbit, two_set_sharpness
-from fqsalem.distance import (cs_lower_bound, distance_profile, verify_difference_bounds,
-                               verify_secondmoment_bounds, verify_two_set)
-from fqsalem.energy import energy_convolution
+from fqsalem.analysis import Analysis, verify_difference_bounds, verify_secondmoment_bounds
+from fqsalem.distance import cs_lower_bound, distance_profile, pair_profile, verify_two_set
+from fqsalem.energy import energy_convolution, pair_counts
 from fqsalem.errors import ConfigError
 from fqsalem.field import field_create
 from fqsalem.geometry import PointSet, lift_to_paraboloid, norm, sphere, vsub
-from fqsalem.harness import Analysis
 
 
 def brute_profile(E):
@@ -27,7 +26,7 @@ def brute_profile(E):
 
 
 def test_singleton_profile(f5):
-    P = distance_profile(PointSet.build(f5, 2, [(1, 4)]))
+    P = pair_profile(pair_counts(PointSet.build(f5, 2, [(1, 4)])))
     assert P.support == {0} and P.nu(0) == 1 and P.total == 1
     assert P.second_moment == 1
     assert cs_lower_bound(P) == 1
@@ -35,7 +34,7 @@ def test_singleton_profile(f5):
 
 def test_isotropic_distances(f5):
     E = isotropic_subspace(f5, 4, 2)
-    P = distance_profile(E)
+    P = pair_profile(pair_counts(E))
     assert P.support == {0}
     assert P.nu(0) == len(E) ** 2
     assert P.second_moment == len(E) ** 4  # all mass at 0
@@ -43,14 +42,14 @@ def test_isotropic_distances(f5):
 
 def test_full_space_distances(f3):
     E = full_space(f3, 2)
-    assert distance_profile(E).support == frozenset(range(3))
+    assert pair_profile(pair_counts(E)).support == frozenset(range(3))
 
 
 def test_profile_matches_bruteforce(f7, f9, f27):
     for F in (f7, f9, f27):
         for seed in range(5):
             E = rand_set(F, 2, 6 + 2 * seed, seed)
-            P = distance_profile(E)
+            P = pair_profile(pair_counts(E))
             assert dict(P.counts) == brute_profile(E)
             assert P.total == len(E) ** 2
             assert P.nu(0) >= len(E)
@@ -75,25 +74,25 @@ def test_second_moment_matches_quadruple_count(f5):
         quad = sum(1 for x in E.points for y in E.points
                    for z in E.points for w in E.points
                    if norm(F, vsub(F, x, y)) == norm(F, vsub(F, z, w)))
-        assert distance_profile(E).second_moment == quad
+        assert pair_profile(pair_counts(E)).second_moment == quad
 
 
 def test_cs_lower_bound(f5):
     E = full_space(f5, 2)
-    P = distance_profile(E)
+    P = pair_profile(pair_counts(E))
     assert cs_lower_bound(P) <= len(P.support)
     for seed in range(5):
-        Q = distance_profile(rand_set(f5, 2, 8, seed))
+        Q = pair_profile(pair_counts(rand_set(f5, 2, 8, seed)))
         b = cs_lower_bound(Q)
         assert isinstance(b, Fraction) and b <= len(Q.support)
     with pytest.raises(ConfigError):
-        cs_lower_bound(distance_profile(PointSet.build(f5, 2, [])))
+        cs_lower_bound(pair_profile(pair_counts(PointSet.build(f5, 2, []))))
 
 
 def test_cs_equality_on_uniform_profile(f3):
     # the full space spreads pairs evenly enough that nu is width-q uniform
     E = full_space(f3, 2)
-    P = distance_profile(E)
+    P = pair_profile(pair_counts(E))
     if len(set(P.counts.values())) == 1:
         assert cs_lower_bound(P) == 3
 
@@ -104,8 +103,8 @@ def test_isometry_invariance(f5):
     assert norm(f5, (a, b)) == 1
     rotated = PointSet.build(f5, 2, ((f5.sub(f5.mul(a, x), f5.mul(b, y)),
                                       f5.add(f5.mul(b, x), f5.mul(a, y))) for x, y in E.points))
-    assert distance_profile(rotated).counts == distance_profile(E).counts
-    assert distance_profile(translate(E, (2, 3))).counts == distance_profile(E).counts
+    assert pair_profile(pair_counts(rotated)).counts == pair_profile(pair_counts(E)).counts
+    assert pair_profile(pair_counts(translate(E, (2, 3)))).counts == pair_profile(pair_counts(E)).counts
 
 
 def test_lift_to_paraboloid(f5):
@@ -134,7 +133,7 @@ def test_secondmoment_verifier_singleton(f5):
 def test_secondmoment_verifier_full_space(f3):
     rep = verify_secondmoment_bounds(Analysis(full_space(f3, 2)), s=0.5)
     assert rep["ratioGeneral"] <= 1.1
-    assert int(rep["secondMoment"]) == distance_profile(full_space(f3, 2)).second_moment
+    assert int(rep["secondMoment"]) == pair_profile(pair_counts(full_space(f3, 2))).second_moment
 
 
 def test_difference_bounds_verifier(f5):

@@ -6,12 +6,11 @@ import pytest
 
 from conftest import field_of_order, full_space, rand_set, translate
 from fqsalem.constructions import isotropic_subspace, product_set, subgroup_power
-from fqsalem.energy import (_representation, energy_bruteforce, energy_convolution,
-                             energy_report, pair_counts, salem_parameter)
+from fqsalem.analysis import Analysis, _energy_section
+from fqsalem.energy import _representation, energy_bruteforce, energy_convolution, pair_counts
 from fqsalem.errors import BudgetExceeded, ConfigError, budget_scope
 from fqsalem.field import field_create
 from fqsalem.geometry import PointSet
-from fqsalem.harness import Analysis
 
 
 def test_singleton_energy(f5):
@@ -120,23 +119,23 @@ def test_cauchy_schwarz_chain(f7):
 
 
 def test_salem_full_space(f5):
-    assert salem_parameter(Analysis(full_space(f5, 2))) == 0.5
+    assert Analysis(full_space(f5, 2)).salem_s == 0.5
 
 
 def test_salem_isotropic_near_quarter(f5):
     E = isotropic_subspace(f5, 4, 2)
-    s = salem_parameter(Analysis(E))
+    s = Analysis(E).salem_s
     assert s == pytest.approx(0.25, abs=0.02)
 
 
 def test_salem_singleton_warns(f5):
     E = PointSet.build(f5, 2, [(1, 1)])
     with pytest.warns(UserWarning):
-        assert salem_parameter(Analysis(E)) == 0.5
+        assert Analysis(E).salem_s == 0.5
     with pytest.warns(UserWarning):  # the energy section reads s from the Analysis
-        assert energy_report(Analysis(E), 2)["salemS"] == 0.5
+        assert _energy_section(Analysis(E), {"k": 2})[0]["salemS"] == 0.5
     with pytest.raises(ConfigError):
-        salem_parameter(Analysis(PointSet.build(f5, 2, [])))
+        Analysis(PointSet.build(f5, 2, [])).salem_s
 
 
 def test_product_multiplicativity(f5):
@@ -158,7 +157,7 @@ def test_subgroup_power_law(f7):
 
 def test_energy_report_serialization(f5):
     E = rand_set(f5, 2, 8, seed=9)
-    js = energy_report(Analysis(E), 2)
+    js, _ = _energy_section(Analysis(E), {"k": 2})
     assert js["lambda"] == str(energy_bruteforce(E, 2))
     assert js["size"] == 8 and js["q"] == 5 and js["k"] == 2
     assert 0.25 <= js["salemS"] <= 0.5

@@ -1,11 +1,13 @@
 """Finite-field arithmetic: creation, trace, roots."""
 
 import random
+import tracemalloc
 
 import pytest
 
 from fqsalem.errors import ConfigError
-from fqsalem.field import FieldSpec, field_create, is_prime, parse_header, prime_factors
+from fqsalem.field import (FieldSpec, FieldTables, field_create, is_prime, parse_header,
+                           prime_factors)
 
 
 def test_create_sizes():
@@ -169,7 +171,10 @@ def test_header_rejects_garbage():
         parse_header("")
 
 
-@pytest.mark.parametrize("p,r", [(3, 1), (5, 2), (3, 3), (7, 2)])
+# the tables of F_131, F_251 and F_169 are uint8, but their digit and log sums
+# reach 2(q - 1) > 255; F_257's are uint16
+@pytest.mark.parametrize("p,r", [(3, 1), (5, 2), (3, 3), (7, 2), (131, 1), (251, 1), (257, 1),
+                                 (13, 2)])
 def test_tables_match_scalar_ops(p, r):
     F = field_create(p, r)
     T = F.tables()
@@ -179,3 +184,17 @@ def test_tables_match_scalar_ops(p, r):
             assert (T.add[a, b], T.sub[a, b], T.mul[a, b]) == (
                 F.add(a, b), F.sub(a, b), F.mul(a, b))
     assert F.tables() is T
+
+
+def test_tables_build_within_twice_their_size():
+    # every (q, q) temporary is in the tables' dtype or the one holding
+    # 2(q - 1), never int64, so the build needs little beyond the tables
+    F = field_create(1031, 1)
+    tracemalloc.start()
+    try:
+        T = FieldTables.build(F)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = sum(t.nbytes for t in (T.add, T.sub, T.mul, T.neg, T.square))
+    assert peak <= 2 * size

@@ -12,16 +12,16 @@ import numpy as np
 import pytest
 
 from conftest import folded_power, rand_set
-from fqsalem import harness, spectral
+from fqsalem import analysis
+from fqsalem.analysis import Analysis, render_report
 from fqsalem.cli import build_parser, main
-from fqsalem.distance import distance_profile
-from fqsalem.energy import energy_bruteforce, energy_convolution, pair_counts, salem_parameter
+from fqsalem.distance import distance_profile, pair_profile
+from fqsalem.energy import energy_bruteforce, energy_convolution, pair_counts
 from fqsalem.errors import BudgetExceeded, ConfigError, InvariantViolation, budget_scope
 from fqsalem.field import field_create
 from fqsalem.geometry import (HyperplaneMultiset, PointSet, read_pointset,
                                write_hyperplanes, write_pointset)
-from fqsalem.harness import (oracle_distances, oracle_incidences, render_report, run,
-                              sweep, validate_config)
+from fqsalem.harness import oracle_distances, oracle_incidences, run, sweep, validate_config
 from fqsalem.incidence import count_incidences
 from fqsalem.spectral import half_power
 
@@ -75,6 +75,35 @@ def test_validate_config():
         validate_config([1, 2])
 
 
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+@pytest.mark.parametrize("extra,message", [
+    ({"analysis": ["fourier"]}, "unknown config key 'analysis'"),  # for analyses
+    ({"sValue": ["1/4"]}, "unknown config key 'sValue'"),
+    ({"budjet": 100}, "unknown config key 'budjet'"),
+    ({"tolerances": {"parsevl": 1e-300}}, "unknown tolerance 'parsevl'"),
+    ({"tolerances": {"parseval": 1e-3, "lInfNorm": 1.0}}, "unknown tolerance 'lInfNorm'")],
+    ids=["analysis", "sValue", "budjet", "parsevl", "lInfNorm"])
+def test_config_keys_that_nothing_reads_are_config_errors(tmp_path, capsys, command,
+                                                          extra, message):
+    # a misspelt key would be ignored: a verify that checks nothing exits 0
+    config = {**ISO_CONFIG, **extra}
+    if command == "sweep":
+        config["grid"] = {"m": [1, 2]}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith(f"config error: {message}; known: ")
+
+
+def test_every_key_a_config_may_have_is_read(tmp_path):
+    config = {**ISO_CONFIG, "analyses": ["fourier", "energy", "ranges"], "budget": 10 ** 6,
+              "tolerances": {"parseval": 1e-9, "energyIdentity": 1e-8}, "k": 3,
+              "dims": [2], "sValues": ["1/4"], "grid": {"m": [1, 2]}}
+    assert validate_config(config) is config
+    rows = sweep(config, tmp_path).read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["ok", "ok"]
+
+
 def test_run_ranges_only():
     rep = run({"analyses": ["ranges"], "dims": [2, 4], "sValues": ["1/4", "1/2"]})
     table = rep["results"]["ranges"]["table"]
@@ -119,14 +148,21 @@ def test_run_computes_each_quantity_once(monkeypatch, p, r):
     # The spectrum is transformed once, on the Hermitian half only, and the
     # energy, salem and distance sections share one Salem parameter
     calls = {fn.__name__: count_calls(monkeypatch, fn)
-             for fn in (pair_counts, energy_convolution, distance_profile, half_power,
-                        salem_parameter)}
+             for fn in (pair_counts, energy_convolution, distance_profile, half_power)}
+    computed, once = [], Analysis._once
+
+    def recorded_once(self, key, compute):
+        if key not in self._values:
+            computed.append(key)
+        return once(self, key, compute)
+
+    monkeypatch.setattr(Analysis, "_once", recorded_once)
     rep = run({"construction": {"kind": "random", "p": p, "r": r, "d": 3, "size": 40},
                "analyses": ALL_SET_ANALYSES, "k": 2, "seed": 3})
     assert rep["allGatesPass"]
     assert {name: len(c) for name, c in calls.items()} == {
-        "pair_counts": 1, "energy_convolution": 0, "distance_profile": 0, "half_power": 1,
-        "salem_parameter": 1}
+        "pair_counts": 1, "energy_convolution": 0, "distance_profile": 0, "half_power": 1}
+    assert computed.count("salem_s") == 1
 
 
 def test_report_rendering_is_deterministic():
@@ -151,7 +187,7 @@ def test_sweep_grid_and_resume(tmp_path):
            "grid": {"p": [3, 5, 7], "d": [2, 3]},
            "seed": 11}
     out = tmp_path / "sweep1"
-    csv_path = sweep(cfg, out, jobs=1)
+    csv_path = sweep(cfg, out)
     rows = csv_path.read_text().strip().splitlines()
     assert rows[0] == "cell,status,detail"
     assert len(rows) == 1 + 6
@@ -160,7 +196,7 @@ def test_sweep_grid_and_resume(tmp_path):
     lines = ledger.read_text().splitlines()
     lines[0] = '0\t"0,ok,resumed-marker\\n"'
     ledger.write_text("\n".join(lines) + "\n")
-    sweep(cfg, out, jobs=1)
+    sweep(cfg, out)
     assert "resumed-marker" in csv_path.read_text()
 
 
@@ -168,20 +204,20 @@ def test_sweep_refuses_rows_of_another_config(tmp_path):
     cfg = {"construction": {"kind": "random", "d": 2, "size": 5}, "analyses": ["energy"],
            "grid": {"p": [3, 5]}, "seed": 2}
     out = tmp_path / "s"
-    rows = sweep(cfg, out, jobs=1).read_text().splitlines()
+    rows = sweep(cfg, out).read_text().splitlines()
     assert rows[1:] == ["0,ok,p=3;size=5", "1,ok,p=5;size=5"]
     cfg = {**cfg, "construction": {"kind": "random", "d": 2, "size": 7},
            "analyses": ["energy", "salem"]}
-    rows = sweep(cfg, out, jobs=1).read_text().splitlines()
+    rows = sweep(cfg, out).read_text().splitlines()
     assert [r.split(";")[:2] for r in rows[1:]] == [["0,ok,p=3", "size=7"],
                                                     ["1,ok,p=5", "size=7"]]
     assert all("salemS=" in r for r in rows[1:])
     # the same config again resumes from the rewritten ledger
     ledger = out / "sweep.ledger"
     ledger.write_text(ledger.read_text().replace("size=7", "size=resumed", 1))
-    assert "size=resumed" in sweep(cfg, out, jobs=1).read_text()
+    assert "size=resumed" in sweep(cfg, out).read_text()
     # another seed is another config
-    assert "size=resumed" not in sweep({**cfg, "seed": 3}, out, jobs=1).read_text()
+    assert "size=resumed" not in sweep({**cfg, "seed": 3}, out).read_text()
 
 
 def test_sweep_keeps_finished_rows_when_a_cell_fails(tmp_path, monkeypatch):
@@ -192,54 +228,58 @@ def test_sweep_keeps_finished_rows_when_a_cell_fails(tmp_path, monkeypatch):
     cfg = {**ISO_CONFIG, "analyses": ["incidence"], "grid": {"m": [1, 2]}}
     out = tmp_path / "s"
     with pytest.raises(InvariantViolation):
-        sweep(cfg, out, jobs=1)
+        sweep(cfg, out)
     ledger = out / "sweep.ledger"
     assert [ln.split("\t")[0] for ln in ledger.read_text().splitlines()] == ["0"]
     assert not (out / "sweep.csv").exists()
     # without the fault, cell 0 is resumed from the ledger and cell 1 computed
     monkeypatch.undo()
     ledger.write_text('0\t"0,ok,resumed-marker\\n"\n')
-    rows = sweep(cfg, out, jobs=1).read_text().splitlines()
+    rows = sweep(cfg, out).read_text().splitlines()
     assert rows[1] == "0,ok,resumed-marker"
     assert rows[2].startswith("1,ok,")
 
 
-def test_sweep_jobs_independent(tmp_path):
-    cfg = {"construction": {"kind": "random", "size": 8},
-           "analyses": ["energy", "salem"],
-           "grid": {"p": [3, 5], "d": [2, 3]},
-           "seed": 5}
-    a = sweep(cfg, tmp_path / "a", jobs=1).read_bytes()
-    b = sweep(cfg, tmp_path / "b", jobs=8).read_bytes()
-    assert a == b
+def test_sweep_jobs_independent(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"construction": {"kind": "random", "size": 8},
+                               "analyses": ["energy", "salem"],
+                               "grid": {"p": [3, 5], "d": [2, 3]},
+                               "seed": 5}))
+    for jobs in ("1", "8"):
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / jobs),
+                     "--jobs", jobs]) == 0
+    assert (tmp_path / "1" / "sweep.csv").read_bytes() == (tmp_path / "8" / "sweep.csv").read_bytes()
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_sweep_runs_every_cell_in_the_calling_thread(tmp_path, monkeypatch, jobs):
+def test_sweep_runs_every_cell_in_the_calling_thread(tmp_path, capsys, monkeypatch, jobs):
     caller, before = threading.current_thread(), set(threading.enumerate())
     seen = []
-    real = harness.report
+    real = analysis.report
 
     def recorded(config, E):
         seen.append((threading.current_thread(), set(threading.enumerate()) - before))
         return real(config, E)
 
-    monkeypatch.setattr(harness, "report", recorded)
-    cfg = {"construction": {"kind": "random", "p": 5, "r": 2, "d": 3},
-           "analyses": ["energy"], "grid": {"size": [10, 20]}, "seed": 3}
-    sweep(cfg, tmp_path / "s", jobs=jobs)
+    monkeypatch.setattr(analysis, "report", recorded)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"construction": {"kind": "random", "p": 5, "r": 2, "d": 3},
+                               "analyses": ["energy"], "grid": {"size": [10, 20]}, "seed": 3}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s"),
+                 "--jobs", str(jobs)]) == 0
     assert seen == [(caller, set())] * 2
 
 
 def test_sweep_cli_stops_at_a_failing_cell(tmp_path, capsys, monkeypatch):
-    real = harness.report
+    real = analysis.report
 
     def faulty(config, E):
         if len(E) == 20:
             raise InvariantViolation("cell 1")
         return real(config, E)
 
-    monkeypatch.setattr(harness, "report", faulty)
+    monkeypatch.setattr(analysis, "report", faulty)
     cfg = {"construction": {"kind": "random", "p": 5, "d": 2},
            "analyses": ["energy"], "grid": {"size": [10, 20, 15]}, "seed": 3}
     path = tmp_path / "c.json"
@@ -297,7 +337,7 @@ def test_sweep_resumes_rows_that_hold_a_newline(tmp_path, monkeypatch):
         raise AssertionError("a finished cell was run again")
 
     # the rerun replays both rows whole and runs no cell
-    monkeypatch.setattr(harness, "report", no_report)
+    monkeypatch.setattr(analysis, "report", no_report)
     assert sweep(cfg, out).read_bytes() == first
 
 
@@ -315,7 +355,7 @@ def test_sweep_records_cell_errors(tmp_path):
            # d = 5 is invalid for this construction, and d = 6 needs q = 1 mod 4
            "grid": {"d": [4, 5, 6], "m": [1, 2]},
            "seed": 0}
-    csv_path = sweep(cfg, tmp_path / "s", jobs=1)
+    csv_path = sweep(cfg, tmp_path / "s")
     rows = csv_path.read_text().strip().splitlines()[1:]
     assert any(",ok," in r for r in rows)
     assert any(",error," in r for r in rows)
@@ -362,8 +402,8 @@ def test_out_of_range_dimensions_and_radii_are_config_errors(tmp_path, capsys,
 
 def test_sweep_marks_cells_with_failing_gates(tmp_path, monkeypatch):
     # the p = 5 cell's energy identity is off: its row says which gate failed
-    residual = spectral.energy_identity_residual
-    monkeypatch.setattr(spectral, "energy_identity_residual",
+    residual = Analysis.identity_residual
+    monkeypatch.setattr(Analysis, "identity_residual",
                         lambda A, k: 1.0 if A.E.field.q == 5 else residual(A, k))
     cfg = {"construction": {"kind": "random", "d": 2, "size": 5}, "analyses": ["fourier"],
            "grid": {"p": [3, 5]}, "seed": 0}
@@ -372,10 +412,13 @@ def test_sweep_marks_cells_with_failing_gates(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
-def test_sweep_jobs_must_be_positive(tmp_path, jobs):
-    with pytest.raises(ConfigError, match="jobs must be a positive integer"):
-        sweep(SWEEP_CONFIG, tmp_path / "s", jobs=jobs)
-    assert not (tmp_path / "s").exists()
+def test_sweep_jobs_must_be_positive(tmp_path, capsys, jobs):
+    # refused before --out is created
+    cfg, out = tmp_path / "c.json", tmp_path / "out"
+    cfg.write_text(json.dumps(SWEEP_CONFIG))
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", str(jobs)]) == 3
+    assert capsys.readouterr().err == f"config error: jobs must be a positive integer, got {jobs}\n"
+    assert not out.exists()
 
 
 def test_sweep_requires_grid(tmp_path):
@@ -388,7 +431,7 @@ def test_oracles(f5, f9):
     single = PointSet.build(f5, 2, [(1, 1)])
     assert oracle_distances(single) == {0: 1}
     E9 = rand_set(f9, 3, 30, seed=4)
-    assert oracle_distances(E9) == distance_profile(E9).counts
+    assert oracle_distances(E9) == pair_profile(pair_counts(E9)).counts
     H = HyperplaneMultiset.build(f5, 2, [((1, 0), 1, 2)])
     assert oracle_incidences(E, H) == count_incidences(E, H)
 
@@ -399,7 +442,7 @@ def test_oracles_match_kernels_on_degenerate_sets(f5, d, codes):
     E = PointSet.from_codes(f5, d, codes)
     assert len(E.points) == len(E)
     assert np.array_equal(half_power(E)[0], folded_power(E))
-    assert oracle_distances(E) == distance_profile(E).counts
+    assert oracle_distances(E) == pair_profile(pair_counts(E)).counts
     for k in (2, 3):
         assert energy_bruteforce(E, k) == energy_convolution(E, k)
 
@@ -696,15 +739,6 @@ def test_cli_sweep_output_file_that_is_a_directory_exit_3(tmp_path, capsys, name
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot ") and name in err and err.count("\n") == 1
-
-
-def test_cli_sweep_jobs_0_exit_3(tmp_path, capsys):
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps(SWEEP_CONFIG))
-    out = tmp_path / "out"
-    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", "0"]) == 3
-    assert capsys.readouterr().err == "config error: jobs must be a positive integer, got 0\n"
-    assert not out.exists()
 
 
 def test_cli_ranges(capsys):

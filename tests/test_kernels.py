@@ -8,7 +8,7 @@ import pytest
 
 from conftest import difference_family_oracle, field_of_order, rand_set
 from fqsalem import energy, kernels
-from fqsalem.distance import distance_profile
+from fqsalem.distance import pair_profile
 from fqsalem.energy import energy_bruteforce, energy_convolution, pair_counts
 from fqsalem.errors import BudgetExceeded
 from fqsalem.geometry import HyperplaneMultiset, PointSet, vsub
@@ -40,7 +40,7 @@ def test_small_chunk_cap_matches_oracles(q, d, chunk, monkeypatch):
     pair_codes_ = kernels.pair_codes
     monkeypatch.setattr(kernels, "pair_codes", recorded)
     monkeypatch.setattr(energy, "pair_codes", recorded)
-    assert distance_profile(E).counts == oracle_distances(E)
+    assert pair_profile(pair_counts(E)).counts == oracle_distances(E)
     assert energy_convolution(E, 2) == energy_bruteforce(E, 2)
     assert energy_convolution(E, 3) == energy_bruteforce(E, 3)
     assert set(pair_counts(E).differences.points) == {vsub(F, x, y) for x in E.points for y in E.points}

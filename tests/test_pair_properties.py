@@ -11,13 +11,14 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from conftest import difference_family_oracle, translate  # noqa: E402
 from fqsalem import kernels  # noqa: E402
+from fqsalem.analysis import Analysis  # noqa: E402
 from fqsalem.constructions import random_pointset  # noqa: E402
 from fqsalem.distance import pair_profile  # noqa: E402
 from fqsalem.energy import energy_bruteforce, energy_convolution, pair_counts  # noqa: E402
 from fqsalem.field import field_create  # noqa: E402
 from fqsalem.kernels import KeyCounter  # noqa: E402
 from fqsalem.geometry import PointSet, lift_to_paraboloid, vsub  # noqa: E402
-from fqsalem.harness import Analysis, oracle_distances  # noqa: E402
+from fqsalem.harness import oracle_distances  # noqa: E402
 
 
 @st.composite

@@ -16,8 +16,9 @@ from fqsalem import spectral
 from fqsalem.constructions import product_set
 from fqsalem.field import field_create
 from fqsalem.geometry import PointSet, decode, dot, encode
-from fqsalem.harness import Analysis, _fourier_section, run
-from fqsalem.spectral import energy_identity_residual, fourier_direct, half_power
+from fqsalem.analysis import Analysis, _fourier_section
+from fqsalem.harness import run
+from fqsalem.spectral import fourier_direct, half_power
 
 
 def norms(E) -> dict:
@@ -120,7 +121,7 @@ def test_norm_dominated_by_sup(f7):
 def test_energy_identity_singleton(f5):
     E = PointSet.build(f5, 2, [(1, 1)])
     for k in (1, 2, 3):
-        assert energy_identity_residual(Analysis(E), k) <= 1e-9
+        assert Analysis(E).identity_residual(k) <= 1e-9
         # both sides equal q^{-2kd}(1 - q^{-d}) here
         expect = 25.0 ** (-2 * k) * (1 - 1 / 25)
         assert oracle_moment(E, k) == pytest.approx(expect, rel=1e-9)
@@ -132,7 +133,7 @@ def test_energy_identity_full_space(f3):
     for k in (1, 2):
         assert oracle_moment(E, k) == pytest.approx(0, abs=1e-15)
         assert Analysis(E).fourier_moment(k) == pytest.approx(0, abs=1e-15)
-        assert energy_identity_residual(Analysis(E), k) <= 1e-9
+        assert Analysis(E).identity_residual(k) <= 1e-9
 
 
 @pytest.mark.parametrize("p,r,d", [(5, 1, 3), (3, 2, 2), (7, 1, 2)])
@@ -149,14 +150,14 @@ def test_moments_of_full_space_minus_a_point(p, r, d):
         expect = (q_d - 1) / q_d ** (2 * k + 1)
         assert A.fourier_moment(k) == pytest.approx(expect, rel=1e-9)
         assert A.fourier_moment(k) == pytest.approx(oracle_moment(E, k, direct), rel=1e-9)
-        assert energy_identity_residual(A, k) <= 1e-9
+        assert A.identity_residual(k) <= 1e-9
 
 
 def test_energy_identity_random(f5):
     for seed in range(5):
         E = rand_set(f5, 2, 6 + 3 * seed, seed)
         for k in (1, 2, 3):
-            assert energy_identity_residual(Analysis(E), k) <= 1e-9
+            assert Analysis(E).identity_residual(k) <= 1e-9
 
 
 def record_passes(monkeypatch) -> list:

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from conftest import folded_power  # noqa: E402
 from fqsalem.field import field_create  # noqa: E402
 from fqsalem.geometry import PointSet  # noqa: E402
-from fqsalem.harness import Analysis, _fourier_section  # noqa: E402
+from fqsalem.analysis import Analysis, _fourier_section  # noqa: E402
 from fqsalem.spectral import fourier_direct, half_power  # noqa: E402
 
 # (p, r, largest d with q^d <= 243): the direct transform stays cheap
