@@ -254,8 +254,11 @@ SECTIONS = {
     "incidence": _incidence_section,
     "ranges": _ranges_section,
 }
+#: the config keys each section reads; a config holding one must request a
+#: section that reads it
+SECTION_KEYS = {"fourier": ("tolerances",), "energy": ("k",), "ranges": ("dims", "sValues")}
 #: the config keys that `report` and the sections read
-CONFIG_KEYS = frozenset({"analyses", "budget", "tolerances", "k", "dims", "sValues"})
+CONFIG_KEYS = frozenset({"analyses", "budget"}).union(*SECTION_KEYS.values())
 
 
 def report(config: dict, E: PointSet | None) -> dict:

@@ -42,6 +42,11 @@ def validate_config(config: dict) -> dict:
     for a in analyses:
         if a not in analysis.SECTIONS:
             raise ConfigError(f"unknown analysis {a!r}; known: {tuple(analysis.SECTIONS)}")
+    for key in config:  # a section key would be ignored unless its section runs
+        readers = [name for name, keys in analysis.SECTION_KEYS.items() if key in keys]
+        if readers and not any(name in analyses for name in readers):
+            raise ConfigError(f"no requested analysis reads config key {key!r}; "
+                              f"read by: {readers}")
     if "construction" in config:
         _construction(config)
     tol = config.get("tolerances", {})

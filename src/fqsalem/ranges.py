@@ -17,9 +17,10 @@ QUARTER = Fraction(1, 4)
 HALF = Fraction(1, 2)
 
 
-def _check_s(s: Fraction) -> Fraction:
-    s = Fraction(s)
-    if not QUARTER <= s <= HALF:
+def _check_s(s) -> Fraction:
+    if type(s) is not Fraction:  # converting a Fraction again costs more than the check
+        s = Fraction(s)
+    if not s.denominator <= 4 * s.numerator <= 2 * s.denominator:  # 1/4 <= s <= 1/2
         raise ConfigError(f"s must be in [1/4, 1/2], got {s}")
     return s
 
@@ -31,34 +32,39 @@ def _check_d(d: int) -> int:
     return d
 
 
+def _over(n: int, s: Fraction, c: int, e: int = 0) -> Fraction:
+    """n / (c*s + e) as one Fraction: with s = a/b it is n*b / (c*a + e*b)."""
+    return Fraction(n * s.denominator, c * s.numerator + e * s.denominator)
+
+
 def conjectured_alpha(d: int, s) -> Fraction:
     """The conjectured smallest size exponent forcing a full distance set."""
     s, d = _check_s(s), _check_d(d)
     if d == 2:
         return Fraction(1)
     if d % 2 == 0:
-        if s <= Fraction(d + 2, 4 * d):
+        if 4 * d * s.numerator <= (d + 2) * s.denominator:  # s <= (d+2)/(4d)
             return Fraction(d, 2)
-        return Fraction(d + 2) / (8 * s)
-    return Fraction(d + 1) / (8 * s)
+        return _over(d + 2, s, 8)
+    return _over(d + 1, s, 8)
 
 
 def improved_threshold(d: int, s) -> tuple[Fraction, str]:
     """min{(d+2)/(4s+1), (d+4)/(8s)} plus which branch wins ('tie' at the crossover)."""
     s = _check_s(s)
-    b1 = Fraction(d + 2) / (4 * s + 1)
-    b2 = Fraction(d + 4) / (8 * s)
+    b1 = _over(d + 2, s, 4, 1)
+    b2 = _over(d + 4, s, 8)
     if b1 == b2:
         return b1, "tie"
     return (b1, "incidence") if b1 < b2 else (b2, "energy")
 
 
 def energy_threshold(d: int, s) -> Fraction:
-    return Fraction(d) / (4 * _check_s(s))
+    return _over(d, _check_s(s), 4)
 
 
 def sphere_threshold(d: int, s) -> Fraction:
-    return Fraction(d + 1) / (4 * _check_s(s) + 1)
+    return _over(d + 1, _check_s(s), 4, 1)
 
 
 def conditional_sphere_exponents(d: int) -> dict:
@@ -154,13 +160,12 @@ def variety_threshold(d: int, n: int, ell) -> Fraction:
 
 def crossover_identities(d: int) -> dict[str, bool]:
     """The three exact crossover identities; each must be an equality."""
-    _check_d(d)
+    half_d = Fraction(_check_d(d), 2)
     s1 = Fraction(d + 2, 4 * d)
-    sphere_eq = sphere_threshold(d, s1) == Fraction(d, 2) == Fraction(d + 2) / (8 * s1)
-    s2 = QUARTER + Fraction(1, d)
-    tie = Fraction(d + 2) / (4 * s2 + 1) == Fraction(d + 4) / (8 * s2)
-    s3 = QUARTER + Fraction(1, 4 * d)
-    odd_eq = (Fraction(d - 1) / (4 * (1 - 2 * s3))
-              == Fraction(d + 1) / (8 * s3) == Fraction(d, 2))
+    sphere_eq = sphere_threshold(d, s1) == half_d == _over(d + 2, s1, 8)
+    s2 = Fraction(d + 4, 4 * d)  # 1/4 + 1/d
+    tie = _over(d + 2, s2, 4, 1) == _over(d + 4, s2, 8)
+    s3 = Fraction(d + 1, 4 * d)  # 1/4 + 1/(4d)
+    odd_eq = _over(d - 1, s3, -8, 4) == _over(d + 1, s3, 8) == half_d  # (d-1)/(4(1-2s))
     return {"sphereBreakpoint": sphere_eq, "improvedBranchTie": tie,
             "oddPrimitiveCrossover": odd_eq}

@@ -67,8 +67,8 @@ def test_validate_config():
         validate_config({"analyses": ["astrology"]})
     with pytest.raises(ConfigError):
         validate_config({"construction": {"p": 5}})
-    with pytest.raises(ConfigError):
-        validate_config({"tolerances": {"parseval": -1}})
+    with pytest.raises(ConfigError, match="tolerance parseval must be positive"):
+        validate_config({"analyses": ["fourier"], "tolerances": {"parseval": -1}})
     with pytest.raises(ConfigError):
         validate_config({"budget": 0})
     with pytest.raises(ConfigError):
@@ -784,6 +784,33 @@ def test_cli_ranges_output_pinned(capsys):
 def test_cli_ranges_bad_s_exit_3(capsys, s):
     assert main(["ranges", "--d", "2", "--s", s]) == 3
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("dims,s_values,message", [
+    ([1], ["1/4"], "d must be >= 2"),
+    ([2], ["1/5"], "s must be in [1/4, 1/2], got 1/5"),
+    ([1], ["1/5"], "s must be in [1/4, 1/2], got 1/5")],  # a bad s before a bad d
+    ids=["d", "s", "s-and-d"])
+def test_ranges_section_errors(dims, s_values, message):
+    with pytest.raises(ConfigError) as exc:
+        run({"analyses": ["ranges"], "dims": dims, "sValues": s_values})
+    assert str(exc.value) == message
+
+
+def test_section_keys_need_a_section_that_reads_them(tmp_path, capsys):
+    # a key no requested section reads would be ignored, like a misspelt one
+    config = {"construction": {"kind": "random", "p": 5, "d": 2, "size": 5},
+              "analyses": ["energy"], "tolerances": {"parseval": 1e-300}, "dims": [0]}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    assert main(["verify", "--config", str(path)]) == 3
+    assert capsys.readouterr().err == ("config error: no requested analysis reads config "
+                                       "key 'tolerances'; read by: ['fourier']\n")
+    for key, value, reader in [("k", 3, "energy"), ("sValues", ["1/4"], "ranges")]:
+        with pytest.raises(ConfigError) as exc:
+            validate_config({"analyses": ["fourier", "salem"], key: value})
+        assert str(exc.value).endswith(f"key {key!r}; read by: [{reader!r}]")
+    assert validate_config({**config, "analyses": ["energy", "fourier", "ranges"]})
 
 
 def test_cli_sweep(tmp_path, capsys):

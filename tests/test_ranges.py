@@ -63,6 +63,34 @@ def test_improved_below_energy_threshold():
             assert improved_threshold(d, s)[0] <= energy_threshold(d, s)
 
 
+def test_formulas_match_their_fraction_expressions():
+    # the formulas build each value from s = a/b in one Fraction; here they are
+    # checked against the expressions as written, on a grid of d and s
+    for d in range(2, 25):
+        for num in range(30, 61):
+            s = F(num, 120)
+            b1, b2 = F(d + 2) / (4 * s + 1), F(d + 4) / (8 * s)
+            improved = (b1, "tie") if b1 == b2 else min((b1, "incidence"), (b2, "energy"))
+            assert improved_threshold(d, s) == improved
+            assert energy_threshold(d, s) == F(d) / (4 * s)
+            assert sphere_threshold(d, s) == F(d + 1) / (4 * s + 1)
+            if d == 2:
+                alpha = F(1)
+            elif d % 2:
+                alpha = F(d + 1) / (8 * s)
+            else:
+                alpha = F(d, 2) if s <= F(d + 2, 4 * d) else F(d + 2) / (8 * s)
+            assert conjectured_alpha(d, s) == alpha
+            assert conjectured_alpha(d, str(s)) == alpha  # s as a string, as in configs
+
+
+@pytest.mark.parametrize("s", [F(1, 4) - F(1, 10**9), F(1, 2) + F(1, 10**9), "3/5", 0.2])
+def test_s_outside_the_range_is_refused(s):
+    for formula in (conjectured_alpha, improved_threshold, energy_threshold, sphere_threshold):
+        with pytest.raises(ConfigError, match=r"s must be in \[1/4, 1/2\]"):
+            formula(4, s)
+
+
 def test_crossover_identities_all_d():
     for d in range(2, 65):
         assert all(crossover_identities(d).values())
