@@ -8,9 +8,12 @@ lives here: the energy identity's residual, s, and the bound checks of the
 distance section. The kernel modules take point sets or pair counts, never
 an `Analysis`.
 
-Reports are deterministic byte-for-byte given a config: exact integers
-serialize as decimal strings, floats are formatted to 12 significant
-digits, and keys are sorted.
+Reports are deterministic byte-for-byte given a config. `render_report`
+writes their canonical JSON in one walk: ints and Fractions as decimal
+strings, floats as strings to 12 significant digits, strs escaped to ASCII
+as `json` escapes them, dict keys and sets sorted, two-space indents and a
+final newline. Any other type, a numpy scalar say, raises TypeError as in
+`json`, against which the tests check the bytes.
 """
 
 from __future__ import annotations
@@ -29,24 +32,49 @@ from .ranges import (conjectured_alpha, crossover_identities, energy_threshold,
                      improved_threshold, sphere_threshold, subgroup_threshold)
 
 
-def _fmt(value):
-    """Canonical JSON-ready form: ints/Fractions as strings, floats to 12 sig digits."""
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, (int, Fraction)):
-        return str(value)
-    if isinstance(value, float):
-        return format(value, ".12g")
-    if isinstance(value, dict):
-        return {k: _fmt(v) for k, v in sorted(value.items())}
-    if isinstance(value, (list, tuple, frozenset, set)):
-        items = sorted(value) if isinstance(value, (set, frozenset)) else value
-        return [_fmt(v) for v in items]
-    return value
+_quote = json.encoder.encode_basestring_ascii  # the C function json itself uses
+
+
+def _emit(value, put, pad: str) -> None:
+    """put() the pieces of value's canonical JSON; pad is the newline and indent
+    before value. Module-level, not a closure over itself: that would leave each
+    render's pieces in a reference cycle until the cyclic GC ran."""
+    if value is None:
+        put("null")
+    elif value is True:
+        put("true")
+    elif value is False:
+        put("false")
+    elif isinstance(value, str):
+        put(_quote(value))
+    elif isinstance(value, (int, Fraction)):
+        put('"' + str(value) + '"')
+    elif isinstance(value, float):
+        put(f'"{value:.12g}"')
+    elif isinstance(value, dict):
+        inner, sep = pad + "  ", "{"
+        for key in sorted(value):  # _quote raises TypeError on a key that is not a str
+            put(f"{sep}{inner}{_quote(key)}: ")
+            _emit(value[key], put, inner)
+            sep = ","
+        put(pad + "}" if value else "{}")
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        inner, sep = pad + "  ", "["
+        for item in sorted(value) if isinstance(value, (set, frozenset)) else value:
+            put(sep + inner)
+            _emit(item, put, inner)
+            sep = ","
+        put(pad + "]" if value else "[]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def render_report(report: dict) -> str:
-    return json.dumps(_fmt(report), sort_keys=True, indent=2) + "\n"
+    """The report's canonical JSON (see the module docstring)."""
+    pieces: list[str] = []
+    _emit(report, pieces.append, "\n")
+    pieces.append("\n")
+    return "".join(pieces)
 
 
 class Analysis:

@@ -39,8 +39,8 @@ def validate_config(config: dict) -> dict:
     analyses = config.get("analyses", [])
     if not isinstance(analyses, list):
         raise ConfigError("analyses must be a list")
-    for a in analyses:
-        if a not in analysis.SECTIONS:
+    for a in analyses:  # a str first: an unhashable name cannot be looked up
+        if not isinstance(a, str) or a not in analysis.SECTIONS:
             raise ConfigError(f"unknown analysis {a!r}; known: {tuple(analysis.SECTIONS)}")
     for key in config:  # a section key would be ignored unless its section runs
         readers = [name for name, keys in analysis.SECTION_KEYS.items() if key in keys]

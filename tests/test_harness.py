@@ -65,6 +65,8 @@ def test_validate_config():
     assert validate_config({"analyses": ["energy"]})
     with pytest.raises(ConfigError):
         validate_config({"analyses": ["astrology"]})
+    with pytest.raises(ConfigError, match=r"unknown analysis \['x'\]"):
+        validate_config({"analyses": [["x"]]})  # unhashable: not a TypeError
     with pytest.raises(ConfigError):
         validate_config({"construction": {"p": 5}})
     with pytest.raises(ConfigError, match="tolerance parseval must be positive"):
@@ -592,7 +594,10 @@ def test_cli_bad_config_values_exit_3(tmp_path, capsys, config):
     ("analyze", {**ISO_CONFIG, "seed": 1.5}),
     ("sweep", {**ISO_CONFIG, "grid": {"m": [2]}, "seed": "x"}),
     ("sweep", {**ISO_CONFIG, "grid": {"m": [2]}, "seed": None}),
-    ("sweep", {**ISO_CONFIG, "grid": {"m": [2]}, "seed": 1.5})])
+    ("sweep", {**ISO_CONFIG, "grid": {"m": [2]}, "seed": 1.5}),
+    # an analysis name that is not a str cannot be looked up
+    ("analyze", {"analyses": [["x"]]}),
+    ("analyze", {"analyses": [{"a": 1}]})])
 def test_cli_malformed_config_exit_3(tmp_path, capsys, command, config):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(config))
