@@ -112,9 +112,8 @@ class Analysis:
         return self._once("profile", lambda: distance.pair_profile(self.pairs))
 
     @property
-    def power(self) -> tuple[np.ndarray, np.ndarray]:
-        """(P, w) of spectral.half_power: |E_hat|^2 on the Hermitian half and its
-        column weights. P[0, 0] is m = 0."""
+    def power(self) -> np.ndarray:
+        """spectral.half_power: |E_hat|^2 on the Hermitian half. P[0, 0] is m = 0."""
         return self._once("power", lambda: spectral.half_power(self.E))
 
     def fourier_moment(self, k: int) -> float:
@@ -122,7 +121,7 @@ class Analysis:
         twice the sum over every entry but [0, 0] (m = 0, left out by slicing, so
         no large term cancels) less the sum over column 0, whose weight is 1."""
         def compute():
-            P, _ = self.power
+            P = self.power
             flat, col = P.ravel()[1:], P[1:, 0]
             if k == 2:  # two dots, no temporary
                 total = 2.0 * float(flat @ flat) - float(col @ col)
@@ -210,7 +209,7 @@ TOLERANCES = {"parseval": 1e-10, "energyIdentity": 1e-9}
 
 def _fourier_section(A: Analysis, config: dict) -> tuple[dict, dict]:
     tol = {**TOLERANCES, **config.get("tolerances", {})}
-    E, (P, _) = A.E, A.power
+    E, P = A.E, A.power
     # the weighted sum of the half: column 0 has weight 1, every other 2
     parseval = abs(2.0 * float(P.sum()) - float(P[:, 0].sum()) - len(E) / E.field.q ** E.d)
     resid = A.identity_residual(2)

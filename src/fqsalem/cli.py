@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from .errors import DEFAULT_BUDGET, BudgetExceeded, ConfigError, InvariantViolat
 from .field import field_create
 from .geometry import read_hyperplanes, read_pointset, write_pointset
 from .harness import (EXIT_BUDGET, EXIT_CONFIG_ERROR, EXIT_GATE_FAILURE,
-                      EXIT_INVARIANT, EXIT_OK, build_set, oracle_distances,
+                      EXIT_INVARIANT, EXIT_OK, build_set, file_op, oracle_distances,
                       oracle_incidences, run, sweep, validate_config)
 
 
@@ -83,13 +84,16 @@ def _load_config(args) -> dict:
     return config
 
 
-def _write(path: Path, write) -> None:
-    """write(path) once path's parent directories exist; an OSError is a config error."""
+def _out(text: str) -> None:
+    """text on stdout. A reader that closed the pipe early is no error: the rest
+    of the output goes to the null device, and the command keeps its exit code."""
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def main(argv=None) -> int:
@@ -111,26 +115,29 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     if args.command == "field":
         F = field_create(args.p, args.r)
-        print(json.dumps({"p": F.p, "r": F.r, "q": F.q,
-                          "modulus": list(F.modulus),
-                          "primitiveElement": F.primitive_element()}))
+        _out(json.dumps({"p": F.p, "r": F.r, "q": F.q,
+                         "modulus": list(F.modulus),
+                         "primitiveElement": F.primitive_element()}) + "\n")
         return EXIT_OK
 
     if args.command == "construct":
         E = build_set(validate_config(_load_config(args)))
         out = args.out or Path("pointset.txt")
-        _write(out, lambda path: write_pointset(E, path))
-        print(f"wrote {len(E)} points to {out}")
+        file_op("write", out, lambda: (out.parent.mkdir(parents=True, exist_ok=True),
+                                       write_pointset(E, out)))
+        _out(f"wrote {len(E)} points to {out}\n")
         return EXIT_OK
 
     if args.command in ("analyze", "verify"):
         config = _load_config(args)
         report = run(config)
         text = render_report(report)
-        if args.out:
-            _write(args.out, lambda path: path.write_text(text))
+        out = args.out
+        if out:
+            file_op("write", out, lambda: (out.parent.mkdir(parents=True, exist_ok=True),
+                                           out.write_text(text)))
         else:
-            print(text, end="")
+            _out(text)
         if args.command == "verify" and not report["allGatesPass"]:
             return EXIT_GATE_FAILURE
         return EXIT_OK
@@ -146,13 +153,12 @@ def _dispatch(args) -> int:
                  "crossoversExact": section["crossoversExact"][str(row["d"])]}
                 for row in section["table"]]
         if args.json:
-            print(json.dumps(rows, indent=2))
+            _out(json.dumps(rows, indent=2) + "\n")
         else:
-            hdr = f"{'d':>3} {'s':>6} {'conj':>8} {'improved':>8} {'branch':>10} {'energyRoute':>8} {'sphere':>8}"
-            print(hdr)
-            for r in rows:
-                print(f"{r['d']:>3} {r['s']:>6} {r['conjectured']:>8} "
-                      f"{r['improved']:>8} {r['branch']:>10} {r['energyRoute']:>8} {r['sphere']:>8}")
+            hdr = f"{'d':>3} {'s':>6} {'conj':>8} {'improved':>8} {'branch':>10} {'energyRoute':>8} {'sphere':>8}\n"
+            _out(hdr + "".join(f"{r['d']:>3} {r['s']:>6} {r['conjectured']:>8} "
+                               f"{r['improved']:>8} {r['branch']:>10} {r['energyRoute']:>8} "
+                               f"{r['sphere']:>8}\n" for r in rows))
         return EXIT_OK
 
     if args.command == "sweep":
@@ -161,7 +167,7 @@ def _dispatch(args) -> int:
         config = _load_config(args)
         out = args.out or Path("sweep-out")
         csv_path = sweep(config, out)
-        print(f"wrote {csv_path}")
+        _out(f"wrote {csv_path}\n")
         return EXIT_OK
 
     if args.command == "oracle":
@@ -169,13 +175,13 @@ def _dispatch(args) -> int:
         E = read_pointset(args.pointset)
         with budget_scope(args.budget):
             if args.kind == "lambda4":
-                print(energy_bruteforce(E, 2))
+                _out(f"{energy_bruteforce(E, 2)}\n")
             elif args.kind == "distances":
-                print(json.dumps(oracle_distances(E)))
+                _out(json.dumps(oracle_distances(E)) + "\n")
             else:
                 if args.hyperplanes is None:
                     raise ConfigError("incidences oracle needs a hyperplane file")
-                print(oracle_incidences(E, read_hyperplanes(args.hyperplanes)))
+                _out(f"{oracle_incidences(E, read_hyperplanes(args.hyperplanes))}\n")
         return EXIT_OK
 
     raise ConfigError(f"unknown command {args.command}")

@@ -193,18 +193,9 @@ def subgroup_power(F: FieldSpec, m: int, d: int) -> PointSet:
 
 # --- conjecture witnesses ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConstructionResult:
-    pointset: PointSet
-    kind: str
-    target_exponent: float  # conjectured size exponent of q being witnessed
-    theta: float            # thinning probability used (1.0 when none)
-    notes: dict
-
-
 def conjecture_witness(d: int, s: Fraction | float, p: int, r: int,
-                       seed: int = 0) -> ConstructionResult:
-    """Few-distance Salem set targeting the conjectured threshold exponent.
+                       seed: int = 0) -> PointSet:
+    """Few-distance Salem set targeting the size exponent ranges.conjectured_alpha(d, s).
 
     Branches: even d with s below (d+2)/(4d) is the plain product of a
     rotation orbit with a null span; even d above the breakpoint adds a
@@ -224,33 +215,21 @@ def conjecture_witness(d: int, s: Fraction | float, p: int, r: int,
         X = isotropic_subspace(F, d - 2, (d - 2) // 2)
         breakpoint_s = Fraction(d + 2, 4 * d)
         if s < breakpoint_s:
-            E = product_set(A, X)
-            return ConstructionResult(E, "productOrbitSpan", d / 2, 1.0,
-                                      {"sizeA": len(A), "sizeX": len(X)})
+            return product_set(A, X)
         alpha = math.log(len(A)) / math.log(q)
         expo = (2 * (1 - 2 * float(s)) * (alpha + (d - 2) / 2)
                 + (1 - d / 2)) / (4 * float(s))
         if expo > 0:
             raise ConfigError(
                 f"thinning exponent {expo:.4f} > 0: s too small for this orbit size")
-        theta = q ** expo
-        B = bernoulli_thin(X, theta, seed)
-        E = product_set(A, B)
-        return ConstructionResult(E, "thinnedEvenProduct",
-                                  (d + 2) / (8 * float(s)), theta,
-                                  {"sizeA": len(A), "sizeX": len(X), "sizeB": len(B)})
+        return product_set(A, bernoulli_thin(X, q ** expo, seed))
     # odd d: full line factor (alpha = 1 in the limit construction)
     if d < 3:
         raise ConfigError("odd-dimension witnesses need d >= 3")
     A = full_space(F, 1)
     X = isotropic_subspace(F, d - 1, (d - 1) // 2)
     expo = (d + 1) * (1 - 4 * float(s)) / (8 * float(s))
-    theta = min(1.0, q ** expo)
-    B = bernoulli_thin(X, theta, seed)
-    E = product_set(A, B)
-    return ConstructionResult(E, "thinnedOddProduct",
-                              (d + 1) / (8 * float(s)), theta,
-                              {"sizeA": len(A), "sizeX": len(X), "sizeB": len(B)})
+    return product_set(A, bernoulli_thin(X, min(1.0, q ** expo), seed))
 
 
 # --- two-set sharpness pair ------------------------------------------------------------
@@ -282,7 +261,7 @@ _KINDS = {
     "random": (("d", "size"),
                lambda F, get: random_pointset(F, get("d"), get("size"), get("seed", 0))),
     "conjectureWitness": (("d", "s"), lambda F, get: conjecture_witness(
-        get("d"), get("s", convert=lambda v: Fraction(str(v))), F.p, F.r, get("seed", 0)).pointset),
+        get("d"), get("s", convert=lambda v: Fraction(str(v))), F.p, F.r, get("seed", 0))),
     "twoSetPair": (("d",), lambda F, get: two_set_sharpness(F, get("d"))[0]),
 }
 

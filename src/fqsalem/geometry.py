@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -162,12 +161,6 @@ def vadd(F: FieldSpec, x: Vector, y: Vector) -> Vector:
     return tuple(F.add(a, b) for a, b in zip(x, y))
 
 
-def all_vectors(F: FieldSpec, d: int):
-    """Every vector of F_q^d as a tuple, in index order (for the scalar oracles)."""
-    check_budget(F.q ** d, f"full scan of F_{F.q}^{d}")
-    return product(range(F.q), repeat=d)
-
-
 def full_space(F: FieldSpec, d: int) -> PointSet:
     """All of F_q^d."""
     if d < 0:
@@ -298,13 +291,6 @@ def _parse_int(token: str, what: str) -> int:
 def read_pointset(path) -> PointSet:
     F, d, rows = _read_file(path)
     return PointSet.build(F, d, ([_parse_int(t, "coordinate") for t in toks] for toks in rows))
-
-
-def write_hyperplanes(H: HyperplaneMultiset, path) -> None:
-    lines = [H.field.header(), f"d={H.d}"]
-    for a, b, m in H.entries:
-        lines.append(" ".join(map(str, a)) + f" b={b} mult={m}")
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_hyperplanes(path) -> HyperplaneMultiset:

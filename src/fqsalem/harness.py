@@ -100,8 +100,8 @@ def _child_seed(master: int, cell_index: int) -> int:
     return int(_splitmix64_array(x)[0])
 
 
-def _sweep_file(verb: str, path: Path, op):
-    """op() on a file or directory of the sweep, with an OSError as a config error."""
+def file_op(verb: str, path: Path, op):
+    """op() on a file or directory, with an OSError as a config error: "cannot <verb> <path>"."""
     try:
         return op()
     except OSError as exc:
@@ -123,7 +123,7 @@ def sweep(config: dict, out_dir) -> Path:
     keys = sorted(grid)
     cells = list(product(*(grid[k] for k in keys)))
     out_dir = Path(out_dir)
-    _sweep_file("create", out_dir, lambda: out_dir.mkdir(parents=True, exist_ok=True))
+    file_op("create", out_dir, lambda: out_dir.mkdir(parents=True, exist_ok=True))
     ledger_path = out_dir / "sweep.ledger"
     stamp_path = out_dir / "sweep.stamp"
     csv_path = out_dir / "sweep.csv"
@@ -131,9 +131,9 @@ def sweep(config: dict, out_dir) -> Path:
     # seed included) that wrote them; otherwise it is rewritten from scratch
     stamp = hashlib.sha256(json.dumps(config, sort_keys=True, default=str).encode()).hexdigest() + "\n"
     done: dict[int, str] = {}
-    if _sweep_file("read", stamp_path, lambda: stamp_path.exists() and stamp_path.read_text()) == stamp:
-        data = _sweep_file("read", ledger_path,
-                           lambda: ledger_path.read_bytes() if ledger_path.exists() else b"")
+    if file_op("read", stamp_path, lambda: stamp_path.exists() and stamp_path.read_text()) == stamp:
+        data = file_op("read", ledger_path,
+                       lambda: ledger_path.read_bytes() if ledger_path.exists() else b"")
         try:  # what follows the last newline is a line cut short
             lines = data.decode("utf-8").split("\n")[:-1]
         except UnicodeDecodeError:  # not a ledger a sweep wrote
@@ -172,19 +172,19 @@ def sweep(config: dict, out_dir) -> Path:
     # each finished row is appended and flushed in cell order, so an
     # interrupted or failed sweep resumes from every row before the failure;
     # on a failure the cells after it are not run
-    ledger = _sweep_file("write", ledger_path, lambda: open(ledger_path, "w", encoding="utf-8"))
+    ledger = file_op("write", ledger_path, lambda: open(ledger_path, "w", encoding="utf-8"))
     with ledger:
         ledger.write("".join(_ledger_line(i, row) for i, row in sorted(done.items())))
         ledger.flush()
         # after the rows of any other config are gone
-        _sweep_file("write", stamp_path, lambda: stamp_path.write_text(stamp))
+        file_op("write", stamp_path, lambda: stamp_path.write_text(stamp))
         for i in range(len(cells)):
             if i not in done:
                 done[i] = run_cell(i)
                 ledger.write(_ledger_line(i, done[i]))
                 ledger.flush()
     text = _csv_row("cell", "status", "detail") + "".join(done[i] for i in range(len(cells)))
-    _sweep_file("write", csv_path, lambda: csv_path.write_text(text))
+    file_op("write", csv_path, lambda: csv_path.write_text(text))
     return csv_path
 
 

@@ -24,9 +24,9 @@ p - f (p is odd). `half_power` keeps f in 0..(p-1)/2 only, a
 outputs of the FFT), so every later pass carries (p+1)/(2p) of the columns.
 Column 0 holds each of its frequencies once; every other column also stands
 for the negated frequencies, so a sum over all m of a function of
-|E_hat(m)|^2 is the sum over the half with column weights (1, 2, ..., 2),
-or twice the sum over every entry less the sum over column 0. The points
-enter the first pass at q^{-d}, so the squared half needs no division.
+|E_hat(m)|^2 is twice the sum over every entry of the half less the sum
+over column 0. The points enter the first pass at q^{-d}, so the squared
+half needs no division.
 
 Counting quantities are never taken from the spectrum; `analysis` checks
 the energy identity against the exact Lambda_{2k} of the energy module.
@@ -35,12 +35,13 @@ the energy identity against the exact Lambda_{2k} of the energy module.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
 from .errors import check_budget
 from .field import FieldSpec
-from .geometry import PointSet, all_vectors, dot, encode
+from .geometry import PointSet, dot, encode
 
 
 def _char_table(F: FieldSpec) -> np.ndarray:
@@ -55,7 +56,7 @@ def fourier_direct(E: PointSet) -> np.ndarray:
     check_budget(q ** d * max(len(E), 1), "direct Fourier transform")
     chi_neg = _char_table(F)
     vals = np.zeros(q ** d, dtype=complex)
-    for i, m in enumerate(all_vectors(F, d)):  # index order
+    for i, m in enumerate(product(range(q), repeat=d)):  # index order
         acc = 0j
         for y in E.points:
             acc += chi_neg[dot(F, m, y)]
@@ -129,12 +130,12 @@ def _axis_pass(p: int, c: int, heads: np.ndarray, X: np.ndarray):
     return up[first], np.matmul(W, Y).reshape(n, -1)
 
 
-def half_power(E: PointSet) -> tuple[np.ndarray, np.ndarray]:
-    """(P, w): |E_hat(m)|^2 on the Hermitian half and its column weights
-    w = (1, 2, ..., 2), so that the sum of g(|E_hat(m)|^2) over every frequency
-    m is the sum of w * g(P). P is (q^d/p, (p+1)/2): row m // p, column the
-    trailing base-p digit of m, kept in 0..(p-1)/2; P[0, 0] is m = 0. For
-    d = 0 the one frequency m = 0 has no digit, and P is (1, 1).
+def half_power(E: PointSet) -> np.ndarray:
+    """P = |E_hat(m)|^2 on the Hermitian half: (q^d/p, (p+1)/2), row m // p,
+    column the trailing base-p digit of m, kept in 0..(p-1)/2; P[0, 0] is
+    m = 0. The sum of g(|E_hat(m)|^2) over every frequency m is
+    2 sum g(P) - sum g(P[:, 0]). For d = 0 the one frequency m = 0 has no
+    digit, and P is (1, 1).
 
     One pass per digit axis of the twisted points, trailing axis first, each
     a DFT under the digit prefixes the points occupy.
@@ -159,7 +160,4 @@ def half_power(E: PointSet) -> tuple[np.ndarray, np.ndarray]:
             heads, X = _axis_pass(p, p, heads, X)
     v = X.reshape(-1, c).view(np.float64)  # re, im interleaved
     np.square(v, out=v)
-    P = np.add(v[:, 0::2], v[:, 1::2])
-    w = np.full(c, 2.0)
-    w[0] = 1.0
-    return P, w
+    return np.add(v[:, 0::2], v[:, 1::2])

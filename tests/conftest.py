@@ -1,6 +1,7 @@
 """Shared fixtures and small helpers for the test suite."""
 
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +40,14 @@ def f27():
 
 def rand_set(F, d, size, seed):
     return random_pointset(F, d, size, seed)
+
+
+def write_hyperplanes(H, path):
+    """The hyperplane file that geometry.read_hyperplanes reads: one
+    "a_1 .. a_d b=<b> mult=<m>" line per row, after the field and d headers."""
+    lines = [H.field.header(), f"d={H.d}"]
+    lines += [" ".join(map(str, a)) + f" b={b} mult={m}" for a, b, m in H.entries]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def field_of_order(q):
@@ -108,6 +117,13 @@ def folded_power(E):
     column the trailing digit of m in 0..(p-1)/2; (1, 1) for d = 0."""
     p = E.field.p if E.d else 1
     return np.abs(fourier_direct(E).reshape(-1, p)[:, :(p + 1) // 2]) ** 2
+
+
+def half_total(P):
+    """The sum of |E_hat(m)|^2 over every frequency m, read from the half P of
+    spectral.half_power: column 0 holds its frequencies once, every other
+    column also stands for the negated ones, so it is 2 sum(P) - sum(P[:, 0])."""
+    return 2 * float(P.sum()) - float(P[:, 0].sum())
 
 
 def oracle_moment(E, k, direct=None):

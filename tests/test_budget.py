@@ -11,8 +11,9 @@ from fqsalem import errors
 from fqsalem.cli import main
 from fqsalem.energy import energy_bruteforce, pair_counts
 from fqsalem.errors import BudgetExceeded, budget_scope, check_budget
-from fqsalem.geometry import HyperplaneMultiset, norm, paraboloid, sphere
+from fqsalem.geometry import HyperplaneMultiset, PointSet, norm, paraboloid, sphere
 from fqsalem.incidence import count_incidences, incidence_via_dilation, sphere_incidence_setup
+from fqsalem.spectral import fourier_direct
 
 
 @pytest.fixture
@@ -41,8 +42,14 @@ def _incidence_via_dilation(F):
     assert incidence_via_dilation(P, H) == count_incidences(P, H)
 
 
+def _fourier_direct(F):
+    # the oracle charges q^d |E| = 98 units before it scans the q^d frequencies
+    E = PointSet.build(F, 2, [(1, 2), (3, 4)])
+    assert abs(fourier_direct(E)[0] - 2 / 49) < 1e-15
+
+
 @pytest.mark.parametrize("call", [_pair_counts, _paraboloid, _sphere_incidence_setup,
-                                  _incidence_via_dilation])
+                                  _incidence_via_dilation, _fourier_direct])
 def test_kernels_charge_the_scope_not_the_default(low_default, f7, call):
     with pytest.raises(BudgetExceeded, match="budget is 48"):
         call(f7)

@@ -3,6 +3,7 @@
 import math
 import statistics
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +19,7 @@ from fqsalem.field import FieldSpec, field_create
 from fqsalem.geometry import (PointSet, dot, full_space, norm, rotation_group_order,
                                write_pointset)
 from fqsalem.harness import _child_seed
+from fqsalem.ranges import conjectured_alpha
 
 
 def test_rotation_orbit_q27():
@@ -208,27 +210,35 @@ def test_subgroup_power(f7):
 
 
 def test_conjecture_witness_even_plain():
-    res = conjecture_witness(4, 0.3, p=5, r=1, seed=0)
-    assert res.kind == "productOrbitSpan"
-    assert res.theta == 1.0
-    assert res.target_exponent == 2
-    assert len(res.pointset) == res.notes["sizeA"] * res.notes["sizeX"]
+    # below the breakpoint s = (d+2)/(4d) = 3/8: orbit times null span, unthinned
+    E = conjecture_witness(4, 0.3, p=5, r=2, seed=0)
+    A, X = rotation_orbit(5, 2), isotropic_subspace(field_create(5, 2), 2, 1)
+    assert len(E) == len(A) * len(X) == 6 * 25
+    assert E == product_set(A, X)
 
 
-def test_conjecture_witness_even_thinned():
-    res = conjecture_witness(4, 0.5, p=5, r=1, seed=1)
-    assert res.kind == "thinnedEvenProduct"
-    assert 0 < res.theta <= 1
-    assert res.target_exponent == pytest.approx(6 / 4)
+def test_conjecture_witness_even_thinned(f5):
+    E = conjecture_witness(4, 0.5, p=5, r=1, seed=1)
+    full = product_set(rotation_orbit(5, 1), isotropic_subspace(f5, 2, 1))
+    assert 0 < len(E) <= len(full) and set(E.points) <= set(full.points)
 
 
-def test_conjecture_witness_odd():
-    res = conjecture_witness(3, 0.25, p=5, r=1, seed=0)
-    assert res.kind == "thinnedOddProduct"
-    assert res.theta == 1.0  # exponent vanishes at s = 1/4
-    res2 = conjecture_witness(3, 0.5, p=5, r=1, seed=0)
-    assert res2.theta < 1
-    assert res2.target_exponent == pytest.approx(1.0)
+def test_conjecture_witness_odd(f5):
+    X = isotropic_subspace(f5, 2, 1)
+    # the thinning exponent vanishes at s = 1/4: all of X is kept
+    assert conjecture_witness(3, 0.25, p=5, r=1, seed=0) == product_set(full_space(f5, 1), X)
+    # at s = 1/2 each point of X is kept with probability q^{-1}
+    E = conjecture_witness(3, 0.5, p=5, r=1, seed=0)
+    assert E == product_set(full_space(f5, 1), bernoulli_thin(X, 1 / 5, 0))
+
+
+@pytest.mark.parametrize("d,s,alpha", [(4, "3/10", 2), (4, "1/2", Fraction(3, 2)),
+                                       (3, "1/2", 1), (4, "5/12", Fraction(9, 5)),
+                                       (5, "5/12", Fraction(9, 5))])
+def test_conjecture_witness_targets_the_conjectured_exponent(d, s, alpha):
+    # the size exponent the witnesses above target, exactly: (d+2)/(8s) at
+    # s = 5/12 is 9/5, where a float evaluation reads 1.7999999999999998
+    assert conjectured_alpha(d, s) == alpha
 
 
 def test_conjecture_witness_rejects_bad_s():

@@ -2,23 +2,24 @@
 
 import random
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
 
-from conftest import full_space, translate
+from conftest import full_space, translate, write_hyperplanes
 from fqsalem import errors, kernels
 from fqsalem.constructions import rotation_orbit
 from fqsalem.errors import BudgetExceeded, ConfigError, budget_scope
 from fqsalem.field import field_create
-from fqsalem.geometry import (HyperplaneMultiset, PointSet, _norm_table, all_vectors, decode,
+from fqsalem.geometry import (HyperplaneMultiset, PointSet, _norm_table, decode,
                                dot, encode, norm, norms, paraboloid, read_hyperplanes,
                                read_pointset, rotation_group_order, sphere, vadd, vsub,
-                               write_hyperplanes, write_pointset)
+                               write_pointset)
 
 
 def test_encode_is_bijection(f5):
-    X = np.array(list(all_vectors(f5, 2)))
+    X = np.array(list(product(range(5), repeat=2)))
     assert encode(X, 5).tolist() == list(range(25))  # index order is lexicographic
     assert encode(np.array([(1, 0)]), 5)[0] == 5  # first coordinate most significant
     assert (decode(encode(X, 5), 5, 2) == X).all()
@@ -74,7 +75,7 @@ def test_spheres_partition(q, d):
                                          (5, 1, 3, 1 << 15), (3, 3, 2, 1), (7, 1, 0, 1 << 15)])
 def test_sphere_sizes_match_scalar_scan(p, r, d, chunk):
     F = field_create(p, r)
-    sizes = Counter(norm(F, x) for x in all_vectors(F, d))
+    sizes = Counter(norm(F, x) for x in product(range(F.q), repeat=d))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "CHUNK_ELEMS", chunk)
         assert [len(sphere(F, d, j)) for j in range(F.q)] == [sizes[j] for j in range(F.q)]
@@ -190,11 +191,6 @@ def test_translate(f5):
     assert set(translate(E, (4, 3)).points) == {(0, 0), (2, 1)}
 
 
-def test_all_vectors_budget(f5):
-    with budget_scope(3), pytest.raises(Exception):
-        list(all_vectors(f5, 2))
-
-
 def test_pointset_io_roundtrip(tmp_path, f9):
     E = PointSet.build(f9, 3, [(0, 1, 2), (8, 8, 8), (3, 0, 5)])
     path = tmp_path / "set.txt"
@@ -290,4 +286,4 @@ def test_pointset_io_rejects_bad_files(tmp_path, text):
 
 def test_full_space_helper(f3):
     assert len(full_space(f3, 3)) == 27
-    assert full_space(f3, 3) == PointSet.build(f3, 3, all_vectors(f3, 3))
+    assert full_space(f3, 3) == PointSet.build(f3, 3, product(range(3), repeat=3))

@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import inspect
 import json
+import os
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -11,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import folded_power, rand_set
+from conftest import folded_power, rand_set, write_hyperplanes
+import fqsalem
 from fqsalem import analysis
 from fqsalem.analysis import Analysis, render_report
 from fqsalem.cli import build_parser, main
@@ -19,8 +22,7 @@ from fqsalem.distance import distance_profile, pair_profile
 from fqsalem.energy import energy_bruteforce, energy_convolution, pair_counts
 from fqsalem.errors import BudgetExceeded, ConfigError, InvariantViolation, budget_scope
 from fqsalem.field import field_create
-from fqsalem.geometry import (HyperplaneMultiset, PointSet, read_pointset,
-                               write_hyperplanes, write_pointset)
+from fqsalem.geometry import HyperplaneMultiset, PointSet, read_pointset, write_pointset
 from fqsalem.harness import oracle_distances, oracle_incidences, run, sweep, validate_config
 from fqsalem.incidence import count_incidences
 from fqsalem.spectral import half_power
@@ -443,7 +445,7 @@ def test_oracles_match_kernels_on_degenerate_sets(f5, d, codes):
     # the one point of F_5^0, and empty sets
     E = PointSet.from_codes(f5, d, codes)
     assert len(E.points) == len(E)
-    assert np.array_equal(half_power(E)[0], folded_power(E))
+    assert np.array_equal(half_power(E), folded_power(E))
     assert oracle_distances(E) == pair_profile(pair_counts(E)).counts
     for k in (2, 3):
         assert energy_bruteforce(E, k) == energy_convolution(E, k)
@@ -620,6 +622,13 @@ def test_cli_help_exit_0(capsys):
     assert build_parser() is build_parser()  # built once per process
 
 
+# tolerances below the float residuals: verify exits 2
+GATE_FAILURE_CONFIG = {
+    "construction": {"kind": "random", "p": 5, "d": 2, "size": 9, "seed": 3},
+    "analyses": ["fourier"],
+    "tolerances": {"parseval": 1e-30, "energyIdentity": 1e-30}}
+
+
 def test_cli_verify_exit_codes(tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(ISO_CONFIG))
@@ -627,10 +636,7 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
     bad_gate = tmp_path / "gate.json"
-    bad_gate.write_text(json.dumps({
-        "construction": {"kind": "random", "p": 5, "d": 2, "size": 9, "seed": 3},
-        "analyses": ["fourier"],
-        "tolerances": {"parseval": 1e-30, "energyIdentity": 1e-30}}))
+    bad_gate.write_text(json.dumps(GATE_FAILURE_CONFIG))
     assert main(["verify", "--config", str(bad_gate)]) == 2
     capsys.readouterr()
 
@@ -733,7 +739,34 @@ def test_cli_output_path_that_cannot_be_created_exit_3(tmp_path, capsys, command
     out = blocker if command == "sweep" else blocker / "out.txt"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("config error: cannot ") and err.count("\n") == 1
+    verb = "create" if command == "sweep" else "write"
+    assert err.startswith(f"config error: cannot {verb} {out}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv,code", [
+    (["ranges", "--json"], 0),
+    (["ranges"], 0),
+    (["verify", "--config", "configs/orbit-q27.json"], 0),
+    (["verify", "--config", "{tmp}/gate.json"], 2)], ids=["ranges-json", "ranges", "verify", "gate"])
+def test_cli_keeps_its_exit_code_when_the_reader_is_gone(tmp_path, argv, code, unbuffered):
+    # stdout is a pipe whose read end is closed before the command starts, so
+    # its first write fails with EPIPE; the command still exits with its own
+    # code, and says nothing on stderr
+    (tmp_path / "gate.json").write_text(json.dumps(GATE_FAILURE_CONFIG))
+    src = str(Path(fqsalem.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        child = subprocess.run([sys.executable, "-m", "fqsalem.cli",
+                                *(a.format(tmp=tmp_path) for a in argv)],
+                               cwd=Path(__file__).resolve().parent.parent, stdout=write,
+                               stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (child.returncode, child.stderr.decode()) == (code, "")
 
 
 @pytest.mark.parametrize("name", ["sweep.ledger", "sweep.stamp", "sweep.csv"])

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -12,7 +13,7 @@ from fqsalem import incidence
 from fqsalem.energy import energy_bruteforce, pair_counts
 from fqsalem.errors import ConfigError, InvariantViolation
 from fqsalem.field import field_create
-from fqsalem.geometry import HyperplaneMultiset, PointSet, all_vectors, full_space, sphere
+from fqsalem.geometry import HyperplaneMultiset, PointSet, full_space, sphere
 from fqsalem.harness import oracle_incidences
 from fqsalem.incidence import (count_incidences, difference_family, dilate_hyperplanes,
                                 incidence_bounds, incidence_via_dilation,
@@ -21,7 +22,7 @@ from fqsalem.incidence import (count_incidences, difference_family, dilate_hyper
 
 def plane_points(F, d, a, b):
     from fqsalem.geometry import dot
-    return PointSet.build(F, d, (x for x in all_vectors(F, d) if dot(F, a, x) == b))
+    return PointSet.build(F, d, (x for x in product(range(F.q), repeat=d) if dot(F, a, x) == b))
 
 
 def rand_hyperplanes(F, d, n, seed, allow_zero_b=False):

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import folded_power, full_space, oracle_moment, rand_set, translate
+from conftest import folded_power, full_space, half_total, oracle_moment, rand_set, translate
 from fqsalem import spectral
 from fqsalem.constructions import product_set
 from fqsalem.field import field_create
@@ -28,10 +28,10 @@ def norms(E) -> dict:
 
 
 def test_full_space_spectrum(f5):
-    P, w = half_power(full_space(f5, 2))
+    P = half_power(full_space(f5, 2))
     assert P[0, 0] == pytest.approx(1)
     assert np.max(P.ravel()[1:]) < 1e-24
-    assert np.sum(P @ w) == pytest.approx(1)
+    assert half_total(P) == pytest.approx(1)
 
 
 def test_singleton_spectrum(f7):
@@ -46,7 +46,7 @@ def test_fast_equals_direct(p, r, d):
     q = F.q
     for seed in range(4):
         E = rand_set(F, d, min(10 + 7 * seed, q ** d), seed)
-        P, _ = half_power(E)
+        P = half_power(E)
         assert np.max(np.abs(P - folded_power(E))) <= 1e-12
 
 
@@ -55,8 +55,8 @@ def test_parseval(p, r, d):
     F = field_create(p, r)
     for seed in range(3):
         E = rand_set(F, d, 12, seed)
-        P, w = half_power(E)
-        total = float(np.sum(P @ w))
+        P = half_power(E)
+        total = half_total(P)
         expect = len(E) / F.q ** d
         assert abs(total - expect) <= 1e-10 * expect
         assert abs(P[0, 0] - expect ** 2) < 1e-12
@@ -200,15 +200,15 @@ ZERO_FILL = {"products": 1, "zeros": 1, "empty": 0}
 
 
 def test_pruned_fft_empty_set(f9):
-    P, w = half_power(PointSet.from_codes(f9, 2, []))
-    assert P.shape == (27, 2) and not P.any() and w.tolist() == [1.0, 2.0]
+    P = half_power(PointSet.from_codes(f9, 2, []))
+    assert P.shape == (27, 2) and not P.any()
 
 
 @pytest.mark.parametrize("p,r", [(5, 1), (3, 2), (3, 3)])
 def test_pruned_fft_singleton(p, r):
     F = field_create(p, r)
     E = PointSet.build(F, 2, [(1, F.q - 1)])
-    P, _ = half_power(E)
+    P = half_power(E)
     assert np.allclose(P, 1 / F.q ** 4, rtol=0, atol=1e-15)
     assert np.max(np.abs(P - folded_power(E))) <= 1e-12
 
@@ -217,7 +217,7 @@ def test_pruned_fft_singleton(p, r):
 def test_pruned_fft_full_space_takes_reshape_path(monkeypatch, p, r, d):
     F = field_create(p, r)
     passes = record_passes(monkeypatch)
-    P, _ = half_power(full_space(F, d))
+    P = half_power(full_space(F, d))
     # every prefix holds all p digits: one product per pass, no scratch array
     assert passes == [RESHAPE] * (r * d)
     assert P[0, 0] == pytest.approx(1)
@@ -233,7 +233,7 @@ def two_points_times_one(F):
 def test_pruned_fft_collapsed_prefixes(monkeypatch, f7):
     E = two_points_times_one(f7)
     passes = record_passes(monkeypatch)
-    P, _ = half_power(E)
+    P = half_power(E)
     # the last pass carries 7 x 16 < 2^10 entries per prefix: it zero-fills
     assert passes == [OUTER, OUTER, ZERO_FILL]
     assert np.max(np.abs(P - folded_power(E))) <= 1e-12
@@ -245,7 +245,7 @@ def test_pruned_fft_one_product_per_prefix(monkeypatch, f7):
     monkeypatch.setattr(spectral, "_PREFIX_PRODUCT_MIN", 1)
     E = two_points_times_one(f7)
     passes = record_passes(monkeypatch)
-    P, _ = half_power(E)
+    P = half_power(E)
     assert passes == [OUTER, OUTER, {"products": 1, "zeros": 0, "empty": 1}]
     assert np.max(np.abs(P - folded_power(E))) <= 1e-12
 
@@ -257,7 +257,7 @@ def test_pruned_fft_one_digit_prefixes_take_outer_products(monkeypatch, f9):
     # three prefixes of the leading coordinate's two digit axes
     E = PointSet.build(f9, 3, [(x, 4, x) for x in range(9)])
     passes = record_passes(monkeypatch)
-    P, _ = half_power(E)
+    P = half_power(E)
     assert passes == [OUTER] * 4 + [RESHAPE] * 2
     assert np.max(np.abs(P - folded_power(E))) <= 1e-12
 
@@ -273,7 +273,7 @@ def test_sparse_passes_agree(monkeypatch, prefix_min, p, r, d):
         E = rand_set(F, d, 5 + 9 * seed, seed)
         direct = fourier_direct(E)
         half = np.abs(direct.reshape(-1, p)[:, :(p + 1) // 2]) ** 2
-        assert np.max(np.abs(half_power(E)[0] - half)) <= 1e-12
+        assert np.max(np.abs(half_power(E) - half)) <= 1e-12
 
 
 def direct_at(E: PointSet, code: int) -> complex:
@@ -296,9 +296,9 @@ def test_large_p_passes_take_the_fft(monkeypatch, p, r, d):
     q_d = F.q ** d
     rng = np.random.default_rng(p + r)
     E = PointSet.from_codes(F, d, rng.integers(0, q_d, 6))
-    P, w = half_power(E)
+    P = half_power(E)
     assert P.shape == (q_d // p, (p + 1) // 2)
-    assert abs(np.sum(P @ w) - len(E) / q_d) <= 1e-12
+    assert abs(half_total(P) - len(E) / q_d) <= 1e-12
     for code in [0, 1, (p - 1) // 2, (p + 1) // 2, p - 1, p % q_d, q_d - 1,
                  *rng.integers(0, q_d, 5).tolist()]:
         want = abs(direct_at(E, code)) ** 2
@@ -314,8 +314,8 @@ def test_zero_dimension(codes, f5):
     # F_5^0 is one point; its one frequency m = 0 has E_hat(0) = |E|
     E = PointSet.from_codes(f5, 0, codes)
     assert fourier_direct(E).tolist() == [len(codes)]
-    P, w = half_power(E)
-    assert P.tolist() == [[len(codes)]] and w.tolist() == [1.0]
+    P = half_power(E)
+    assert P.tolist() == [[len(codes)]]
     assert np.array_equal(P, folded_power(E))
     construction = ({"kind": "fullSpace", "p": 5, "d": 0} if codes
                     else {"kind": "random", "p": 5, "d": 0, "size": 0})

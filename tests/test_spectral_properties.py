@@ -10,7 +10,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from conftest import folded_power  # noqa: E402
+from conftest import folded_power, half_total  # noqa: E402
 from fqsalem.field import field_create  # noqa: E402
 from fqsalem.geometry import PointSet  # noqa: E402
 from fqsalem.analysis import Analysis, _fourier_section  # noqa: E402
@@ -32,9 +32,9 @@ def small_sets(draw):
 @settings(max_examples=40, deadline=None)
 @given(small_sets())
 def test_pruned_fft_matches_direct(E):
-    P, w = Analysis(E).power
+    P = Analysis(E).power
     assert np.max(np.abs(P - folded_power(E))) <= 1e-12
-    assert abs(np.sum(P @ w) - len(E) / E.field.q ** E.d) <= 1e-12
+    assert abs(half_total(P) - len(E) / E.field.q ** E.d) <= 1e-12
 
 
 @st.composite
@@ -54,14 +54,13 @@ def test_half_spectrum_matches_direct(E):
     p, q_d = E.field.p, E.field.q ** E.d
     full = np.abs(fourier_direct(E)) ** 2  # index order; [0] is m = 0
     # P is |E_hat|^2 at the trailing frequency digits 0..(p-1)/2
-    P, w = half_power(E)
+    P = half_power(E)
     assert P.shape == (q_d // p, (p + 1) // 2)
     assert np.max(np.abs(P - full.reshape(-1, p)[:, :(p + 1) // 2])) <= 1e-12
-    # the weighted half stands for every frequency
+    # the half stands for every frequency
     A = Analysis(E)
-    assert all(np.array_equal(a, b) for a, b in zip(A.power, (P, w)))
-    assert list(w) == [1.0] + [2.0] * ((p - 1) // 2)
-    assert abs(np.sum(P @ w) - len(E) / q_d) <= 1e-12
+    assert np.array_equal(A.power, P)
+    assert abs(half_total(P) - len(E) / q_d) <= 1e-12
     for k in (2, 3):
         assert abs(A.fourier_moment(k) - np.sum(full[1:] ** k) / q_d) <= 1e-12
     results, _ = _fourier_section(A, {})
@@ -85,7 +84,7 @@ def one_digit_prefix_sets(draw):
 @settings(max_examples=40, deadline=None)
 @given(one_digit_prefix_sets())
 def test_one_digit_prefixes_match_direct(E):
-    P, w = half_power(E)
+    P = half_power(E)
     assert P.shape == folded_power(E).shape
     assert np.max(np.abs(P - folded_power(E))) <= 1e-12
-    assert abs(np.sum(P @ w) - len(E) / E.field.q ** E.d) <= 1e-12
+    assert abs(half_total(P) - len(E) / E.field.q ** E.d) <= 1e-12
