@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import distance, energy, incidence, spectral
+from . import distance, energy, spectral
 from .errors import ConfigError, DEFAULT_BUDGET, as_int, budget_scope, config_value
 from .geometry import PointSet
 from .ranges import (conjectured_alpha, crossover_identities, energy_threshold,
@@ -83,8 +83,9 @@ class Analysis:
     Each is computed on first use and kept for the lifetime of the object,
     which `report()` creates once per report, so a report computes Lambda_{2k},
     nu and |E_hat|^2 once each however many sections read them. Lambda_4, nu,
-    E - E and the difference family all come from one pass over the pairs
-    of E (`pairs`). A value is charged to the budget scope of its first read.
+    E - E and the difference family are all read from one pass over the pairs
+    of E (`pairs`, whose nu and sum_m2 are themselves computed on first read).
+    A value is charged to the budget scope of its first read.
     """
 
     def __init__(self, E: PointSet):
@@ -106,10 +107,6 @@ class Analysis:
         if k == 2:
             return self.pairs.lam4
         return self._once(("lam", k), lambda: energy.energy_convolution(self.E, k))
-
-    @property
-    def profile(self) -> distance.DistanceProfile:
-        return self._once("profile", lambda: distance.pair_profile(self.pairs))
 
     @property
     def power(self) -> np.ndarray:
@@ -158,11 +155,6 @@ class Analysis:
             return min(0.5, max(0.25, s))
         return self._once("salem_s", compute)
 
-    @property
-    def difference_family(self) -> incidence.DifferenceFamily:
-        return self._once("difference_family",
-                          lambda: incidence.difference_family(self.pairs))
-
 
 # --- bound checks (ratios, never pass/fail against hidden constants) -----------
 
@@ -174,7 +166,7 @@ def verify_secondmoment_bounds(A: Analysis, s: float) -> dict:
     """
     E, lam4 = A.E, A.lam(2)
     q, d, n = E.field.q, E.d, len(E)
-    sm = A.profile.second_moment
+    sm = distance.second_moment(A.pairs.nu)
     rhs1 = n ** 4 / q + n ** 3 + q ** (d / 4) * n ** (3 - s) * lam4 ** 0.25
     rhs2 = n ** 4 / q + q ** (d / 2) * n ** 1.5 * lam4 ** 0.5
     return {
@@ -189,7 +181,7 @@ def verify_difference_bounds(A: Analysis, s: float) -> dict:
     """|Delta(E)| and |E - E| against min{q, q^{1-d}|E|^{4s}} and min{q^d, |E|^{4s}}."""
     E = A.E
     q, d, n = E.field.q, E.d, len(E)
-    size_delta, size_diff = len(A.profile.support), len(A.pairs.differences)
+    size_delta, size_diff = int(np.count_nonzero(A.pairs.nu)), len(A.pairs.differences)
     bound_delta = min(q, q ** (1 - d) * n ** (4 * s))
     bound_diff = min(q ** d, n ** (4 * s))
     return {
@@ -238,19 +230,19 @@ def _salem_section(A: Analysis, config: dict) -> tuple[dict, dict]:
 
 
 def _distance_section(A: Analysis, config: dict) -> tuple[dict, dict]:
-    prof = A.profile
+    nu = A.pairs.nu
     return {
-        "support": sorted(prof.support),
-        "secondMoment": prof.second_moment,
-        "csLowerBound": distance.cs_lower_bound(prof),
+        "support": np.flatnonzero(nu).tolist(),
+        "secondMoment": distance.second_moment(nu),
+        "csLowerBound": distance.cs_lower_bound(nu),
         "energyRoute": verify_difference_bounds(A, A.salem_s),
         "secondMomentRatios": verify_secondmoment_bounds(A, A.salem_s),
     }, {}
 
 
 def _incidence_section(A: Analysis, config: dict) -> tuple[dict, dict]:
-    fam = A.difference_family
-    return {"pairTotal": fam.total_pairs, "sumM2": fam.sum_m2, "lambda4": A.lam(2)}, {}
+    pairs = A.pairs
+    return {"pairTotal": int(pairs.counts.sum()), "sumM2": pairs.sum_m2, "lambda4": A.lam(2)}, {}
 
 
 def _ranges_section(A: Analysis | None, config: dict) -> tuple[dict, dict]:

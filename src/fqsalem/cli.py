@@ -18,9 +18,14 @@ from .energy import energy_bruteforce
 from .errors import DEFAULT_BUDGET, BudgetExceeded, ConfigError, InvariantViolation, budget_scope
 from .field import field_create
 from .geometry import read_hyperplanes, read_pointset, write_pointset
-from .harness import (EXIT_BUDGET, EXIT_CONFIG_ERROR, EXIT_GATE_FAILURE,
-                      EXIT_INVARIANT, EXIT_OK, build_set, file_op, oracle_distances,
-                      oracle_incidences, run, sweep, validate_config)
+from .harness import (build_set, file_op, oracle_distances, oracle_incidences, run, sweep,
+                      validate_config)
+
+EXIT_OK = 0
+EXIT_GATE_FAILURE = 2
+EXIT_CONFIG_ERROR = 3
+EXIT_BUDGET = 4
+EXIT_INVARIANT = 5
 
 
 def _add_common(p):

@@ -16,7 +16,8 @@ Two independent evaluation paths:
 
 Reports read L_4 from the difference side instead: sum_u D(u)^2 over the
 difference counts D(u) = #{(x, y) in E^2 : x - y = u} of `pair_counts`, a
-pass that shares no counting with the sum side.
+pass that shares no counting with the sum side. Its `PairCounts` also holds
+nu(t) and the difference family of the second-moment proof.
 
 Counts are int64 with the range checked from |E|^k; sums of squares are exact.
 """
@@ -24,12 +25,13 @@ Counts are int64 with the range checked from |E|^k; sums of squares are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
 
-from .errors import check_budget, ConfigError
-from .geometry import PointSet, decode, lift_to_paraboloid, vadd, vsub
+from .errors import check_budget, check_invariant, ConfigError
+from .geometry import PointSet, decode, lift_to_paraboloid, norms, vadd, vsub
 from .kernels import (KeyCounter, group_sums, pair_codes, row_blocks,
                       sum_squares, upper_pair_codes)
 
@@ -93,7 +95,8 @@ def energy_bruteforce(E: PointSet, k: int) -> int:
 class PairCounts:
     """The pairs (x, y) of E^2, diagonal included, counted by their lifted
     difference (x - y, ||x|| - ||y||): the one pass that Lambda_4, E - E, nu
-    and the difference family m_t(u) are all read from."""
+    and the difference family m_t(u) are all read from. nu and sum_m2 are
+    computed on first use."""
 
     E: PointSet
     keys: np.ndarray         # sorted u q + t: u the flat index of x - y, t the norm gap
@@ -101,6 +104,35 @@ class PairCounts:
     differences: PointSet    # E - E, the support of D(u) = sum_t m_t(u)
     diff_counts: np.ndarray  # D, in the point order of differences
     lam4: int                # sum_u D(u)^2 = Lambda_4(E)
+
+    @cached_property
+    def nu(self) -> np.ndarray:
+        """nu(t) = #{(x, y) in E^2 : ||x - y|| = t} for t in F_q: each D(u) added
+        into the bucket of ||u|| (exact int64: the sum is |E|^2)."""
+        nu = np.zeros(self.E.field.q, dtype=np.int64)
+        np.add.at(nu, norms(self.differences), self.diff_counts)
+        nu.flags.writeable = False  # shared by every section of a report
+        return nu
+
+    @cached_property
+    def sum_m2(self) -> int:
+        """sum_t sum_u m_t(u)^2 over the difference family X_t = {(y, z) in E^2 :
+        ||y|| - ||z|| = t}, whose pairs have difference u with multiplicity m_t(u).
+
+        Invariants (InvariantViolation otherwise): sum_t |X_t| = |E|^2 and
+        sum_t sum_u m_t(u)^2 <= L_4(E), with equality when every norm gap is 0
+        (E on one sphere). The inequality holds for every E, and with it
+        Lambda_4(E') <= Lambda_4(E) for the paraboloid lift E': summed over u,
+        sum_t m_t(u)^2 <= (sum_t m_t(u))^2 = D(u)^2.
+        """
+        n = len(self.E)
+        check_invariant(int(self.counts.sum()) == n ** 2, "sum_t |X_t| differs from |E|^2")
+        m2 = sum_squares(self.counts, n ** 4)
+        check_invariant(m2 <= self.lam4, "sum_t sum_u m_t(u)^2 exceeds L_4(E)")
+        if not (self.keys % self.E.field.q).any():
+            check_invariant(m2 == self.lam4,
+                            "sum_t sum_u m_t(u)^2 differs from L_4(E) on one sphere")
+        return m2
 
 
 def pair_counts(E: PointSet) -> PairCounts:

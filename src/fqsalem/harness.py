@@ -20,12 +20,6 @@ from .constructions import _MASK, ConstructionSpec, _splitmix64_array
 from .errors import BudgetExceeded, ConfigError, DEFAULT_BUDGET, budget_scope, check_budget, is_int
 from .geometry import PointSet
 
-EXIT_OK = 0
-EXIT_GATE_FAILURE = 2
-EXIT_CONFIG_ERROR = 3
-EXIT_BUDGET = 4
-EXIT_INVARIANT = 5
-
 #: every key a config may have: the ones the harness reads, and the report's
 CONFIG_KEYS = analysis.CONFIG_KEYS | {"construction", "seed", "grid"}
 
@@ -216,7 +210,7 @@ def _cell_detail(cell: dict, rep: dict) -> str:
 
 def oracle_distances(E: PointSet) -> dict[int, int]:
     """Plain double loop over the scalar field methods, kept separate from
-    distance.distance_profile."""
+    energy.PairCounts.nu and distance.distance_profile."""
     check_budget(len(E) ** 2, "distance oracle")
     F = E.field
     counts: dict[int, int] = {}

@@ -5,19 +5,17 @@ a.x = b. All counts are exact. `incidence_bounds` evaluates the paper's
 bounds on N in double precision from exact ingredients and reports each
 with its ratio. The dilation trick (`dilate_hyperplanes`,
 `sphere_incidence_setup`) multiplies by every lam in F_q^* through one
-gather of the multiplication table, and the difference family of the
-second-moment proof is read from the pair pass (`energy.pair_counts`),
-whose Lambda_4 it is checked against.
+gather of the multiplication table; its difference multiset is read from
+the pair pass (`energy.pair_counts`), whose Lambda_4 it is checked against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .energy import PairCounts, pair_counts
+from .energy import pair_counts
 from .errors import check_budget, check_invariant, ConfigError
 from .field import FieldTables
 from .geometry import HyperplaneMultiset, PointSet, decode, encode, norms
@@ -111,36 +109,3 @@ def sphere_incidence_setup(E: PointSet) -> tuple[PointSet, HyperplaneMultiset]:
                     "sum of squared difference multiplicities differs from L_4(E)")
     return P, Pp
 
-
-@dataclass(frozen=True)
-class DifferenceFamily:
-    """Per-t difference multisets from the second-moment proof; m_t(u) itself
-    is PairCounts.counts at the key u q + t."""
-
-    x_sizes: dict[int, int]  # t -> |X_t|
-    total_pairs: int         # sum_t |X_t|
-    sum_m2: int              # sum_t sum_u m_t(u)^2
-
-
-def difference_family(pairs: PairCounts) -> DifferenceFamily:
-    """X_t = {(y,z) in E^2 : ||y|| - ||z|| = t} with difference multiplicities,
-    for E = pairs.E, read from its lifted pair counts.
-
-    Invariants (checked against pairs.lam4 = L_4(E), InvariantViolation
-    otherwise): sum_t |X_t| = |E|^2 and sum_t sum_u m_t(u)^2 <= L_4(E), with
-    equality when E is on one sphere. The inequality holds for every E, and
-    with it Lambda_4(E') <= Lambda_4(E) for the paraboloid lift E': summed
-    over u, sum_t m_t(u)^2 <= (sum_t m_t(u))^2 = D(u)^2.
-    """
-    n, q = len(pairs.E), pairs.E.field.q
-    sizes = np.zeros(q, dtype=np.int64)
-    np.add.at(sizes, pairs.keys % q, pairs.counts)  # |X_t| = sum_u m_t(u), exactly
-    gaps = np.flatnonzero(sizes)
-    fam = DifferenceFamily(dict(zip(gaps.tolist(), sizes[gaps].tolist())),
-                           int(sizes.sum()), sum_squares(pairs.counts, n ** 4))
-    check_invariant(fam.total_pairs == n ** 2, "sum_t |X_t| differs from |E|^2")
-    check_invariant(fam.sum_m2 <= pairs.lam4, "sum_t sum_u m_t(u)^2 exceeds L_4(E)")
-    if set(fam.x_sizes) == {0}:  # E on one sphere: every norm gap is 0
-        check_invariant(fam.sum_m2 == pairs.lam4,
-                        "sum_t sum_u m_t(u)^2 differs from L_4(E) on one sphere")
-    return fam

@@ -112,6 +112,13 @@ def difference_family_oracle(E):
     return sorted(counts.items())
 
 
+def nonzero_counts(nu):
+    """{t: nu[t]} for the t with nu[t] != 0, in increasing t: a profile array in
+    the shape of harness.oracle_distances."""
+    t = np.flatnonzero(nu)
+    return dict(zip(t.tolist(), nu[t].tolist()))
+
+
 def folded_power(E):
     """The oracle's |E_hat|^2 laid out as spectral.half_power's P: row m // p,
     column the trailing digit of m in 0..(p-1)/2; (1, 1) for d = 0."""

@@ -23,8 +23,15 @@ def low_default(monkeypatch):
     monkeypatch.setattr(errors, "DEFAULT_BUDGET", 48)
 
 
+def _built(make):
+    """make() in a scope of its own: building a set in F_7^2 scans the 49 points
+    of the space, which the default would refuse before the kernel runs."""
+    with budget_scope(10 ** 6):
+        return make()
+
+
 def _pair_counts(F):
-    E = rand_set(F, 2, 10, seed=1)
+    E = _built(lambda: rand_set(F, 2, 10, seed=1))
     assert pair_counts(E).lam4 == energy_bruteforce(E, 2)
 
 
@@ -33,25 +40,34 @@ def _paraboloid(F):
 
 
 def _sphere_incidence_setup(F):
-    E = sphere(F, 2, 1)
+    E = _built(lambda: sphere(F, 2, 1))
     assert sphere_incidence_setup(E)[1].total == len(E) ** 2  # sum_u D(u)
 
 
 def _incidence_via_dilation(F):
-    P, H = sphere(F, 2, 1), HyperplaneMultiset.build(F, 2, [((1, 2), 3, 1), ((0, 1), 5, 2)])
+    P = _built(lambda: sphere(F, 2, 1))
+    H = HyperplaneMultiset.build(F, 2, [((1, 2), 3, 1), ((0, 1), 5, 2)])
     assert incidence_via_dilation(P, H) == count_incidences(P, H)
 
 
 def _fourier_direct(F):
-    # the oracle charges q^d |E| = 98 units before it scans the q^d frequencies
     E = PointSet.build(F, 2, [(1, 2), (3, 4)])
     assert abs(fourier_direct(E)[0] - 2 / 49) < 1e-15
 
 
-@pytest.mark.parametrize("call", [_pair_counts, _paraboloid, _sphere_incidence_setup,
-                                  _incidence_via_dilation, _fourier_direct])
+# each case's first charge at the default, made by the kernel under test
+REFUSALS = {
+    _pair_counts: "pair counts needs 100 units",
+    _paraboloid: "paraboloid enumeration needs 49 units",
+    _sphere_incidence_setup: "F_7 lookup tables needs 49 units",
+    _incidence_via_dilation: "F_7 lookup tables needs 49 units",
+    _fourier_direct: "direct Fourier transform needs 98 units",  # q^d |E|
+}
+
+
+@pytest.mark.parametrize("call", list(REFUSALS))
 def test_kernels_charge_the_scope_not_the_default(low_default, f7, call):
-    with pytest.raises(BudgetExceeded, match="budget is 48"):
+    with pytest.raises(BudgetExceeded, match=f"^{REFUSALS[call]}, budget is 48$"):
         call(f7)
     with budget_scope(10 ** 6):
         call(f7)

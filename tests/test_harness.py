@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import functools
 import inspect
 import json
 import os
@@ -13,13 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import folded_power, rand_set, write_hyperplanes
+from conftest import folded_power, nonzero_counts, rand_set, write_hyperplanes
 import fqsalem
 from fqsalem import analysis
 from fqsalem.analysis import Analysis, render_report
 from fqsalem.cli import build_parser, main
-from fqsalem.distance import distance_profile, pair_profile
-from fqsalem.energy import energy_bruteforce, energy_convolution, pair_counts
+from fqsalem.distance import distance_profile
+from fqsalem.energy import PairCounts, energy_bruteforce, energy_convolution, pair_counts
 from fqsalem.errors import BudgetExceeded, ConfigError, InvariantViolation, budget_scope
 from fqsalem.field import field_create
 from fqsalem.geometry import HyperplaneMultiset, PointSet, read_pointset, write_pointset
@@ -150,9 +151,18 @@ def test_run_computes_each_quantity_once(monkeypatch, p, r):
     # Lambda_4, nu, E - E and the difference family are read from one pair
     # pass; energy_convolution and distance_profile would each be another.
     # The spectrum is transformed once, on the Hermitian half only, and the
-    # energy, salem and distance sections share one Salem parameter
+    # energy, salem and distance sections share one Salem parameter. nu is
+    # summed once, though the distance section reads it five times
     calls = {fn.__name__: count_calls(monkeypatch, fn)
              for fn in (pair_counts, energy_convolution, distance_profile, half_power)}
+    nu_sums, nu = [], PairCounts.nu.func
+
+    def counted_nu(self):
+        nu_sums.append(self)
+        return nu(self)
+
+    monkeypatch.setattr(PairCounts, "nu", functools.cached_property(counted_nu))
+    PairCounts.nu.__set_name__(PairCounts, "nu")
     computed, once = [], Analysis._once
 
     def recorded_once(self, key, compute):
@@ -167,6 +177,7 @@ def test_run_computes_each_quantity_once(monkeypatch, p, r):
     assert {name: len(c) for name, c in calls.items()} == {
         "pair_counts": 1, "energy_convolution": 0, "distance_profile": 0, "half_power": 1}
     assert computed.count("salem_s") == 1
+    assert len(nu_sums) == 1
 
 
 def test_report_rendering_is_deterministic():
@@ -435,7 +446,7 @@ def test_oracles(f5, f9):
     single = PointSet.build(f5, 2, [(1, 1)])
     assert oracle_distances(single) == {0: 1}
     E9 = rand_set(f9, 3, 30, seed=4)
-    assert oracle_distances(E9) == pair_profile(pair_counts(E9)).counts
+    assert oracle_distances(E9) == nonzero_counts(pair_counts(E9).nu)
     H = HyperplaneMultiset.build(f5, 2, [((1, 0), 1, 2)])
     assert oracle_incidences(E, H) == count_incidences(E, H)
 
@@ -446,7 +457,7 @@ def test_oracles_match_kernels_on_degenerate_sets(f5, d, codes):
     E = PointSet.from_codes(f5, d, codes)
     assert len(E.points) == len(E)
     assert np.array_equal(half_power(E), folded_power(E))
-    assert oracle_distances(E) == pair_profile(pair_counts(E)).counts
+    assert oracle_distances(E) == nonzero_counts(pair_counts(E).nu)
     for k in (2, 3):
         assert energy_bruteforce(E, k) == energy_convolution(E, k)
 

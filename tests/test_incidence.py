@@ -1,8 +1,10 @@
-"""Point-hyperplane incidence counts, bounds, dilation, and difference families."""
+"""Point-hyperplane incidence counts, bounds, dilation, and the difference
+family of the pair pass."""
 
 import dataclasses
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -15,9 +17,8 @@ from fqsalem.errors import ConfigError, InvariantViolation
 from fqsalem.field import field_create
 from fqsalem.geometry import HyperplaneMultiset, PointSet, full_space, sphere
 from fqsalem.harness import oracle_incidences
-from fqsalem.incidence import (count_incidences, difference_family, dilate_hyperplanes,
-                                incidence_bounds, incidence_via_dilation,
-                                sphere_incidence_setup)
+from fqsalem.incidence import (count_incidences, dilate_hyperplanes, incidence_bounds,
+                                incidence_via_dilation, sphere_incidence_setup)
 
 
 def plane_points(F, d, a, b):
@@ -183,11 +184,18 @@ def test_sphere_setup_rejects_off_sphere(f5):
         sphere_incidence_setup(PointSet.build(f5, 2, []))
 
 
+def x_sizes(pairs):
+    """t -> |X_t| = sum_u m_t(u) for the norm gaps t that occur, from the keys u q + t."""
+    sizes = Counter()
+    for t, m in zip((pairs.keys % pairs.E.field.q).tolist(), pairs.counts.tolist()):
+        sizes[t] += m
+    return dict(sizes)
+
+
 def test_distance_energy_family_singleton(f5):
-    E = PointSet.build(f5, 2, [(1, 2)])
-    fam = difference_family(pair_counts(E))
-    assert fam.x_sizes == {0: 1}
-    assert fam.total_pairs == 1 and fam.sum_m2 == 1
+    pairs = pair_counts(PointSet.build(f5, 2, [(1, 2)]))
+    assert x_sizes(pairs) == {0: 1}
+    assert pairs.counts.sum() == 1 and pairs.sum_m2 == 1
 
 
 @pytest.mark.parametrize("q,d", [(3, 2), (5, 2), (7, 2), (9, 2), (27, 2)])
@@ -195,33 +203,42 @@ def test_distance_energy_family_random(q, d):
     F = field_of_order(q)
     for seed in range(4):
         E = rand_set(F, d, 8, seed)
-        fam = difference_family(pair_counts(E))
-        assert fam.total_pairs == len(E) ** 2
-        assert fam.sum_m2 <= energy_bruteforce(E, 2)
-        brute = difference_family_oracle(E)
         pairs = pair_counts(E)
+        assert pairs.counts.sum() == len(E) ** 2
+        assert pairs.sum_m2 <= energy_bruteforce(E, 2)
+        brute = difference_family_oracle(E)
         assert list(zip(pairs.keys.tolist(), pairs.counts.tolist())) == brute
         sizes = {}
         for key, m in brute:
             sizes[key % q] = sizes.get(key % q, 0) + m
-        assert fam.x_sizes == sizes
-        assert fam.sum_m2 == sum(m * m for _, m in brute)
+        assert x_sizes(pairs) == sizes
+        assert pairs.sum_m2 == sum(m * m for _, m in brute)
 
 
 def test_distance_energy_equality_iff_sphere(f5, f9):
     for on in (sphere(f5, 2, 2), sphere(f9, 2, 3)):
-        assert difference_family(pair_counts(on)).sum_m2 == energy_bruteforce(on, 2)
+        assert pair_counts(on).sum_m2 == energy_bruteforce(on, 2)
     # off-sphere set where one difference occurs at two norm gaps: strict
     off = PointSet.build(f5, 2, [(0, 0), (1, 0), (2, 0)])
-    assert difference_family(pair_counts(off)).sum_m2 < energy_bruteforce(off, 2)
+    assert pair_counts(off).sum_m2 < energy_bruteforce(off, 2)
 
 
 def test_invariant_violation_is_typed(f5, monkeypatch):
-    # a wrong Lambda_4 breaks the one-sphere equality, which must survive python -O
+    # a Lambda_4 above sum m^2 breaks the one-sphere equality, which must survive python -O
     E = sphere(f5, 2, 2)
-    faulty = dataclasses.replace(pair_counts(E), lam4=energy_bruteforce(E, 2) - 1)
-    with pytest.raises(InvariantViolation):
-        difference_family(faulty)
+    faulty = dataclasses.replace(pair_counts(E), lam4=energy_bruteforce(E, 2) + 1)
+    with pytest.raises(InvariantViolation, match="on one sphere"):
+        faulty.sum_m2
     monkeypatch.setattr(incidence, "pair_counts", lambda E: faulty)
     with pytest.raises(InvariantViolation):
         sphere_incidence_setup(E)
+
+
+def test_family_invariant_violations_are_typed(f5):
+    # counts that no longer cover the |E|^2 pairs, and a Lambda_4 below sum m^2;
+    # both checks must survive python -O
+    pairs = pair_counts(rand_set(f5, 2, 6, 0))
+    with pytest.raises(InvariantViolation, match=r"sum_t \|X_t\| differs from \|E\|\^2"):
+        dataclasses.replace(pairs, counts=2 * pairs.counts).sum_m2
+    with pytest.raises(InvariantViolation, match=r"sum_t sum_u m_t\(u\)\^2 exceeds L_4"):
+        dataclasses.replace(pairs, lam4=pairs.sum_m2 - 1).sum_m2

@@ -9,11 +9,10 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from conftest import difference_family_oracle, translate  # noqa: E402
+from conftest import difference_family_oracle, nonzero_counts, translate  # noqa: E402
 from fqsalem import kernels  # noqa: E402
 from fqsalem.analysis import Analysis  # noqa: E402
 from fqsalem.constructions import random_pointset  # noqa: E402
-from fqsalem.distance import pair_profile  # noqa: E402
 from fqsalem.energy import energy_bruteforce, energy_convolution, pair_counts  # noqa: E402
 from fqsalem.field import field_create  # noqa: E402
 from fqsalem.kernels import KeyCounter  # noqa: E402
@@ -43,14 +42,13 @@ def test_pair_pass_matches_oracles(case):
     assert energy_convolution(E, 2) == lam4
     diffs = Counter(vsub(F, x, y) for x in E.points for y in E.points)
     assert dict(zip(A.pairs.differences.points, A.pairs.diff_counts.tolist())) == diffs
-    assert A.profile.counts == oracle_distances(E)
-    family = A.difference_family
+    assert nonzero_counts(A.pairs.nu) == oracle_distances(E)
     assert list(zip(A.pairs.keys.tolist(), A.pairs.counts.tolist())) == difference_family_oracle(E)
     # Lambda_4(E') <= Lambda_4(E) for the paraboloid lift E'
-    assert family.sum_m2 == energy_bruteforce(lift_to_paraboloid(E), 2) <= lam4
+    assert A.pairs.sum_m2 == energy_bruteforce(lift_to_paraboloid(E), 2) <= lam4
     moved = Analysis(translate(E, shift))
     assert moved.lam(2) == lam4
-    assert moved.profile.counts == A.profile.counts
+    assert np.array_equal(moved.pairs.nu, A.pairs.nu)
     assert moved.pairs.differences == A.pairs.differences
 
 
@@ -58,7 +56,7 @@ def test_pair_pass_matches_oracles(case):
 @pytest.mark.parametrize("p,r,d,n", [(3, 3, 4, 40), (7, 2, 3, 20), (7, 1, 4, 1)])
 def test_pair_profile_across_norm_runs(p, r, d, n):
     E = random_pointset(field_create(p, r), d, n, seed=3)
-    assert pair_profile(pair_counts(E)).counts == oracle_distances(E)
+    assert nonzero_counts(pair_counts(E).nu) == oracle_distances(E)
 
 
 @settings(max_examples=40, deadline=None)
