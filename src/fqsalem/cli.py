@@ -54,8 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("ranges", help="print threshold tables")
-    p.add_argument("--d", type=int, nargs="+", default=[2, 3, 4, 5, 6])
-    p.add_argument("--s", type=str, nargs="+", default=["1/4", "3/8", "1/2"])
+    p.add_argument("--d", type=int, nargs="+", help="default: the ranges section's dims")
+    p.add_argument("--s", type=str, nargs="+", help="default: the ranges section's sValues")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("sweep", help="grid sweep to CSV")
@@ -148,7 +148,8 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "ranges":
-        section, _ = _ranges_section(None, {"dims": args.d, "sValues": args.s})
+        given = {"dims": args.d, "sValues": args.s}  # a flag not given takes the section's default
+        section, _ = _ranges_section(None, {k: v for k, v in given.items() if v is not None})
         rows = [{"d": row["d"], "s": str(row["s"]),
                  "conjectured": str(row["conjecturedAlpha"]),
                  "improved": str(row["improved"]),

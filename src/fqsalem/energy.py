@@ -139,8 +139,9 @@ def pair_counts(E: PointSet) -> PairCounts:
     """One pass over the pairs i < j of the lifted points; the rest by symmetry.
 
     The pair (j, i) has the lifted difference of (i, j) negated digit by
-    digit (KeyCounter.add_negated), and the n diagonal pairs have difference 0.
-    Charges |E|^2 units.
+    digit (KeyCounter.add_negated). No pair i < j of distinct points has
+    lifted difference 0, so the n diagonal pairs (x, x) are prepended as key 0,
+    the least key, with count n. Charges |E|^2 units.
     """
     F, d, n = E.field, E.d, len(E)
     q = F.q
@@ -150,8 +151,9 @@ def pair_counts(E: PointSet) -> PairCounts:
     for codes in upper_pair_codes(T.sub, lift_to_paraboloid(E).array, q):
         counter.add(codes)
     counter.add_negated(F.p, F.r * (d + 1))
-    counter.add_zero(n)  # the diagonal pairs (x, x): lifted difference 0
     keys, counts = counter.result()
+    if n:
+        keys, counts = np.concatenate(([0], keys)), np.concatenate(([n], counts))
     diff_codes, diff_counts = group_sums(keys // q, counts)  # D(u) = sum_t m_t(u)
     return PairCounts(E, keys, counts, PointSet.from_codes(F, d, diff_codes), diff_counts,
                       sum_squares(diff_counts, n ** 4))

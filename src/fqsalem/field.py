@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
+from math import gcd
 
 import numpy as np
 
@@ -49,17 +50,27 @@ def is_prime(n: int) -> bool:
 
 
 def prime_factors(n: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
+    """The distinct prime factors of n, increasing: division by f < 64, then
+    Pollard's rho over is_prime, whose steps grow as n^(1/4), not as sqrt(n)."""
+    out = set()
+    for f in range(2, 64):
+        while n > 1 and n % f == 0:
+            out.add(f)
+            n //= f
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if is_prime(m):
+            out.add(m)
+            continue
+        g, c = m, 0
+        while g == m:  # a cycle that met m itself: retry with the next c
+            x, y, g, c = 2, 2, 1, c + 1
+            while g == 1:
+                x, y = (x * x + c) % m, ((y * y + c) ** 2 + c) % m
+                g = gcd(x - y, m)
+        rest += [g, m // g]
+    return sorted(out)
 
 
 def _poly_trim(a: list[int]) -> list[int]:
@@ -235,9 +246,8 @@ class FieldSpec:
     def mul(self, a: int, b: int) -> int:
         if self.r == 1:
             return (a * b) % self.p
-        prod = _poly_mulmod(list(self.digits(a)), list(self.digits(b)),
-                            list(self.modulus), self.p)
-        return self.from_digits(prod + [0] * (self.r - len(prod)))
+        return self.from_digits(_poly_mulmod(list(self.digits(a)), list(self.digits(b)),
+                                             list(self.modulus), self.p))
 
     def pow(self, a: int, e: int) -> int:
         """a^e for e >= 0."""
@@ -245,13 +255,7 @@ class FieldSpec:
             raise ValueError(f"negative exponent {e}")
         if self.r == 1:
             return pow(a, e, self.p)
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return self.from_digits(_poly_powmod(list(self.digits(a)), e, list(self.modulus), self.p))
 
     # --- trace --------------------------------------------------------------
 

@@ -266,19 +266,21 @@ def write_pointset(E: PointSet, path) -> None:
 
 def _read_file(path) -> tuple[FieldSpec, int, list[list[str]]]:
     """The field, the dimension and the tokens of each body line of a point-set
-    or hyperplane file."""
+    or hyperplane file. Blank lines are skipped, except in the body of a d = 0
+    file: there each one is a row of F_q^0, the point () of a point file."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if len(lines) < 2 or not lines[1].startswith("d="):
+    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
+    head = [i for i, ln in enumerate(lines) if ln.strip()][:2]
+    if len(head) < 2 or not lines[head[1]].startswith("d="):
         raise ConfigError(f"malformed header in {path}")
-    F = parse_header(lines[0])
-    d = _parse_int(lines[1][2:], f"dimension in {path}")
+    F = parse_header(lines[head[0]])
+    d = _parse_int(lines[head[1]][2:], f"dimension in {path}")
     if d < 0:
         raise ConfigError(f"negative dimension in {path}")
-    return F, d, [ln.split() for ln in lines[2:]]
+    return F, d, [ln.split() for ln in lines[head[1] + 1:] if d == 0 or ln.strip()]
 
 
 def _parse_int(token: str, what: str) -> int:
@@ -299,7 +301,8 @@ def read_hyperplanes(path) -> HyperplaneMultiset:
     for toks in rows:
         a = tuple(_parse_int(c, "normal-vector coordinate") for c in toks[:d])
         kv = dict(t.partition("=")[::2] for t in toks[d:])
-        if len(a) != d or "b" not in kv or not set(kv) <= {"b", "mult"}:
+        # a repeated column is malformed: dict would keep its last value
+        if len(a) != d or len(kv) != len(toks) - d or "b" not in kv or not set(kv) <= {"b", "mult"}:
             raise ConfigError(f"malformed hyperplane line {' '.join(toks)!r} in {path}")
         entries.append((a, _parse_int(kv["b"], "offset b"),
                         _parse_int(kv.get("mult", "1"), "multiplicity")))

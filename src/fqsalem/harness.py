@@ -18,7 +18,7 @@ import numpy as np
 from . import analysis
 from .constructions import _MASK, ConstructionSpec, _splitmix64_array
 from .errors import BudgetExceeded, ConfigError, DEFAULT_BUDGET, budget_scope, check_budget, is_int
-from .geometry import PointSet
+from .geometry import PointSet, dot, norm, vsub
 
 #: every key a config may have: the ones the harness reads, and the report's
 CONFIG_KEYS = analysis.CONFIG_KEYS | {"construction", "seed", "grid"}
@@ -209,33 +209,26 @@ def _cell_detail(cell: dict, rep: dict) -> str:
 # --- oracles --------------------------------------------------------------------
 
 def oracle_distances(E: PointSet) -> dict[int, int]:
-    """Plain double loop over the scalar field methods, kept separate from
-    energy.PairCounts.nu and distance.distance_profile."""
+    """Plain double loop over the scalar geometry.norm and vsub, kept separate
+    from energy.PairCounts.nu and distance.distance_profile."""
     check_budget(len(E) ** 2, "distance oracle")
     F = E.field
     counts: dict[int, int] = {}
     for x in E.points:
         for y in E.points:
-            t = 0
-            for a, b in zip(x, y):
-                c = F.sub(a, b)
-                t = F.add(t, F.mul(c, c))
+            t = norm(F, vsub(F, x, y))
             counts[t] = counts.get(t, 0) + 1
     return dict(sorted(counts.items()))
 
 
 def oracle_incidences(P: PointSet, H) -> int:
-    """Plain double loop, kept separate from incidence.count_incidences."""
+    """Plain double loop over the scalar geometry.dot, apart from incidence.count_incidences."""
     if P.field != H.field or P.d != H.d:
         raise ConfigError("mismatched fields or dimensions")
     check_budget(len(P) * max(len(H.codes), 1), "incidence oracle")  # before .entries builds
-    F = P.field
     total = 0
     for a, b, m in H.entries:
         for x in P.points:
-            acc = 0
-            for u, v in zip(a, x):
-                acc = F.add(acc, F.mul(u, v))
-            if acc == b:
+            if dot(P.field, a, x) == b:
                 total += m
     return total

@@ -6,13 +6,12 @@ Memory is bounded by CHUNK_ELEMS: every gather temporary has at most that
 many elements (one row at the least), and a key space of at most that many
 keys is counted densely with np.bincount, a larger one by merging sorted
 np.unique chunks. pair_codes builds its keys in int32 where every key of
-the space fits, in int64 above that. The reversed half of a pass over the pairs i < j is added by
-KeyCounter.add_negated: one gather through a cached digit-wise negation index
-on the dense path; on the sorted one, the negated keys go into the same
-merge as the pending chunks. The diagonal pairs add to key 0, the least key,
-in place (KeyCounter.add_zero). Counts are
-int64; the largest count a kernel can reach is checked against the int64
-range before counting starts, so nothing wraps.
+the space fits, in int64 above that. The reversed half of a pass over the
+pairs i < j is added by KeyCounter.add_negated: one gather through a cached
+digit-wise negation index on the dense path; on the sorted one, the negated
+keys go into the same merge as the pending chunks. Counts are int64; the
+largest count a kernel can reach is checked against the int64 range before
+counting starts, so nothing wraps.
 """
 
 from __future__ import annotations
@@ -201,19 +200,6 @@ class KeyCounter:
             self._dense += self._dense[negation_index(p, width)]
             return
         self._flush(lambda keys: negate(keys, p, width))
-
-    def add_zero(self, count: int) -> None:
-        """Add `count` to key 0, the least key, with no merge; a zero count adds
-        no key."""
-        if count == 0:
-            return
-        if self._dense is not None:
-            self._dense[0] += count
-        elif len(self._keys) and self._keys[0] == 0:
-            self._counts[0] += count
-        else:  # still sorted; a pending key 0 joins it at the next merge
-            self._keys = np.concatenate((np.zeros(1, dtype=np.int64), self._keys))
-            self._counts = np.concatenate((np.array([count], dtype=np.int64), self._counts))
 
     def _flush(self, image=None) -> None:
         """Merge the pending chunks into the sorted keys. With `image`, a function

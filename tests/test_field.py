@@ -56,6 +56,29 @@ def test_primality_helpers():
     assert prime_factors(360) == [2, 3, 5]
 
 
+def factors_by_division(n):
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    return out + [n] * (n > 1)
+
+
+def test_prime_factors_match_trial_division():
+    assert all(prime_factors(n) == factors_by_division(n) for n in range(20000))
+    # cofactors above the small divisions: prime powers, and 31-bit primes
+    for n in (67 ** 2, 67 ** 3 * 71, 67 ** 2 * 71 ** 3 * (2 ** 31 - 1)):
+        assert prime_factors(n) == factors_by_division(n)
+    assert prime_factors(2147483629 * (2 ** 31 - 1)) == [2147483629, 2 ** 31 - 1]
+    # safe primes q: q - 1 = 2 * prime, where division up to sqrt(q - 1) took 16 s and 31 s
+    for q in (18014398509483863, 72057594037930967):
+        assert is_prime(q) and is_prime((q - 1) // 2)
+        assert prime_factors(q - 1) == [2, (q - 1) // 2]
+
+
 @pytest.mark.parametrize("p,r", [(3, 1), (5, 1), (3, 2), (3, 3), (7, 2)])
 def test_field_axioms_random(p, r):
     F = field_create(p, r)
@@ -94,6 +117,18 @@ def test_trace_linear_and_surjective(p, r):
         x, y = rng.randrange(F.q), rng.randrange(F.q)
         assert F.trace(F.add(x, y)) == (F.trace(x) + F.trace(y)) % p
     assert {F.trace(x) for x in range(F.q)} == set(range(p))
+
+
+@pytest.mark.parametrize("p,r", [(3, 2), (5, 2), (3, 3)])
+def test_pow_matches_repeated_mul(p, r):
+    # every a, 0 included, at every e from 0 past the order q - 1 of F_q^*
+    F = field_create(p, r)
+    for a in range(F.q):
+        power = 1
+        for e in range(2 * F.q + 1):
+            assert F.pow(a, e) == power
+            power = F.mul(power, a)
+    assert F.pow(0, 0) == 1 and F.pow(0, 1) == 0
 
 
 def test_primitive_elements():

@@ -206,6 +206,24 @@ def test_pointset_io_empty(tmp_path, f3):
     assert len(back) == 0 and back.field == f3 and back.d == 2
 
 
+@pytest.mark.parametrize("points", [[], [()]], ids=["empty", "one-point"])
+def test_pointset_io_dimension_zero(tmp_path, f5, points):
+    # the one point of F_q^0 is written as an empty line, which is read back
+    E = PointSet.build(f5, 0, points)
+    path = tmp_path / "d0.txt"
+    write_pointset(E, path)
+    assert path.read_text() == "q=5^1\nd=0\n" + "\n" * len(points)
+    assert read_pointset(path) == E
+
+
+def test_pointset_io_dimension_zero_handwritten(tmp_path, f5):
+    # blank lines before the d = 0 header are skipped; after it, each is the
+    # point (), and repeats merge
+    path = tmp_path / "d0.txt"
+    path.write_text("\nq=5^1\n\n# comment\nd=0\n\n  \n")
+    assert read_pointset(path) == PointSet.build(f5, 0, [()])
+
+
 def test_pointset_io_handwritten(tmp_path, f5):
     path = tmp_path / "hand.txt"
     path.write_text("q=5^1\nd=2\n1 2\n3 4\n")
@@ -267,6 +285,8 @@ def test_hyperplane_entries_must_lie_in_the_field(f5):
     "1 b=1",             # too few coordinates
     "1 9 b=1",           # coordinate outside F_5
     "1 2 b=7",           # offset outside F_5
+    "1 2 b=1 b=4",       # repeated offset: no value may silently win
+    "1 2 b=1 mult=2 mult=3",  # repeated multiplicity
 ])
 def test_hyperplane_io_rejects_bad_lines(tmp_path, body):
     path = tmp_path / "planes.txt"

@@ -468,6 +468,14 @@ def test_cli_field(capsys):
     assert out["q"] == 5 and out["primitiveElement"] == 2
 
 
+def test_cli_field_large_safe_prime(capsys):
+    # q - 1 = 2 * prime: dividing up to sqrt(q - 1) to factor it took 31 s
+    q = 72057594037930967
+    assert main(["field", str(q)]) == 0
+    g = json.loads(capsys.readouterr().out)["primitiveElement"]
+    assert pow(g, 2, q) != 1 and pow(g, (q - 1) // 2, q) != 1
+
+
 def test_cli_field_rejects_even_p(capsys):
     assert main(["field", "2"]) == 3
 
@@ -481,6 +489,20 @@ def test_cli_construct_and_oracle(tmp_path, capsys):
     capsys.readouterr()
     assert main(["oracle", "lambda4", str(out)]) == 0
     assert capsys.readouterr().out.strip() == "729"
+
+
+def test_cli_construct_and_oracle_dimension_zero(tmp_path, capsys):
+    # F_5^0 has one point, written as an empty line; the oracles read it back
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"construction": {"kind": "fullSpace", "p": 5, "d": 0}}))
+    out = tmp_path / "point.txt"
+    assert main(["construct", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote 1 points to {out}\n"
+    assert out.read_text() == "q=5^1\nd=0\n\n"
+    assert main(["oracle", "lambda4", str(out)]) == 0
+    assert capsys.readouterr().out == "1\n"
+    assert main(["oracle", "distances", str(out)]) == 0
+    assert capsys.readouterr().out == '{"0": 1}\n'
 
 
 def test_cli_oracle_incidences(tmp_path, capsys, f5):
@@ -553,9 +575,10 @@ def test_cli_oracle_budget_must_be_positive(tmp_path, capsys, f5, budget):
     assert capsys.readouterr().err == "config error: budget must be a positive integer\n"
 
 
-@pytest.mark.parametrize("body", ["1 2 mult=2", "9 2 b=1"])
+@pytest.mark.parametrize("body", ["1 2 mult=2", "9 2 b=1", "1 2 b=1 b=4"])
 def test_cli_oracle_incidences_bad_hyperplane_file(tmp_path, capsys, f5, body):
-    # a line without an offset, and a normal vector outside F_5: both exit 3
+    # a line without an offset, a normal vector outside F_5 and a repeated
+    # offset: each exits 3
     ep, hp = tmp_path / "e.txt", tmp_path / "h.txt"
     write_pointset(rand_set(f5, 2, 6, seed=1), ep)
     hp.write_text(f"q=5^1\nd=2\n{body}\n")
@@ -827,6 +850,17 @@ def test_cli_ranges_output_pinned(capsys):
         row["d"] = int(row["d"])
     assert main(["ranges", "--json"]) == 0
     assert capsys.readouterr().out == json.dumps(rows, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv,d_values,s_values", [
+    (["--d", "3", "5"], ("3", "5"), ("1/4", "3/8", "1/2")),
+    (["--s", "1/2"], ("2", "3", "4", "5", "6"), ("1/2",))], ids=["d", "s"])
+def test_cli_ranges_flag_not_given_takes_section_default(capsys, argv, d_values, s_values):
+    # one flag given: the other takes the ranges section's default
+    assert main(["ranges", *argv]) == 0
+    header, *rows = RANGES_TEXT.splitlines(keepends=True)
+    kept = [row for row in rows if row.split()[0] in d_values and row.split()[1] in s_values]
+    assert capsys.readouterr().out == header + "".join(kept)
 
 
 @pytest.mark.parametrize("s", ["abc", "0/0"])
