@@ -11,13 +11,16 @@ Two independent evaluation paths:
 * energy_bruteforce — tuple enumeration with a membership completion over
   the scalar field methods, O(|E|^{2k-1}); the oracle.
 * energy_convolution — L = sum_v r_k(v)^2 for the representation function
-  r_k(v) = #{k-tuples of E summing to v}, an iterated exact convolution of
-  chunked numpy pair sums.
+  r_k(v) = #{k-tuples of E summing to v}, an iterated exact convolution:
+  each step gathers the sums of the support of r_{k-1} with E in row blocks
+  and counts all of them in one kernels.count_keys call, weighted by r_{k-1}.
 
 Reports read L_4 from the difference side instead: sum_u D(u)^2 over the
 difference counts D(u) = #{(x, y) in E^2 : x - y = u} of `pair_counts`, a
-pass that shares no counting with the sum side. Its `PairCounts` also holds
-nu(t) and the difference family of the second-moment proof.
+pass that shares no counting with the sum side. It gathers the lifted
+differences of the pairs i < j and counts them, with their negations for the
+pairs j > i, in one count_keys call. Its `PairCounts` also holds nu(t) and
+the difference family of the second-moment proof.
 
 Counts are int64 with the range checked from |E|^k; sums of squares are exact.
 """
@@ -32,7 +35,7 @@ import numpy as np
 
 from .errors import check_budget, check_invariant, ConfigError
 from .geometry import PointSet, decode, lift_to_paraboloid, norms, vadd, vsub
-from .kernels import (KeyCounter, group_sums, pair_codes, row_blocks,
+from .kernels import (check_int64, count_keys, group_sums, pair_codes, row_blocks,
                       sum_squares, upper_pair_codes)
 
 
@@ -50,13 +53,13 @@ def _representation(E: PointSet, k: int) -> tuple[np.ndarray, np.ndarray]:
     X = E.array
     for step in range(k - 1):
         check_budget(len(keys) * max(n, 1), "energy convolution")
+        check_int64(n ** (step + 2), "energy convolution counts")
         T = F.tables()
         V = decode(keys, q, d)
-        counter = KeyCounter(q ** d, n ** (step + 2), "energy convolution")
-        for rows in row_blocks(len(V), max(n, q)):
-            counter.add(pair_codes(T.add, V[rows], X, q),
-                        None if step == 0 else counts[rows, None])
-        keys, counts = counter.result()
+        # the empty int32 block widens nothing and covers a set with no rows
+        codes = np.concatenate([np.empty((0, n), dtype=np.int32)] + [
+            pair_codes(T.add, V[rows], X, q) for rows in row_blocks(len(V), max(n, q))])
+        keys, counts = count_keys(codes, q ** d, None if step == 0 else counts[:, None])
     return keys, counts
 
 
@@ -139,19 +142,16 @@ def pair_counts(E: PointSet) -> PairCounts:
     """One pass over the pairs i < j of the lifted points; the rest by symmetry.
 
     The pair (j, i) has the lifted difference of (i, j) negated digit by
-    digit (KeyCounter.add_negated). No pair i < j of distinct points has
-    lifted difference 0, so the n diagonal pairs (x, x) are prepended as key 0,
-    the least key, with count n. Charges |E|^2 units.
+    digit, so one count_keys call counts both halves. No pair i < j of
+    distinct points has lifted difference 0, so the n diagonal pairs (x, x)
+    are prepended as key 0, the least key, with count n. Charges |E|^2 units.
     """
     F, d, n = E.field, E.d, len(E)
     q = F.q
     check_budget(n ** 2, "pair counts")
     T = F.tables()
-    counter = KeyCounter(q ** (d + 1), n * n, "pair counts")
-    for codes in upper_pair_codes(T.sub, lift_to_paraboloid(E).array, q):
-        counter.add(codes)
-    counter.add_negated(F.p, F.r * (d + 1))
-    keys, counts = counter.result()
+    keys, counts = count_keys(upper_pair_codes(T.sub, lift_to_paraboloid(E).array, q),
+                              q ** (d + 1), negated=(F.p, F.r * (d + 1)))
     if n:
         keys, counts = np.concatenate(([0], keys)), np.concatenate(([n], counts))
     diff_codes, diff_counts = group_sums(keys // q, counts)  # D(u) = sum_t m_t(u)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
 from math import gcd
 
 import numpy as np
@@ -274,8 +273,10 @@ class FieldSpec:
     # --- multiplicative structure -------------------------------------------
 
     def primitive_element(self) -> int:
+        """The least generator of F_q^*. For r > 1 the scan starts at p: the
+        elements below p form F_p^*, of order p - 1 < q - 1."""
         ells = prime_factors(self.q - 1)
-        for g in range(2, self.q):
+        for g in range(2 if self.r == 1 else self.p, self.q):
             if all(self.pow(g, (self.q - 1) // ell) != 1 for ell in ells):
                 return g
         raise AssertionError("no primitive element found")  # unreachable
@@ -304,9 +305,11 @@ def field_create(p: int, r: int) -> FieldSpec:
         raise ConfigError(f"p^r = {p**r} exceeds supported magnitude")
     if r == 1:
         return FieldSpec(p, 1, (0, 1))
-    # c_0 = 0 makes x a factor, so the scan starts at c_0 = 1
-    for lower in product(range(1, p), *[range(p)] * (r - 1)):
-        coeffs = lower + (1,)
+    # c_0 = 0 makes x a factor, so the scan starts at c_0 = 1. The lower
+    # coefficients (c_0, ..., c_{r-1}) are the base-p digits of m, c_0 the
+    # most significant: counting m up scans them lexicographically, lazily
+    for m in range(p ** (r - 1), p ** r):
+        coeffs = tuple(m // p ** (r - 1 - i) % p for i in range(r)) + (1,)
         if _is_irreducible(coeffs, p):
             return FieldSpec(p, r, coeffs)
     raise AssertionError("no irreducible polynomial found")  # unreachable

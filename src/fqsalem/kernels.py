@@ -2,16 +2,15 @@
 
 The kernels walk pairs (x, y) of two coordinate arrays in row blocks, gather
 field-table entries per coordinate, and count the resulting integer keys.
-Memory is bounded by CHUNK_ELEMS: every gather temporary has at most that
-many elements (one row at the least), and a key space of at most that many
-keys is counted densely with np.bincount, a larger one by merging sorted
-np.unique chunks. pair_codes builds its keys in int32 where every key of
-the space fits, in int64 above that. The reversed half of a pass over the
-pairs i < j is added by KeyCounter.add_negated: one gather through a cached
-digit-wise negation index on the dense path; on the sorted one, the negated
-keys go into the same merge as the pending chunks. Counts are int64; the
-largest count a kernel can reach is checked against the int64 range before
-counting starts, so nothing wraps.
+CHUNK_ELEMS caps every gather temporary (one row at the least) and every
+cached table. pair_codes builds its keys in int32 where every key of the
+space fits, in int64 above that. count_keys counts every key of a pass in
+one step: one np.bincount when the key space is at most four slots per key
+(or within CHUNK_ELEMS), one sort otherwise; it also adds the reversed half
+of a pass over the pairs i < j, whose keys are the digit-wise negations. A
+pass thus holds its keys (4 or 8 bytes each) and at most one int64 count
+per key-space slot. Counts are int64; the largest count a kernel can reach
+is checked against the int64 range before counting starts, so nothing wraps.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import numpy as np
 
 from .errors import BudgetExceeded
 
-#: cap on the elements of one broadcast temporary, and on a dense count array
+#: cap on the elements of one gather temporary and of one cached table
 CHUNK_ELEMS = 1 << 15
 
 INT32_MAX = (1 << 31) - 1
@@ -82,19 +81,21 @@ def _strict_upper(h: int) -> np.ndarray:
     return mask
 
 
-def upper_pair_codes(table: np.ndarray, X: np.ndarray, q: int):
-    """pair_codes(table, X, X, q) at the row pairs i < j only, in triangular
-    blocks: rows [lo, hi) against columns [lo, n). Only the square of columns
-    [lo, hi) is masked; the columns from hi on are kept whole."""
+def upper_pair_codes(table: np.ndarray, X: np.ndarray, q: int) -> np.ndarray:
+    """pair_codes(table, X, X, q) at the row pairs i < j only, flat, built in
+    triangular blocks: rows [lo, hi) against columns [lo, n). Only the square
+    of columns [lo, hi) is masked; the columns from hi on are kept whole."""
     n, lo = len(X), 0
+    blocks = [np.empty(0, dtype=np.int32)]  # widens no block, and covers n < 2
     while lo < n:
         # h (n - lo) <= CHUNK_ELEMS and h <= n - lo, so h^2 <= CHUNK_ELEMS: at
         # most 181 masks are ever cached, each of at most CHUNK_ELEMS bytes
         hi = min(n, lo + max(1, CHUNK_ELEMS // max(n - lo, q)))
         h = hi - lo
         codes = pair_codes(table, X[lo:hi], X[lo:], q)
-        yield np.concatenate((codes[:, :h][_strict_upper(h)], codes[:, h:]), axis=None)
+        blocks += [codes[:, :h][_strict_upper(h)], codes[:, h:].ravel()]
         lo = hi
+    return np.concatenate(blocks)
 
 
 def table_sums(add: np.ndarray, table: np.ndarray, X: np.ndarray, Y: np.ndarray):
@@ -107,11 +108,14 @@ def table_sums(add: np.ndarray, table: np.ndarray, X: np.ndarray, Y: np.ndarray)
         yield S
 
 
-def group_sums(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct keys of the sorted `keys` with the int64 sum of their counts."""
+def group_sums(keys: np.ndarray, counts=None) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct keys of the sorted `keys` with the int64 sum of their counts,
+    or with the number of times each occurs when `counts` is None."""
     if len(keys) == 0:
-        return keys, counts
+        return keys, np.empty(0, dtype=np.int64)
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    if counts is None:
+        return keys[starts], np.diff(starts, append=len(keys))
     return keys[starts], np.add.reduceat(counts, starts)
 
 
@@ -152,71 +156,49 @@ def negate(keys: np.ndarray, p: int, width: int) -> np.ndarray:
     return out
 
 
-class KeyCounter:
-    """Exact multiplicities of keys in [0, space), fed in chunks.
+def count_keys(keys: np.ndarray, space: int, weights=None,
+               negated: tuple[int, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, counts): the sorted distinct keys of `keys`, all in [0, space),
+    and their int64 counts, each key counted once or `weights` times (int64,
+    broadcast to keys). With negated = (p, width), keys of `width` base-p
+    digits, each key's digit-wise negation gets its count too: the reversed
+    pairs of a pass over the pairs i < j, since x - y = -(y - x) digit by digit.
 
-    `max_count` bounds the total weight that will be added; it is checked
-    against int64 at construction.
+    Every key of a pass is counted in one step. Dense when space <= max(4
+    len(keys), CHUNK_ELEMS): one np.bincount (np.add.at when weighted), the
+    negated half one gather through the cached negation_index within
+    CHUNK_ELEMS, and above it added at the negations of the nonzero keys.
+    Sorted otherwise: one sort of the keys (in place when unweighted, so the
+    caller hands the array over) and a run count, the negated half one merge
+    with negate(keys). Unweighted counts stay below 2 len(keys), so only the
+    caller's weights can leave the int64 range.
     """
-
-    def __init__(self, space: int, max_count: int, what: str):
-        check_int64(space, f"{what} key space")
-        check_int64(max_count, f"{what} counts")
-        self.space = space
-        self._dense = np.zeros(space, dtype=np.int64) if space <= CHUNK_ELEMS else None
-        self._keys = np.empty(0, dtype=np.int64)
-        self._counts = np.empty(0, dtype=np.int64)
-        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
-        self._n_pending = 0
-
-    def add(self, keys: np.ndarray, weights: np.ndarray | None = None) -> None:
-        """Count each key once, or `weights` times (int64, broadcast to keys)."""
-        keys = np.asarray(keys)
-        if weights is not None:
-            weights = np.broadcast_to(np.asarray(weights, dtype=np.int64), keys.shape).ravel()
-        keys = keys.ravel()
-        if self._dense is not None:
-            if weights is None:
-                self._dense += np.bincount(keys, minlength=self.space)
-            else:
-                np.add.at(self._dense, keys, weights)
-            return
+    if weights is not None:
+        # flat, like the keys: np.add.at is about four times slower on a
+        # broadcast operand than on two 1-D arrays of one length
+        weights = np.broadcast_to(weights, keys.shape).ravel()
+    keys = keys.ravel()
+    if space <= max(4 * len(keys), CHUNK_ELEMS):
         if weights is None:
-            chunk = np.unique(keys, return_counts=True)
+            dense = np.bincount(keys, minlength=space)
         else:
-            chunk = merge(keys, weights)
-        self._pending.append(chunk)
-        self._n_pending += len(chunk[0])
-        # merge geometrically: each key is re-sorted O(log) times overall
-        if self._n_pending >= max(len(self._keys), CHUNK_ELEMS):
-            self._flush()
-
-    def add_negated(self, p: int, width: int) -> None:
-        """Add to each key's count that of its digit-wise negation, for keys of
-        `width` base-p digits (space = p^width): the reversed pairs of a pass
-        over the pairs i < j, since x - y = -(y - x) digit by digit. On the
-        sorted path the negated keys join the pending ones in a single merge."""
-        if self._dense is not None:
-            self._dense += self._dense[negation_index(p, width)]
-            return
-        self._flush(lambda keys: negate(keys, p, width))
-
-    def _flush(self, image=None) -> None:
-        """Merge the pending chunks into the sorted keys. With `image`, a function
-        from key arrays to key arrays, each key's image gets its count too, in
-        the same merge."""
-        if self._pending or image is not None:
-            keys = np.concatenate([self._keys] + [k for k, _ in self._pending])
-            counts = np.concatenate([self._counts] + [c for _, c in self._pending])
-            if image is not None:
-                keys, counts = np.concatenate((keys, image(keys))), np.concatenate((counts, counts))
-            self._keys, self._counts = merge(keys, counts)
-            self._pending, self._n_pending = [], 0
-
-    def result(self) -> tuple[np.ndarray, np.ndarray]:
-        """(keys, counts): the sorted keys with a nonzero count, and the counts."""
-        if self._dense is not None:
-            keys = np.flatnonzero(self._dense)
-            return keys, self._dense[keys]
-        self._flush()
-        return self._keys, self._counts
+            dense = np.zeros(space, dtype=np.int64)
+            np.add.at(dense, keys, weights)
+        if negated is not None and space <= CHUNK_ELEMS:
+            dense += dense[negation_index(*negated)]
+        elif negated is not None:
+            # negation is a bijection, so no index repeats; nonzero on the bool
+            # mask, not on the int64 counts: four times faster
+            seen = np.flatnonzero(dense != 0)
+            dense[negate(seen, *negated)] += dense[seen]
+        out = np.flatnonzero(dense != 0)
+        return out, dense[out]
+    if weights is None:
+        keys.sort()
+        out, counts = group_sums(keys)
+    else:
+        out, counts = merge(keys, weights)
+    if negated is not None:
+        out, counts = merge(np.concatenate((out, negate(out, *negated))),
+                            np.concatenate((counts, counts)))
+    return out.astype(np.int64, copy=False), counts

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fqsalem import kernels
 from fqsalem.constructions import random_pointset
 from fqsalem.errors import ConfigError
 from fqsalem.field import field_create, prime_factors
@@ -137,3 +138,35 @@ def oracle_moment(E, k, direct=None):
     """q^{-d} sum_{m != 0} |E_hat(m)|^{2k} from the oracle's values."""
     direct = fourier_direct(E) if direct is None else direct
     return float(np.sum(np.abs(direct[1:]) ** (2 * k)) / E.field.q ** E.d)
+
+
+def sorts_recorded(mp):
+    """Patch kernels.group_sums, which count_keys reaches on its sorted route
+    only, to record the number of keys of each call; the list it returns is
+    empty while every count_keys call took the dense route."""
+    calls, group_sums = [], kernels.group_sums
+
+    def recorded(keys, counts=None):
+        calls.append(len(keys))
+        return group_sums(keys, counts)
+
+    mp.setattr(kernels, "group_sums", recorded)
+    return calls
+
+
+def counts_sorted(space, n_keys, chunk):
+    """Whether count_keys sorts n_keys keys of [0, space) under CHUNK_ELEMS = chunk."""
+    return space > max(4 * n_keys, chunk)
+
+
+def blocks_recorded(mp):
+    """Patch kernels.row_blocks to record (rows, width) of every block it yields."""
+    blocks, row_blocks = [], kernels.row_blocks
+
+    def recorded(n_rows, width):
+        for rows in row_blocks(n_rows, width):
+            blocks.append((rows.stop - rows.start, width))
+            yield rows
+
+    mp.setattr(kernels, "row_blocks", recorded)
+    return blocks

@@ -1,9 +1,17 @@
 """Finite-field arithmetic: creation, trace, roots."""
 
+import os
 import random
+import resource
+import subprocess
+import sys
 import tracemalloc
+from itertools import islice, product
+from pathlib import Path
 
 import pytest
+
+import fqsalem
 
 from fqsalem.errors import ConfigError
 from fqsalem.field import (FieldSpec, FieldTables, field_create, is_prime, parse_header,
@@ -27,6 +35,39 @@ def test_create_skips_moduli_divisible_by_x(monkeypatch):
     assert len(tried) == 29 and all(c[0] != 0 for c in tried)
     assert F.modulus == tried[-1] and F.modulus[0] != 0
     assert field_create.__wrapped__(3, 20).q == 3 ** 20
+
+
+@pytest.mark.parametrize("p,r", [(p, r) for p in (3, 5, 7, 11, 13) for r in range(2, 15)
+                                 if p ** r < 10 ** 7])
+def test_create_scans_moduli_in_product_order(p, r, monkeypatch):
+    # the lazy scan tries the candidates c_0 = 1.., c_1, .., c_{r-1} in the
+    # order of itertools.product, so every modulus stays the same
+    import fqsalem.field as field
+    tried, real = [], field._is_irreducible
+    monkeypatch.setattr(field, "_is_irreducible",
+                        lambda coeffs, p: tried.append(coeffs) or real(coeffs, p))
+    F = field_create.__wrapped__(p, r)  # past the cache
+    scan = product(range(1, p), *[range(p)] * (r - 1))
+    assert tried == [lower + (1,) for lower in islice(scan, len(tried))]
+    assert F.modulus == tried[-1]
+
+
+def _fqsalem_in_one_gib(*argv):
+    """`fqsalem argv` in a child whose address space is capped at 1 GiB."""
+    src = str(Path(fqsalem.__file__).resolve().parent.parent)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "fqsalem.cli", *argv], env=env, capture_output=True, text=True,
+        timeout=60, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+
+
+def test_create_largest_quadratic_field_in_bounded_memory():
+    # q = p^2 < 2^63: copying range(p) into a tuple per coefficient needed
+    # tuples of 3 * 10^9 ints and ended in a MemoryError
+    child = _fqsalem_in_one_gib("field", "3037000493", "2")
+    assert child.returncode == 0, child.stderr
+    assert '"modulus": [1, 1, 1]' in child.stdout
 
 
 def test_create_rejects_bad_p():
@@ -135,6 +176,27 @@ def test_primitive_elements():
     assert field_create(5, 1).primitive_element() == 2
     assert field_create(3, 1).primitive_element() == 2
     assert field_create(7, 1).primitive_element() == 3
+
+
+def test_primitive_element_is_the_least_generator():
+    # for r > 1 the scan starts at p; a scan from 2 finds the same element
+    # on every field with q <= 3^8
+    for p in filter(is_prime, range(3, 3 ** 8 + 1, 2)):
+        for r in range(1, 9):
+            if p ** r > 3 ** 8:
+                break
+            F = field_create(p, r)
+            ells = prime_factors(F.q - 1)
+            least = next(g for g in range(2, F.q)
+                         if all(F.pow(g, (F.q - 1) // ell) != 1 for ell in ells))
+            assert F.primitive_element() == least, (p, r)
+
+
+def test_primitive_element_of_a_large_quadratic_field_is_quick():
+    # a scan from 2 tested all of F_p^* first: over 100 s at p = 1000003
+    child = _fqsalem_in_one_gib("field", "1000003", "2")
+    assert child.returncode == 0, child.stderr
+    assert '"primitiveElement": 1000005' in child.stdout
 
 
 @pytest.mark.parametrize("p,r", [(3, 1), (7, 1), (3, 2), (5, 2), (3, 3)])

@@ -1,4 +1,4 @@
-"""The chunked numpy counting: block boundaries, the sparse merge, the int64 guard."""
+"""The chunked numpy counting: block boundaries, both counting routes, the int64 guard."""
 
 import random
 from collections import Counter
@@ -6,7 +6,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import difference_family_oracle, field_of_order, nonzero_counts, rand_set
+from conftest import (counts_sorted, difference_family_oracle, field_of_order, nonzero_counts,
+                      rand_set, sorts_recorded)
 from fqsalem import energy, kernels
 from fqsalem.energy import energy_bruteforce, energy_convolution, pair_counts
 from fqsalem.errors import BudgetExceeded
@@ -18,12 +19,13 @@ from fqsalem.incidence import count_incidences
 @pytest.mark.parametrize("chunk", [1, 7, 64])
 @pytest.mark.parametrize("q,d", [(5, 2), (9, 2), (27, 1)])
 def test_small_chunk_cap_matches_oracles(q, d, chunk, monkeypatch):
-    # a cap of 1 puts one row in each block and counts every key space
-    # sparsely; 64 counts F_5^2 and F_27 densely and F_9^2 sparsely, and its
-    # pair-pass blocks hold several rows, so their triangles are cut on the
-    # block diagonal
+    # a cap of 1 puts one row in each block; under 64 the pair-pass blocks
+    # hold several rows, so their triangles are cut on the block diagonal.
+    # The 28 pairs sort their lifted keys (q^3 or 27^2 > 4 * 28) and the 64
+    # pairs of the convolution count q^2 or 27 keys densely, under every cap
     F = field_of_order(q)
     E = rand_set(F, d, min(8, q ** d), seed=q + d)
+    n = len(E)
     rng = random.Random(q * d)
     H = HyperplaneMultiset.build(F, d, [
         (tuple(rng.randrange(1, q) for _ in range(d)), rng.randrange(q), rng.randrange(1, 4))
@@ -39,8 +41,12 @@ def test_small_chunk_cap_matches_oracles(q, d, chunk, monkeypatch):
     pair_codes_ = kernels.pair_codes
     monkeypatch.setattr(kernels, "pair_codes", recorded)
     monkeypatch.setattr(energy, "pair_codes", recorded)
+    sorts = sorts_recorded(monkeypatch)
     assert nonzero_counts(pair_counts(E).nu) == oracle_distances(E)
+    assert sorts and counts_sorted(q ** (d + 1), n * (n - 1) // 2, chunk)
+    sorts.clear()
     assert energy_convolution(E, 2) == energy_bruteforce(E, 2)
+    assert not sorts and not counts_sorted(q ** d, n * n, chunk)
     assert energy_convolution(E, 3) == energy_bruteforce(E, 3)
     assert set(pair_counts(E).differences.points) == {vsub(F, x, y) for x in E.points for y in E.points}
     assert count_incidences(E, H) == oracle_incidences(E, H)

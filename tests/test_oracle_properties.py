@@ -9,8 +9,8 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from conftest import nonzero_counts  # noqa: E402
-from fqsalem import kernels  # noqa: E402
+from conftest import blocks_recorded, nonzero_counts  # noqa: E402
+from fqsalem import geometry, kernels  # noqa: E402
 from fqsalem.distance import distance_profile  # noqa: E402
 from fqsalem.energy import energy_bruteforce, energy_convolution  # noqa: E402
 from fqsalem.field import field_create  # noqa: E402
@@ -18,8 +18,15 @@ from fqsalem.geometry import HyperplaneMultiset, PointSet, norm, norms, vsub  # 
 from fqsalem.harness import oracle_incidences  # noqa: E402
 from fqsalem.incidence import count_incidences, incidence_via_dilation  # noqa: E402
 
-# CHUNK_ELEMS = 1 walks one row per block and counts every key by sorting
+# the cap on a block: CHUNK_ELEMS = 1 walks one row per block and reads
+# norms one coordinate at a time; each test asserts the walk it took
 CHUNKS = [1, 7, kernels.CHUNK_ELEMS]
+
+
+def within_cap(blocks, chunk):
+    """Every recorded block has max(1, chunk // width) rows at most: one row
+    each under a cap of 1."""
+    return all(rows <= max(1, chunk // width) for rows, width in blocks)
 
 
 @st.composite
@@ -57,7 +64,9 @@ def test_two_set_profile_matches_double_loop(case):
     expect = Counter(norm(F, vsub(F, x, y)) for x in E.points for y in G.points)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "CHUNK_ELEMS", chunk)
+        blocks = blocks_recorded(mp)
         profile = distance_profile(E, G)
+    assert within_cap(blocks, chunk)
     assert nonzero_counts(profile) == dict(expect)
     assert profile.shape == (F.q,) and profile.sum() == len(E) * len(G)
 
@@ -68,7 +77,9 @@ def test_incidences_match_oracle(case):
     P, H, chunk = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "CHUNK_ELEMS", chunk)
+        blocks = blocks_recorded(mp)
         count = count_incidences(P, H)
+    assert within_cap(blocks, chunk)
     assert count == oracle_incidences(P, H)
 
 
@@ -80,7 +91,9 @@ def test_dilation_matches_oracle(case):
     H = HyperplaneMultiset.build(H.field, H.d, [e for e in H.entries if e[1]])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "CHUNK_ELEMS", chunk)
+        blocks = blocks_recorded(mp)
         count = incidence_via_dilation(P, H)
+    assert within_cap(blocks, chunk)
     assert count == oracle_incidences(P, H)
 
 
@@ -120,5 +133,9 @@ def test_norms_match_scalar_norm(case):
     E, chunk = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "CHUNK_ELEMS", chunk)
+        runs, norm_table = [], geometry._norm_table
+        mp.setattr(geometry, "_norm_table", lambda F, c: runs.append(c) or norm_table(F, c))
         got = norms(E)
+    # runs of one coordinate under a cap below q^2, of several at the default
+    assert runs == [1 if chunk < E.field.q ** 2 else kernels.chunk_width(E.field.q)]
     assert got.tolist() == [norm(E.field, x) for x in E.points]

@@ -9,13 +9,14 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from conftest import difference_family_oracle, nonzero_counts, translate  # noqa: E402
+from conftest import (counts_sorted, difference_family_oracle, nonzero_counts,  # noqa: E402
+                      sorts_recorded, translate)
 from fqsalem import kernels  # noqa: E402
 from fqsalem.analysis import Analysis  # noqa: E402
 from fqsalem.constructions import random_pointset  # noqa: E402
 from fqsalem.energy import energy_bruteforce, energy_convolution, pair_counts  # noqa: E402
 from fqsalem.field import field_create  # noqa: E402
-from fqsalem.kernels import KeyCounter  # noqa: E402
+from fqsalem.kernels import count_keys  # noqa: E402
 from fqsalem.geometry import PointSet, lift_to_paraboloid, vsub  # noqa: E402
 from fqsalem.harness import oracle_distances  # noqa: E402
 
@@ -65,16 +66,20 @@ def test_pair_profile_across_norm_runs(p, r, d, n):
 @example((PointSet.from_codes(field_create(5, 2), 2, []), ()))
 @example((PointSet.from_codes(field_create(7, 1), 3, [100]), ()))
 @example((PointSet.from_codes(field_create(3, 3), 2, [0, 5, 700]), ()))
+@example((PointSet.from_codes(field_create(3, 1), 1, [0, 1, 2]), ()))  # dense above a cap of 7
 def test_pair_pass_paths_match_oracles(case):
-    # the same pass counted densely and, under a cap of 1 or 7, by sorting
+    # the same pass under caps of 1, 7 and the default: counted densely while
+    # the lifted space q^(d+1) is within max(4 pairs, cap), by sorting above
     E, _ = case
-    F = E.field
+    F, n = E.field, len(E)
     diffs = Counter(vsub(F, x, y) for x in E.points for y in E.points)
     family = difference_family_oracle(E)
     for chunk in (1, 7, kernels.CHUNK_ELEMS):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, "CHUNK_ELEMS", chunk)
+            sorts = sorts_recorded(mp)
             pairs = pair_counts(E)
+        assert bool(sorts) == counts_sorted(F.q ** (E.d + 1), n * (n - 1) // 2, chunk)
         assert pairs.keys.dtype == pairs.counts.dtype == np.int64
         assert list(zip(pairs.keys.tolist(), pairs.counts.tolist())) == family
         assert dict(zip(pairs.differences.points, pairs.diff_counts.tolist())) == diffs
@@ -82,11 +87,17 @@ def test_pair_pass_paths_match_oracles(case):
 
 
 @st.composite
-def weighted_keys(draw):
+def key_batches(draw):
+    """Keys of `width` base-p digits in a (rows, cols) int32 array, as
+    pair_codes builds them, with one weight per row or none, a negated flag
+    and a cap."""
     p, width = draw(st.sampled_from([3, 5, 7])), draw(st.integers(0, 5))
-    keys = draw(st.lists(st.integers(0, p ** width - 1), max_size=30))
-    weights = draw(st.lists(st.integers(1, 5), min_size=len(keys), max_size=len(keys)))
-    return p, width, keys, weights
+    rows, cols = draw(st.integers(0, 10)), draw(st.integers(1, 4))
+    keys = draw(st.lists(st.integers(0, p ** width - 1), min_size=rows * cols,
+                         max_size=rows * cols))
+    weights = draw(st.none() | st.lists(st.integers(1, 5), min_size=rows, max_size=rows))
+    return (p, width, np.array(keys, dtype=np.int32).reshape(rows, cols), weights,
+            draw(st.booleans()), draw(st.sampled_from([1, 7, kernels.CHUNK_ELEMS])))
 
 
 def digit_negation(key, p, width):
@@ -98,24 +109,36 @@ def digit_negation(key, p, width):
     return neg
 
 
-@settings(max_examples=60, deadline=None)
-@given(weighted_keys())
-@example((3, 0, [0, 0], [1, 2]))
-@example((7, 5, [16806, 1, 0], [1, 2, 3]))
-def test_add_negated_dense_and_sorted_agree(case):
-    p, width, keys, weights = case
+def _batch(p, width, rows, weights, negated, chunk):
+    keys = np.array(rows, dtype=np.int32).reshape(len(rows), -1 if rows else 1)
+    return p, width, keys, weights, negated, chunk
+
+
+@settings(max_examples=100, deadline=None)
+@given(key_batches())
+@example(_batch(3, 0, [], None, True, 1))  # empty, width 0: dense
+@example(_batch(3, 3, [], [], False, 1))  # empty: sorted
+@example(_batch(3, 0, [[0], [0]], [1, 2], True, 1))  # width 0: dense
+@example(_batch(7, 5, [[16806], [1], [0]], [1, 2, 3], True, 1))  # sorted, weighted, negated
+@example(_batch(7, 5, [[16806, 1], [0, 1]], None, True, 1))  # sorted, negated
+@example(_batch(7, 5, [[16806], [1], [0]], [1, 2, 3], True, kernels.CHUNK_ELEMS))  # dense
+@example(_batch(3, 2, [[8, 1, 0]], None, True, 1))  # dense above the cap, negated
+@example(_batch(3, 2, [[8], [1], [0]], [2, 1, 5], True, 7))  # dense above the cap, weighted
+def test_count_keys_routes_match_counter(case):
+    p, width, keys, weights, negated, chunk = case
     expect = Counter()
-    for key, w in zip(keys, weights):
-        expect[key] += w
-        expect[digit_negation(key, p, width)] += w
-    for chunk, dense in ((kernels.CHUNK_ELEMS, True), (1, width == 0), (7, p ** width <= 7)):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kernels, "CHUNK_ELEMS", chunk)
-            counter = KeyCounter(p ** width, 2 * sum(weights), "test")
-            assert (counter._dense is not None) == dense
-            counter.add(np.array(keys, dtype=np.int32), np.array(weights, dtype=np.int64))
-            counter.add_negated(p, width)
-            got_keys, got_counts = counter.result()
-        assert got_keys.dtype == got_counts.dtype == np.int64
-        assert dict(zip(got_keys.tolist(), got_counts.tolist())) == expect
-        assert got_keys.tolist() == sorted(expect)
+    for row, w in zip(keys.tolist(), [1] * len(keys) if weights is None else weights):
+        for key in row:
+            expect[key] += w
+            if negated:
+                expect[digit_negation(key, p, width)] += w
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "CHUNK_ELEMS", chunk)
+        sorts = sorts_recorded(mp)
+        got_keys, got_counts = count_keys(
+            keys.copy(), p ** width, None if weights is None else np.array(weights)[:, None],
+            (p, width) if negated else None)
+    assert bool(sorts) == counts_sorted(p ** width, keys.size, chunk)
+    assert got_keys.dtype == got_counts.dtype == np.int64
+    assert got_keys.tolist() == sorted(expect)
+    assert got_counts.tolist() == [expect[k] for k in sorted(expect)]
