@@ -6,14 +6,14 @@ the Salem parameter s, E - E and the difference family) from one `Analysis`,
 which computes each on first use. Every formula that reads an `Analysis`
 lives here: the energy identity's residual, s, and the bound checks of the
 distance section. The kernel modules take point sets or pair counts, never
-an `Analysis`.
+an `Analysis`; every sum over the half spectrum is `spectral.power_sums`'s.
 
-Reports are deterministic byte-for-byte given a config. `render_report`
-writes their canonical JSON in one walk: ints and Fractions as decimal
-strings, floats as strings to 12 significant digits, strs escaped to ASCII
-as `json` escapes them, dict keys and sets sorted, two-space indents and a
-final newline. Any other type, a numpy scalar say, raises TypeError as in
-`json`, against which the tests check the bytes.
+Reports are deterministic byte-for-byte given a config, on any BLAS thread
+count. `render_report` writes their canonical JSON in one walk: ints and
+Fractions as decimal strings, floats as strings to 12 significant digits,
+strs escaped to ASCII as `json` escapes them, dict keys and sets sorted,
+two-space indents and a final newline. Any other type, a numpy scalar say,
+raises TypeError as in `json`, against which the tests check the bytes.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ from .ranges import (conjectured_alpha, crossover_identities, energy_threshold,
 
 
 _quote = json.encoder.encode_basestring_ascii  # the C function json itself uses
+#: bumped whenever the goldens are re-minted; `sweep.stamp` hashes it
+REPORT_FORMAT = 1
 
 
 def _emit(value, put, pad: str) -> None:
@@ -110,22 +112,13 @@ class Analysis:
 
     @property
     def power(self) -> np.ndarray:
-        """spectral.half_power: |E_hat|^2 on the Hermitian half. P[0, 0] is m = 0."""
+        """spectral.half_power: |E_hat|^2 on the Hermitian half."""
         return self._once("power", lambda: spectral.half_power(self.E))
 
     def fourier_moment(self, k: int) -> float:
-        """||E_hat||_{2k}^{2k} = q^{-d} sum_{m != 0} |E_hat(m)|^{2k}: over the half,
-        twice the sum over every entry but [0, 0] (m = 0, left out by slicing, so
-        no large term cancels) less the sum over column 0, whose weight is 1."""
-        def compute():
-            P = self.power
-            flat, col = P.ravel()[1:], P[1:, 0]
-            if k == 2:  # two dots, no temporary
-                total = 2.0 * float(flat @ flat) - float(col @ col)
-            else:
-                total = 2.0 * float(np.sum(flat ** k)) - float(np.sum(col ** k))
-            return total / self.E.field.q ** self.E.d
-        return self._once(("moment", k), compute)
+        """||E_hat||_{2k}^{2k} = q^{-d} sum_{m != 0} |E_hat(m)|^{2k}, by spectral.power_sums."""
+        q_d = self.E.field.q ** self.E.d
+        return self._once(("moment", k), lambda: spectral.power_sums(self.power, k)[0] / q_d)
 
     def identity_residual(self, k: int) -> float:
         """Relative residual of ||E_hat||_{2k}^{2k} = q^{-2kd} L_{2k} - q^{-(2k+1)d} |E|^{2k}."""
@@ -201,14 +194,15 @@ TOLERANCES = {"parseval": 1e-10, "energyIdentity": 1e-9}
 
 def _fourier_section(A: Analysis, config: dict) -> tuple[dict, dict]:
     tol = {**TOLERANCES, **config.get("tolerances", {})}
-    E, P = A.E, A.power
-    # the weighted sum of the half: column 0 has weight 1, every other 2
-    parseval = abs(2.0 * float(P.sum()) - float(P[:, 0].sum()) - len(E) / E.field.q ** E.d)
+    E = A.E
+    nonzero, zero, sup = spectral.power_sums(A.power, 1)
+    # Parseval: the sum of |E_hat(m)|^2 over every m is q^{-d} |E|
+    parseval = abs(nonzero + zero - len(E) / E.field.q ** E.d)
     resid = A.identity_residual(2)
     results = {
         "parsevalResidual": parseval,
         "energyIdentityResidual": resid,
-        "lInfNorm": math.sqrt(P.ravel()[1:].max(initial=0.0)),  # [0, 0]: m = 0
+        "lInfNorm": math.sqrt(sup),
         "l4Norm": A.fourier_moment(2) ** 0.25,
     }
     return results, {"parseval": parseval <= tol["parseval"],

@@ -44,14 +44,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("p", type=int)
     p.add_argument("r", type=int, nargs="?", default=1)
 
-    p = sub.add_parser("construct", help="build a point set and write it out")
-    _add_common(p)
-
-    p = sub.add_parser("analyze", help="run analyses from a config")
-    _add_common(p)
-
-    p = sub.add_parser("verify", help="run analyses and fail on gate violations")
-    _add_common(p)
+    for name, text in [("construct", "build a point set and write it out"),
+                       ("analyze", "run analyses from a config"),
+                       ("verify", "run analyses and fail on gate violations")]:
+        _add_common(sub.add_parser(name, help=text))
 
     p = sub.add_parser("ranges", help="print threshold tables")
     p.add_argument("--d", type=int, nargs="+", help="default: the ranges section's dims")

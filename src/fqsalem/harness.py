@@ -121,9 +121,10 @@ def sweep(config: dict, out_dir) -> Path:
     ledger_path = out_dir / "sweep.ledger"
     stamp_path = out_dir / "sweep.stamp"
     csv_path = out_dir / "sweep.csv"
-    # the ledger's rows are replayed only into a rerun of the config (grid and
-    # seed included) that wrote them; otherwise it is rewritten from scratch
-    stamp = hashlib.sha256(json.dumps(config, sort_keys=True, default=str).encode()).hexdigest() + "\n"
+    # the ledger's rows are replayed only into a rerun of the config (grid and seed
+    # included) under the report format that wrote them; else it is rewritten
+    stamp = json.dumps([analysis.REPORT_FORMAT, config], sort_keys=True, default=str)
+    stamp = hashlib.sha256(stamp.encode()).hexdigest() + "\n"
     done: dict[int, str] = {}
     if file_op("read", stamp_path, lambda: stamp_path.exists() and stamp_path.read_text()) == stamp:
         data = file_op("read", ledger_path,

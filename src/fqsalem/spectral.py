@@ -22,11 +22,8 @@ negates each base-p digit, so the trailing frequency digit f pairs with
 p - f (p is odd). `half_power` keeps f in 0..(p-1)/2 only, a
 (q^d/p, (p+1)/2) array: its first pass keeps those rows of W (those
 outputs of the FFT), so every later pass carries (p+1)/(2p) of the columns.
-Column 0 holds each of its frequencies once; every other column also stands
-for the negated frequencies, so a sum over all m of a function of
-|E_hat(m)|^2 is twice the sum over every entry of the half less the sum
-over column 0. The points enter the first pass at q^{-d}, so the squared
-half needs no division.
+The points enter the first pass at q^{-d}, so the squared half needs no
+division; `power_sums` takes every sum a report reads from it.
 
 Counting quantities are never taken from the spectrum; `analysis` checks
 the energy identity against the exact Lambda_{2k} of the energy module.
@@ -133,9 +130,9 @@ def _axis_pass(p: int, c: int, heads: np.ndarray, X: np.ndarray):
 def half_power(E: PointSet) -> np.ndarray:
     """P = |E_hat(m)|^2 on the Hermitian half: (q^d/p, (p+1)/2), row m // p,
     column the trailing base-p digit of m, kept in 0..(p-1)/2; P[0, 0] is
-    m = 0. The sum of g(|E_hat(m)|^2) over every frequency m is
-    2 sum g(P) - sum g(P[:, 0]). For d = 0 the one frequency m = 0 has no
-    digit, and P is (1, 1).
+    m = 0; column 0 holds each of its frequencies once, every other column
+    also the negated ones. For d = 0 the one frequency m = 0 has no digit,
+    and P is (1, 1).
 
     One pass per digit axis of the twisted points, trailing axis first, each
     a DFT under the digit prefixes the points occupy.
@@ -161,3 +158,15 @@ def half_power(E: PointSet) -> np.ndarray:
     v = X.reshape(-1, c).view(np.float64)  # re, im interleaved
     np.square(v, out=v)
     return np.add(v[:, 0::2], v[:, 1::2])
+
+
+def power_sums(P: np.ndarray, k: int) -> tuple[float, float, float]:
+    """(sum over m != 0 of |E_hat(m)|^{2k}, |E_hat(0)|^2, max over m != 0 of
+    |E_hat(m)|^2) from the half P; k from 1 to 31, einsum's operand limit.
+    Column 0 has weight 1, every other column 2; [0, 0] is sliced out, so no
+    large term cancels. Each sum is one np.einsum, with no temporary and no
+    BLAS call: BLAS sums in an order that follows its thread count."""
+    flat, col = P.ravel()[1:], P[1:, 0]
+    spec = ",".join("i" * k) + "->"  # the product of k copies, summed
+    total = 2.0 * float(np.einsum(spec, *[flat] * k)) - float(np.einsum(spec, *[col] * k))
+    return total, float(P[0, 0]), float(flat.max(initial=0.0))

@@ -235,6 +235,23 @@ def test_sweep_refuses_rows_of_another_config(tmp_path):
     assert "size=resumed" not in sweep({**cfg, "seed": 3}, out).read_text()
 
 
+def test_sweep_refuses_rows_of_another_report_format(tmp_path, monkeypatch):
+    # the ledger and stamp of an fqsalem whose reports had another format: a
+    # rerun after the upgrade recomputes every row
+    cfg = {"construction": {"kind": "random", "d": 2, "size": 5}, "analyses": ["energy"],
+           "grid": {"p": [3, 5]}, "seed": 2}
+    out = tmp_path / "s"
+    monkeypatch.setattr(analysis, "REPORT_FORMAT", analysis.REPORT_FORMAT - 1)
+    sweep(cfg, out)
+    ledger = out / "sweep.ledger"
+    ledger.write_text(ledger.read_text().replace("size=5", "size=stale"))
+    monkeypatch.undo()
+    assert sweep(cfg, out).read_text().splitlines()[1:] == ["0,ok,p=3;size=5", "1,ok,p=5;size=5"]
+    # the rewritten ledger is this format's, so the next rerun replays it
+    ledger.write_text(ledger.read_text().replace("size=5", "size=resumed", 1))
+    assert "size=resumed" in sweep(cfg, out).read_text()
+
+
 def test_sweep_keeps_finished_rows_when_a_cell_fails(tmp_path, monkeypatch):
     # ISO_CONFIG's sets lie on one sphere, so the incidence section checks the
     # difference family against Lambda_4 exactly; only cell 1 (m = 2, 25

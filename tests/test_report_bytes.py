@@ -4,12 +4,16 @@ Every shipped config, the benchmark workloads' verify configs at seed 0 and
 one thinned witness run through the CLI; each output must equal its golden
 in tests/golden/. The four float fields of results.fourier are left out of
 the comparison, since FFT rounding may differ between numpy builds; the
-parseval and energyIdentity gates still check them.
+parseval and energyIdentity gates still check them, and test_blas_threads.py
+checks that they do not change with the BLAS thread count.
 
 Mint the goldens (only when a change is meant to alter report bytes, and
 say so in CHANGES.md) with:
 
     PYTHONPATH=src python tests/test_report_bytes.py
+
+and bump `analysis.REPORT_FORMAT` in the same change: `sweep.stamp` hashes it,
+so a rerun of a sweep rewrites the rows an older format wrote.
 """
 
 import json

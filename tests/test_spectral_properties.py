@@ -14,7 +14,7 @@ from conftest import folded_power, half_total  # noqa: E402
 from fqsalem.field import field_create  # noqa: E402
 from fqsalem.geometry import PointSet  # noqa: E402
 from fqsalem.analysis import Analysis, _fourier_section  # noqa: E402
-from fqsalem.spectral import fourier_direct, half_power  # noqa: E402
+from fqsalem.spectral import fourier_direct, half_power, power_sums  # noqa: E402
 
 # (p, r, largest d with q^d <= 243): the direct transform stays cheap
 SMALL_SPACES = [(3, 1, 5), (5, 1, 3), (7, 1, 2), (3, 2, 2), (5, 2, 1), (3, 3, 1)]
@@ -63,6 +63,9 @@ def test_half_spectrum_matches_direct(E):
     assert abs(half_total(P) - len(E) / q_d) <= 1e-12
     for k in (2, 3):
         assert abs(A.fourier_moment(k) - np.sum(full[1:] ** k) / q_d) <= 1e-12
+    total, zero, sup = power_sums(P, 1)
+    assert abs(total - full[1:].sum()) <= 1e-12 and abs(zero - full[0]) <= 1e-12
+    assert abs(sup - full[1:].max(initial=0.0)) <= 1e-12
     results, _ = _fourier_section(A, {})
     assert abs(results["lInfNorm"] - math.sqrt(full[1:].max(initial=0.0))) <= 1e-12
 
