@@ -1,11 +1,11 @@
 """How a report is computed: the cached `Analysis` of one set, the section
 registry `SECTIONS`, `report` and `render_report`.
 
-A report reads a few exact quantities of one set E (Lambda_{2k}, nu, |E_hat|^2,
-the Salem parameter s, E - E and the difference family) from one `Analysis`,
-which computes each on first use. Every formula that reads an `Analysis`
-lives here: the energy identity's residual, s, and the bound checks of the
-distance section. The kernel modules take point sets or pair counts, never
+A report reads a few quantities of one set E (Lambda_{2k}, nu, the sums of
+|E_hat|^2, the Salem parameter s, E - E and the difference family) from one
+`Analysis`, which computes each on first use. Every formula that reads an
+`Analysis` lives here: the energy identity's residual, s, and the bound checks
+of the distance section. The kernel modules take point sets or pair counts, never
 an `Analysis`; every sum over the half spectrum is `spectral.power_sums`'s.
 
 Reports are deterministic byte-for-byte given a config, on any BLAS thread
@@ -80,14 +80,14 @@ def render_report(report: dict) -> str:
 
 
 class Analysis:
-    """The exact quantities of one point set that a report reads.
+    """The quantities of one point set that a report reads.
 
     Each is computed on first use and kept for the lifetime of the object,
     which `report()` creates once per report, so a report computes Lambda_{2k},
-    nu and |E_hat|^2 once each however many sections read them. Lambda_4, nu,
-    E - E and the difference family are all read from one pass over the pairs
-    of E (`pairs`, whose nu and sum_m2 are themselves computed on first read).
-    A value is charged to the budget scope of its first read.
+    nu and the sums of |E_hat|^2 once each however many sections read them.
+    Lambda_4, nu, E - E and the difference family are all read from one pass
+    over the pairs of E (`pairs`, whose nu and sum_m2 are themselves computed
+    on first read). A value is charged to the budget scope of its first read.
     """
 
     def __init__(self, E: PointSet):
@@ -111,24 +111,9 @@ class Analysis:
         return self._once(("lam", k), lambda: energy.energy_convolution(self.E, k))
 
     @property
-    def power(self) -> np.ndarray:
-        """spectral.half_power: |E_hat|^2 on the Hermitian half."""
-        return self._once("power", lambda: spectral.half_power(self.E))
-
-    def fourier_moment(self, k: int) -> float:
-        """||E_hat||_{2k}^{2k} = q^{-d} sum_{m != 0} |E_hat(m)|^{2k}, by spectral.power_sums."""
-        q_d = self.E.field.q ** self.E.d
-        return self._once(("moment", k), lambda: spectral.power_sums(self.power, k)[0] / q_d)
-
-    def identity_residual(self, k: int) -> float:
-        """Relative residual of ||E_hat||_{2k}^{2k} = q^{-2kd} L_{2k} - q^{-(2k+1)d} |E|^{2k}."""
-        E = self.E
-        q_d = E.field.q ** E.d
-        lhs = self.fourier_moment(k)
-        # one correctly rounded quotient of exact integers: the difference of the
-        # two terms as floats cancels on a dense set
-        rhs = (self.lam(k) * q_d - len(E) ** (2 * k)) / q_d ** (2 * k + 1)
-        return abs(lhs - rhs) / max(abs(rhs), q_d ** -(2 * k + 1))
+    def spectrum(self) -> spectral.PowerSums:
+        """spectral.power_sums of the Hermitian half of |E_hat|^2, which is not kept."""
+        return self._once("spectrum", lambda: spectral.power_sums(spectral.half_power(self.E)))
 
     @property
     def salem_s(self) -> float:
@@ -194,16 +179,20 @@ TOLERANCES = {"parseval": 1e-10, "energyIdentity": 1e-9}
 
 def _fourier_section(A: Analysis, config: dict) -> tuple[dict, dict]:
     tol = {**TOLERANCES, **config.get("tolerances", {})}
-    E = A.E
-    nonzero, zero, sup = spectral.power_sums(A.power, 1)
+    S, n, q_d = A.spectrum, len(A.E), A.E.field.q ** A.E.d
     # Parseval: the sum of |E_hat(m)|^2 over every m is q^{-d} |E|
-    parseval = abs(nonzero + zero - len(E) / E.field.q ** E.d)
-    resid = A.identity_residual(2)
+    parseval = abs(S.sum2 + S.zero - n / q_d)
+    # the energy identity ||E_hat||_4^4 = q^{-4d} L_4 - q^{-5d} |E|^4, its right
+    # side one correctly rounded quotient of exact integers: the difference of
+    # the two terms as floats cancels on a dense set
+    moment = S.sum4 / q_d
+    rhs = (A.lam(2) * q_d - n ** 4) / q_d ** 5
+    resid = abs(moment - rhs) / max(abs(rhs), q_d ** -5)
     results = {
         "parsevalResidual": parseval,
         "energyIdentityResidual": resid,
-        "lInfNorm": math.sqrt(sup),
-        "l4Norm": A.fourier_moment(2) ** 0.25,
+        "lInfNorm": math.sqrt(S.sup),
+        "l4Norm": moment ** 0.25,
     }
     return results, {"parseval": parseval <= tol["parseval"],
                      "energyIdentity": resid <= tol["energyIdentity"]}

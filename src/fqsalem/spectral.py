@@ -23,14 +23,15 @@ p - f (p is odd). `half_power` keeps f in 0..(p-1)/2 only, a
 (q^d/p, (p+1)/2) array: its first pass keeps those rows of W (those
 outputs of the FFT), so every later pass carries (p+1)/(2p) of the columns.
 The points enter the first pass at q^{-d}, so the squared half needs no
-division; `power_sums` takes every sum a report reads from it.
+division; `power_sums` takes every sum a report reads from it in one call.
 
 Counting quantities are never taken from the spectrum; `analysis` checks
-the energy identity against the exact Lambda_{2k} of the energy module.
+the energy identity against the exact Lambda_4 of the energy module.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -160,13 +161,22 @@ def half_power(E: PointSet) -> np.ndarray:
     return np.add(v[:, 0::2], v[:, 1::2])
 
 
-def power_sums(P: np.ndarray, k: int) -> tuple[float, float, float]:
-    """(sum over m != 0 of |E_hat(m)|^{2k}, |E_hat(0)|^2, max over m != 0 of
-    |E_hat(m)|^2) from the half P; k from 1 to 31, einsum's operand limit.
-    Column 0 has weight 1, every other column 2; [0, 0] is sliced out, so no
-    large term cancels. Each sum is one np.einsum, with no temporary and no
-    BLAS call: BLAS sums in an order that follows its thread count."""
+@dataclass(frozen=True)
+class PowerSums:
+    """The sums over the half spectrum that the fourier section reads."""
+    sum2: float  # sum over m != 0 of |E_hat(m)|^2
+    sum4: float  # sum over m != 0 of |E_hat(m)|^4
+    zero: float  # |E_hat(0)|^2
+    sup: float  # max over m != 0 of |E_hat(m)|^2
+
+
+def power_sums(P: np.ndarray) -> PowerSums:
+    """The PowerSums of the half P. Column 0 has weight 1, every other column
+    2; [0, 0] is sliced out, so no large term cancels. Each sum is one
+    np.einsum, with no temporary and no BLAS call: BLAS sums in an order that
+    follows its thread count."""
     flat, col = P.ravel()[1:], P[1:, 0]
-    spec = ",".join("i" * k) + "->"  # the product of k copies, summed
-    total = 2.0 * float(np.einsum(spec, *[flat] * k)) - float(np.einsum(spec, *[col] * k))
-    return total, float(P[0, 0]), float(flat.max(initial=0.0))
+    return PowerSums(
+        sum2=2.0 * float(np.einsum("i->", flat)) - float(np.einsum("i->", col)),
+        sum4=2.0 * float(np.einsum("i,i->", flat, flat)) - float(np.einsum("i,i->", col, col)),
+        zero=float(P[0, 0]), sup=float(flat.max(initial=0.0)))

@@ -8,10 +8,11 @@ import pytest
 
 from fqsalem import kernels
 from fqsalem.constructions import random_pointset
+from fqsalem.energy import energy_convolution
 from fqsalem.errors import ConfigError
 from fqsalem.field import field_create, prime_factors
 from fqsalem.geometry import PointSet, dot, encode, full_space, norm, vsub
-from fqsalem.spectral import fourier_direct
+from fqsalem.spectral import fourier_direct, half_power
 
 
 @pytest.fixture(scope="session")
@@ -132,6 +133,23 @@ def half_total(P):
     spectral.half_power: column 0 holds its frequencies once, every other
     column also stands for the negated ones, so it is 2 sum(P) - sum(P[:, 0])."""
     return 2 * float(P.sum()) - float(P[:, 0].sum())
+
+
+def half_moment(P, k):
+    """The sum of |E_hat(m)|^{2k} over m != 0, read from the half P as half_total
+    reads it, with P[0, 0] (m = 0) sliced out so that no large term cancels."""
+    flat, col = P.ravel()[1:], P[1:, 0]
+    return 2 * float(np.sum(flat ** k)) - float(np.sum(col ** k))
+
+
+def identity_residual(E, k):
+    """Relative residual of the energy identity ||E_hat||_{2k}^{2k} =
+    q^{-2kd} Lambda_{2k} - q^{-(2k+1)d} |E|^{2k}: its left side from half_moment,
+    Lambda_{2k} from energy_convolution (the report checks k = 2 only)."""
+    q_d, n = E.field.q ** E.d, len(E)
+    lhs = half_moment(half_power(E), k) / q_d
+    rhs = (energy_convolution(E, k) * q_d - n ** (2 * k)) / q_d ** (2 * k + 1)
+    return abs(lhs - rhs) / max(abs(rhs), q_d ** -(2 * k + 1))
 
 
 def oracle_moment(E, k, direct=None):

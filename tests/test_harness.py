@@ -26,7 +26,7 @@ from fqsalem.field import field_create
 from fqsalem.geometry import HyperplaneMultiset, PointSet, read_pointset, write_pointset
 from fqsalem.harness import oracle_distances, oracle_incidences, run, sweep, validate_config
 from fqsalem.incidence import count_incidences
-from fqsalem.spectral import half_power
+from fqsalem.spectral import half_power, power_sums
 
 ISO_CONFIG = {
     "construction": {"kind": "isotropic", "p": 5, "r": 1, "d": 4, "m": 2},
@@ -150,11 +150,13 @@ def test_run_never_reads_point_tuples(monkeypatch, construction):
 def test_run_computes_each_quantity_once(monkeypatch, p, r):
     # Lambda_4, nu, E - E and the difference family are read from one pair
     # pass; energy_convolution and distance_profile would each be another.
-    # The spectrum is transformed once, on the Hermitian half only, and the
-    # energy, salem and distance sections share one Salem parameter. nu is
-    # summed once, though the distance section reads it five times
+    # The spectrum is transformed once, on the Hermitian half only, and summed
+    # in one power_sums call, and the energy, salem and distance sections
+    # share one Salem parameter. nu is summed once, though the distance section
+    # reads it five times
     calls = {fn.__name__: count_calls(monkeypatch, fn)
-             for fn in (pair_counts, energy_convolution, distance_profile, half_power)}
+             for fn in (pair_counts, energy_convolution, distance_profile, half_power,
+                        power_sums)}
     nu_sums, nu = [], PairCounts.nu.func
 
     def counted_nu(self):
@@ -175,7 +177,8 @@ def test_run_computes_each_quantity_once(monkeypatch, p, r):
                "analyses": ALL_SET_ANALYSES, "k": 2, "seed": 3})
     assert rep["allGatesPass"]
     assert {name: len(c) for name, c in calls.items()} == {
-        "pair_counts": 1, "energy_convolution": 0, "distance_profile": 0, "half_power": 1}
+        "pair_counts": 1, "energy_convolution": 0, "distance_profile": 0, "half_power": 1,
+        "power_sums": 1}
     assert computed.count("salem_s") == 1
     assert len(nu_sums) == 1
 
@@ -434,9 +437,13 @@ def test_out_of_range_dimensions_and_radii_are_config_errors(tmp_path, capsys,
 
 def test_sweep_marks_cells_with_failing_gates(tmp_path, monkeypatch):
     # the p = 5 cell's energy identity is off: its row says which gate failed
-    residual = Analysis.identity_residual
-    monkeypatch.setattr(Analysis, "identity_residual",
-                        lambda A, k: 1.0 if A.E.field.q == 5 else residual(A, k))
+    spectrum = Analysis.spectrum.fget
+
+    def off(A):
+        S = spectrum(A)
+        return dataclasses.replace(S, sum4=2 * S.sum4) if A.E.field.q == 5 else S
+
+    monkeypatch.setattr(Analysis, "spectrum", property(off))
     cfg = {"construction": {"kind": "random", "d": 2, "size": 5}, "analyses": ["fourier"],
            "grid": {"p": [3, 5]}, "seed": 0}
     rows = sweep(cfg, tmp_path / "s").read_text().splitlines()

@@ -10,7 +10,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from conftest import folded_power, half_total  # noqa: E402
+from conftest import folded_power, half_moment, half_total  # noqa: E402
 from fqsalem.field import field_create  # noqa: E402
 from fqsalem.geometry import PointSet  # noqa: E402
 from fqsalem.analysis import Analysis, _fourier_section  # noqa: E402
@@ -32,7 +32,7 @@ def small_sets(draw):
 @settings(max_examples=40, deadline=None)
 @given(small_sets())
 def test_pruned_fft_matches_direct(E):
-    P = Analysis(E).power
+    P = half_power(E)
     assert np.max(np.abs(P - folded_power(E))) <= 1e-12
     assert abs(half_total(P) - len(E) / E.field.q ** E.d) <= 1e-12
 
@@ -58,16 +58,19 @@ def test_half_spectrum_matches_direct(E):
     assert P.shape == (q_d // p, (p + 1) // 2)
     assert np.max(np.abs(P - full.reshape(-1, p)[:, :(p + 1) // 2])) <= 1e-12
     # the half stands for every frequency
-    A = Analysis(E)
-    assert np.array_equal(A.power, P)
     assert abs(half_total(P) - len(E) / q_d) <= 1e-12
-    for k in (2, 3):
-        assert abs(A.fourier_moment(k) - np.sum(full[1:] ** k) / q_d) <= 1e-12
-    total, zero, sup = power_sums(P, 1)
-    assert abs(total - full[1:].sum()) <= 1e-12 and abs(zero - full[0]) <= 1e-12
-    assert abs(sup - full[1:].max(initial=0.0)) <= 1e-12
+    for k in (1, 3, 4):
+        assert abs(half_moment(P, k) - np.sum(full[1:] ** k)) <= 1e-12
+    # the report's record of the half, from the report's own transform
+    A = Analysis(E)
+    assert A.spectrum == power_sums(P)
+    assert abs(A.spectrum.sum2 - full[1:].sum()) <= 1e-12
+    assert abs(A.spectrum.sum4 - np.sum(full[1:] ** 2)) <= 1e-12
+    assert abs(A.spectrum.zero - full[0]) <= 1e-12
+    assert abs(A.spectrum.sup - full[1:].max(initial=0.0)) <= 1e-12
     results, _ = _fourier_section(A, {})
     assert abs(results["lInfNorm"] - math.sqrt(full[1:].max(initial=0.0))) <= 1e-12
+    assert abs(results["l4Norm"] ** 4 - np.sum(full[1:] ** 2) / q_d) <= 1e-12
 
 
 @st.composite
