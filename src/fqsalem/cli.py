@@ -74,7 +74,7 @@ def _load_config(args) -> dict:
         raise ConfigError("--config is required for this command")
     try:
         config = json.loads(args.config.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")

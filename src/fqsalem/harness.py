@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from contextlib import suppress
 from itertools import product
 from pathlib import Path
 
@@ -49,8 +50,8 @@ def validate_config(config: dict) -> dict:
     for name, t in tol.items():
         if name not in analysis.TOLERANCES:
             raise ConfigError(f"unknown tolerance {name!r}; known: {sorted(analysis.TOLERANCES)}")
-        if isinstance(t, bool) or not (isinstance(t, (int, float)) and t > 0):
-            raise ConfigError(f"tolerance {name} must be positive")
+        if isinstance(t, bool) or not (isinstance(t, (int, float)) and 0 < t < float("inf")):
+            raise ConfigError(f"tolerance {name} must be positive and finite")
     budget = config.get("budget", DEFAULT_BUDGET)
     if not (is_int(budget) and budget > 0):
         raise ConfigError("budget must be a positive integer")
@@ -105,6 +106,11 @@ def file_op(verb: str, path: Path, op):
 def sweep(config: dict, out_dir) -> Path:
     """Cartesian product over the grid; one CSV row per cell; resumable.
 
+    `sweep.csv` gets its header, then each row in cell order, flushed as it is
+    written. A rerun under the same `sweep.stamp` (a hash of the config and
+    `analysis.REPORT_FORMAT`) replays the rows `_replay` accepts and computes
+    the cells after them; under any other stamp the CSV is rewritten.
+
     Every cell runs in the calling thread. A report is a chain of short numpy
     calls, and two threads making those hand the GIL back and forth on every
     call, so a thread pool made the sweeps slower.
@@ -118,35 +124,16 @@ def sweep(config: dict, out_dir) -> Path:
     cells = list(product(*(grid[k] for k in keys)))
     out_dir = Path(out_dir)
     file_op("create", out_dir, lambda: out_dir.mkdir(parents=True, exist_ok=True))
-    ledger_path = out_dir / "sweep.ledger"
     stamp_path = out_dir / "sweep.stamp"
     csv_path = out_dir / "sweep.csv"
-    # the ledger's rows are replayed only into a rerun of the config (grid and seed
-    # included) under the report format that wrote them; else it is rewritten
-    stamp = json.dumps([analysis.REPORT_FORMAT, config], sort_keys=True, default=str)
-    stamp = hashlib.sha256(stamp.encode()).hexdigest() + "\n"
-    done: dict[int, str] = {}
-    if file_op("read", stamp_path, lambda: stamp_path.exists() and stamp_path.read_text()) == stamp:
-        data = file_op("read", ledger_path,
-                       lambda: ledger_path.read_bytes() if ledger_path.exists() else b"")
-        try:  # what follows the last newline is a line cut short
-            lines = data.decode("utf-8").split("\n")[:-1]
-        except UnicodeDecodeError:  # not a ledger a sweep wrote
-            lines = []
-        # a line is "<cell index>\t<row as a JSON string>\n", so a row whose
-        # detail holds a newline stays on one line; any other line is dropped
-        # and its cell redone
-        index = {str(i): i for i in range(len(cells))}
-        for line in lines:
-            idx, _, text = line.partition("\t")
-            if idx not in index or not text.startswith('"'):
-                continue
-            try:
-                row = json.loads(text)
-            except ValueError:
-                continue
-            if row.startswith(f"{idx},") and row.endswith("\n"):
-                done[index[idx]] = row
+    # "csv": no stamp written beside the JSON-line ledger of earlier versions matches
+    stamp = json.dumps(["csv", analysis.REPORT_FORMAT, config], sort_keys=True, default=str)
+    stamp = (hashlib.sha256(stamp.encode()).hexdigest() + "\n").encode()
+    header = _csv_row("cell", "status", "detail")
+    rows: list[str] = []
+    if (file_op("read", stamp_path, lambda: stamp_path.exists() and stamp_path.read_bytes())
+            == stamp and csv_path.exists()):
+        rows = _replay(file_op("read", csv_path, csv_path.read_bytes), header, len(cells))
 
     master = int(config.get("seed", 0))
 
@@ -164,27 +151,38 @@ def sweep(config: dict, out_dir) -> Path:
             return _csv_row(i, "error", f"config:{exc}")
         return _csv_row(i, "ok" if rep["allGatesPass"] else "gate", _cell_detail(cell, rep))
 
-    # each finished row is appended and flushed in cell order, so an
-    # interrupted or failed sweep resumes from every row before the failure;
-    # on a failure the cells after it are not run
-    ledger = file_op("write", ledger_path, lambda: open(ledger_path, "w", encoding="utf-8"))
-    with ledger:
-        ledger.write("".join(_ledger_line(i, row) for i, row in sorted(done.items())))
-        ledger.flush()
+    out = file_op("write", csv_path, lambda: open(csv_path, "w", encoding="utf-8", newline=""))
+    with out:
+        out.write(header + "".join(rows))
+        out.flush()
         # after the rows of any other config are gone
-        file_op("write", stamp_path, lambda: stamp_path.write_text(stamp))
-        for i in range(len(cells)):
-            if i not in done:
-                done[i] = run_cell(i)
-                ledger.write(_ledger_line(i, done[i]))
-                ledger.flush()
-    text = _csv_row("cell", "status", "detail") + "".join(done[i] for i in range(len(cells)))
-    file_op("write", csv_path, lambda: csv_path.write_text(text))
+        file_op("write", stamp_path, lambda: stamp_path.write_bytes(stamp))
+        for i in range(len(rows), len(cells)):
+            out.write(run_cell(i))
+            out.flush()
     return csv_path
 
 
-def _ledger_line(i: int, row: str) -> str:
-    return f"{i}\t{json.dumps(row)}\n"
+def _replay(data: bytes, header: str, n: int) -> list[str]:
+    """The longest run of rows 0, 1, ..., at most n, after the header of a
+    sweep CSV that each re-render byte for byte. A row of another cell, one
+    cut short or one in a form `_csv_row` never writes ends the run."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # what precedes the first byte that is not UTF-8
+        text = data[:exc.start].decode("utf-8")
+    if not text.startswith(header):
+        return []
+    rows, end = [], len(header)
+    with suppress(csv.Error):  # a field over csv's size limit, say: the run ends there
+        for fields in csv.reader(io.StringIO(text[end:], newline="")):
+            row = _csv_row(*fields)
+            if (len(rows) == n or len(fields) != 3 or fields[0] != str(len(rows))
+                    or not text.startswith(row, end)):
+                break
+            rows.append(row)
+            end += len(row)
+    return rows
 
 
 def _csv_row(*fields) -> str:

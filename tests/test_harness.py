@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import functools
+import hashlib
 import inspect
 import json
 import os
@@ -16,7 +17,7 @@ import pytest
 
 from conftest import folded_power, nonzero_counts, rand_set, write_hyperplanes
 import fqsalem
-from fqsalem import analysis
+from fqsalem import analysis, harness
 from fqsalem.analysis import Analysis, render_report
 from fqsalem.cli import build_parser, main
 from fqsalem.distance import distance_profile
@@ -72,8 +73,10 @@ def test_validate_config():
         validate_config({"analyses": [["x"]]})  # unhashable: not a TypeError
     with pytest.raises(ConfigError):
         validate_config({"construction": {"p": 5}})
-    with pytest.raises(ConfigError, match="tolerance parseval must be positive"):
+    with pytest.raises(ConfigError, match="tolerance parseval must be positive and finite"):
         validate_config({"analyses": ["fourier"], "tolerances": {"parseval": -1}})
+    with pytest.raises(ConfigError, match="tolerance parseval must be positive and finite"):
+        validate_config({"analyses": ["fourier"], "tolerances": {"parseval": float("inf")}})
     with pytest.raises(ConfigError):
         validate_config({"budget": 0})
     with pytest.raises(ConfigError):
@@ -209,11 +212,10 @@ def test_sweep_grid_and_resume(tmp_path):
     rows = csv_path.read_text().strip().splitlines()
     assert rows[0] == "cell,status,detail"
     assert len(rows) == 1 + 6
-    # resume: a ledger row is trusted verbatim, so finished cells are not redone
-    ledger = out / "sweep.ledger"
-    lines = ledger.read_text().splitlines()
-    lines[0] = '0\t"0,ok,resumed-marker\\n"'
-    ledger.write_text("\n".join(lines) + "\n")
+    # resume: a row that re-renders byte for byte is trusted verbatim, so
+    # finished cells are not redone
+    rows[1] = "0,ok,resumed-marker"
+    csv_path.write_text("\n".join(rows) + "\n")
     sweep(cfg, out)
     assert "resumed-marker" in csv_path.read_text()
 
@@ -230,28 +232,27 @@ def test_sweep_refuses_rows_of_another_config(tmp_path):
     assert [r.split(";")[:2] for r in rows[1:]] == [["0,ok,p=3", "size=7"],
                                                     ["1,ok,p=5", "size=7"]]
     assert all("salemS=" in r for r in rows[1:])
-    # the same config again resumes from the rewritten ledger
-    ledger = out / "sweep.ledger"
-    ledger.write_text(ledger.read_text().replace("size=7", "size=resumed", 1))
+    # the same config again resumes from the rewritten CSV
+    csv_path = out / "sweep.csv"
+    csv_path.write_text(csv_path.read_text().replace("size=7", "size=resumed", 1))
     assert "size=resumed" in sweep(cfg, out).read_text()
     # another seed is another config
     assert "size=resumed" not in sweep({**cfg, "seed": 3}, out).read_text()
 
 
 def test_sweep_refuses_rows_of_another_report_format(tmp_path, monkeypatch):
-    # the ledger and stamp of an fqsalem whose reports had another format: a
+    # the CSV and stamp of an fqsalem whose reports had another format: a
     # rerun after the upgrade recomputes every row
     cfg = {"construction": {"kind": "random", "d": 2, "size": 5}, "analyses": ["energy"],
            "grid": {"p": [3, 5]}, "seed": 2}
     out = tmp_path / "s"
     monkeypatch.setattr(analysis, "REPORT_FORMAT", analysis.REPORT_FORMAT - 1)
-    sweep(cfg, out)
-    ledger = out / "sweep.ledger"
-    ledger.write_text(ledger.read_text().replace("size=5", "size=stale"))
+    csv_path = sweep(cfg, out)
+    csv_path.write_text(csv_path.read_text().replace("size=5", "size=stale"))
     monkeypatch.undo()
     assert sweep(cfg, out).read_text().splitlines()[1:] == ["0,ok,p=3;size=5", "1,ok,p=5;size=5"]
-    # the rewritten ledger is this format's, so the next rerun replays it
-    ledger.write_text(ledger.read_text().replace("size=5", "size=resumed", 1))
+    # the rewritten CSV is this format's, so the next rerun replays it
+    csv_path.write_text(csv_path.read_text().replace("size=5", "size=resumed", 1))
     assert "size=resumed" in sweep(cfg, out).read_text()
 
 
@@ -264,12 +265,11 @@ def test_sweep_keeps_finished_rows_when_a_cell_fails(tmp_path, monkeypatch):
     out = tmp_path / "s"
     with pytest.raises(InvariantViolation):
         sweep(cfg, out)
-    ledger = out / "sweep.ledger"
-    assert [ln.split("\t")[0] for ln in ledger.read_text().splitlines()] == ["0"]
-    assert not (out / "sweep.csv").exists()
-    # without the fault, cell 0 is resumed from the ledger and cell 1 computed
+    csv_path = out / "sweep.csv"
+    assert [ln.split(",")[0] for ln in csv_path.read_text().splitlines()] == ["cell", "0"]
+    # without the fault, cell 0 is resumed from the CSV and cell 1 computed
     monkeypatch.undo()
-    ledger.write_text('0\t"0,ok,resumed-marker\\n"\n')
+    csv_path.write_text("cell,status,detail\n0,ok,resumed-marker\n")
     rows = sweep(cfg, out).read_text().splitlines()
     assert rows[1] == "0,ok,resumed-marker"
     assert rows[2].startswith("1,ok,")
@@ -322,8 +322,15 @@ def test_sweep_cli_stops_at_a_failing_cell(tmp_path, capsys, monkeypatch):
     out = tmp_path / "s"
     assert main(["sweep", "--config", str(path), "--out", str(out), "--jobs", "2"]) == 5
     assert capsys.readouterr().err == "invariant violated: cell 1\n"
-    assert (out / "sweep.ledger").read_text() == '0\t"0,ok,size=10;size=10\\n"\n'
-    assert not (out / "sweep.csv").exists()
+    assert (out / "sweep.csv").read_text() == "cell,status,detail\n0,ok,size=10;size=10\n"
+    assert sorted(f.name for f in out.iterdir()) == ["sweep.csv", "sweep.stamp"]
+    # the rerun computes cells 1 and 2 only, and writes what one run would
+    monkeypatch.undo()
+    seen = count_cells(monkeypatch)
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    assert [c["size"] for c in seen] == [20, 15]
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "whole")]) == 0
+    assert (out / "sweep.csv").read_bytes() == (tmp_path / "whole" / "sweep.csv").read_bytes()
 
 
 def test_sweep_grid_without_construction(tmp_path):
@@ -338,42 +345,129 @@ SWEEP_RANDOM = json.loads(
     (Path(__file__).resolve().parent.parent / "configs" / "sweep-random.json").read_text())
 
 
-@pytest.mark.parametrize("tamper", [
-    lambda ledger: b'x\t"0,ok,bad\\n"\n' + ledger.split(b"\n", 1)[1],  # no cell index
-    lambda ledger: ledger + b'\xff0\t"0,ok,bad\\n"\n',  # not UTF-8
-    lambda ledger: ledger + b'99\t"99,ok,stray\\n"\n',  # no cell of this grid
-    lambda ledger: b"0\t0,ok,bad\n" + ledger.split(b"\n", 1)[1],  # a bare row, not JSON
-    lambda ledger: b'0\t"0,ok,bad"\n' + ledger.split(b"\n", 1)[1],  # no row end
-], ids=["index", "utf8", "stray", "bare", "unended"])
-def test_sweep_redoes_malformed_ledger_lines(tmp_path, tamper):
-    # a line that is not "<cell index>\t<row as a JSON string>\n" is redone
-    # and not written back
+def count_cells(monkeypatch) -> list:
+    """Record the construction of each cell a sweep computes."""
+    seen, real = [], harness.build_set
+
+    def recorded(config):
+        seen.append(config["construction"])
+        return real(config)
+
+    monkeypatch.setattr(harness, "build_set", recorded)
+    return seen
+
+
+# each tamper, and how many of sweep-random's six cells a rerun computes again
+@pytest.mark.parametrize("tamper,redone", [
+    (lambda text: text.replace(b"\n0,", b"\nx,", 1), 6),  # no cell index
+    (lambda text: text.replace(b"\n5,", b"\n\xff5,", 1), 1),  # not UTF-8
+    (lambda text: text + b"99,ok,stray\n", 0),  # no cell of this grid
+    (lambda text: text.replace(b"\n3,ok,d=3;", b"\n3,ok,d=3,", 1), 3),  # a bare comma
+    (lambda text: text.replace(b"\n2,ok,", b'\n"2",ok,', 1), 4),  # quoted, as never written
+    (lambda text: text[:-1], 1),  # no row end
+], ids=["index", "utf8", "stray", "bare", "quoted", "unended"])
+def test_sweep_redoes_malformed_ledger_lines(tmp_path, monkeypatch, tamper, redone):
+    # sweep.csv is the sweep's ledger: the first line that is not the row the
+    # sweep would write for its cell is redone, and so is every line after it
     out = tmp_path / "s"
     expected = sweep(SWEEP_RANDOM, out).read_bytes()
-    ledger = out / "sweep.ledger"
-    clean = ledger.read_bytes()
-    ledger.write_bytes(tamper(clean))
+    (out / "sweep.csv").write_bytes(tamper(expected))
+    seen = count_cells(monkeypatch)
     assert sweep(SWEEP_RANDOM, out).read_bytes() == expected
-    assert sorted(ledger.read_bytes().splitlines()) == sorted(clean.splitlines())
+    assert len(seen) == redone
 
 
 def test_sweep_resumes_rows_that_hold_a_newline(tmp_path, monkeypatch):
     # Fraction strips the newline of "1/4\n", so the cell runs, and its detail
-    # keeps the newline: the CSV quotes it across two lines, the ledger keeps
-    # the row on one
+    # keeps the newline: the CSV quotes it across two lines
     cfg = {"construction": {"kind": "conjectureWitness", "p": 5, "d": 4},
            "analyses": ["energy"], "grid": {"s": ["1/4\n", "1/3"]}, "seed": 0}
-    out = tmp_path / "s"
-    first = sweep(cfg, out).read_bytes()
+    first = sweep(cfg, tmp_path / "whole").read_bytes()
     assert first.splitlines()[1:3] == [b'0,ok,"s=1/4', b';size=5"']
-    assert len((out / "sweep.ledger").read_bytes().splitlines()) == 2
+    # a failure at cell 1 keeps row 0 whole, and the rerun computes cell 1 only
+    out = tmp_path / "s"
+    real = analysis.report
 
-    def no_report(config, E):
-        raise AssertionError("a finished cell was run again")
+    def fail_cell_1(config, E):
+        if config["construction"]["s"] == "1/3":
+            raise InvariantViolation("cell 1")
+        return real(config, E)
 
-    # the rerun replays both rows whole and runs no cell
-    monkeypatch.setattr(analysis, "report", no_report)
+    monkeypatch.setattr(analysis, "report", fail_cell_1)
+    with pytest.raises(InvariantViolation):
+        sweep(cfg, out)
+    assert (out / "sweep.csv").read_bytes() == first[:first.index(b"\n1,") + 1]
+    monkeypatch.undo()
+    seen = count_cells(monkeypatch)
     assert sweep(cfg, out).read_bytes() == first
+    assert seen == [{"kind": "conjectureWitness", "p": 5, "d": 4, "s": "1/3"}]
+    # the rerun replays both rows whole and runs no cell
+    seen.clear()
+    assert sweep(cfg, out).read_bytes() == first
+    assert seen == []
+    # row 0 cut short inside its quotes is redone, with every row after it
+    (out / "sweep.csv").write_bytes(first[:first.index(b";size=5")])
+    assert sweep(cfg, out).read_bytes() == first
+    assert len(seen) == 2
+
+
+def test_sweep_rerun_of_another_config_leaves_no_stale_rows(tmp_path, monkeypatch):
+    # config A runs to the end, then config B fails at its cell 1 in the same
+    # directory: the CSV holds B's row 0 alone, and B's rerun computes cell 1 on
+    cfg_a = {"construction": {"kind": "random", "d": 2, "size": 5}, "analyses": ["energy"],
+             "grid": {"p": [3, 5, 7]}, "seed": 2}
+    cfg_b = {**cfg_a, "analyses": ["energy", "salem"]}
+    out = tmp_path / "s"
+    sweep(cfg_a, out)
+    whole = sweep(cfg_b, tmp_path / "whole").read_bytes()
+    real = analysis.report
+
+    def fail_cell_1(config, E):
+        if E.field.q == 5:
+            raise InvariantViolation("cell 1")
+        return real(config, E)
+
+    monkeypatch.setattr(analysis, "report", fail_cell_1)
+    with pytest.raises(InvariantViolation):
+        sweep(cfg_b, out)
+    assert (out / "sweep.csv").read_bytes() == whole[:whole.index(b"\n1,") + 1]
+    monkeypatch.undo()
+    seen = count_cells(monkeypatch)
+    assert sweep(cfg_b, out).read_bytes() == whole
+    assert [c["p"] for c in seen] == [5, 7]
+
+
+def test_cli_sweep_rewrites_a_stamp_that_is_not_utf8(tmp_path, capsys):
+    cfg, out = tmp_path / "c.json", tmp_path / "out"
+    cfg.write_text(json.dumps(SWEEP_CONFIG))
+    out.mkdir()
+    (out / "sweep.stamp").write_bytes(b"\xff\xff")
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    stamp = (out / "sweep.stamp").read_bytes()
+    assert len(stamp) == 65 and stamp.endswith(b"\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "fresh")]) == 0
+    assert (tmp_path / "fresh" / "sweep.stamp").read_bytes() == stamp
+    assert (out / "sweep.csv").read_bytes() == (tmp_path / "fresh" / "sweep.csv").read_bytes()
+
+
+def test_sweep_recomputes_a_directory_of_the_json_line_ledger(tmp_path, monkeypatch):
+    # what earlier versions left after config A ran to the end and config B
+    # failed at its cell 1: B's stamp (a hash of the report format and the
+    # config), B's row 0 in sweep.ledger as "<index>\t<row as JSON>\n", and
+    # A's rows in sweep.csv. A rerun of B replays neither file
+    cfg_a = {"construction": {"kind": "random", "d": 2, "size": 5}, "analyses": ["energy"],
+             "grid": {"p": [3, 5, 7]}, "seed": 2}
+    cfg_b = {**cfg_a, "analyses": ["energy", "salem"]}
+    whole = sweep(cfg_b, tmp_path / "whole").read_bytes()
+    out = tmp_path / "s"
+    sweep(cfg_a, out)
+    stamp = json.dumps([analysis.REPORT_FORMAT, cfg_b], sort_keys=True, default=str)
+    (out / "sweep.stamp").write_text(hashlib.sha256(stamp.encode()).hexdigest() + "\n")
+    row0 = whole.decode().splitlines(keepends=True)[1]
+    (out / "sweep.ledger").write_text(f"0\t{json.dumps(row0)}\n")
+    seen = count_cells(monkeypatch)
+    assert sweep(cfg_b, out).read_bytes() == whole
+    assert [c["p"] for c in seen] == [3, 5, 7]
 
 
 def test_sweep_records_grid_keys_the_construction_never_reads(tmp_path):
@@ -657,13 +751,26 @@ def test_cli_bad_config_values_exit_3(tmp_path, capsys, config):
     ("sweep", {**ISO_CONFIG, "grid": {"m": [2]}, "seed": 1.5}),
     # an analysis name that is not a str cannot be looked up
     ("analyze", {"analyses": [["x"]]}),
-    ("analyze", {"analyses": [{"a": 1}]})])
+    ("analyze", {"analyses": [{"a": 1}]}),
+    # json writes and reads these as Infinity and NaN; Infinity would turn the gate off
+    ("verify", {**ISO_CONFIG, "tolerances": {"parseval": float("inf")}}),
+    ("verify", {**ISO_CONFIG, "tolerances": {"energyIdentity": float("nan")}})])
 def test_cli_malformed_config_exit_3(tmp_path, capsys, command, config):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(config))
     argv = [*command.split(), "--config", str(path), "--out", str(tmp_path / "out")]
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("command", ["construct", "analyze", "verify", "sweep"])
+def test_cli_config_that_is_not_utf8_exit_3(tmp_path, capsys, command):
+    # UTF-16 with its byte-order mark, \xff\xfe
+    path = tmp_path / "c.json"
+    path.write_bytes(json.dumps(SWEEP_CONFIG).encode("utf-16"))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -827,7 +934,7 @@ def test_cli_keeps_its_exit_code_when_the_reader_is_gone(tmp_path, argv, code, u
     assert (child.returncode, child.stderr.decode()) == (code, "")
 
 
-@pytest.mark.parametrize("name", ["sweep.ledger", "sweep.stamp", "sweep.csv"])
+@pytest.mark.parametrize("name", ["sweep.stamp", "sweep.csv"])
 def test_cli_sweep_output_file_that_is_a_directory_exit_3(tmp_path, capsys, name):
     cfg, out = tmp_path / "c.json", tmp_path / "out"
     cfg.write_text(json.dumps(SWEEP_CONFIG))
@@ -835,6 +942,20 @@ def test_cli_sweep_output_file_that_is_a_directory_exit_3(tmp_path, capsys, name
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot ") and name in err and err.count("\n") == 1
+
+
+def test_cli_sweep_rerun_whose_csv_is_a_directory_exit_3(tmp_path, capsys):
+    # the stamp matches, so the rerun reads sweep.csv, and cannot
+    cfg, out = tmp_path / "c.json", tmp_path / "out"
+    cfg.write_text(json.dumps(SWEEP_CONFIG))
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    (out / "sweep.csv").unlink()
+    (out / "sweep.csv").mkdir()
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read {out / 'sweep.csv'}: ")
+    assert err.count("\n") == 1
 
 
 def test_cli_ranges(capsys):
@@ -927,4 +1048,4 @@ def test_cli_sweep(tmp_path, capsys):
                                "grid": {"p": [3, 5]}, "seed": 1}))
     out = tmp_path / "sweepdir"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-    assert (out / "sweep.csv").exists()
+    assert sorted(f.name for f in out.iterdir()) == ["sweep.csv", "sweep.stamp"]
