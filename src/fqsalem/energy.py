@@ -18,9 +18,10 @@ Two independent evaluation paths:
 Reports read L_4 from the difference side instead: sum_u D(u)^2 over the
 difference counts D(u) = #{(x, y) in E^2 : x - y = u} of `pair_counts`, a
 pass that shares no counting with the sum side. It gathers the lifted
-differences of the pairs i < j and counts them, with their negations for the
-pairs j > i, in one count_keys call. Its `PairCounts` also holds nu(t) and
-the difference family of the second-moment proof.
+differences of the pairs i < j, a chunk of base-p digits at a time where that
+takes fewer gathers than one per coordinate, and counts them, with their
+negations for the pairs j > i, in one count_keys call. Its `PairCounts` also
+holds nu(t) and the difference family of the second-moment proof.
 
 Counts are int64 with the range checked from |E|^k; sums of squares are exact.
 """
@@ -35,8 +36,8 @@ import numpy as np
 
 from .errors import check_budget, check_invariant, ConfigError
 from .geometry import PointSet, decode, lift_to_paraboloid, norms, vadd, vsub
-from .kernels import (check_int64, count_keys, group_sums, pair_codes, row_blocks,
-                      sum_squares, upper_pair_codes)
+from .kernels import (check_int64, chunk_width, count_keys, digit_difference, group_sums,
+                      pair_codes, row_blocks, sum_squares, upper_pair_codes)
 
 
 def _check_order(k: int) -> None:
@@ -58,7 +59,7 @@ def _representation(E: PointSet, k: int) -> tuple[np.ndarray, np.ndarray]:
         V = decode(keys, q, d)
         # the empty int32 block widens nothing and covers a set with no rows
         codes = np.concatenate([np.empty((0, n), dtype=np.int32)] + [
-            pair_codes(T.add, V[rows], X, q) for rows in row_blocks(len(V), max(n, q))])
+            pair_codes(T.add, V[rows], X, q, q ** d) for rows in row_blocks(len(V), max(n, q))])
         keys, counts = count_keys(codes, q ** d, None if step == 0 else counts[:, None])
     return keys, counts
 
@@ -132,7 +133,8 @@ class PairCounts:
         check_invariant(int(self.counts.sum()) == n ** 2, "sum_t |X_t| differs from |E|^2")
         m2 = sum_squares(self.counts, n ** 4)
         check_invariant(m2 <= self.lam4, "sum_t sum_u m_t(u)^2 exceeds L_4(E)")
-        if not (self.keys % self.E.field.q).any():
+        norm_of = norms(self.E)  # every norm gap is 0 when all |E| norms are equal
+        if (norm_of[1:] == norm_of[:-1]).all():
             check_invariant(m2 == self.lam4,
                             "sum_t sum_u m_t(u)^2 differs from L_4(E) on one sphere")
         return m2
@@ -141,17 +143,29 @@ class PairCounts:
 def pair_counts(E: PointSet) -> PairCounts:
     """One pass over the pairs i < j of the lifted points; the rest by symmetry.
 
-    The pair (j, i) has the lifted difference of (i, j) negated digit by
-    digit, so one count_keys call counts both halves. No pair i < j of
-    distinct points has lifted difference 0, so the n diagonal pairs (x, x)
-    are prepended as key 0, the least key, with count n. Charges |E|^2 units.
+    A lifted code is w = r(d + 1) base-p digits, and subtraction is digit-wise
+    mod p, so where that takes fewer gathers than the d + 1 coordinates the
+    differences are gathered c digits at a time (p^(2c) <= CHUNK_ELEMS) from
+    digit_difference; a field's sub table otherwise, so p > 181 (c = 1, never
+    fewer) builds no second table. The keys are the same either way. The
+    pair (j, i) has the lifted difference of (i, j) negated digit by digit, so
+    one count_keys call counts both halves. No pair i < j of distinct points
+    has lifted difference 0, so the n diagonal pairs (x, x) are prepended as
+    key 0, the least key, with count n. Charges |E|^2 units.
     """
     F, d, n = E.field, E.d, len(E)
-    q = F.q
+    q, w = F.q, F.r * (d + 1)
     check_budget(n ** 2, "pair counts")
-    T = F.tables()
-    keys, counts = count_keys(upper_pair_codes(T.sub, lift_to_paraboloid(E).array, q),
-                              q ** (d + 1), negated=(F.p, F.r * (d + 1)))
+    lifted = lift_to_paraboloid(E)
+    c = chunk_width(F.p ** 2)
+    k = -(-w // c)  # gathers in chunks of c digits; never fewer when c = 1
+    if k < d + 1:
+        base = F.p ** c
+        table, X = digit_difference(F.p, c), decode(lifted.codes, base, k)
+    else:
+        table, X, base = F.tables().sub, lifted.array, q
+    keys, counts = count_keys(upper_pair_codes(table, X, base, q ** (d + 1)),
+                              q ** (d + 1), negated=(F.p, w))
     if n:
         keys, counts = np.concatenate(([0], keys)), np.concatenate(([n], counts))
     diff_codes, diff_counts = group_sums(keys // q, counts)  # D(u) = sum_t m_t(u)

@@ -42,9 +42,11 @@ class PointSet:
     def from_codes(field: FieldSpec, d: int, codes) -> "PointSet":
         """The set whose flat indices are `codes`, in any order, repeats allowed."""
         check_int64(field.q ** d, f"flat index space of F_{field.q}^{d}")
-        # sort and drop repeats: np.unique takes a much slower hash path on numpy 2.4
+        # sort and drop repeats by comparing neighbours: np.unique takes a much
+        # slower hash path on numpy 2.4, and np.diff costs twice the comparison
         codes = np.sort(np.asarray(codes, dtype=np.int64))
-        codes = codes[np.diff(codes, prepend=-1) != 0]
+        if len(codes):
+            codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
         codes.flags.writeable = False
         return PointSet(field, d, codes)
 

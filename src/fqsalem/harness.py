@@ -186,10 +186,12 @@ def _replay(data: bytes, header: str, n: int) -> list[str]:
 
 
 def _csv_row(*fields) -> str:
-    """One CSV line, quoted where a field holds a comma, quote or newline."""
+    """One CSV line ending in "\n", quoted where a field holds a comma, a quote,
+    "\n" or "\r": the writer quotes a field that holds a character of its line
+    terminator, so it writes "\r\n", and the "\r" is dropped."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(fields)
-    return buf.getvalue()
+    csv.writer(buf, lineterminator="\r\n").writerow(fields)
+    return buf.getvalue()[:-2] + "\n"
 
 
 def _cell_detail(cell: dict, rep: dict) -> str:

@@ -1,15 +1,18 @@
 """Chunked exact counting shared by the numpy kernels.
 
 The kernels walk pairs (x, y) of two coordinate arrays in row blocks, gather
-field-table entries per coordinate, and count the resulting integer keys.
-CHUNK_ELEMS caps every gather temporary (one row at the least) and every
-cached table. pair_codes builds its keys in int32 where every key of the
-space fits, in int64 above that. count_keys counts every key of a pass in
-one step: one np.bincount when the key space is at most four slots per key
-(or within CHUNK_ELEMS), one sort otherwise; it also adds the reversed half
-of a pass over the pairs i < j, whose keys are the digit-wise negations. A
-pass thus holds its keys (4 or 8 bytes each) and at most one int64 count
-per key-space slot. Counts are int64; the largest count a kernel can reach
+table entries per coordinate, and count the resulting integer keys. A
+coordinate is a field element, or a chunk of c base-p digits gathered from
+digit_difference, the digit-wise difference table of [0, p^c)^2, which is
+field subtraction c digits at a time. CHUNK_ELEMS caps every gather
+temporary (one row at the least) and every cached table. pair_codes builds
+its keys in int32 where every key of the caller's key space fits, in int64
+above that. count_keys counts every key of a pass in one step: one
+np.bincount when the key space is at most four slots per key (or within
+CHUNK_ELEMS), one sort otherwise; it also adds the reversed half of a pass
+over the pairs i < j, whose keys are the digit-wise negations. A pass thus
+holds its keys (4 or 8 bytes each) and at most one int64 count per
+key-space slot. Counts are int64; the largest count a kernel can reach
 is checked against the int64 range before counting starts, so nothing wraps.
 """
 
@@ -50,11 +53,13 @@ def row_blocks(n_rows: int, width: int):
         yield slice(lo, min(lo + step, n_rows))
 
 
-def pair_codes(table: np.ndarray, A: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:
-    """Flat index of the vector (table[a_i, b_i])_i for every row pair (a, b) of
-    A x B: int32 while q^width <= 2^31 - 1, int64 above that."""
+def pair_codes(table: np.ndarray, A: np.ndarray, B: np.ndarray, q: int,
+               space: int) -> np.ndarray:
+    """Flat base-q index of the vector (table[a_i, b_i])_i for every row pair
+    (a, b) of A x B, each index below `space`: int32 while space <= 2^31 - 1,
+    int64 above that."""
     width = A.shape[1]
-    dtype = np.int32 if q ** width <= INT32_MAX else np.int64
+    dtype = np.int32 if space <= INT32_MAX else np.int64
 
     def digit(i: int) -> np.ndarray:
         # the table rows of the a_i scaled by the digit's place value (astype
@@ -81,8 +86,8 @@ def _strict_upper(h: int) -> np.ndarray:
     return mask
 
 
-def upper_pair_codes(table: np.ndarray, X: np.ndarray, q: int) -> np.ndarray:
-    """pair_codes(table, X, X, q) at the row pairs i < j only, flat, built in
+def upper_pair_codes(table: np.ndarray, X: np.ndarray, q: int, space: int) -> np.ndarray:
+    """pair_codes(table, X, X, q, space) at the row pairs i < j only, flat, built in
     triangular blocks: rows [lo, hi) against columns [lo, n). Only the square
     of columns [lo, hi) is masked; the columns from hi on are kept whole."""
     n, lo = len(X), 0
@@ -92,7 +97,7 @@ def upper_pair_codes(table: np.ndarray, X: np.ndarray, q: int) -> np.ndarray:
         # most 181 masks are ever cached, each of at most CHUNK_ELEMS bytes
         hi = min(n, lo + max(1, CHUNK_ELEMS // max(n - lo, q)))
         h = hi - lo
-        codes = pair_codes(table, X[lo:hi], X[lo:], q)
+        codes = pair_codes(table, X[lo:hi], X[lo:], q, space)
         blocks += [codes[:, :h][_strict_upper(h)], codes[:, h:].ravel()]
         lo = hi
     return np.concatenate(blocks)
@@ -141,6 +146,20 @@ def negation_index(p: int, width: int) -> np.ndarray:
         neg = ((-np.arange(p) % p * p ** k)[:, None] + neg).ravel()
     neg.flags.writeable = False
     return neg
+
+
+@lru_cache(maxsize=None)
+def digit_difference(p: int, c: int) -> np.ndarray:
+    """sub[a, b] = a - b digit by digit mod p, for a, b in [0, p^c): read-only,
+    once per (p, c), in the smallest unsigned type holding p^c - 1. On
+    canonical values of F_{p^r} this is field subtraction, c digits at a time."""
+    v = np.arange(p ** c)
+    sub = np.zeros((p ** c, p ** c), dtype=np.min_scalar_type(p ** c - 1))
+    for k in range(c):
+        digit = v // p ** k % p
+        sub += ((digit[:, None] - digit) % p * p ** k).astype(sub.dtype)
+    sub.flags.writeable = False
+    return sub
 
 
 def negate(keys: np.ndarray, p: int, width: int) -> np.ndarray:

@@ -411,6 +411,20 @@ def test_sweep_resumes_rows_that_hold_a_newline(tmp_path, monkeypatch):
     assert len(seen) == 2
 
 
+def test_sweep_resumes_rows_that_hold_a_carriage_return(tmp_path, monkeypatch):
+    # Fraction strips "1/4\r" as it strips "1/4\n", and the detail keeps the
+    # carriage return: unquoted, csv.reader would split row 0 in two there, so
+    # no rerun could replay it
+    cfg = {"construction": {"kind": "conjectureWitness", "p": 5, "d": 4},
+           "analyses": ["energy"], "grid": {"s": ["1/4\r", "1/3"]}, "seed": 0}
+    out = tmp_path / "s"
+    first = sweep(cfg, out).read_bytes()
+    assert first.split(b"\n")[1] == b'0,ok,"s=1/4\r;size=5"'
+    seen = count_cells(monkeypatch)
+    assert sweep(cfg, out).read_bytes() == first
+    assert seen == []
+
+
 def test_sweep_rerun_of_another_config_leaves_no_stale_rows(tmp_path, monkeypatch):
     # config A runs to the end, then config B fails at its cell 1 in the same
     # directory: the CSV holds B's row 0 alone, and B's rerun computes cell 1 on
