@@ -112,8 +112,9 @@ class Analysis:
 
     @property
     def spectrum(self) -> spectral.PowerSums:
-        """spectral.power_sums of the Hermitian half of |E_hat|^2, which is not kept."""
-        return self._once("spectrum", lambda: spectral.power_sums(spectral.half_power(self.E)))
+        """spectral.spectrum: the PowerSums of |E_hat|^2, from the transform of
+        E's affine F_p-span when that is smaller than F_q^d; no half is kept."""
+        return self._once("spectrum", lambda: spectral.spectrum(self.E))
 
     @property
     def salem_s(self) -> float:

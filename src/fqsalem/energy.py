@@ -168,6 +168,9 @@ def pair_counts(E: PointSet) -> PairCounts:
                               q ** (d + 1), negated=(F.p, w))
     if n:
         keys, counts = np.concatenate(([0], keys)), np.concatenate(([n], counts))
-    diff_codes, diff_counts = group_sums(keys // q, counts)  # D(u) = sum_t m_t(u)
-    return PairCounts(E, keys, counts, PointSet.from_codes(F, d, diff_codes), diff_counts,
+    # D(u) = sum_t m_t(u); the u come sorted and distinct, so no from_codes sort
+    diff_codes, diff_counts = group_sums(keys // q, counts)
+    diff_codes = diff_codes.astype(np.int64, copy=False)
+    diff_codes.flags.writeable = False
+    return PairCounts(E, keys, counts, PointSet(F, d, diff_codes), diff_counts,
                       sum_squares(diff_counts, n ** 4))

@@ -8,12 +8,14 @@ import pytest
 
 from conftest import rand_set
 from fqsalem import errors
+from fqsalem.constructions import conjecture_witness
 from fqsalem.cli import main
 from fqsalem.energy import energy_bruteforce, pair_counts
-from fqsalem.errors import BudgetExceeded, budget_scope, check_budget
+from fqsalem.errors import DEFAULT_BUDGET, BudgetExceeded, budget_scope, check_budget
+from fqsalem.field import field_create
 from fqsalem.geometry import HyperplaneMultiset, PointSet, norm, paraboloid, sphere
 from fqsalem.incidence import count_incidences, incidence_via_dilation, sphere_incidence_setup
-from fqsalem.spectral import fourier_direct
+from fqsalem.spectral import fourier_direct, spectrum
 
 
 @pytest.fixture
@@ -71,6 +73,29 @@ def test_kernels_charge_the_scope_not_the_default(low_default, f7, call):
         call(f7)
     with budget_scope(10 ** 6):
         call(f7)
+
+
+def test_the_spectrum_charges_its_span_test_and_the_grid_it_transforms():
+    # 0 and four unit digit vectors of (Z/5)^8 = F_25^4: the span test charges
+    # |E| rd = 5 * 8 units, the transform the 5^4 cells of the span, not 25^4
+    E = PointSet.from_codes(field_create(5, 2), 4, [0, 1, 5, 25, 125])
+    with budget_scope(39), pytest.raises(
+            BudgetExceeded, match="^affine span test needs 40 units, budget is 39$"):
+        spectrum(E)
+    with budget_scope(624), pytest.raises(
+            BudgetExceeded, match="^fast Fourier transform needs 625 units, budget is 624$"):
+        spectrum(E)
+    with budget_scope(625):
+        S = spectrum(E)
+    assert S.sup == S.zero == pytest.approx((5 / 25 ** 4) ** 2, rel=1e-12)
+
+
+def test_the_d6_witness_spectrum_runs_at_the_default_budget():
+    # its 25^6 cells are beyond DEFAULT_BUDGET; its span has 5^4
+    E = _built(lambda: conjecture_witness(6, "1/4", 5, 2))
+    assert 25 ** 6 > DEFAULT_BUDGET
+    S = spectrum(E)
+    assert S.sup == S.zero == pytest.approx((len(E) / 25 ** 6) ** 2, rel=1e-12)
 
 
 def test_a_report_runs_under_its_config_budget(low_default, tmp_path):

@@ -186,6 +186,18 @@ def test_run_computes_each_quantity_once(monkeypatch, p, r):
     assert len(nu_sums) == 1
 
 
+@pytest.mark.parametrize("construction,cells", [
+    # the witness lies in an affine F_5-subspace of dimension 4 of (Z/5)^8
+    ({"kind": "conjectureWitness", "p": 5, "r": 2, "d": 4, "s": "1/4"}, 5 ** 4),
+    # 150 random points span F_25^4: the whole grid is transformed
+    ({"kind": "random", "p": 5, "r": 2, "d": 4, "size": 150}, 25 ** 4)])
+def test_the_spectrum_transforms_the_affine_span(monkeypatch, construction, cells):
+    calls = count_calls(monkeypatch, half_power)
+    rep = run({"construction": construction, "analyses": ["fourier"], "seed": 0})
+    assert rep["allGatesPass"]
+    assert [c["E"].field.q ** c["E"].d for c in calls] == [cells]
+
+
 def test_report_rendering_is_deterministic():
     a = render_report(run(ISO_CONFIG))
     b = render_report(run(ISO_CONFIG))

@@ -43,6 +43,10 @@ def test_pair_pass_matches_oracles(case):
     assert energy_convolution(E, 2) == lam4
     diffs = Counter(vsub(F, x, y) for x in E.points for y in E.points)
     assert dict(zip(A.pairs.differences.points, A.pairs.diff_counts.tolist())) == diffs
+    # E - E is held as from_codes holds a set: sorted, distinct, read-only int64
+    codes = A.pairs.differences.codes
+    assert codes.dtype == np.int64 and not codes.flags.writeable
+    assert np.array_equal(codes, PointSet.from_codes(F, E.d, codes).codes)
     assert nonzero_counts(A.pairs.nu) == oracle_distances(E)
     assert list(zip(A.pairs.keys.tolist(), A.pairs.counts.tolist())) == difference_family_oracle(E)
     # Lambda_4(E') <= Lambda_4(E) for the paraboloid lift E'
