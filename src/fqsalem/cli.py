@@ -17,9 +17,8 @@ from .analysis import _ranges_section, render_report
 from .energy import energy_bruteforce
 from .errors import DEFAULT_BUDGET, BudgetExceeded, ConfigError, InvariantViolation, budget_scope
 from .field import field_create
-from .geometry import read_hyperplanes, read_pointset, write_pointset
-from .harness import (build_set, file_op, oracle_distances, oracle_incidences, run, sweep,
-                      validate_config)
+from .geometry import read_hyperplanes, read_pointset, write_file, write_pointset
+from .harness import build_set, oracle_distances, oracle_incidences, run, sweep, validate_config
 
 EXIT_OK = 0
 EXIT_GATE_FAILURE = 2
@@ -124,8 +123,7 @@ def _dispatch(args) -> int:
     if args.command == "construct":
         E = build_set(validate_config(_load_config(args)))
         out = args.out or Path("pointset.txt")
-        file_op("write", out, lambda: (out.parent.mkdir(parents=True, exist_ok=True),
-                                       write_pointset(E, out)))
+        write_pointset(E, out)
         _out(f"wrote {len(E)} points to {out}\n")
         return EXIT_OK
 
@@ -133,10 +131,8 @@ def _dispatch(args) -> int:
         config = _load_config(args)
         report = run(config)
         text = render_report(report)
-        out = args.out
-        if out:
-            file_op("write", out, lambda: (out.parent.mkdir(parents=True, exist_ok=True),
-                                           out.write_text(text)))
+        if args.out:
+            write_file(args.out, text.encode("utf-8"))
         else:
             _out(text)
         if args.command == "verify" and not report["allGatesPass"]:

@@ -168,8 +168,14 @@ def pair_counts(E: PointSet) -> PairCounts:
                               q ** (d + 1), negated=(F.p, w))
     if n:
         keys, counts = np.concatenate(([0], keys)), np.concatenate(([n], counts))
-    # D(u) = sum_t m_t(u); the u come sorted and distinct, so no from_codes sort
-    diff_codes, diff_counts = group_sums(keys // q, counts)
+    # D(u) = sum_t m_t(u): counted densely in the q^d slots of u where q^d is at
+    # most twice the number of keys, a run sum over the sorted u otherwise.
+    # Dense took 51 against 58 us on 16 753 keys into 2 401 slots, 59 against
+    # 53 us on 3 824 keys into 15 625 (2-core VM, medians of 300). The u come
+    # sorted and distinct either way, so no from_codes sort
+    u = keys // q
+    diff_codes, diff_counts = (count_keys(u, q ** d, counts) if q ** d <= 2 * len(keys)
+                               else group_sums(u, counts))
     diff_codes = diff_codes.astype(np.int64, copy=False)
     diff_codes.flags.writeable = False
     return PairCounts(E, keys, counts, PointSet(F, d, diff_codes), diff_counts,

@@ -19,7 +19,7 @@ import numpy as np
 from . import analysis
 from .constructions import _MASK, ConstructionSpec, _splitmix64_array
 from .errors import BudgetExceeded, ConfigError, DEFAULT_BUDGET, budget_scope, check_budget, is_int
-from .geometry import PointSet, dot, norm, vsub
+from .geometry import PointSet, dot, norm, open_in_place, truncate_here, vsub, write_file
 
 #: every key a config may have: the ones the harness reads, and the report's
 CONFIG_KEYS = analysis.CONFIG_KEYS | {"construction", "seed", "grid"}
@@ -151,14 +151,15 @@ def sweep(config: dict, out_dir) -> Path:
             return _csv_row(i, "error", f"config:{exc}")
         return _csv_row(i, "ok" if rep["allGatesPass"] else "gate", _cell_detail(cell, rep))
 
-    out = file_op("write", csv_path, lambda: open(csv_path, "w", encoding="utf-8", newline=""))
+    # not truncated on open (geometry.write_file says why), and never cut to
+    # zero length: the header is never empty
+    out = file_op("write", csv_path, lambda: open_in_place(csv_path))
     with out:
-        out.write(header + "".join(rows))
-        out.flush()
-        # after the rows of any other config are gone
-        file_op("write", stamp_path, lambda: stamp_path.write_bytes(stamp))
+        out.write((header + "".join(rows)).encode("utf-8"))
+        file_op("write", csv_path, lambda: truncate_here(out))
+        write_file(stamp_path, stamp)  # after the rows of any other config are gone
         for i in range(len(rows), len(cells)):
-            out.write(run_cell(i))
+            out.write(run_cell(i).encode("utf-8"))
             out.flush()
     return csv_path
 

@@ -1,10 +1,12 @@
 """Config validation, reports, sweeps, oracles, and the CLI."""
 
+import builtins
 import csv
 import dataclasses
 import functools
 import hashlib
 import inspect
+import io
 import json
 import os
 import subprocess
@@ -982,6 +984,119 @@ def test_cli_sweep_rerun_whose_csv_is_a_directory_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot read {out / 'sweep.csv'}: ")
     assert err.count("\n") == 1
+
+
+def output_paths(out: Path) -> dict:
+    return {"report": out / "report.json", "points": out / "set.txt",
+            "csv": out / "sweep" / "sweep.csv", "stamp": out / "sweep" / "sweep.stamp"}
+
+
+def write_outputs(cfg: Path, out: Path) -> dict:
+    """A verify report, a point set and a sweep's two files of cfg, written
+    under out: name -> bytes."""
+    paths = output_paths(out)
+    assert main(["verify", "--config", str(cfg), "--out", str(paths["report"])]) == 0
+    assert main(["construct", "--config", str(cfg), "--out", str(paths["points"])]) == 0
+    assert main(["sweep", "--config", str(cfg), "--out", str(paths["csv"].parent)]) == 0
+    return {name: path.read_bytes() for name, path in paths.items()}
+
+
+def fill_outputs(out: Path, old: bytes) -> None:
+    for path in output_paths(out).values():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(old)
+
+
+@pytest.mark.parametrize("old", [bytes(range(256)) * 256, b"x"], ids=["64KB", "1B"])
+def test_outputs_written_over_a_file_match_a_fresh_write(tmp_path, capsys, old):
+    # each output is overwritten in place, then cut where the write ended
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(SWEEP_CONFIG))
+    fresh = write_outputs(cfg, tmp_path / "fresh")
+    fill_outputs(tmp_path / "old", old)
+    assert write_outputs(cfg, tmp_path / "old") == fresh
+    assert all(1 < len(data) < 1 << 16 for data in fresh.values())  # longer, or shorter
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_cli_verify_out_to_a_fifo_and_the_null_device(tmp_path, capsys):
+    # neither is a regular file, so neither is truncated (ftruncate raises EINVAL there)
+    config = str(Path(__file__).resolve().parent.parent / "configs" / "orbit-q27.json")
+    assert main(["verify", "--config", config]) == 0
+    expected = capsys.readouterr().out.encode()
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main(["verify", "--config", config, "--out", str(fifo)]) == 0
+    reader.join(60)
+    assert received == [expected]
+    assert main(["verify", "--config", config, "--out", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def test_no_output_is_truncated_when_it_is_opened(tmp_path, capsys, monkeypatch):
+    # an open that truncates frees the file's blocks (geometry.write_file says
+    # what that costs): each output is opened by os.open without O_TRUNC, and
+    # never by an open() whose mode holds "w"
+    cfg, out = tmp_path / "c.json", tmp_path / "out"
+    cfg.write_text(json.dumps(SWEEP_CONFIG))
+    fill_outputs(out, b"x" * 100)
+    opened = []  # (path, how, truncates)
+    real_os_open, real_open = os.open, io.open
+
+    def spy_os_open(path, flags, *args, **kwargs):
+        opened.append((Path(path), "os.open", bool(flags & os.O_TRUNC)))
+        return real_os_open(path, flags, *args, **kwargs)
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            opened.append((Path(file), "open", "w" in mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy_os_open)
+    monkeypatch.setattr(io, "open", spy_open)
+    monkeypatch.setattr(builtins, "open", spy_open)
+    write_outputs(cfg, out)
+    monkeypatch.undo()
+    targets = set(output_paths(out).values())
+    seen = [entry for entry in opened if entry[0] in targets]
+    assert [entry for entry in seen if entry[2]] == []
+    assert {path for path, how, _ in seen if how == "os.open"} == targets
+
+
+def test_sweep_rerun_cuts_a_longer_csv_before_it_writes_the_stamp(tmp_path, monkeypatch):
+    # config A left three rows; config B, another stamp, has one. B's CSV is
+    # cut after its header, before its stamp is written, so no row of A is
+    # ever left under B's stamp
+    cfg_a = {"construction": {"kind": "random", "d": 2, "size": 5}, "analyses": ["energy"],
+             "grid": {"p": [3, 5, 7]}, "seed": 2}
+    cfg_b = {**cfg_a, "grid": {"p": [3]}}
+    whole = sweep(cfg_b, tmp_path / "whole").read_bytes()
+    out = tmp_path / "s"
+    assert len(sweep(cfg_a, out).read_bytes()) > len(whole)
+    events, names = [], {}
+    real_open, real_ftruncate = os.open, os.ftruncate
+
+    def spy_open(path, flags, *args, **kwargs):
+        fd = real_open(path, flags, *args, **kwargs)
+        names[fd] = Path(path).name
+        events.append(("open", names[fd]))
+        return fd
+
+    def spy_ftruncate(fd, length):
+        events.append(("truncate", names.get(fd), length))
+        return real_ftruncate(fd, length)
+
+    monkeypatch.setattr(os, "open", spy_open)
+    monkeypatch.setattr(os, "ftruncate", spy_ftruncate)
+    assert sweep(cfg_b, out).read_bytes() == whole
+    monkeypatch.undo()
+    header = len("cell,status,detail\n")
+    assert [e for e in events if e[1] in ("sweep.csv", "sweep.stamp")] == [
+        ("open", "sweep.csv"), ("truncate", "sweep.csv", header),
+        ("open", "sweep.stamp"), ("truncate", "sweep.stamp", 65)]
 
 
 def test_cli_ranges(capsys):

@@ -34,6 +34,8 @@ def small_sets(draw):
 @given(small_sets())
 @example((PointSet.from_codes(field_create(3, 2), 0, [0]), ()))
 @example((PointSet.from_codes(field_create(3, 3), 2, []), (1, 2)))
+@example((PointSet.from_codes(field_create(3, 1), 1, [0, 1, 2]), (1,)))  # D(u) in q^d slots
+@example((PointSet.from_codes(field_create(3, 3), 2, [0, 5, 700]), (0, 2)))  # D(u) by runs
 def test_pair_pass_matches_oracles(case):
     E, shift = case
     F, A = E.field, Analysis(E)
