@@ -112,8 +112,9 @@ class Analysis:
 
     @property
     def spectrum(self) -> spectral.PowerSums:
-        """spectral.spectrum: the PowerSums of |E_hat|^2, from the transform of
-        E's affine F_p-span when that is smaller than F_q^d; no half is kept."""
+        """spectral.spectrum: the PowerSums of |E_hat|^2, from its factors'
+        records for a product on a large grid, or from the transform of E's
+        affine F_p-span when that is smaller than F_q^d; no half is kept."""
         return self._once("spectrum", lambda: spectral.spectrum(self.E))
 
     @property

@@ -19,6 +19,7 @@ from .errors import ConfigError, check_budget, check_invariant, config_value
 from .field import FieldSpec, field_create
 from .geometry import (PointSet, Vector, encode, full_space, norm, dot, paraboloid,
                        rotation_group_order, sphere)
+from .kernels import check_int64
 
 
 # --- deterministic thinning generator: splitmix64 ---------------------------------
@@ -160,13 +161,18 @@ def isotropic_subspace(F: FieldSpec, d: int, m: int) -> PointSet:
 # --- products and subgroup powers ------------------------------------------------------
 
 def product_set(A: PointSet, B: PointSet) -> PointSet:
-    """A x B; charges its |A| |B| points."""
+    """A x B, holding the factors of A and of B (a set that is no product is its
+    own one factor); charges its |A| |B| points."""
     if A.field != B.field:
         raise ConfigError("product factors must share one field")
     check_budget(len(A) * len(B), "product set")
-    # the index of (a, b) is index(a) q^{dim B} + index(b)
-    codes = A.codes[:, None] * A.field.q ** B.d + B.codes[None, :]
-    return PointSet.from_codes(A.field, A.d + B.d, codes.ravel())
+    check_int64(A.field.q ** (A.d + B.d), f"flat index space of F_{A.field.q}^{A.d + B.d}")
+    # the index of (a, b) is index(a) q^{dim B} + index(b): with A's codes
+    # sorted and B's below q^{dim B}, the rows of the outer sum are sorted
+    # and distinct in turn, so no from_codes sort
+    codes = (A.codes[:, None] * A.field.q ** B.d + B.codes[None, :]).ravel()
+    codes.flags.writeable = False
+    return PointSet(A.field, A.d + B.d, codes, (A.factors or (A,)) + (B.factors or (B,)))
 
 
 def multiplicative_subgroup(F: FieldSpec, m: int) -> PointSet:

@@ -21,13 +21,17 @@ pass that shares no counting with the sum side. It gathers the lifted
 differences of the pairs i < j, a chunk of base-p digits at a time where that
 takes fewer gathers than one per coordinate, and counts them, with their
 negations for the pairs j > i, in one count_keys call. Its `PairCounts` also
-holds nu(t) and the difference family of the second-moment proof.
+holds nu(t) and the difference family of the second-moment proof. A product
+A x B that keeps its factors (`PointSet.factors`) has the lifted counts
+m_t(u_A, u_B) = sum over t_A + t_B = t of m_{t_A}(u_A) m_{t_B}(u_B), so where
+its factors have few lifted keys they are built from one pass per factor.
 
 Counts are int64 with the range checked from |E|^k; sums of squares are exact.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -37,7 +41,7 @@ import numpy as np
 from .errors import check_budget, check_invariant, ConfigError
 from .geometry import PointSet, decode, lift_to_paraboloid, norms, vadd, vsub
 from .kernels import (check_int64, chunk_width, count_keys, digit_difference, group_sums,
-                      pair_codes, row_blocks, sum_squares, upper_pair_codes)
+                      merge, pair_codes, row_blocks, sum_squares, upper_pair_codes)
 
 
 def _check_order(k: int) -> None:
@@ -140,8 +144,73 @@ class PairCounts:
         return m2
 
 
+#: a product is counted from its factors when their numbers of keys multiply
+#: to at most n^2 / 16. Its outer products cost about 40 ns a key (merge's
+#: sort), the direct pass 4 ns a pair where it counts densely: up to n^2 / 16
+#: they took 0.05 to 0.24 of the direct pass (22 products of 36 to 1 620
+#: points), from n^2 / 2.8 on 1.1 to 7 times it (2-core VM, one BLAS thread)
+_PRODUCT_ROUTE_RATIO = 16
+
+
 def pair_counts(E: PointSet) -> PairCounts:
-    """One pass over the pairs i < j of the lifted points; the rest by symmetry.
+    """The lifted counts of E (`_lifted_counts`), and from them D(u), E - E and
+    Lambda_4."""
+    F, d, n = E.field, E.d, len(E)
+    q = F.q
+    keys, counts = _lifted_counts(E)
+    # D(u) = sum_t m_t(u): counted densely in the q^d slots of u where q^d is at
+    # most twice the number of keys, a run sum over the sorted u otherwise.
+    # Dense took 51 against 58 us on 16 753 keys into 2 401 slots, 59 against
+    # 53 us on 3 824 keys into 15 625 (2-core VM, medians of 300). The u come
+    # sorted and distinct either way, so no from_codes sort
+    u = keys // q
+    diff_codes, diff_counts = (count_keys(u, q ** d, counts) if q ** d <= 2 * len(keys)
+                               else group_sums(u, counts))
+    diff_codes = diff_codes.astype(np.int64, copy=False)
+    diff_codes.flags.writeable = False
+    return PairCounts(E, keys, counts, PointSet(F, d, diff_codes), diff_counts,
+                      sum_squares(diff_counts, n ** 4))
+
+
+def _lifted_counts(E: PointSet) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, counts) of the pairs of E, diagonal included: the sorted distinct
+    u q + t and m_t(u). A product A_1 x ... x A_k (E.factors) takes the pass
+    of each distinct factor once, and builds its own counts from theirs
+    (`_product_counts`) when their numbers of keys K_i multiply to at most
+    n^2 / _PRODUCT_ROUTE_RATIO; any other set, or a product above that, takes
+    the direct pass (`_pair_pass`)."""
+    lifted = {A: _pair_pass(A) for A in dict.fromkeys(E.factors)}  # A^d passes A once
+    if E.factors and (math.prod(len(lifted[A][0]) for A in E.factors) * _PRODUCT_ROUTE_RATIO
+                      <= len(E) ** 2):
+        return _product_counts(E, lifted)
+    return _pair_pass(E)
+
+
+def _product_counts(E: PointSet, lifted: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The lifted counts of the product E from those of its factors, folded in
+    one at a time. A pair of A x B has the difference (u_A, u_B), whose index
+    is u_A q^{dim B} + u_B, and the norm gap t_A + t_B; it is counted
+    m_A(u_A, t_A) m_B(u_B, t_B) times. The outer products of keys and counts
+    are summed by kernels.merge, since gaps of several (t_A, t_B) coincide.
+    Each outer product charges its |K| |K_B| units."""
+    F = E.field
+    q, add = F.q, F.tables().add
+    check_int64(q ** (E.d + 1), f"flat index space of F_{q}^{E.d + 1}")
+    keys, counts = lifted[E.factors[0]]
+    for B in E.factors[1:]:
+        keys_B, counts_B = lifted[B]
+        check_budget(len(keys) * len(keys_B), "product pair counts")
+        t, t_B = keys % q, keys_B % q
+        # u q q^{dim B} + u_B q + the gap: keys - t is u q, keys_B - t_B is u_B q
+        outer = ((keys - t)[:, None] * q ** B.d + (keys_B - t_B)[None, :]
+                 + add[t[:, None], t_B[None, :]])
+        keys, counts = merge(outer.ravel(), (counts[:, None] * counts_B[None, :]).ravel())
+    return keys, counts
+
+
+def _pair_pass(E: PointSet) -> tuple[np.ndarray, np.ndarray]:
+    """The lifted counts of E by one pass over the pairs i < j of the lifted
+    points; the rest by symmetry.
 
     A lifted code is w = r(d + 1) base-p digits, and subtraction is digit-wise
     mod p, so where that takes fewer gathers than the d + 1 coordinates the
@@ -168,15 +237,4 @@ def pair_counts(E: PointSet) -> PairCounts:
                               q ** (d + 1), negated=(F.p, w))
     if n:
         keys, counts = np.concatenate(([0], keys)), np.concatenate(([n], counts))
-    # D(u) = sum_t m_t(u): counted densely in the q^d slots of u where q^d is at
-    # most twice the number of keys, a run sum over the sorted u otherwise.
-    # Dense took 51 against 58 us on 16 753 keys into 2 401 slots, 59 against
-    # 53 us on 3 824 keys into 15 625 (2-core VM, medians of 300). The u come
-    # sorted and distinct either way, so no from_codes sort
-    u = keys // q
-    diff_codes, diff_counts = (count_keys(u, q ** d, counts) if q ** d <= 2 * len(keys)
-                               else group_sums(u, counts))
-    diff_codes = diff_codes.astype(np.int64, copy=False)
-    diff_codes.flags.writeable = False
-    return PairCounts(E, keys, counts, PointSet(F, d, diff_codes), diff_counts,
-                      sum_squares(diff_counts, n ** 4))
+    return keys, counts

@@ -29,7 +29,9 @@ A report reads that record from `spectrum`. A set in a proper affine
 F_p-subspace of (Z_p)^{rd}, as the paper's additive witnesses are, has the
 spectrum of its image in F_p^k, each value p^(rd - k) times at a known
 scale, so `spectrum` transforms the p^k cells of the span instead of the
-q^d of the grid and lifts the sums exactly.
+q^d of the grid and lifts the sums exactly. A product A x B that keeps its
+factors, as the witnesses do, has E_hat(m_A, m_B) = A_hat(m_A) B_hat(m_B),
+so on a large grid its record is combined from its factors' records.
 
 Counting quantities are never taken from the spectrum; `analysis` checks
 the energy identity against the exact Lambda_4 of the energy module.
@@ -38,7 +40,7 @@ the energy identity against the exact Lambda_4 of the energy module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 
 import numpy as np
@@ -236,10 +238,23 @@ def _affine_reduction(E: PointSet) -> PointSet | None:
     return PointSet.from_codes(field_create(p, 1), len(S), encode(D[:, S], p))
 
 
+def _product_sums(A: PowerSums, B: PowerSums) -> PowerSums:
+    """The PowerSums of A x B from those of A and B: its transform at (m_A, m_B)
+    is A_hat(m_A) B_hat(m_B), so each sum over m != 0 is the sum over all
+    pairs less the pair (0, 0), a sum of nonnegative terms with nothing
+    cancelled. |A_hat| <= A_hat(0), so the largest value at m != 0 has one
+    frequency 0."""
+    return PowerSums(sum2=A.sum2 * B.zero + A.zero * B.sum2 + A.sum2 * B.sum2,
+                     sum4=A.sum4 * B.zero ** 2 + A.zero ** 2 * B.sum4 + A.sum4 * B.sum4,
+                     zero=A.zero * B.zero, sup=max(A.zero * B.sup, A.sup * B.zero))
+
+
 def spectrum(E: PointSet) -> PowerSums:
-    """power_sums(half_power(E)), from the transform of E's affine F_p-span
-    (`_affine_reduction`) when that is a proper subspace; a set that spans, or
-    a grid too small to test, is transformed whole.
+    """power_sums(half_power(E)). On a grid above _SPAN_TEST_MIN_CELLS a product
+    (E.factors) combines the spectrum of each distinct factor (`_product_sums`),
+    each taken by this same rule; any other set there is transformed on its
+    affine F_p-span (`_affine_reduction`) when that is a proper subspace. A set
+    that spans, or a grid too small to test, is transformed whole.
 
     Over all m, the values |E_hat(m)|^2 are M = p^(n - k) copies of the values
     |E'_hat(m')|^2 times rho = (p^k / q^d)^2 = M^-2: the twist of half_power
@@ -247,6 +262,9 @@ def spectrum(E: PointSet) -> PowerSums:
     bijection of V onto F_p^k. The copies of m' = 0 other than m = 0 itself
     are M - 1 more frequencies at |E_hat(0)|^2.
     """
+    if E.factors and E.field.q ** E.d > _SPAN_TEST_MIN_CELLS:
+        records = {A: spectrum(A) for A in dict.fromkeys(E.factors)}  # A^d: A once
+        return reduce(_product_sums, [records[A] for A in E.factors])
     reduced = _affine_reduction(E)
     if reduced is None:
         return power_sums(half_power(E))

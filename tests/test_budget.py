@@ -8,7 +8,7 @@ import pytest
 
 from conftest import rand_set
 from fqsalem import errors
-from fqsalem.constructions import conjecture_witness
+from fqsalem.constructions import conjecture_witness, two_set_sharpness
 from fqsalem.cli import main
 from fqsalem.energy import energy_bruteforce, pair_counts
 from fqsalem.errors import DEFAULT_BUDGET, BudgetExceeded, budget_scope, check_budget
@@ -96,6 +96,30 @@ def test_the_d6_witness_spectrum_runs_at_the_default_budget():
     assert 25 ** 6 > DEFAULT_BUDGET
     S = spectrum(E)
     assert S.sup == S.zero == pytest.approx((len(E) / 25 ** 6) ** 2, rel=1e-12)
+
+
+def test_a_product_charges_its_factor_passes_and_each_outer_product():
+    # the null span of F_25^2 times its unit circle: passes of 25^2 and 24^2
+    # units over the factors, then 25 x 289 keys in the outer product, where
+    # the direct pass would charge 600^2
+    E = _built(lambda: two_set_sharpness(field_create(5, 2), 4)[0])
+    span, circle = E.factors
+    with budget_scope(7224), pytest.raises(
+            BudgetExceeded, match="^product pair counts needs 7225 units, budget is 7224$"):
+        pair_counts(E)
+    with budget_scope(7225):
+        assert pair_counts(E).lam4 == pair_counts(span).lam4 * pair_counts(circle).lam4
+
+
+def test_the_d6_witness_pair_counts_run_below_its_n_squared():
+    # its n^2 = 14 062 500 units would be refused; the largest charge is the
+    # pass over its 625-point null-span factor
+    E = _built(lambda: conjecture_witness(6, "1/4", 5, 2))
+    orbit, span = E.factors
+    with budget_scope(len(span) ** 2):
+        pairs = pair_counts(E)
+    assert len(span) ** 2 < len(E) ** 2 == 14_062_500
+    assert pairs.lam4 == pair_counts(orbit).lam4 * pair_counts(span).lam4
 
 
 def test_a_report_runs_under_its_config_budget(low_default, tmp_path):

@@ -19,14 +19,15 @@ import pytest
 
 from conftest import folded_power, nonzero_counts, rand_set, write_hyperplanes
 import fqsalem
-from fqsalem import analysis, harness
+from fqsalem import analysis, energy, harness
 from fqsalem.analysis import Analysis, render_report
 from fqsalem.cli import build_parser, main
 from fqsalem.distance import distance_profile
 from fqsalem.energy import PairCounts, energy_bruteforce, energy_convolution, pair_counts
 from fqsalem.errors import BudgetExceeded, ConfigError, InvariantViolation, budget_scope
 from fqsalem.field import field_create
-from fqsalem.geometry import HyperplaneMultiset, PointSet, read_pointset, write_pointset
+from fqsalem.geometry import (HyperplaneMultiset, PointSet, read_pointset, write_file,
+                              write_pointset)
 from fqsalem.harness import oracle_distances, oracle_incidences, run, sweep, validate_config
 from fqsalem.incidence import count_incidences
 from fqsalem.spectral import half_power, power_sums
@@ -188,16 +189,38 @@ def test_run_computes_each_quantity_once(monkeypatch, p, r):
     assert len(nu_sums) == 1
 
 
-@pytest.mark.parametrize("construction,cells", [
-    # the witness lies in an affine F_5-subspace of dimension 4 of (Z/5)^8
-    ({"kind": "conjectureWitness", "p": 5, "r": 2, "d": 4, "s": "1/4"}, 5 ** 4),
+@pytest.mark.parametrize("construction,cells,transforms", [
+    # the witness is a rotation orbit times a null span, each in F_25^2: its
+    # record combines the whole 625-cell transforms of its two factors
+    pytest.param({"kind": "conjectureWitness", "p": 5, "r": 2, "d": 4, "s": "1/4"}, 25 ** 2, 2,
+                 id="construction0-625"),
     # 150 random points span F_25^4: the whole grid is transformed
-    ({"kind": "random", "p": 5, "r": 2, "d": 4, "size": 150}, 25 ** 4)])
-def test_the_spectrum_transforms_the_affine_span(monkeypatch, construction, cells):
+    pytest.param({"kind": "random", "p": 5, "r": 2, "d": 4, "size": 150}, 25 ** 4, 1,
+                 id="construction1-390625"),
+    # a null span, no product, lies in an affine F_5-subspace of dimension 4
+    # of (Z/5)^8: its span is transformed
+    pytest.param({"kind": "isotropic", "p": 5, "r": 2, "d": 4, "m": 2}, 5 ** 4, 1,
+                 id="construction2-625")])
+def test_the_spectrum_transforms_the_affine_span(monkeypatch, construction, cells, transforms):
     calls = count_calls(monkeypatch, half_power)
     rep = run({"construction": construction, "analyses": ["fourier"], "seed": 0})
     assert rep["allGatesPass"]
-    assert [c["E"].field.q ** c["E"].d for c in calls] == [cells]
+    assert [c["E"].field.q ** c["E"].d for c in calls] == [cells] * transforms
+
+
+@pytest.mark.parametrize("construction,passes", [
+    # products whose factors' keys multiply to a small share of the n^2 pairs
+    # are counted from one pass per factor: the witness's 6 x 25 (19 x 25
+    # keys) and the null span times the circle, 25 x 24 (25 x 289 keys)
+    ({"kind": "conjectureWitness", "p": 5, "r": 2, "d": 4, "s": "1/4"}, [6, 25]),
+    ({"kind": "twoSetPair", "p": 5, "r": 2, "d": 4}, [25, 24]),
+    # A x A of 13 points has 157 x 157 keys: its one factor pass, then the
+    # direct pass over its 169 points
+    ({"kind": "subgroupPower", "p": 3, "r": 3, "m": 13, "d": 2}, [13, 169])])
+def test_the_pair_counts_of_a_product_come_from_its_factors(monkeypatch, construction, passes):
+    calls = count_calls(monkeypatch, energy._pair_pass)
+    run({"construction": construction, "analyses": ALL_SET_ANALYSES, "seed": 0})
+    assert [len(c["E"]) for c in calls] == passes
 
 
 def test_report_rendering_is_deterministic():
@@ -1064,6 +1087,25 @@ def test_no_output_is_truncated_when_it_is_opened(tmp_path, capsys, monkeypatch)
     seen = [entry for entry in opened if entry[0] in targets]
     assert [entry for entry in seen if entry[2]] == []
     assert {path for path, how, _ in seen if how == "os.open"} == targets
+
+
+def test_write_file_makes_the_parents_only_when_one_is_missing(tmp_path, monkeypatch):
+    made, mkdir = [], Path.mkdir
+
+    def spy(self, *args, **kwargs):
+        made.append(self)
+        return mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", spy)
+    write_file(tmp_path / "report.json", b"first")
+    write_file(tmp_path / "report.json", b"2")
+    assert made == [] and (tmp_path / "report.json").read_bytes() == b"2"
+    deep = tmp_path / "a" / "b" / "report.json"
+    write_file(deep, b"made")
+    assert made and made[0] == deep.parent and deep.read_bytes() == b"made"
+    made.clear()
+    write_file(deep, b"again")
+    assert made == [] and deep.read_bytes() == b"again"
 
 
 def test_sweep_rerun_cuts_a_longer_csv_before_it_writes_the_stamp(tmp_path, monkeypatch):

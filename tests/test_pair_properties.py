@@ -1,6 +1,7 @@
 """Property tests of the one pair pass against the scalar oracles (needs hypothesis)."""
 
 from collections import Counter
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from conftest import (counts_sorted, difference_family_oracle, nonzero_counts,  # noqa: E402
                       sorts_recorded, translate)
-from fqsalem import kernels  # noqa: E402
+from fqsalem import energy, kernels  # noqa: E402
 from fqsalem.analysis import Analysis  # noqa: E402
-from fqsalem.constructions import random_pointset  # noqa: E402
+from fqsalem.constructions import product_set, random_pointset  # noqa: E402
 from fqsalem.energy import energy_bruteforce, energy_convolution, pair_counts  # noqa: E402
 from fqsalem.field import field_create  # noqa: E402
 from fqsalem.kernels import count_keys  # noqa: E402
@@ -57,6 +58,66 @@ def test_pair_pass_matches_oracles(case):
     assert moved.lam(2) == lam4
     assert np.array_equal(moved.pairs.nu, A.pairs.nu)
     assert moved.pairs.differences == A.pairs.differences
+
+
+@st.composite
+def product_sets(draw):
+    """product_set over 1 to 3 factors of F_p^r, p in {3, 5}, r in {1, 2, 3}:
+    each of dimension 0 to 2 with up to 5 points (empty and singleton ones
+    included), nested to the left or to the right."""
+    F = field_create(draw(st.sampled_from([3, 5])), draw(st.integers(1, 3)))
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(0, 2))
+        factors.append(PointSet.from_codes(F, d, draw(st.lists(st.integers(0, F.q ** d - 1),
+                                                                max_size=5))))
+    if draw(st.booleans()):
+        return reduce(product_set, factors), factors
+    return reduce(lambda B, A: product_set(A, B), reversed(factors)), factors
+
+
+def _product(*factors):
+    return reduce(product_set, factors), list(factors)
+
+
+def count_calls(mp, module, name) -> list:
+    """Patch module.name to record the sets it is called on."""
+    calls, fn = [], getattr(module, name)
+    mp.setattr(module, name, lambda E, *args: calls.append(E) or fn(E, *args))
+    return calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_sets())
+@example(_product(PointSet.from_codes(field_create(3, 1), 1, [0, 1]),
+                  PointSet.from_codes(field_create(3, 1), 0, [0]),
+                  PointSet.from_codes(field_create(3, 1), 1, [0, 1])))  # A x () x A
+@example(_product(PointSet.from_codes(field_create(5, 2), 2, [1, 7]),
+                  PointSet.from_codes(field_create(5, 2), 1, [])))  # an empty factor
+def test_product_pair_counts_match_the_direct_pass(case):
+    # a product keeps its factors, flattened and in order, yet is equal to, and
+    # hashes as, the same codes without them; its PairCounts equal theirs bit
+    # for bit, whether every product is counted from its factors or none is
+    E, factors = case
+    stripped = PointSet(E.field, E.d, E.codes)
+    assert E == stripped and hash(E) == hash(stripped)
+    assert list(map(id, E.factors)) == (list(map(id, factors)) if len(factors) > 1 else [])
+    assert np.array_equal(E.codes, PointSet.from_codes(E.field, E.d, E.codes).codes)
+    assert not E.codes.flags.writeable
+    want = pair_counts(stripped)
+    for ratio in (0, 1 << 62):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(energy, "_PRODUCT_ROUTE_RATIO", ratio)
+            routed = count_calls(mp, energy, "_product_counts")
+            got = pair_counts(E)
+        # with ratio 1 << 62 only an empty product, with no keys, is combined
+        assert len(routed) == (bool(E.factors) and (ratio == 0 or len(E) == 0))
+        for field in ("keys", "counts", "diff_counts"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+        assert got.differences.codes.dtype == np.int64 and got.differences == want.differences
+        assert got.lam4 == want.lam4 and got.sum_m2 == want.sum_m2
+        assert np.array_equal(got.nu, want.nu)
 
 
 # the differences of F_27^4 split into norm runs of 3 + 1 coordinates, of F_49^3 into 2 + 1

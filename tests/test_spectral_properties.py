@@ -2,6 +2,7 @@
 hypothesis)."""
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from conftest import folded_power, half_moment, half_total, translate  # noqa: E402
 from fqsalem import spectral  # noqa: E402
+from fqsalem.constructions import product_set  # noqa: E402
 from fqsalem.field import field_create  # noqa: E402
 from fqsalem.geometry import PointSet, encode  # noqa: E402
 from fqsalem.analysis import Analysis, _fourier_section  # noqa: E402
@@ -148,3 +150,39 @@ def test_spectrum_of_the_affine_span_matches_the_whole_grid(case):
         assert (S.sup == S.zero) == deficient
     if not deficient:  # a spanning set, or the empty one, is transformed whole
         assert S == whole
+
+
+@st.composite
+def product_sets(draw):
+    """product_set over 1 to 3 factors of F_p^r, p in {3, 5, 7}, r in {1, 2, 3},
+    on at most 5^6 cells: each factor of dimension 0 to 2 with up to 6 points
+    (empty and singleton ones included), nested to the left or to the right."""
+    F = field_create(draw(st.sampled_from([3, 5, 7])), draw(st.integers(1, 3)))
+    room, factors = int(math.log(5 ** 6, F.q) + 1e-9), []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(0, min(2, room)))
+        room -= d
+        factors.append(PointSet.from_codes(F, d, draw(st.lists(st.integers(0, F.q ** d - 1),
+                                                                max_size=6))))
+    if draw(st.booleans()):
+        return reduce(product_set, factors)
+    return reduce(lambda B, A: product_set(A, B), reversed(factors))
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_sets())
+def test_spectrum_of_a_product_matches_the_whole_grid(E):
+    # a product on a grid above the span test's threshold combines its factors'
+    # records; at the default threshold every grid here is transformed whole
+    n, q_d = len(E), E.field.q ** E.d
+    stripped = PointSet(E.field, E.d, E.codes)
+    assert E == stripped and hash(E) == hash(stripped)
+    whole = power_sums(half_power(stripped))
+    assert spectrum(E) == whole
+    combined, product_sums = [], spectral._product_sums
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_SPAN_TEST_MIN_CELLS", 0)
+        mp.setattr(spectral, "_product_sums", lambda A, B: combined.append(A) or product_sums(A, B))
+        S = spectrum(E)
+    assert len(combined) == max(len(E.factors) - 1, 0)
+    assert _close(S, whole, n, q_d)
