@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .errors import ConfigError, check_budget, check_invariant, config_value
 from .field import FieldSpec, field_create
 from .geometry import (PointSet, Vector, encode, full_space, norm, dot, paraboloid,
                        rotation_group_order, sphere)
-from .kernels import check_int64
+from .kernels import CHUNK_ELEMS, check_int64, scratch
 
 
 # --- deterministic thinning generator: splitmix64 ---------------------------------
@@ -27,13 +27,24 @@ from .kernels import check_int64
 _MASK = (1 << 64) - 1
 
 
+def _splitmix64(x: np.ndarray, shifted: np.ndarray) -> np.ndarray:
+    """splitmix64 of each element of the uint64 array x, in place (numpy's
+    uint64 arithmetic on arrays wraps mod 2^64; on a scalar it warns);
+    `shifted`, of x's shape, holds each shift."""
+    x += np.uint64(0x9E3779B97F4A7C15)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        np.right_shift(x, np.uint64(shift), out=shifted)
+        x ^= shifted
+        x *= np.uint64(mult)
+    np.right_shift(x, np.uint64(31), out=shifted)
+    x ^= shifted
+    return x
+
+
 def _splitmix64_array(x: np.ndarray) -> np.ndarray:
-    """splitmix64 of each element of a uint64 array (numpy's uint64 arithmetic
-    on arrays wraps mod 2^64; on a scalar it warns)."""
-    x = x + np.uint64(0x9E3779B97F4A7C15)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+    """splitmix64 of each element of a uint64 array, on a copy."""
+    x = np.array(x, dtype=np.uint64)
+    return _splitmix64(x, np.empty_like(x))
 
 
 def bernoulli_thin(X: PointSet, theta: float, seed: int) -> PointSet:
@@ -292,12 +303,25 @@ class ConstructionSpec:
         return builder(field_create(get("p"), get("r", 1)), get)
 
 
+@lru_cache(maxsize=None)
+def _chunk_offsets() -> np.ndarray:
+    """0, 1, ..., CHUNK_ELEMS - 1 as uint64, read-only, built once."""
+    offsets = np.arange(CHUNK_ELEMS, dtype=np.uint64)
+    offsets.flags.writeable = False
+    return offsets
+
+
 def random_pointset(F: FieldSpec, d: int, size: int, seed: int) -> PointSet:
     """Deterministic pseudo-random subset of F_q^d of the given size.
 
     The flat indices i with the smallest splitmix64(((seed << 20) mod 2^64) ^ i)
     are chosen; these scores are distinct (splitmix64 and xor are bijections
-    of uint64), so a partial sort picks them.
+    of uint64), so the set does not depend on how the scan is cut. The grid
+    is scored CHUNK_ELEMS indices at a time in two scratch buffers; a chunk
+    offers its `size` least scores while fewer than `size` are kept, and
+    afterwards only the scores below the largest one kept, and one partial
+    sort cuts the kept ones back to `size`. Memory is O(size + CHUNK_ELEMS),
+    time O(q^d).
     """
     if d < 0:
         raise ConfigError(f"dimension must be >= 0, got {d}")
@@ -305,6 +329,24 @@ def random_pointset(F: FieldSpec, d: int, size: int, seed: int) -> PointSet:
     if not 0 <= size <= space:
         raise ConfigError(f"cannot pick {size} points from {space}")
     check_budget(space, f"random sample from F_{F.q}^{d}")
-    key = np.uint64((seed << 20) & _MASK)
-    scores = _splitmix64_array(np.arange(space, dtype=np.uint64) ^ key)
-    return PointSet.from_codes(F, d, np.argpartition(scores, max(size - 1, 0))[:size])
+    key = (seed << 20) & _MASK
+    x = scratch("sample scores", CHUNK_ELEMS, np.uint64)
+    shifted = scratch("sample shifts", CHUNK_ELEMS, np.uint64)
+    codes, scores = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint64)
+    for lo in range(0, space if size else 0, CHUNK_ELEMS):
+        m = min(CHUNK_ELEMS, space - lo)
+        s = x[:m]
+        # lo is a multiple of CHUNK_ELEMS, so (lo + i) ^ key = i ^ (lo ^ key)
+        np.bitwise_xor(_chunk_offsets()[:m], np.uint64(lo ^ key), out=s)
+        _splitmix64(s, shifted[:m])
+        if len(codes) == size:
+            new = np.flatnonzero(s < bound)
+        else:  # fewer than size kept: any of the chunk's size least may enter
+            new = np.argpartition(s, min(size, m) - 1)[:size]
+        codes, scores = np.concatenate((codes, new + lo)), np.concatenate((scores, s[new]))
+        if len(codes) > size:
+            keep = np.argpartition(scores, size - 1)[:size]
+            codes, scores = codes[keep], scores[keep]
+        if len(codes) == size:
+            bound = scores.max()
+    return PointSet.from_codes(F, d, codes)

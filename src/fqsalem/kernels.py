@@ -14,10 +14,16 @@ over the pairs i < j, whose keys are the digit-wise negations. A pass thus
 holds its keys (4 or 8 bytes each) and at most one int64 count per
 key-space slot. Counts are int64; the largest count a kernel can reach
 is checked against the int64 range before counting starts, so nothing wraps.
+
+The kernels whose temporaries grow with q^d (the random sampler and the
+transform) write them into `scratch` buffers instead: kept per thread and per
+slot name, grown only, and reused by every later call, so a sweep of many
+cells on one grid touches no fresh memory after its first cell.
 """
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -29,6 +35,22 @@ CHUNK_ELEMS = 1 << 15
 
 INT32_MAX = (1 << 31) - 1
 INT64_MAX = (1 << 63) - 1
+
+
+_SCRATCH = threading.local()
+
+
+def scratch(slot: str, n: int, dtype) -> np.ndarray:
+    """A buffer of n elements of dtype with undefined contents: the start of
+    this thread's bytes for `slot`, which only grow. It is valid until the
+    next call for the same slot in the same thread, so no thread shares one."""
+    nbytes = n * np.dtype(dtype).itemsize
+    slots = _SCRATCH.__dict__
+    raw = slots.get(slot)
+    if raw is None or len(raw) < nbytes:
+        slots.pop(slot, None)  # release the old bytes before the new are taken
+        raw = slots[slot] = np.empty(nbytes, dtype=np.uint8)
+    return raw[:nbytes].view(dtype)
 
 
 def check_int64(n: int, what: str) -> None:

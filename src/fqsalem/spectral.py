@@ -48,6 +48,7 @@ import numpy as np
 from .errors import check_budget
 from .field import FieldSpec, field_create
 from .geometry import PointSet, decode, dot, encode
+from .kernels import scratch
 
 
 def _char_table(F: FieldSpec) -> np.ndarray:
@@ -108,10 +109,14 @@ def _dft_matrix(p: int) -> np.ndarray:
 _PREFIX_PRODUCT_MIN = 1 << 10
 
 
-def _axis_pass(p: int, c: int, heads: np.ndarray, X: np.ndarray):
+def _axis_pass(p: int, c: int, heads: np.ndarray, X: np.ndarray, own: np.ndarray,
+               spare: np.ndarray):
     """Transform the trailing digit axis not yet transformed: the rows of X under
     each prefix heads // p, one per digit, become the output digits 0..c-1 (the
-    leading ones of the new columns). Returns the new (heads, X)."""
+    leading ones of the new columns). X lies in the flat buffer `own`, and the
+    output is written into `spare`, or back into `own` when the pass zero-fills
+    `spare` first; a buffer too short fails a reshape. Returns the new (heads,
+    X, own, spare), X lying in own."""
     cols = X.shape[1]
     up = heads // p
     first = np.concatenate(([True], up[1:] != up[:-1]))  # first head under each prefix
@@ -120,20 +125,27 @@ def _axis_pass(p: int, c: int, heads: np.ndarray, X: np.ndarray):
     if n * p == len(heads):  # heads are distinct: every prefix has all p digits
         Y = X.reshape(n, p, cols)
     elif W is not None and n == len(heads):  # one digit per prefix: an outer product
-        return up, (W.T[heads % p][:, :, None] * X[:, None, :]).reshape(n, -1)
+        out = spare[:n * c * cols].reshape(n, c, cols)
+        np.multiply(W.T[heads % p][:, :, None], X[:, None, :], out=out)
+        return up, out.reshape(n, -1), spare, own
     elif W is not None and p * cols >= _PREFIX_PRODUCT_MIN:  # one product per prefix
         starts = np.flatnonzero(first).tolist() + [len(heads)]
         digits = heads % p
-        Z = np.empty((n, c, cols), dtype=complex)
+        out = spare[:n * c * cols].reshape(n, c, cols)
         for i, (lo, hi) in enumerate(zip(starts, starts[1:])):
-            np.matmul(W[:, digits[lo:hi]], X[lo:hi], out=Z[i])
-        return up[first], Z.reshape(n, -1)
-    else:
-        Y = np.zeros((n, p, cols), dtype=complex)
+            np.matmul(W[:, digits[lo:hi]], X[lo:hi], out=out[i])
+        return up[first], out.reshape(n, -1), spare, own
+    else:  # zero-fill spare; X is read once, so the output goes back into own
+        Y = spare[:n * p * cols].reshape(n, p, cols)
+        Y.fill(0)
         Y[np.cumsum(first) - 1, heads % p] = X
-    if W is None:
-        return up[first], np.fft.fft(Y, axis=1)[:, :c].reshape(n, -1)
-    return up[first], np.matmul(W, Y).reshape(n, -1)
+        own, spare = spare, own
+    out = spare[:n * c * cols].reshape(n, c, cols)
+    if W is None:  # numpy 1.24's fft takes no out
+        out[...] = np.fft.fft(Y, axis=1)[:, :c]
+    else:
+        np.matmul(W, Y, out=out)
+    return up[first], out.reshape(n, -1), spare, own
 
 
 def half_power(E: PointSet) -> np.ndarray:
@@ -141,32 +153,44 @@ def half_power(E: PointSet) -> np.ndarray:
     column the trailing base-p digit of m, kept in 0..(p-1)/2; P[0, 0] is
     m = 0; column 0 holds each of its frequencies once, every other column
     also the negated ones. For d = 0 the one frequency m = 0 has no digit,
-    and P is (1, 1).
+    and P is (1, 1). For d = 0 and for an empty E, P is a read-only
+    broadcast of its one value.
 
     One pass per digit axis of the twisted points, trailing axis first, each
-    a DFT under the digit prefixes the points occupy.
+    a DFT under the digit prefixes the points occupy. The passes ping-pong
+    between two scratch buffers of max(c q^d/p, p min(|E|, q^d/p)) complex
+    entries, c = (p+1)/2: the first pass's zero fill needs p entries per
+    prefix, and every later pass fits in c q^d/p. P lies in the one not
+    holding the last pass, read-only: it is valid until the next transform
+    in this thread.
     """
     F, d, q, p = E.field, E.d, E.field.q, E.field.p
     check_budget(q ** d, "fast Fourier transform")
     c = (p + 1) // 2 if d else 1
     scale = 1.0 / q ** d  # the factor q^{-d} of E_hat, in X from the start
     if d == 0 or len(E) == 0:  # no axis to transform: E_hat(0) = |E|, or all zero
-        X = np.full((max(q ** d // p, 1), c), len(E) * scale, dtype=complex)
-    else:
-        # the flat index is C-order over the (q,)*d grid; each axis splits into
-        # r digit axes (big-endian), under which a canonical value is its
-        # C-order index
-        heads = E.codes if F.r == 1 else np.sort(encode(_digit_permutation(F)[E.array], q))
-        # heads: the sorted occupied prefixes over the axes not yet transformed;
-        # X[i, f]: the transform at frequency f over the axes already
-        # transformed of the points under heads[i]
-        X = np.full((len(heads), 1), scale, dtype=complex)
-        heads, X = _axis_pass(p, c, heads, X)  # the trailing digit of m: 0..c-1
-        for _ in range(F.r * d - 1):
-            heads, X = _axis_pass(p, p, heads, X)
+        return np.broadcast_to((len(E) * scale) ** 2, (max(q ** d // p, 1), c))
+    # the flat index is C-order over the (q,)*d grid; each axis splits into
+    # r digit axes (big-endian), under which a canonical value is its
+    # C-order index
+    heads = E.codes if F.r == 1 else np.sort(encode(_digit_permutation(F)[E.array], q))
+    entries = max(c * (q ** d // p), p * min(len(E), q ** d // p))
+    own = scratch("half_power 0", entries, complex)
+    spare = scratch("half_power 1", entries, complex)
+    # heads: the sorted occupied prefixes over the axes not yet transformed;
+    # X[i, f]: the transform at frequency f over the axes already
+    # transformed of the points under heads[i]
+    X = own[:len(heads)].reshape(-1, 1)
+    X.fill(scale)
+    heads, X, own, spare = _axis_pass(p, c, heads, X, own, spare)  # the trailing digit of m
+    for _ in range(F.r * d - 1):
+        heads, X, own, spare = _axis_pass(p, p, heads, X, own, spare)
     v = X.reshape(-1, c).view(np.float64)  # re, im interleaved
     np.square(v, out=v)
-    return np.add(v[:, 0::2], v[:, 1::2])
+    P = spare.view(np.float64)[:X.size].reshape(-1, c)
+    np.add(v[:, 0::2], v[:, 1::2], out=P)
+    P.flags.writeable = False
+    return P
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from conftest import exhaustive_null_basis, field_of_order
-from fqsalem.constructions import (ConstructionSpec, bernoulli_thin, conjecture_witness,
-                                    isotropic_subspace, multiplicative_subgroup, null_basis,
-                                    product_set, random_pointset, rotation_orbit,
-                                    subgroup_power, two_set_sharpness)
+from fqsalem.constructions import (ConstructionSpec, _splitmix64_array, bernoulli_thin,
+                                    conjecture_witness, isotropic_subspace,
+                                    multiplicative_subgroup, null_basis, product_set,
+                                    random_pointset, rotation_orbit, subgroup_power,
+                                    two_set_sharpness)
 from fqsalem.distance import distance_profile
 from fqsalem.energy import energy_bruteforce, energy_convolution, pair_counts
 from fqsalem.errors import BudgetExceeded, ConfigError, budget_scope
@@ -21,6 +22,11 @@ from fqsalem.geometry import (PointSet, dot, full_space, norm, rotation_group_or
                                write_pointset)
 from fqsalem.harness import _child_seed
 from fqsalem.ranges import conjectured_alpha
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # only the sampler's property test needs hypothesis
+    st = None
 
 
 def test_rotation_orbit_q27():
@@ -322,13 +328,45 @@ def _splitmix64_reference(x):
 
 @pytest.mark.parametrize("p,r,d,size,seed", [
     (5, 1, 2, 10, 3), (3, 2, 3, 40, 0), (7, 1, 3, 1, 12345),
-    (3, 3, 2, 729, 9), (5, 2, 2, 17, (1 << 64) - 1), (3, 1, 4, 30, -7)])
+    (3, 3, 2, 729, 9), (5, 2, 2, 17, (1 << 64) - 1), (3, 1, 4, 30, -7),
+    (3, 1, 10, 60, 11)])  # F_3^10: two chunks of the sampler's scan
 def test_random_pointset_matches_scalar_reference(p, r, d, size, seed):
     F = field_create(p, r)
     q = F.q
     order = sorted(range(q ** d), key=lambda i: (_splitmix64_reference((seed << 20) ^ i), i))
     expect = sorted(tuple(i // q ** (d - 1 - j) % q for j in range(d)) for i in order[:size])
     assert random_pointset(F, d, size, seed).points == tuple(expect)
+
+
+def one_shot_sample(F, d: int, size: int, seed: int) -> np.ndarray:
+    """The sampler's set as one pass over the grid: a partial sort of the
+    splitmix64 scores of all q^d flat indices at once."""
+    key = np.uint64((seed << 20) & ((1 << 64) - 1))
+    scores = _splitmix64_array(np.arange(F.q ** d, dtype=np.uint64) ^ key)
+    return np.sort(np.argpartition(scores, max(size - 1, 0))[:size])
+
+
+#: grids the sampler scans in one chunk (F_181^2), two (F_3^10) and four
+#: (F_7^6) of CHUNK_ELEMS = 2^15, the last chunk of the two larger ones partial
+CHUNKED_GRIDS = [(181, 2), (3, 10), (7, 6)]
+
+
+if st is not None:
+    @st.composite
+    def chunked_samples(draw):
+        p, d = draw(st.sampled_from(CHUNKED_GRIDS))
+        space = p ** d
+        # none, one, more than one chunk (40 000 of F_7^6), the whole grid, or any
+        size = min(draw(st.sampled_from([0, 1, 40_000, space]) | st.integers(0, space)), space)
+        seed = draw(st.integers(-(1 << 70), -1) | st.just(0) | st.integers(1 << 44, 1 << 70))
+        return field_create(p, 1), d, size, seed
+
+    @settings(max_examples=30, deadline=None)
+    @given(chunked_samples())
+    def test_random_pointset_matches_one_shot_reference(case):
+        F, d, size, seed = case
+        assert np.array_equal(random_pointset(F, d, size, seed).codes,
+                              one_shot_sample(F, d, size, seed))
 
 
 @pytest.mark.parametrize("master", [0, 1, -1, -7, 12345, 1 << 40, -(1 << 40), (1 << 64) - 1])

@@ -14,6 +14,11 @@ import sys
 import threading
 from pathlib import Path
 
+try:
+    import resource
+except ImportError:  # no such module off Unix
+    resource = None
+
 import numpy as np
 import pytest
 
@@ -341,6 +346,22 @@ def test_sweep_runs_every_cell_in_the_calling_thread(tmp_path, capsys, monkeypat
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s"),
                  "--jobs", str(jobs)]) == 0
     assert seen == [(caller, set())] * 2
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or resource is None
+                    or not hasattr(resource.getrusage(resource.RUSAGE_SELF), "ru_minflt"),
+                    reason="counts Linux minor faults")
+def test_sweep_cells_on_one_grid_touch_no_fresh_memory(tmp_path):
+    # the sampler's and the transform's q^d-sized temporaries live in per-thread
+    # scratch, so a repeated sweep over the 117 649 cells of F_49^3 does not
+    # fault them in again (2 304 faults a sweep when each was fresh)
+    config = {"construction": {"kind": "random", "p": 7, "r": 2, "d": 3},
+              "analyses": ALL_SET_ANALYSES, "grid": {"size": [12, 24, 48, 96]}, "seed": 0}
+    sweep(config, tmp_path / "warm-up")
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    sweep(config, tmp_path / "again")
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults <= 100 * 4
 
 
 def test_sweep_cli_stops_at_a_failing_cell(tmp_path, capsys, monkeypatch):

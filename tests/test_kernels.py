@@ -2,6 +2,7 @@
 guard, and the pair pass's gathers in chunks of base-p digits."""
 
 import random
+import threading
 from collections import Counter
 
 import numpy as np
@@ -146,3 +147,17 @@ def test_pair_pass_beyond_the_chunk_cap_builds_no_table():
     after = kernels.digit_difference.cache_info()
     assert (after.misses, after.currsize) == (before.misses, before.currsize)
     assert list(zip(pairs.keys.tolist(), pairs.counts.tolist())) == difference_family_oracle(E)
+
+
+def test_scratch_is_kept_per_thread_and_slot_and_only_grows():
+    a = kernels.scratch("test a", 100, np.complex128)
+    assert a.shape == (100,) and a.dtype == np.complex128
+    assert np.shares_memory(kernels.scratch("test a", 50, np.float64), a)  # a smaller call reuses it
+    assert not np.shares_memory(kernels.scratch("test b", 100, np.complex128), a)
+    big = kernels.scratch("test a", 1000, np.uint64)  # a larger one grows it
+    assert big.shape == (1000,) and np.shares_memory(kernels.scratch("test a", 2000, np.uint8), big)
+    other = []
+    thread = threading.Thread(target=lambda: other.append(kernels.scratch("test a", 1000, np.uint64)))
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive() and not np.shares_memory(other[0], big)

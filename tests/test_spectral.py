@@ -177,19 +177,27 @@ def test_energy_identity_random(f5):
 
 
 def record_passes(monkeypatch) -> list:
-    """Patch the kernel to record, per digit-axis pass, its matrix products and
-    the scratch arrays it allocates (np.zeros, np.empty). Each route of a pass
-    with p <= 127 leaves its own record:
+    """Patch the kernel to record, per digit-axis pass, its matrix products, the
+    zero fills of its scratch buffers and the arrays it allocates (np.zeros,
+    np.empty). Each route of a pass with p <= 127 leaves its own record, and
+    none allocates:
 
-    * reshape (every prefix holds all p digits): one product, no scratch;
-    * outer product (every prefix holds one digit): no product, no scratch;
-    * one product per prefix: a product per prefix into one np.empty;
-    * zero-fill: one product on one np.zeros."""
+    * reshape (every prefix holds all p digits): one product, no fill;
+    * outer product (every prefix holds one digit): no product, no fill;
+    * one product per prefix: a product per prefix, no fill;
+    * zero-fill: one product on one zero-filled scratch buffer."""
     passes, current = [], []
-    axis_pass = spectral._axis_pass
+    axis_pass, scratch = spectral._axis_pass, spectral.scratch
+
+    class FillSpy(np.ndarray):
+        """A scratch buffer, and every view of it, that records its zero fills."""
+        def fill(self, value):
+            if current and value == 0:
+                current[-1]["fills"] += 1
+            super().fill(value)
 
     def recorded(*args):
-        passes.append({"products": 0, "zeros": 0, "empty": 0})
+        passes.append({"products": 0, "fills": 0, "allocations": 0})
         current.append(passes[-1])
         try:
             return axis_pass(*args)
@@ -204,15 +212,16 @@ def record_passes(monkeypatch) -> list:
         return counted
 
     monkeypatch.setattr(spectral, "_axis_pass", recorded)
+    monkeypatch.setattr(spectral, "scratch", lambda *args: scratch(*args).view(FillSpy))
     monkeypatch.setattr(np, "matmul", counting(np.matmul, "products"))
-    monkeypatch.setattr(np, "zeros", counting(np.zeros, "zeros"))
-    monkeypatch.setattr(np, "empty", counting(np.empty, "empty"))
+    monkeypatch.setattr(np, "zeros", counting(np.zeros, "allocations"))
+    monkeypatch.setattr(np, "empty", counting(np.empty, "allocations"))
     return passes
 
 
-RESHAPE = {"products": 1, "zeros": 0, "empty": 0}
-OUTER = {"products": 0, "zeros": 0, "empty": 0}
-ZERO_FILL = {"products": 1, "zeros": 1, "empty": 0}
+RESHAPE = {"products": 1, "fills": 0, "allocations": 0}
+OUTER = {"products": 0, "fills": 0, "allocations": 0}
+ZERO_FILL = {"products": 1, "fills": 1, "allocations": 0}
 
 
 def test_pruned_fft_empty_set(f9):
@@ -234,7 +243,7 @@ def test_pruned_fft_full_space_takes_reshape_path(monkeypatch, p, r, d):
     F = field_create(p, r)
     passes = record_passes(monkeypatch)
     P = half_power(full_space(F, d))
-    # every prefix holds all p digits: one product per pass, no scratch array
+    # every prefix holds all p digits: one product per pass, no zero fill
     assert passes == [RESHAPE] * (r * d)
     assert P[0, 0] == pytest.approx(1)
     assert np.max(P.ravel()[1:]) < 1e-24
@@ -250,19 +259,20 @@ def test_pruned_fft_collapsed_prefixes(monkeypatch, f7):
     E = two_points_times_one(f7)
     passes = record_passes(monkeypatch)
     P = half_power(E)
-    # the last pass carries 7 x 16 < 2^10 entries per prefix: it zero-fills
+    # the last pass carries 7 x 16 < 2^10 entries per prefix: it zero-fills a
+    # scratch buffer, and allocates no array
     assert passes == [OUTER, OUTER, ZERO_FILL]
     assert np.max(np.abs(P - folded_power(E))) <= 1e-12
 
 
 def test_pruned_fft_one_product_per_prefix(monkeypatch, f7):
     # with no entry floor, the collapsed prefix of the last pass takes its own
-    # product with the 2 columns of W of its digits, into one np.empty
+    # product with the 2 columns of W of its digits, into a scratch buffer
     monkeypatch.setattr(spectral, "_PREFIX_PRODUCT_MIN", 1)
     E = two_points_times_one(f7)
     passes = record_passes(monkeypatch)
     P = half_power(E)
-    assert passes == [OUTER, OUTER, {"products": 1, "zeros": 0, "empty": 1}]
+    assert passes == [OUTER, OUTER, {"products": 1, "fills": 0, "allocations": 0}]
     assert np.max(np.abs(P - folded_power(E))) <= 1e-12
 
 

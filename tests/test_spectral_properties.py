@@ -1,7 +1,10 @@
 """Property tests of the half spectrum against the direct transform (needs
 hypothesis)."""
 
+import dataclasses
 import math
+import sys
+import threading
 from functools import reduce
 
 import numpy as np
@@ -9,7 +12,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from conftest import folded_power, half_moment, half_total, translate  # noqa: E402
 from fqsalem import spectral  # noqa: E402
@@ -186,3 +189,88 @@ def test_spectrum_of_a_product_matches_the_whole_grid(E):
         S = spectrum(E)
     assert len(combined) == max(len(E.factors) - 1, 0)
     assert _close(S, whole, n, q_d)
+
+
+# --- the transform's per-thread scratch ----------------------------------------
+
+# (p, r, largest d): r = 1, 2 and 3, and p = 131, whose passes take np.fft.fft
+SCRATCH_SPACES = [(3, 1, 4), (7, 1, 3), (5, 2, 2), (3, 3, 2), (131, 1, 2)]
+
+
+@st.composite
+def scratch_sets(draw):
+    p, r, max_d = draw(st.sampled_from(SCRATCH_SPACES))
+    F = field_create(p, r)
+    d = draw(st.integers(0, max_d))
+    codes = draw(st.lists(st.integers(0, F.q ** d - 1), max_size=40))
+    return PointSet.from_codes(F, d, codes)
+
+
+def record_bits(E) -> tuple[list[str], bytes]:
+    """E's spectrum record, each float as hex, and the bytes of its half P."""
+    return [v.hex() for v in dataclasses.astuple(spectrum(E))], half_power(E).tobytes()
+
+
+def in_fresh_thread(fn, *args):
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn(*args)))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    return out[0]
+
+
+#: transforms that leave the scratch longer (19 683 cells) and shorter than
+#: most drawn sets need, filled with their own values
+LARGER = PointSet.from_codes(field_create(3, 1), 9, range(0, 3 ** 9, 97))
+SMALLER = PointSet.from_codes(field_create(5, 1), 1, [1, 3])
+
+
+@settings(max_examples=60, deadline=None)
+@given(scratch_sets())
+@example(PointSet.from_codes(field_create(5, 1), 0, [0]))  # d = 0
+@example(PointSet.from_codes(field_create(131, 1), 2, []))  # the empty set
+@example(PointSet.from_codes(field_create(131, 1), 2, [5, 131, 262, 17160]))
+def test_spectrum_does_not_depend_on_what_the_scratch_held(E):
+    fresh = in_fresh_thread(record_bits, E)
+    half_power(LARGER)
+    half_power(SMALLER)
+    assert record_bits(E) == fresh
+
+
+def test_threads_transforming_at_once_get_the_serial_records():
+    # four threads (more than the cores CI has), each on its own sets, with the
+    # interpreter switching threads as often as it can
+    F = field_create(7, 2)
+    sets = [PointSet.from_codes(F, 2, range(seed, 49 ** 2, 7 + 4 * seed)) for seed in range(8)]
+    serial = [record_bits(E) for E in sets]
+    start, got = threading.Barrier(4), {}
+
+    def transform(own):
+        start.wait()
+        got[own] = [(i, record_bits(sets[i])) for _ in range(10) for i in range(own, 8, 4)]
+
+    threads = [threading.Thread(target=transform, args=(own,)) for own in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and len(got) == 4
+    assert all(bits == serial[i] for records in got.values() for i, bits in records)
+
+
+@pytest.mark.parametrize("E", [
+    PointSet.from_codes(field_create(5, 2), 2, [0, 7, 31, 600]),
+    PointSet.from_codes(field_create(131, 1), 1, [3, 4]),
+    PointSet.from_codes(field_create(5, 1), 0, [0]),
+    PointSet.from_codes(field_create(3, 1), 3, [])])
+def test_half_power_is_read_only(E):
+    P = half_power(E)
+    assert not P.flags.writeable
+    with pytest.raises(ValueError):
+        P[0, 0] = 1.0
